@@ -7,7 +7,7 @@ F0, F1 (starred), applied left to right.
 
 Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
 bounded search was inconclusive; 64 malformed element JSON; 65 precondition
-violation.
+violation, including command-line usage errors.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ import random
 import sys
 
 from . import serialize
-from .core import TensorElement, bfs_component
-from .elementary import EndMarker, LimitEntry
-from .extremal import (bmax_contains, bmax_seed, enum_bmax, extremal_cert,
-                       is_extremal)
-from .halfpath import HalfPath, left_path, u_inf
+from .core import bfs_component
+from .elementary import oracle_letters, tensor_oracle
+from .extremal import bmax_contains, bmax_seeds, enum_bmax, extremal_cert
+from .halfpath import HalfPath, left_path
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
 from .peterweyl import pw_report, verify_c1, verify_c2, verify_c3
-from .seqreal import SeqElement
-from .star import star_binf, star_bminf, star_mod
+from .seqreal import SeqElement, path_to_seq, seq_to_path
+from .star import star_binf, star_bminf, star_mod, starred_e, starred_f
 from .weights import Weight, classical
 
 EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE = 0, 1, 2
@@ -89,7 +88,6 @@ def cmd_apply(args) -> int:
             elt = elt.e(i) if kind == "e" else elt.f(i)
         elif tok in _STARRED:
             kind, i = _STARRED[tok]
-            from .star import starred_e, starred_f
             elt = starred_e(elt, i) if kind == "e" else starred_f(elt, i)
         else:
             raise CliError(EXIT_PRECONDITION, f"unknown operator token {tok!r}")
@@ -108,7 +106,6 @@ def cmd_star(args) -> int:
         if isinstance(elt, HalfPath):
             out = star_binf(elt) if elt.side == "left" else star_bminf(elt)
         elif isinstance(elt, SeqElement):
-            from .seqreal import path_to_seq, seq_to_path
             out = path_to_seq(star_binf(seq_to_path(elt)), elt.first_color)
         elif isinstance(elt, LevelPath):
             out = lp_join(star_mod(lp_split(elt)))
@@ -179,12 +176,10 @@ def cmd_bmax(args) -> int:
         return EXIT_OK if member else EXIT_FAIL
     try:
         fam = enum_bmax(lam, args.c_bound, args.depth)
+        seeds = bmax_seeds(lam, args.c_bound)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
-    from itertools import product as _product
-    shapes = _product(range(args.c_bound + 1), repeat=max(abs(lam.a0) - 1, 0))
-    seeds = [serialize.encode(bmax_seed(lam, cvec)) for cvec in shapes]
-    print(json.dumps({"size": len(fam), "seeds": seeds}))
+    print(json.dumps({"size": len(fam), "seeds": [serialize.encode(s) for s in seeds]}))
     return EXIT_OK
 
 
@@ -215,24 +210,6 @@ def cmd_pw_verify(args) -> int:
     return EXIT_OK if (c1 and c2 and c3 and rep.ok) else EXIT_FAIL
 
 
-def _tensor_oracle(entries: dict[int, int], width: int):
-    """Left path as EndMarker (x) letters via raw tensor rules."""
-    cur = TensorElement(EndMarker("left"), LimitEntry(entries.get(-width, 0)))
-    for k in range(-width + 1, 0):
-        cur = TensorElement(cur, LimitEntry(entries.get(k, 0)))
-    return cur
-
-
-def _oracle_letters(t) -> dict[int, int]:
-    letters = []
-    node = t
-    while isinstance(node, TensorElement):
-        letters.append(node.right.n)
-        node = node.left
-    letters.reverse()
-    return {k - len(letters): v for k, v in enumerate(letters)}
-
-
 def cmd_oracle_check(args) -> int:
     seed = args.seed
     if args.seed_file:
@@ -248,7 +225,7 @@ def cmd_oracle_check(args) -> int:
         entries = {-k: rng.randint(-args.entry_bound, args.entry_bound)
                    for k in range(1, args.support + 1)}
         b = left_path(entries)
-        t = _tensor_oracle(dict(b.entries), width)
+        t = tensor_oracle(dict(b.entries), width)
         for i in (0, 1):
             checked += 1
             if b.eps(i) != t.eps(i) or b.phi(i) != t.phi(i):
@@ -260,14 +237,33 @@ def cmd_oracle_check(args) -> int:
                 if (bb is None) != (tt is None):
                     failures += 1
                 elif bb is not None and dict(bb.entries) != {
-                        k: v for k, v in _oracle_letters(tt).items() if v != 0}:
+                        k: v for k, v in oracle_letters(tt).items() if v != 0}:
                     failures += 1
     print(json.dumps({"checked": checked, "failures": failures}))
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_PRECONDITION, since argparse's own code
+    2 means EXIT_INCONCLUSIVE here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(EXIT_PRECONDITION, f"{self.prog}: error: {message}")
+
+
+def _glue_lambda(argv: list[str]) -> list[str]:
+    """Join '--lambda VALUE' into '--lambda=VALUE', so that a negative m as
+    in '--lambda -3,0' is not taken for an option."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        out.append(f"{arg}={next(args, '')}" if arg == "--lambda" else arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crystalpaths")
+    parser = _Parser(prog="crystalpaths")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -324,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_glue_lambda(argv))
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -4,8 +4,9 @@ A crystal element exposes a weight, string statistics eps(i)/phi(i) valued in
 the integers extended by -infinity, and partial raising/lowering operators
 e(i)/f(i) that return None where undefined (None models the formal zero
 element of the crystal axioms).  On top of that protocol this module builds
-the tensor product and dual combinators, breadth-first component enumeration,
-rooted graph isomorphism, an axiom checker, and graph export.
+the tensor product and dual combinators, the breadth-first search engine
+explore, component enumeration, rooted graph isomorphism, an axiom checker,
+and graph export.
 
 Tensor conventions (b1 tensor b2):
     eps_i = max(eps_i(b1), eps_i(b2) - <h_i, wt b1>)
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .weights import Weight, simple_root
 
@@ -182,13 +183,46 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Component graphs
-
-Op = Callable[[CrystalElement, int], Optional[CrystalElement]]
+# Breadth-first exploration and component graphs
 
 
-def _plain_moves(b: CrystalElement) -> list[tuple[str, int, Optional[CrystalElement]]]:
-    return [("e", i, b.e(i)) for i in COLORS] + [("f", i, b.f(i)) for i in COLORS]
+def plain_moves(b: CrystalElement) -> Iterator[tuple[tuple[str, int], Optional[CrystalElement]]]:
+    """The plain operators at b as ((kind, color), image) pairs, in the
+    order e_0, f_0, e_1, f_1; the image is None where undefined."""
+    for i in COLORS:
+        yield ("e", i), b.e(i)
+        yield ("f", i), b.f(i)
+
+
+def explore(roots: Iterable[CrystalElement], moves, depth: int):
+    """Breadth-first search from roots along moves, to the given depth.
+
+    moves(b) yields (move, image) pairs, the image None where the move is
+    undefined.  Yields (parent, move, child, new) tuples in discovery order:
+    first each root as (None, None, root, new), then, level by level, every
+    move of every node at distance < depth from the roots, in the order
+    moves yields them.  new is True exactly when child is defined and its
+    key() was not seen before; only new nodes are expanded, in the order
+    they were found.  Nothing is computed beyond what the consumer takes.
+    """
+    seen = set()
+    frontier = []
+    for root in roots:
+        new = root.key() not in seen
+        if new:
+            seen.add(root.key())
+            frontier.append(root)
+        yield None, None, root, new
+    for _ in range(depth):
+        nxt = []
+        for b in frontier:
+            for move, c in moves(b):
+                new = c is not None and c.key() not in seen
+                if new:
+                    seen.add(c.key())
+                    nxt.append(c)
+                yield b, move, c, new
+        frontier = nxt
 
 
 @dataclass
@@ -204,9 +238,6 @@ class ComponentGraph:
     nodes: dict[str, CrystalElement] = field(default_factory=dict)
     edges: list[tuple[str, str, int]] = field(default_factory=list)
     depth: dict[str, int] = field(default_factory=dict)
-
-    def element(self, node_id: str) -> CrystalElement:
-        return self.nodes[node_id]
 
     def to_dot(self) -> str:
         lines = ["digraph crystal {", "  rankdir=TB;"]
@@ -243,41 +274,29 @@ def node_id(b: CrystalElement) -> str:
     return hashlib.sha1(raw).hexdigest()[:16]
 
 
-def bfs_component(
-    root: CrystalElement,
-    max_depth: int,
-    moves: Callable[[CrystalElement], list[tuple[str, int, Optional[CrystalElement]]]] = _plain_moves,
-) -> ComponentGraph:
-    """Enumerate the component of root under the given moves to max_depth.
+def bfs_component(root: CrystalElement, max_depth: int) -> ComponentGraph:
+    """Enumerate the component of root under the plain operators to max_depth.
 
-    Exploration order is deterministic: frontier sorted by node id.  Edges
-    are recorded for lowering moves only ("f" labels), which determines the
+    Edges are recorded for lowering arrows only: a raising move e_i from b
+    to c is stored as the arrow f_i from c to b, which determines the
     raising edges too since crystal graphs have at most one arrow per color
     in each direction at a node.
     """
     rid = node_id(root)
-    graph = ComponentGraph(root=rid)
-    graph.nodes[rid] = root
-    graph.depth[rid] = 0
-    frontier = [(rid, root)]
-    for d in range(max_depth):
-        nxt: list[tuple[str, CrystalElement]] = []
-        for nid, b in sorted(frontier, key=lambda t: t[0]):
-            for kind, i, c in moves(b):
-                if c is None:
-                    continue
-                cid = node_id(c)
-                if cid not in graph.nodes:
-                    graph.nodes[cid] = c
-                    graph.depth[cid] = d + 1
-                    nxt.append((cid, c))
-                if kind == "f":
-                    graph.edges.append((nid, cid, i))
-                elif kind == "e":
-                    graph.edges.append((cid, nid, i))
-        frontier = nxt
-        if not frontier:
-            break
+    graph = ComponentGraph(root=rid, nodes={rid: root}, depth={rid: 0})
+    ids = {root.key(): rid}  # element key -> node id
+    for parent, move, c, new in explore([root], plain_moves, max_depth):
+        if parent is None or c is None:
+            continue
+        src = ids[parent.key()]
+        if new:
+            dst = ids[c.key()] = node_id(c)
+            graph.nodes[dst] = c
+            graph.depth[dst] = graph.depth[src] + 1
+        else:
+            dst = ids[c.key()]
+        kind, i = move
+        graph.edges.append((src, dst, i) if kind == "f" else (dst, src, i))
     graph.edges = sorted(set(graph.edges))
     return graph
 

@@ -12,14 +12,14 @@ Z: e_1 and f_0 decrement, e_0 and f_1 increment, eps_1(n) = phi_0(n) = n,
 eps_0(n) = phi_1(n) = -n, and the weight is the classical 2n*(L0 - L1).
 EndMarker is a truncation stub (all string statistics zero, no operators)
 standing in for the untouched infinite tail when a path is modeled as a
-finite tensor word.
+finite tensor word; tensor_oracle builds that word for a left path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NEG_INF, CrystalElement
+from .core import NEG_INF, CrystalElement, TensorElement
 from .weights import Weight, classical, simple_root
 
 
@@ -121,3 +121,25 @@ class EndMarker(CrystalElement):
 
     def key(self):
         return ("end", self.side)
+
+
+def tensor_oracle(entries: dict[int, int], width: int) -> TensorElement:
+    """The left path with the given entries as the tensor word
+    EndMarker (x) letter_{-width} (x) ... (x) letter_{-1}, acted on by the
+    raw tensor rules only: a reference for the closed-form path operators
+    that shares no code with them."""
+    cur = TensorElement(EndMarker("left"), LimitEntry(entries.get(-width, 0)))
+    for k in range(-width + 1, 0):
+        cur = TensorElement(cur, LimitEntry(entries.get(k, 0)))
+    return cur
+
+
+def oracle_letters(t) -> dict[int, int]:
+    """Letters of a tensor_oracle word by position, zeros included."""
+    letters = []
+    node = t
+    while isinstance(node, TensorElement):
+        letters.append(node.right.n)
+        node = node.left
+    letters.reverse()
+    return {k - len(letters): v for k, v in enumerate(letters)}

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-from .core import CrystalElement
+from .core import CrystalElement, explore, plain_moves
 from .levelpath import LevelPath, ModElement, _alt, lp_join, lp_split, u_lambda
 from .star import star_mod
 from .weights import Weight
@@ -102,15 +102,10 @@ def extremal_cert(e: CrystalElement, max_len: int = 6) -> ExtremalCert:
 
 
 def extremal_screen(p: LevelPath) -> Optional[bool]:
-    """Fast necessary test on a level path: False means definitely not
-    extremal (mixed wall signs, or walls on a weight-zero classical part);
-    None means the bounded check is still needed."""
-    sign = p.wall_sign()
-    if sign is None:
-        return False
-    if sign == 0:
-        return None  # the wall-free path; extremal
-    return None
+    """Fast necessary test on a level path: False when its walls carry mixed
+    signs, which rules extremality out; None otherwise, meaning the bounded
+    check is still needed.  It screens out nothing else."""
+    return False if p.wall_sign() is None else None
 
 
 def is_extremal_path(p: LevelPath, max_len: int = 6) -> bool:
@@ -200,28 +195,19 @@ def bmax_contains(lam: Weight, e: ModElement, max_len: int = 5) -> bool:
     return is_extremal(starred, max_len)
 
 
+def bmax_seeds(lam: Weight, c_bound: int) -> list[LevelPath]:
+    """The seeds of B^max(lam) whose block sizes are all at most c_bound."""
+    shapes = product(range(c_bound + 1), repeat=max(abs(lam.a0) - 1, 0))
+    return [bmax_seed(lam, cvec) for cvec in shapes]
+
+
 def enum_bmax(lam: Weight, c_bound: int, depth: int = 4) -> dict:
     """Enumerate a truncation of B^max(lam): it is a union of full plain
     components, one per block-size tuple, generated by the seeds.  Returns
     the BFS truncation (to the given depth) of the components with block
     sizes up to c_bound, keyed by element key."""
-    n = abs(lam.a0)
-    out: dict = {}
-    shapes = product(range(c_bound + 1), repeat=max(n - 1, 0))
-    for cvec in shapes:
-        seed = lp_split(bmax_seed(lam, tuple(cvec)))
-        frontier = [seed]
-        out.setdefault(seed.key(), seed)
-        for _ in range(depth):
-            nxt = []
-            for e in frontier:
-                for i in (0, 1):
-                    for c in (e.e(i), e.f(i)):
-                        if c is not None and c.key() not in out:
-                            out[c.key()] = c
-                            nxt.append(c)
-            frontier = nxt
-    return out
+    roots = [lp_split(seed) for seed in bmax_seeds(lam, c_bound)]
+    return {c.key(): c for _, _, c, new in explore(roots, plain_moves, depth) if new}
 
 
 # -- star image of the dual extremal-weight crystal ---------------------------

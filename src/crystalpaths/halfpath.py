@@ -40,8 +40,42 @@ def _canon(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tupl
     return tuple(sorted((k, v) for k, v in items if v != 0))
 
 
+class WallScan:
+    """Walls of a path, shared by half-paths and level paths.
+
+    The wall at k sits between letters k-1 and k and carries multiplicity
+    |i_{k-1} + i_k|; its sign is the sign of that sum.  Subclasses provide
+    entry(k) and _wall_range(), a range of positions holding every wall.
+    """
+
+    def walls(self) -> list[tuple[int, int]]:
+        """Positions k with i_{k-1} + i_k != 0, with the signed sum."""
+        out = []
+        for k in self._wall_range():
+            s = self.entry(k - 1) + self.entry(k)
+            if s != 0:
+                out.append((k, s))
+        return out
+
+    def wall_positions(self) -> list[int]:
+        """Wall positions repeated with multiplicity, in increasing order."""
+        out: list[int] = []
+        for k, s in self.walls():
+            out.extend([k] * abs(s))
+        return out
+
+    def wall_sign(self) -> Optional[int]:
+        """+1 / -1 if every wall has that sign, 0 if no walls, else None."""
+        signs = {1 if s > 0 else -1 for _, s in self.walls()}
+        if not signs:
+            return 0
+        if len(signs) == 1:
+            return signs.pop()
+        return None
+
+
 @dataclass(frozen=True)
-class HalfPath(CrystalElement):
+class HalfPath(WallScan, CrystalElement):
     side: str
     entries: tuple[tuple[int, int], ...]
 
@@ -147,38 +181,10 @@ class HalfPath(CrystalElement):
 
     # -- walls and domains --------------------------------------------------
 
-    def walls(self) -> list[tuple[int, int]]:
-        """Positions k with i_{k-1} + i_k != 0, with the signed sum.
-
-        The wall at k sits between letters k-1 and k and carries multiplicity
-        |i_{k-1} + i_k|; its sign is the sign of that sum.  For a left path k
-        ranges over k <= -1 (a wall at position 0 belongs to neither half).
-        """
-        if self.side == RIGHT:
-            return [(-k, -s) for k, s in reversed(self.flip().walls()) if True]
-        stored = dict(self.entries)
-        out = []
-        for k in self._window():
-            s = stored.get(k - 1, 0) + stored.get(k, 0)
-            if s != 0:
-                out.append((k, s))
-        return out
-
-    def wall_positions(self) -> list[int]:
-        """Wall positions repeated with multiplicity, in increasing order."""
-        out: list[int] = []
-        for k, s in self.walls():
-            out.extend([k] * abs(s))
-        return out
-
-    def wall_sign(self) -> Optional[int]:
-        """+1 / -1 if every wall has that sign, 0 if no walls, else None."""
-        signs = {1 if s > 0 else -1 for _, s in self.walls()}
-        if not signs:
-            return 0
-        if len(signs) == 1:
-            return signs.pop()
-        return None
+    def _wall_range(self) -> range:
+        # a wall at position 0 belongs to neither half
+        lo, hi = (self.entries[0][0], self.entries[-1][0]) if self.entries else (0, -1)
+        return range(lo, 0) if self.side == LEFT else range(1, hi + 2)
 
     def domains(self) -> list[tuple[int, int]]:
         """Finite domains (start, length) between consecutive walls.

@@ -27,7 +27,8 @@ from typing import Iterable, Mapping, Optional
 
 from .core import CrystalElement, TensorElement
 from .elementary import TElement
-from .halfpath import HalfPath, left_path, right_path, u_inf, u_minus_inf
+from .halfpath import (HalfPath, WallScan, left_path, right_path, u_inf,
+                       u_minus_inf)
 from .weights import Weight, classical
 
 
@@ -37,7 +38,7 @@ def _alt(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class LevelPath:
+class LevelPath(WallScan):
     """A path in P_{m,l}, stored sparsely as differences from the defaults
     (0 to the left of position 0, the ground pattern from position 0 on)."""
 
@@ -88,30 +89,9 @@ class LevelPath:
             dcorr += k * (max(ik1, -ik) - max(gk1, -gk))
         return classical(cl, self.l + dcorr)
 
-    # -- walls --------------------------------------------------------------
-
-    def walls(self) -> list[tuple[int, int]]:
+    def _wall_range(self) -> range:
         a, b = self.window()
-        out = []
-        for k in range(a - 1, b + 3):
-            s = self.entry(k - 1) + self.entry(k)
-            if s != 0:
-                out.append((k, s))
-        return out
-
-    def wall_positions(self) -> list[int]:
-        out: list[int] = []
-        for k, s in self.walls():
-            out.extend([k] * abs(s))
-        return out
-
-    def wall_sign(self) -> Optional[int]:
-        signs = {1 if s > 0 else -1 for _, s in self.walls()}
-        if not signs:
-            return 0
-        if len(signs) == 1:
-            return signs.pop()
-        return None
+        return range(a - 1, b + 3)
 
 
 def ground_path(m: int, l: int = 0) -> LevelPath:

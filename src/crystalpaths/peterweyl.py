@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import bfs_component, graphs_isomorphic
-from .extremal import (bmax_contains, enum_bmax, enum_bminus_star,
-                       extremal_screen, is_extremal, weyl_op)
-from .levelpath import LevelPath, ModElement, lp_join, u_lambda
+from .core import COLORS, bfs_component, explore, graphs_isomorphic, plain_moves
+from .extremal import enum_bmax, enum_bminus_star, extremal_screen, is_extremal, weyl_op
+from .levelpath import ModElement, lp_join, u_lambda
 from .star import star_mod, starred_e, starred_f
 from .weights import Weight, orbit_canonical
 
@@ -56,32 +55,28 @@ def decompose(e: ModElement, max_depth: int = 8,
 
     Searches the plain component of e* breadth-first for an extremal vector
     x; then b = x* lies in B^max(-wt(x)) and the reversed, inverted search
-    word -- transported through star -- lowers/raises b back to e.
+    word -- transported through star -- lowers/raises b back to e.  Raises
+    RuntimeError if that word does not replay from b to e.
     """
     root = star_mod(e)
-    seen = {root.key()}
-    # each entry: (element, word of (kind, color) applied from root)
-    frontier: list[tuple[ModElement, list[tuple[str, int]]]] = [(root, [])]
-    for _ in range(max_depth + 1):
-        nxt = []
-        for x, word in frontier:
-            if extremal_screen(lp_join(x)) is not False and is_extremal(x, extremal_len):
-                lam = -x.wt()
-                canon, _ = orbit_canonical(lam)
-                b = star_mod(x)
-                inverse = [("f" if kind == "e" else "e", i)
-                           for kind, i in reversed(word)]
-                result = Decomposition(canon, b, inverse)
-                assert result.replay().key() == e.key()
-                return result
-            for i in (0, 1):
-                for kind, c in (("e", x.e(i)), ("f", x.f(i))):
-                    if c is not None and c.key() not in seen:
-                        seen.add(c.key())
-                        nxt.append((c, word + [(kind, i)]))
-        frontier = nxt
-        if not frontier:
-            break
+    links: dict = {}  # element key -> (parent key, move) in the search tree
+    for parent, move, x, new in explore([root], plain_moves, max_depth):
+        if not new:
+            continue
+        if parent is not None:
+            links[x.key()] = (parent.key(), move)
+        if extremal_screen(lp_join(x)) is False or not is_extremal(x, extremal_len):
+            continue
+        inverse = []
+        k = x.key()
+        while k in links:
+            k, (kind, i) = links[k]
+            inverse.append(("f" if kind == "e" else "e", i))
+        canon, _ = orbit_canonical(-x.wt())
+        result = Decomposition(canon, star_mod(x), inverse)
+        if result.replay().key() != e.key():
+            raise RuntimeError("decomposition word does not replay to the element")
+        return result
     return None
 
 
@@ -153,9 +148,9 @@ class SliceReport:
 
 
 def _starred_moves(e: ModElement):
-    for i in (0, 1):
-        yield ("e", i, starred_e(e, i))
-        yield ("f", i, starred_f(e, i))
+    for i in COLORS:
+        yield ("e", i), starred_e(e, i)
+        yield ("f", i), starred_f(e, i)
 
 
 def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int) -> bool:
@@ -178,13 +173,14 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     """Verify the truncated lam-slice of the decomposition.
 
     Enumerates the B^max truncation by plain BFS from the seeds and the dual
-    family by starred BFS from u_lam, then sweeps starred words over every
-    B^max element in parallel with u_lam.  Checks, on the truncation: the
-    starred word is defined on b exactly when it is defined on u_lam; the
-    resulting element depends only on (b, image from u_lam); the pair map is
-    injective, so the slice count is the product of the factor counts; every
-    dual-family element matches its wall characterization; and decompose()
-    recovers a factorization with the right orbit for every enumerated
+    family by starred BFS from u_lam, then replays every move of that BFS on
+    every B^max element b, so that b follows each starred word in parallel
+    with u_lam.  Checks, on the truncation: the starred word is defined on b
+    exactly when it is defined on u_lam; the resulting element depends only
+    on (b, image from u_lam); the pair map is injective, so the slice count
+    is the product of the factor counts; every dual-family element matches
+    its wall characterization; and decompose() recovers a factorization
+    with the right orbit, replaying to the element, for every enumerated
     element.
     """
     rep = SliceReport(lam=lam)
@@ -192,59 +188,47 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     bmax = enum_bmax(lam, c_bound, plain_depth)
     rep.bmax_size = len(bmax)
 
-    # dual family truncation: starred BFS from u_lam
+    # dual family truncation: starred BFS from u_lam, recording every move
     root = u_lambda(lam)
-    dual: dict = {root.key(): root}
-    frontier = [root]
-    for _ in range(star_depth):
-        nxt = []
-        for r in frontier:
-            for _, _, c in _starred_moves(r):
-                if c is not None and c.key() not in dual:
-                    dual[c.key()] = c
-                    nxt.append(c)
-        frontier = nxt
+    dual: dict = {}
+    trace = []  # (parent key, move, child key or None) in search order
+    for r, move, c, new in explore([root], _starred_moves, star_depth):
+        if new:
+            dual[c.key()] = c
+        if r is not None:
+            trace.append((r.key(), move, None if c is None else c.key()))
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(
         _dual_family_ok(r, lam, extremal_len) for r in dual.values())
 
-    # parallel starred sweep: (image from b, image from u_lam)
+    # replay the starred moves on each b: image maps the key of a dual
+    # element reached from u_lam to the element the same word gives from b
     pair_of: dict = {}  # element key -> (b key, r key)
     elements: dict = {}
-    ok = True
     for bkey, b in sorted(bmax.items()):
-        visited = {root.key()}
-        queue = [(b, root)]
-        pair_of[b.key()] = (bkey, root.key())
-        elements[b.key()] = b
-        for _ in range(star_depth):
-            nxt = []
-            for ecur, rcur in queue:
-                for kind, i, rnew in _starred_moves(rcur):
-                    enew = starred_e(ecur, i) if kind == "e" else starred_f(ecur, i)
-                    if (enew is None) != (rnew is None):
-                        ok = False
-                        rep.violations.append(
-                            f"starred {kind}{i} defined-ness differs at b={bkey[:2]}")
-                        continue
-                    if rnew is None or rnew.key() in visited:
-                        if rnew is not None and enew is not None:
-                            prev = pair_of.get(enew.key())
-                            if prev is not None and prev != (bkey, rnew.key()):
-                                ok = False
-                                rep.violations.append("pair map not well defined")
-                        continue
-                    visited.add(rnew.key())
-                    prev = pair_of.get(enew.key())
-                    if prev is not None and prev != (bkey, rnew.key()):
-                        ok = False
-                        rep.violations.append("pair map collision")
-                    pair_of[enew.key()] = (bkey, rnew.key())
-                    elements[enew.key()] = enew
-                    nxt.append((enew, rnew))
-            queue = nxt
+        image = {root.key(): b}
+        pair_of[bkey] = (bkey, root.key())
+        elements[bkey] = b
+        for rkey, (kind, i), ckey in trace:
+            if rkey not in image:
+                continue
+            enew = starred_e(image[rkey], i) if kind == "e" else starred_f(image[rkey], i)
+            if (enew is None) != (ckey is None):
+                rep.violations.append(
+                    f"starred {kind}{i} defined-ness differs at b={bkey[:2]}")
+                continue
+            if enew is None:
+                continue
+            prev = pair_of.get(enew.key())
+            if prev is not None and prev != (bkey, ckey):
+                rep.violations.append("pair map not well defined" if ckey in image
+                                      else "pair map collision")
+            if ckey not in image:
+                image[ckey] = enew
+                pair_of[enew.key()] = (bkey, ckey)
+                elements[enew.key()] = enew
     rep.pair_count = len(pair_of)
-    rep.product_ok = ok and rep.pair_count == rep.bmax_size * rep.dual_size
+    rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     rep.element_keys = frozenset(pair_of)
 
     # decompose every enumerated element (optionally capped)
@@ -253,7 +237,11 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
         todo = todo[:decompose_cap]
     for e in todo:
         rep.decompose_total += 1
-        result = decompose(e, decompose_depth, extremal_len)
+        try:
+            result = decompose(e, decompose_depth, extremal_len)
+        except RuntimeError:
+            rep.decompose_mismatched += 1
+            continue
         if result is None:
             rep.decompose_inconclusive += 1
         elif result.lam_canonical != canon:

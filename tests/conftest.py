@@ -9,15 +9,15 @@ with no shared code path.
 import random
 
 from crystalpaths import HalfPath, left_path, u_inf
-from crystalpaths.cli import _oracle_letters, _tensor_oracle
+from crystalpaths.elementary import oracle_letters, tensor_oracle
 
 
 def oracle_for(b: HalfPath, width: int = 10):
-    return _tensor_oracle(b.as_dict(), width)
+    return tensor_oracle(b.as_dict(), width)
 
 
 def oracle_entries(t) -> dict[int, int]:
-    return {k: v for k, v in _oracle_letters(t).items() if v != 0}
+    return {k: v for k, v in oracle_letters(t).items() if v != 0}
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:

@@ -17,7 +17,7 @@ from crystalpaths import (SeqElement, bfs_component, bmax_contains, bmax_seed,
                           slice_invariant_under_reflection, star_binf,
                           star_extremal_closed, star_half_closed, star_mod,
                           u_inf, u_lambda, verify_c1, verify_c2, verify_c3)
-from crystalpaths.cli import _oracle_letters, _tensor_oracle
+from crystalpaths.elementary import oracle_letters, tensor_oracle
 from crystalpaths.extremal import same_entries, uniform_wall_path
 from crystalpaths.seqreal import (is_monotone, seq_generator, seq_length,
                                   seq_to_path, block_transform)
@@ -118,7 +118,7 @@ def test_criterion_1_golden_star_example():
 
 def _oracle_agrees(entries, width):
     b = left_path(entries)
-    t = _tensor_oracle(dict(b.entries), width)
+    t = tensor_oracle(dict(b.entries), width)
     for i in (0, 1):
         if b.eps(i) != t.eps(i) or b.phi(i) != t.phi(i):
             return False
@@ -128,7 +128,7 @@ def _oracle_agrees(entries, width):
             if (bb is None) != (tt is None):
                 return False
             if bb is not None and bb.as_dict() != {
-                    k: v for k, v in _oracle_letters(tt).items() if v != 0}:
+                    k: v for k, v in oracle_letters(tt).items() if v != 0}:
                 return False
     return True
 

@@ -178,3 +178,33 @@ def test_oracle_check_seed_file(tmp_path, capsys, monkeypatch):
 def test_missing_file_is_precondition_error(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["star", "--file", "/nonexistent.json"])
     assert code == 65
+
+
+@pytest.mark.parametrize("argv", [
+    ["bmax", "--lambda", "-3,0", "--depth", "1"],
+    ["pw-verify", "--lambda", "-1,0", "--depth", "2", "--word-bound", "4"],
+])
+def test_lambda_takes_a_separate_negative_value(argv, capsys, monkeypatch):
+    spaced = run(capsys, monkeypatch, argv)
+    glued = run(capsys, monkeypatch, [argv[0], "--lambda=" + argv[2]] + argv[3:])
+    assert spaced == glued
+    assert spaced[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bmax"],
+    ["no-such-command"],
+    ["pw-verify", "--lambda", "1,0", "--depth", "x"],
+    ["walls", "--bogus"],
+])
+def test_usage_errors_are_precondition_errors(argv, capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 65
+    assert out == "" and "usage:" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 from crystalpaths import TensorElement, Weight, bfs_component, check_axioms, graphs_isomorphic
-from crystalpaths.core import DualElement, dual_tensor_swap
+from itertools import islice
+
+from crystalpaths.core import DualElement, dual_tensor_swap, explore, plain_moves
 from crystalpaths.elementary import BiElement, EndMarker, LimitEntry, TElement
 
 NEG_INF = float("-inf")
@@ -117,6 +119,64 @@ def test_bfs_component_truncation_and_edges():
         assert src in g.nodes and dst in g.nodes and i in (0, 1)
     # deterministic output
     assert g.to_json() == bfs_component(LimitEntry(0), 3).to_json()
+
+
+def events(roots, depth, moves=plain_moves):
+    return [(p and p.key(), m, c and c.key(), new)
+            for p, m, c, new in explore(roots, moves, depth)]
+
+
+def test_explore_reports_every_move_in_discovery_order():
+    # e_0 and f_1 raise a letter, f_0 and e_1 lower it: the second pair
+    # leads back to nodes already seen
+    assert events([LimitEntry(0)], 1) == [
+        (None, None, ("z", 0), True),
+        (("z", 0), ("e", 0), ("z", 1), True),
+        (("z", 0), ("f", 0), ("z", -1), True),
+        (("z", 0), ("e", 1), ("z", -1), False),
+        (("z", 0), ("f", 1), ("z", 1), False),
+    ]
+    found = [c[1] for _, _, c, new in events([LimitEntry(0)], 2) if new]
+    assert found == [0, 1, -1, 2, -2]
+    # roots come first, in order; a repeated root is not new and not expanded
+    evs = events([LimitEntry(5), LimitEntry(0), LimitEntry(5)], 1)
+    assert [(c[1], new) for p, _, c, new in evs if p is None] == [
+        (5, True), (0, True), (5, False)]
+    assert [p[1] for p, _, _, _ in evs if p is not None] == [5] * 4 + [0] * 4
+
+
+def test_explore_depth_bound():
+    assert events([LimitEntry(0)], 0) == [(None, None, ("z", 0), True)]
+    evs = events([LimitEntry(0)], 3)
+    assert sorted(c[1] for _, _, c, new in evs if new) == [-3, -2, -1, 0, 1, 2, 3]
+    # only nodes closer than the bound are expanded, four moves each
+    assert {p[1] for p, _, _, _ in evs if p is not None} == {-2, -1, 0, 1, 2}
+    assert len(evs) == 1 + 4 * 5
+
+
+def test_explore_reports_undefined_moves():
+    assert events([BiElement(0, 0)], 1)[1:] == [
+        (("bi", 0, 0), ("e", 0), ("bi", 0, 1), True),
+        (("bi", 0, 0), ("f", 0), ("bi", 0, -1), True),
+        (("bi", 0, 0), ("e", 1), None, False),
+        (("bi", 0, 0), ("f", 1), None, False),
+    ]
+
+
+def test_explore_stops_with_its_consumer():
+    expanded = []
+
+    def moves(b):
+        expanded.append(b.n)
+        return plain_moves(b)
+
+    search = explore([LimitEntry(0)], moves, 10)
+    next(search)
+    assert expanded == []
+    list(islice(search, 5))  # the root's four moves and the first of node 1
+    assert expanded == [0, 1]
+    search.close()
+    assert expanded == [0, 1]
 
 
 def test_graph_isomorphism_positive_and_negative():

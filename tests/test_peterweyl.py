@@ -78,3 +78,28 @@ def test_slices_disjoint_across_orbits():
 def test_slice_invariance_under_reflection():
     assert slice_invariant_under_reflection(classical(1, 0), 1,
                                             depth_small=2, depth_big=4)
+
+
+def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
+    monkeypatch.setattr(Decomposition, "replay",
+                        lambda self: u_lambda(classical(5, 0)))
+    rep = pw_report(classical(1, 0), c_bound=1, plain_depth=1, star_depth=1,
+                    decompose_cap=1)
+    assert rep.decompose_total == 1
+    assert rep.decompose_mismatched == 1
+    assert not rep.ok
+
+
+def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
+    # a family holding a dual-family element besides u_lam is not B^max:
+    # starred words from it are undefined where they are defined from u_lam
+    # and land on elements already paired with u_lam
+    lam = classical(-3, 0)
+    u = u_lambda(lam)
+    foreign = starred_f(u, 0)
+    monkeypatch.setattr("crystalpaths.peterweyl.enum_bmax",
+                        lambda *args: {e.key(): e for e in (u, foreign)})
+    rep = pw_report(lam, c_bound=1, plain_depth=3, star_depth=3, decompose_cap=0)
+    assert any("defined-ness differs" in v for v in rep.violations)
+    assert "pair map collision" in rep.violations
+    assert not rep.product_ok and not rep.ok
