@@ -6,8 +6,9 @@ words are whitespace-separated tokens e0, e1, f0, f1 (plain) and E0, E1,
 F0, F1 (starred), applied left to right.
 
 Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
-bounded search was inconclusive; 64 malformed element JSON; 65 precondition
-violation, including command-line usage errors.
+bounded search was inconclusive; 64 malformed or invalid element JSON; 65
+precondition violation, including command-line usage errors, negative
+bounds, a weight given as an element, and a sequence outside the image.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import sys
 
 from . import serialize
 from .core import bfs_component
-from .elementary import oracle_letters, tensor_oracle
+from .elementary import oracle_mismatches, tensor_oracle
 from .extremal import bmax_contains, bmax_seeds, enum_bmax, extremal_cert
 from .halfpath import HalfPath, left_path
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
 from .peterweyl import pw_report, verify_c1, verify_c2, verify_c3
-from .seqreal import SeqElement, path_to_seq, seq_to_path
+from .seqreal import SeqElement, image_check, path_to_seq, seq_to_path
 from .star import star_binf, star_bminf, star_mod, starred_e, starred_f
 from .weights import Weight, classical
 
@@ -44,9 +45,23 @@ def _read_element(args):
     except OSError as exc:
         raise CliError(EXIT_PRECONDITION, f"cannot read input: {exc}")
     try:
-        return serialize.loads(text)
+        elt = serialize.loads(text)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(EXIT_BADJSON, f"malformed element JSON: {exc}")
+    if isinstance(elt, Weight):
+        raise CliError(EXIT_PRECONDITION, "a weight is not a crystal element")
+    if isinstance(elt, SeqElement) and not image_check(elt):
+        raise CliError(EXIT_PRECONDITION,
+                       "sequence lies outside the image of the limit crystal")
+    return elt
+
+
+def _count(text: str) -> int:
+    """argparse type of the bounds --depth, --c-bound and --word-bound."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
 
 
 def _parse_lambda(text: str) -> Weight:
@@ -102,19 +117,14 @@ def cmd_apply(args) -> int:
 
 def cmd_star(args) -> int:
     elt = _read_element(args)
-    try:
-        if isinstance(elt, HalfPath):
-            out = star_binf(elt) if elt.side == "left" else star_bminf(elt)
-        elif isinstance(elt, SeqElement):
-            out = path_to_seq(star_binf(seq_to_path(elt)), elt.first_color)
-        elif isinstance(elt, LevelPath):
-            out = lp_join(star_mod(lp_split(elt)))
-        elif isinstance(elt, ModElement):
-            out = star_mod(elt)
-        else:
-            raise CliError(EXIT_PRECONDITION, "star needs a crystal element")
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    if isinstance(elt, HalfPath):
+        out = star_binf(elt) if elt.side == "left" else star_bminf(elt)
+    elif isinstance(elt, SeqElement):
+        out = path_to_seq(star_binf(seq_to_path(elt)), elt.first_color)
+    elif isinstance(elt, LevelPath):
+        out = lp_join(star_mod(lp_split(elt)))
+    else:
+        out = star_mod(elt)
     print(serialize.dumps(out))
     return EXIT_OK
 
@@ -174,11 +184,8 @@ def cmd_bmax(args) -> int:
         member = bmax_contains(lam, elt, args.word_bound)
         print(json.dumps({"contains": member}))
         return EXIT_OK if member else EXIT_FAIL
-    try:
-        fam = enum_bmax(lam, args.c_bound, args.depth)
-        seeds = bmax_seeds(lam, args.c_bound)
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    fam = enum_bmax(lam, args.c_bound, args.depth)
+    seeds = bmax_seeds(lam, args.c_bound)
     print(json.dumps({"size": len(fam), "seeds": [serialize.encode(s) for s in seeds]}))
     return EXIT_OK
 
@@ -225,20 +232,10 @@ def cmd_oracle_check(args) -> int:
         entries = {-k: rng.randint(-args.entry_bound, args.entry_bound)
                    for k in range(1, args.support + 1)}
         b = left_path(entries)
-        t = tensor_oracle(dict(b.entries), width)
+        t = tensor_oracle(b.as_dict(), width)
         for i in (0, 1):
             checked += 1
-            if b.eps(i) != t.eps(i) or b.phi(i) != t.phi(i):
-                failures += 1
-                continue
-            for kind in ("e", "f"):
-                bb = b.e(i) if kind == "e" else b.f(i)
-                tt = t.e(i) if kind == "e" else t.f(i)
-                if (bb is None) != (tt is None):
-                    failures += 1
-                elif bb is not None and dict(bb.entries) != {
-                        k: v for k, v in oracle_letters(tt).items() if v != 0}:
-                    failures += 1
+            failures += oracle_mismatches(b, t, i)
     print(json.dumps({"checked": checked, "failures": failures}))
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
@@ -284,28 +281,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="truncated component graph")
     common(p)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_count, default=4)
     p.add_argument("--format", choices=("json", "text", "dot"), default="json")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("extremal", help="bounded extremality check")
     common(p)
-    p.add_argument("--word-bound", type=int, default=6)
+    p.add_argument("--word-bound", type=_count, default=6)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("bmax", help="B^max enumeration / membership")
     common(p)
     p.add_argument("--lambda", dest="lam", required=True, help="m,l")
-    p.add_argument("--c-bound", type=int, default=1)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--word-bound", type=int, default=4)
+    p.add_argument("--c-bound", type=_count, default=1)
+    p.add_argument("--depth", type=_count, default=3)
+    p.add_argument("--word-bound", type=_count, default=4)
     p.add_argument("--contains", action="store_true")
     p.set_defaults(func=cmd_bmax)
 
     p = sub.add_parser("pw-verify", help="Peter-Weyl slice verification")
     p.add_argument("--lambda", dest="lam", required=True, help="m,l")
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--word-bound", type=int, default=8)
+    p.add_argument("--depth", type=_count, default=5)
+    p.add_argument("--word-bound", type=_count, default=8)
     p.set_defaults(func=cmd_pw_verify)
 
     p = sub.add_parser("oracle-check", help="signature rule vs tensor oracle")

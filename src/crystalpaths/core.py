@@ -5,8 +5,8 @@ the integers extended by -infinity, and partial raising/lowering operators
 e(i)/f(i) that return None where undefined (None models the formal zero
 element of the crystal axioms).  On top of that protocol this module builds
 the tensor product and dual combinators, the breadth-first search engine
-explore, component enumeration, rooted graph isomorphism, an axiom checker,
-and graph export.
+explore, the string walkers power and peel, component enumeration, rooted
+graph isomorphism, an axiom checker, and graph export.
 
 Tensor conventions (b1 tensor b2):
     eps_i = max(eps_i(b1), eps_i(b2) - <h_i, wt b1>)
@@ -223,6 +223,31 @@ def explore(roots: Iterable[CrystalElement], moves, depth: int):
                     nxt.append(c)
                 yield b, move, c, new
         frontier = nxt
+
+
+def power(b: CrystalElement, i: int, n: int) -> Optional[CrystalElement]:
+    """f_i^n b for n >= 0 and e_i^(-n) b for n < 0; None as soon as a step
+    is undefined."""
+    for _ in range(abs(n)):
+        b = b.f(i) if n >= 0 else b.e(i)
+        if b is None:
+            return None
+    return b
+
+
+def peel(b: CrystalElement, start_color: int) -> list[tuple[int, int]]:
+    """The string of b along the colors start_color, 1 - start_color, ...:
+    (color, a_k) pairs, a_k being eps_color of b after the full raises along
+    the earlier pairs, until both colors are exhausted.  Lowering the highest
+    weight element along the reversed pairs (halfpath.apply_word) gives b."""
+    word: list[tuple[int, int]] = []
+    color = start_color
+    # after a full raise the previous color is exhausted
+    while (k := b.eps(color)) or (not word and b.eps(1 - color)):
+        word.append((color, k))
+        b = power(b, color, -k)
+        color = 1 - color
+    return word
 
 
 @dataclass

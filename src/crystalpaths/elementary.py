@@ -12,7 +12,8 @@ Z: e_1 and f_0 decrement, e_0 and f_1 increment, eps_1(n) = phi_0(n) = n,
 eps_0(n) = phi_1(n) = -n, and the weight is the classical 2n*(L0 - L1).
 EndMarker is a truncation stub (all string statistics zero, no operators)
 standing in for the untouched infinite tail when a path is modeled as a
-finite tensor word; tensor_oracle builds that word for a left path.
+finite tensor word; tensor_oracle builds that word for a left path and
+oracle_mismatches compares a path's operators with it.
 """
 
 from __future__ import annotations
@@ -135,11 +136,26 @@ def tensor_oracle(entries: dict[int, int], width: int) -> TensorElement:
 
 
 def oracle_letters(t) -> dict[int, int]:
-    """Letters of a tensor_oracle word by position, zeros included."""
+    """Nonzero letters of a tensor_oracle word by position."""
     letters = []
     node = t
     while isinstance(node, TensorElement):
         letters.append(node.right.n)
         node = node.left
     letters.reverse()
-    return {k - len(letters): v for k, v in enumerate(letters)}
+    return {k - len(letters): v for k, v in enumerate(letters) if v != 0}
+
+
+def oracle_mismatches(b, t: TensorElement, i: int) -> int:
+    """Disagreements on color i between the left path b and t, its
+    tensor_oracle word: 1 when eps or phi differ (e and f then go unchecked),
+    else one for each of e and f whose results differ."""
+    if b.eps(i) != t.eps(i) or b.phi(i) != t.phi(i):
+        return 1
+    count = 0
+    for bb, tt in ((b.e(i), t.e(i)), (b.f(i), t.f(i))):
+        if (bb is None) != (tt is None):
+            count += 1
+        elif bb is not None and bb.as_dict() != oracle_letters(tt):
+            count += 1
+    return count

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-from .core import CrystalElement, explore, plain_moves
+from .core import CrystalElement, explore, plain_moves, power
 from .levelpath import LevelPath, ModElement, _alt, lp_join, lp_split, u_lambda
 from .star import star_mod
 from .weights import Weight
@@ -42,12 +42,10 @@ from .weights import Weight
 def weyl_op(e: CrystalElement, i: int) -> CrystalElement:
     """S_i: the full string of f_i or e_i prescribed by <h_i, wt>."""
     n = e.wt().pairing(i)
-    cur = e
-    for _ in range(abs(n)):
-        cur = cur.f(i) if n >= 0 else cur.e(i)
-        if cur is None:
-            raise RuntimeError(f"S_{i} ran out of operator (power {n})")
-    return cur
+    out = power(e, i, n)
+    if out is None:
+        raise RuntimeError(f"S_{i} ran out of operator (power {n})")
+    return out
 
 
 def starred_weyl_op(e: ModElement, i: int) -> ModElement:

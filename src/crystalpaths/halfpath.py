@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import CrystalElement
+from .core import CrystalElement, power
 from .weights import Weight, classical
 
 LEFT = "left"
@@ -265,12 +265,10 @@ def string_factorization(b: HalfPath) -> list[tuple[int, int]]:
     return word
 
 
-def apply_word(b: HalfPath, word: Iterable[tuple[int, int]]) -> Optional[HalfPath]:
-    """Apply f_color^power pairs in order; None if any lowering is undefined."""
-    cur: Optional[HalfPath] = b
-    for color, power in word:
-        for _ in range(power):
-            if cur is None:
-                return None
-            cur = cur.f(color)
-    return cur
+def apply_word(b: CrystalElement, word: Iterable[tuple[int, int]]) -> Optional[CrystalElement]:
+    """Apply f_color^n (e_color^-n when n < 0) pair by pair; None if a step is undefined."""
+    for color, n in word:
+        b = power(b, color, n)
+        if b is None:
+            return None
+    return b

@@ -27,8 +27,8 @@ from typing import Iterable, Mapping, Optional
 
 from .core import CrystalElement, TensorElement
 from .elementary import TElement
-from .halfpath import (HalfPath, WallScan, left_path, right_path, u_inf,
-                       u_minus_inf)
+from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, left_path, right_path,
+                       u_inf, u_minus_inf)
 from .weights import Weight, classical
 
 
@@ -117,6 +117,13 @@ class ModElement(CrystalElement):
     lam: Weight
     b2: HalfPath
 
+    def __post_init__(self):
+        if not (isinstance(self.b1, HalfPath) and self.b1.side == LEFT
+                and isinstance(self.b2, HalfPath) and self.b2.side == RIGHT):
+            raise ValueError("b1 must be a left and b2 a right half-path")
+        if self.lam.level != 0:
+            raise ValueError(f"marker weight must have level zero, got {self.lam!r}")
+
     def _tensor(self) -> TensorElement:
         return TensorElement(TensorElement(self.b1, TElement(self.lam)), self.b2)
 
@@ -158,25 +165,19 @@ def lp_split(p: LevelPath) -> ModElement:
     """Split a level path at position zero into its three-factor form.
 
     The left letters become b1; the right letters have the ground pattern
-    subtracted to become b2; the marker weight is forced by
-    wt(p) = wt(b1) + lam + wt(b2) and depends only on (m, l).
+    subtracted to become b2; wt(p) = wt(b1) + lam + wt(b2) forces the
+    marker weight lam = m*(L0 - L1) + l*delta.
     """
     a, b = p.window()
     b1 = left_path({k: p.entry(k) for k in range(a, 0)})
     b2 = right_path({k: p.entry(k) - p.default(k) for k in range(0, b + 1)})
-    lam = p.wt() - b1.wt() - b2.wt()
-    return ModElement(b1, lam, b2)
+    return ModElement(b1, classical(p.m, p.l), b2)
 
 
 def lp_join(e: ModElement) -> LevelPath:
     """Inverse of lp_split; the family label (m, l) is read off lam."""
-    if e.lam.level != 0:
-        raise ValueError(f"marker weight must have level zero, got {e.lam!r}")
     m = e.lam.a0
     entries = dict(e.b1.entries)
     for k, v in e.b2.entries:
         entries[k] = v + (0 if k < 0 else _alt(k) * m)
-    # pick l so the path weight reproduces wt(e)
-    probe = LevelPath(m, 0, tuple(entries.items()))
-    l = e.wt().d - probe.wt().d
-    return LevelPath(m, l, tuple(entries.items()))
+    return LevelPath(m, e.lam.d, tuple(entries.items()))

@@ -2,9 +2,9 @@
 
 An element is a finitely supported list (a_1, a_2, ...) of nonnegative
 integers together with a color convention: position p carries first_color
-when p is odd and the other color when p is even.  The element encodes the
-lowering word f_{c_1}^{a_1} applied last, i.e. reading positions from high
-to low gives a reduced peeling of the element back to the generator.
+when p is odd and the other color when p is even.  The entries are the
+string of the element's star image: core.peel of b* from first_color gives
+(c_1, a_1), (c_2, a_2), ... (the Kashiwara embedding).
 
 Operators use the signature values, for a position p of color i,
 
@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import CrystalElement
-from .halfpath import HalfPath, left_path, u_inf
+from .core import CrystalElement, peel
+from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .weights import Weight, simple_root
 
 
@@ -65,19 +65,18 @@ class SeqElement(CrystalElement):
 
     # -- signature values ---------------------------------------------------
 
-    def _positions(self, i: int) -> list[int]:
-        # all positions of color i up to one zero position past the support
-        top = len(self.a) + 2
-        return [p for p in range(1, top + 1) if self.color(p) == i]
-
     def _signature(self, i: int) -> dict[int, int]:
+        # one pass from the deep end; running is the sum over q > p of a_q,
+        # counted +1 on color i and -1 on the other color
         sig: dict[int, int] = {}
-        for p in self._positions(i):
-            same = sum(self.value(q) for q in range(p + 1, len(self.a) + 1)
-                       if self.color(q) == i)
-            other = sum(self.value(q) for q in range(p + 1, len(self.a) + 1)
-                        if self.color(q) != i)
-            sig[p] = self.value(p) + 2 * (same - other)
+        running = 0
+        for p in range(len(self.a) + 2, 0, -1):
+            v = self.value(p)
+            if self.color(p) == i:
+                sig[p] = v + 2 * running
+                running += v
+            else:
+                running -= v
         return sig
 
     # -- crystal structure --------------------------------------------------
@@ -105,7 +104,6 @@ class SeqElement(CrystalElement):
         if top == 0:
             return None
         p = max(q for q, v in sig.items() if v == top)
-        assert self.value(p) >= 1
         return self._set(p, self.value(p) - 1)
 
     def f(self, i: int) -> Optional["SeqElement"]:
@@ -166,34 +164,11 @@ def seq_length(s: SeqElement) -> int:
 # -- conversion between realizations ---------------------------------------
 
 
-def _reduction_word(b: CrystalElement) -> list[int]:
-    """Greedy raising word to the generator, preferring color 0 on ties."""
-    word: list[int] = []
-    cur = b
-    while True:
-        for i in (0, 1):
-            up = cur.e(i)
-            if up is not None:
-                word.append(i)
-                cur = up
-                break
-        else:
-            return word
-
-
 def seq_to_path(s: SeqElement) -> HalfPath:
     """The left path corresponding to s (same lowering word from the generator)."""
-    word = _reduction_word(s)
-    cur = u_inf()
-    for i in reversed(word):
-        cur = cur.f(i)
-    return cur
+    return apply_word(u_inf(), reversed(peel(s, s.first_color)))
 
 
 def path_to_seq(b: HalfPath, first_color: int = 0) -> SeqElement:
     """The sequence element corresponding to a left path."""
-    word = _reduction_word(b)
-    cur = seq_generator(first_color)
-    for i in reversed(word):
-        cur = cur.f(i)
-    return cur
+    return apply_word(seq_generator(first_color), reversed(peel(b, first_color)))

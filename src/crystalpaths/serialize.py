@@ -74,12 +74,7 @@ def decode(data: dict) -> Any:
                                 int(data["window_start"]),
                                 [int(v) for v in data["window"]])
     if keys == {"b1", "lam", "b2"}:
-        b1 = decode(data["b1"])
-        b2 = decode(data["b2"])
-        lam = decode(data["lam"])
-        if not isinstance(b1, HalfPath) or not isinstance(b2, HalfPath):
-            raise ValueError("b1/b2 must be half-paths")
-        return ModElement(b1, lam, b2)
+        return ModElement(decode(data["b1"]), decode(data["lam"]), decode(data["b2"]))
     raise ValueError(f"unrecognized element keys: {sorted(keys)}")
 
 

@@ -1,11 +1,11 @@
 """The star involution on the limit crystals and the modified-algebra crystal.
 
-On the limit crystal, b* is computed by peeling: walk an alternating color
-sequence i_1, i_2, ... and record a_k = eps_{i_k} of the element obtained by
-fully raising along i_{k-1}, ..., i_1.  The recorded list, read as a
-sequence-realization element with first color i_1, is exactly the sequence
-form of b*; converting it back to a path gives b*.  Either starting color
-yields the same element.
+On the limit crystal, b* is computed by peeling (core.peel): walk an
+alternating color sequence i_1, i_2, ... and record a_k = eps_{i_k} of the
+element obtained by fully raising along i_{k-1}, ..., i_1.  The recorded
+list, read as a sequence-realization element with first color i_1, is
+exactly the sequence form of b*; converting it back to a path gives b*.
+Either starting color yields the same element.
 
 On three-factor elements, (b1, lam, b2)* = (b1*, -lam - wt(b1) - wt(b2), b2*)
 with b2 starred through the side flip.  Star is an involution; it negates
@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
+from .core import peel
 from .halfpath import HalfPath, LEFT, RIGHT, u_inf
 from .levelpath import LevelPath, ModElement, _alt
 from .seqreal import SeqElement, seq_to_path
@@ -38,16 +39,8 @@ def star_binf(b: HalfPath, start_color: int = 1) -> HalfPath:
     """Star on the limit crystal of left paths, by peeling."""
     if b.side != LEFT:
         raise ValueError("star_binf expects a left path")
-    a_list: list[int] = []
-    cur = b
-    color = start_color
-    while cur != u_inf():
-        k = cur.eps(color)
-        a_list.append(k)
-        for _ in range(k):
-            cur = cur.e(color)
-        color = 1 - color
-    return seq_to_path(SeqElement(start_color, tuple(a_list)))
+    a = tuple(k for _, k in peel(b, start_color))
+    return seq_to_path(SeqElement(start_color, a))
 
 
 def star_bminf(b: HalfPath, start_color: int = 1) -> HalfPath:

@@ -9,30 +9,12 @@ with no shared code path.
 import random
 
 from crystalpaths import HalfPath, left_path, u_inf
-from crystalpaths.elementary import oracle_letters, tensor_oracle
-
-
-def oracle_for(b: HalfPath, width: int = 10):
-    return tensor_oracle(b.as_dict(), width)
-
-
-def oracle_entries(t) -> dict[int, int]:
-    return {k: v for k, v in oracle_letters(t).items() if v != 0}
+from crystalpaths.elementary import oracle_mismatches, tensor_oracle
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:
-    t = oracle_for(b, width)
-    for i in (0, 1):
-        if b.eps(i) != t.eps(i) or b.phi(i) != t.phi(i):
-            return False
-        for kind in ("e", "f"):
-            bb = b.e(i) if kind == "e" else b.f(i)
-            tt = t.e(i) if kind == "e" else t.f(i)
-            if (bb is None) != (tt is None):
-                return False
-            if bb is not None and bb.as_dict() != oracle_entries(tt):
-                return False
-    return True
+    t = tensor_oracle(b.as_dict(), width)
+    return all(oracle_mismatches(b, t, i) == 0 for i in (0, 1))
 
 
 def random_walk(start, steps: int, rng: random.Random):

@@ -208,3 +208,43 @@ def test_help_exits_zero(capsys):
         main(["-h"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+_RIGHT_B1 = {"b1": {"side": "right", "entries": {"0": 1}}, "lam": {"L0": 1, "L1": -1, "delta": 0},
+             "b2": {"side": "right", "entries": {}}}
+_LEVEL_ONE = {"b1": {"side": "left", "entries": {}}, "lam": {"L0": 1, "L1": 0, "delta": 0},
+              "b2": {"side": "right", "entries": {}}}
+
+
+@pytest.mark.parametrize("argv,element", [
+    (["apply", "--ops", "f0"], _RIGHT_B1),
+    (["star"], _LEVEL_ONE),
+    (["walls"], _LEVEL_ONE),
+])
+def test_invalid_three_factor_element_is_malformed(argv, element, capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch, argv, json.dumps(element))
+    assert code == 64 and out == ""
+
+
+@pytest.mark.parametrize("argv,element", [
+    (["graph"], {"L0": 1, "L1": 0, "delta": 0}),
+    (["apply", "--ops", "f0"], {"L0": 1, "L1": 0, "delta": 0}),
+    (["star"], {"first_color": 0, "a": [0, 1, 5]}),
+    (["graph"], {"first_color": 0, "a": [0, 1, 5]}),
+])
+def test_non_elements_are_precondition_errors(argv, element, capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch, argv, json.dumps(element))
+    assert code == 65 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--depth", "-1"],
+    ["extremal", "--word-bound", "-1"],
+    ["bmax", "--lambda=2,0", "--c-bound", "-1"],
+    ["bmax", "--lambda=2,0", "--depth", "-2"],
+    ["pw-verify", "--lambda=1,0", "--word-bound", "-1"],
+])
+def test_negative_bounds_are_precondition_errors(argv, capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, argv, dumps(ground_path(1, 0)))
+    assert code == 65 and out == ""
+    assert "nonnegative" in err

@@ -1,7 +1,9 @@
 from crystalpaths import TensorElement, Weight, bfs_component, check_axioms, graphs_isomorphic
 from itertools import islice
 
-from crystalpaths.core import DualElement, dual_tensor_swap, explore, plain_moves
+from crystalpaths import from_word, u_inf
+from crystalpaths.core import (DualElement, dual_tensor_swap, explore, plain_moves,
+                               power)
 from crystalpaths.elementary import BiElement, EndMarker, LimitEntry, TElement
 
 NEG_INF = float("-inf")
@@ -197,3 +199,22 @@ def test_graph_exports():
     assert dot.startswith("digraph")
     assert dot.count("->") == len(g.edges)
     assert '"root"' not in dot
+
+
+def test_power_agrees_with_single_steps():
+    b = from_word([1, -2, 3, -1])
+    for i in (0, 1):
+        for n in range(-5, 6):
+            expect = b
+            for _ in range(abs(n)):
+                if expect is not None:
+                    expect = expect.f(i) if n >= 0 else expect.e(i)
+            assert power(b, i, n) == expect
+    assert power(b, 0, 0) is b
+
+
+def test_power_is_none_once_a_step_is_undefined():
+    assert power(u_inf(), 1, -1) is None
+    assert power(u_inf().f(0).f(0), 0, -3) is None
+    assert power(BiElement(0, 2), 1, 1) is None
+    assert power(BiElement(0, 2), 0, -3) == BiElement(0, 5)

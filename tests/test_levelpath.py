@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from crystalpaths import (LevelPath, ModElement, Weight, ground_path,
-                          level_path, lp_join, lp_split, path_from_window,
-                          u_lambda)
+                          left_path, level_path, lp_join, lp_split,
+                          path_from_window, right_path, u_lambda)
 from crystalpaths.core import check_axioms
 from crystalpaths.weights import classical
 
@@ -114,10 +116,38 @@ def test_weight_delta_tracks_positions():
     assert q.wt() == p.wt() - Weight(2, -2, 1)
 
 
+def test_marker_weight_is_the_ground_weight():
+    # lp_split's marker is forced by wt(p) = wt(b1) + lam + wt(b2), and
+    # lp_join's delta label by wt(lp_join(e)) = wt(e); both reduce to the
+    # family label (m, l)
+    rng = random.Random(3)
+    for _ in range(2000):
+        m, l = rng.randint(-3, 3), rng.randint(-3, 3)
+        p = level_path(m, l, {rng.randint(-8, 8): rng.randint(-4, 4)
+                              for _ in range(rng.randrange(8))})
+        e = lp_split(p)
+        assert e.lam == classical(m, l) == p.wt() - e.b1.wt() - e.b2.wt()
+        b1 = left_path({rng.randint(-8, -1): rng.randint(-4, 4)
+                        for _ in range(rng.randrange(6))})
+        b2 = right_path({rng.randint(0, 8): rng.randint(-4, 4)
+                         for _ in range(rng.randrange(6))})
+        e = ModElement(b1, classical(m, l), b2)
+        q = lp_join(e)
+        assert q.wt() == e.wt() and q.l == l
+        assert lp_split(q) == e
+
+
+def test_mod_element_rejects_swapped_sides():
+    g = lp_split(ground_path(1, 0))
+    for b1, b2 in ((g.b2, g.b2), (g.b1, g.b1), (g.b2, g.b1)):
+        with pytest.raises(ValueError):
+            ModElement(b1, g.lam, b2)
+
+
 def test_lp_join_rejects_nonzero_level_marker():
-    bad = ModElement(lp_split(ground_path(1, 0)).b1, Weight(1, 0, 0),
-                     lp_split(ground_path(1, 0)).b2)
     try:
+        bad = ModElement(lp_split(ground_path(1, 0)).b1, Weight(1, 0, 0),
+                         lp_split(ground_path(1, 0)).b2)
         lp_join(bad)
     except ValueError:
         pass

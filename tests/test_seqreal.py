@@ -62,6 +62,24 @@ def test_e_f_inverse(first_color, word, i):
         assert up.f(i) == s
 
 
+def nested_sum_signature(s, i):
+    """The signature formula of the seqreal docstring, summed term by term:
+    Ahat_p = a_p + 2 * (sum_{q>p, color q = i} a_q - sum_{q>p, color q != i} a_q)
+    for the positions p of color i up to two past the support."""
+    n = len(s.a)
+    return {p: s.value(p) + 2 * (
+                sum(s.value(q) for q in range(p + 1, n + 1) if s.color(q) == i)
+                - sum(s.value(q) for q in range(p + 1, n + 1) if s.color(q) != i))
+            for p in range(1, n + 3) if s.color(p) == i}
+
+
+@settings(max_examples=200, deadline=None)
+@given(colors, st.lists(st.integers(min_value=0, max_value=6), max_size=12), colors)
+def test_signature_matches_nested_sums(first_color, a, i):
+    s = SeqElement(first_color, tuple(a))
+    assert s._signature(i) == nested_sum_signature(s, i)
+
+
 def test_image_check_examples():
     assert image_check(SeqElement(0, (1, 2)))       # a_1, a_2 unconstrained
     assert image_check(SeqElement(0, (3, 2, 2)))    # 1*a_3 <= 2*a_2

@@ -1,9 +1,13 @@
 import random
 
-from crystalpaths import (left_path, lp_join, lp_split, path_from_window,
+from hypothesis import given, settings, strategies as st
+
+from crystalpaths import (from_word, left_path, path_to_seq, seq_to_path, lp_join, lp_split, path_from_window,
                           star_binf, star_bminf, star_extremal_closed,
                           star_half_closed, star_mod, starred_e, starred_f,
                           u_inf, u_lambda, u_minus_inf)
+from crystalpaths.core import peel
+from crystalpaths.halfpath import apply_word
 from crystalpaths.levelpath import ModElement
 from crystalpaths.star import starred_eps, starred_phi
 from crystalpaths.weights import classical
@@ -44,6 +48,16 @@ def test_star_preserves_weight_on_binf():
 def test_star_peel_order_independent():
     for b in random_binf_elements(50, 8, seed=3):
         assert star_binf(b, start_color=0) == star_binf(b, start_color=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), max_size=24),
+       st.sampled_from([0, 1]))
+def test_peel_conversions_and_star_invert_on_long_paths(letters, c):
+    b = from_word(letters)
+    assert apply_word(u_inf(), reversed(peel(b, c))) == b
+    assert seq_to_path(path_to_seq(b, c)) == b
+    assert star_binf(star_binf(b, c), c) == b
 
 
 def test_star_conjugates_string_statistics():
