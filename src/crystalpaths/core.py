@@ -13,6 +13,13 @@ Tensor conventions (b1 tensor b2):
     phi_i = max(phi_i(b2), phi_i(b1) + <h_i, wt b2>)
     e_i acts on the left factor iff phi_i(b1) >= eps_i(b2)  (ties go left)
     f_i acts on the left factor iff phi_i(b1) >  eps_i(b2)  (ties go right)
+
+Whole strings follow, since f_i lowers phi_i of the factor it acts on by one
+and e_i lowers eps_i by one: f_i^n acts a = clamp(phi_i(b1) - eps_i(b2), 0, n)
+times on b1 and then n - a times on b2; e_i^n acts
+b = clamp(eps_i(b2) - phi_i(b1), 0, n) times on b2 and then n - b times on
+b1.  Every element type answers power(i, n); the default takes single
+steps, and tensor products, duals and half-paths apply a string at once.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ COLORS = (0, 1)
 
 
 class CrystalElement:
-    """Protocol base class; concrete elements override all five methods."""
+    """Protocol base class; concrete elements override wt, eps, phi, e, f
+    and key, and power where they have a string rule."""
 
     def wt(self) -> Weight:
         raise NotImplementedError
@@ -48,6 +56,17 @@ class CrystalElement:
 
     def f(self, i: int) -> Optional["CrystalElement"]:
         raise NotImplementedError
+
+    def power(self, i: int, n: int) -> Optional["CrystalElement"]:
+        """f_i^n for n >= 0 and e_i^(-n) for n < 0, one step at a time; None
+        as soon as a step is undefined.  Element types with a string rule
+        override it, and this loop is their reference."""
+        b = self
+        for _ in range(abs(n)):
+            b = b.f(i) if n >= 0 else b.e(i)
+            if b is None:
+                return None
+        return b
 
     def key(self) -> Hashable:
         """Canonical hashable identity used for BFS dedup and graph nodes."""
@@ -108,6 +127,20 @@ class TensorElement(CrystalElement):
         c = self.right.f(i)
         return None if c is None else TensorElement(self.left, c)
 
+    def power(self, i: int, n: int):
+        if n == 0:
+            return self
+        # compare before subtracting: both statistics may be -inf, and
+        # -inf - -inf is nan; past the comparison a difference is +inf at worst
+        ph, ep = self.left.phi(i), self.right.eps(i)
+        if n > 0:  # f_i acts on the left while phi(left) > eps(right)
+            on_left = 0 if ph <= ep else min(n, ph - ep)
+        else:  # e_i acts on the right while phi(left) < eps(right)
+            on_left = n + (0 if ph >= ep else min(-n, ep - ph))
+        left = self.left.power(i, on_left)
+        right = None if left is None else self.right.power(i, n - on_left)
+        return None if right is None else TensorElement(left, right)
+
     def key(self):
         return ("tensor", self.left.key(), self.right.key())
 
@@ -133,6 +166,10 @@ class DualElement(CrystalElement):
 
     def f(self, i: int):
         c = self.inner.e(i)
+        return None if c is None else DualElement(c)
+
+    def power(self, i: int, n: int):
+        c = self.inner.power(i, -n)
         return None if c is None else DualElement(c)
 
     def key(self):
@@ -226,13 +263,9 @@ def explore(roots: Iterable[CrystalElement], moves, depth: int):
 
 
 def power(b: CrystalElement, i: int, n: int) -> Optional[CrystalElement]:
-    """f_i^n b for n >= 0 and e_i^(-n) b for n < 0; None as soon as a step
-    is undefined."""
-    for _ in range(abs(n)):
-        b = b.f(i) if n >= 0 else b.e(i)
-        if b is None:
-            return None
-    return b
+    """f_i^n b for n >= 0 and e_i^(-n) b for n < 0; None where the string
+    runs out.  Dispatches to b.power."""
+    return b.power(i, n)
 
 
 def peel(b: CrystalElement, start_color: int) -> list[tuple[int, int]]:

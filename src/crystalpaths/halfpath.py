@@ -5,7 +5,8 @@ i_k = 0 far to the left; these realize the direct-limit crystal generated by
 raising every highest-weight realization (the path with all entries zero is
 the generator u).  A right half-path lives on positions k >= 0 with zero tail
 to the right and realizes the dual (lowest-weight) limit crystal; its
-structure is defined by flipping to a left path, so flip conjugates e and f.
+structure is that of its left view j_k = -i_{-k-1} (the entries of flip(),
+kept as a plain tuple), with e and f exchanged and eps and phi exchanged.
 
 Operators on a left path b act through the signature values
 
@@ -16,11 +17,15 @@ for k <= -1; A_k vanishes left of the support.  With M = max_k A_k (always
 leftmost position attaining M; f_i always lowers the letter at the rightmost
 position attaining M.  These are exactly the tensor-product rules applied to
 the path read as an infinite word of letters, with position index increasing
-to the left.
+to the left.  power(i, n) applies the whole string f_i^n (e_i^(-n) for
+n < 0) to one working copy of the signature, and e_i, f_i are power(i, -1),
+power(i, 1).
 
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
-positional weights and makes wt(f_i b) = wt(b) - alpha_i exact.
+positional weights and makes wt(f_i b) = wt(b) - alpha_i exact.  Since delta
+pairs to zero, <h_0, wt> = -<h_1, wt> = 2*(sum of entries) on either side,
+and eps/phi need only that sum.
 """
 
 from __future__ import annotations
@@ -38,6 +43,47 @@ RIGHT = "right"
 def _canon(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     items = entries.items() if isinstance(entries, Mapping) else entries
     return tuple(sorted((k, v) for k, v in items if v != 0))
+
+
+def _signature_values(view: tuple[tuple[int, int], ...], i: int) -> list[int]:
+    """A_k(i) of a left path's entries for k from one left of the support
+    to -1."""
+    sgn = 1 if i == 1 else -1
+    vals = [0]
+    running = 0  # sum of entries at positions < k
+    stored = dict(view)
+    for k in range(view[0][0] if view else 0, 0):
+        v = stored.get(k, 0)
+        vals.append(sgn * (v + 2 * running))
+        running += v
+    return vals
+
+
+def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[dict[int, int]]:
+    """The entries of the left path after f_i^n (n >= 0) or e_i^(-n)
+    (n < 0), None when e_i runs out.  Each step moves the letter at the
+    rightmost (f) or leftmost (e) maximum of the signature, which changes
+    A there by +-1 and every A to its right by +-2."""
+    vals = _signature_values(view, i)
+    lo = (view[0][0] if view else 0) - 1
+    if n > 0:  # each f_i may extend the support one position to the left
+        vals[:0] = [0] * n
+        lo -= n
+    step = 1 if n > 0 else -1
+    letter = step if i == 1 else -step
+    d = dict(view)
+    for _ in range(abs(n)):
+        top = max(vals)
+        if n > 0:
+            j = len(vals) - 1 - vals[::-1].index(top)
+        elif top == 0:
+            return None
+        else:
+            j = vals.index(top)
+        d[lo + j] = d.get(lo + j, 0) + letter
+        vals[j] += step
+        vals[j + 1:] = [v + 2 * step for v in vals[j + 1:]]
+    return d
 
 
 class WallScan:
@@ -114,70 +160,60 @@ class HalfPath(WallScan, CrystalElement):
     def __repr__(self) -> str:
         return f"HalfPath({self.side}, {dict(self.entries)})"
 
-    # -- signature values (left side) -------------------------------------
-
-    def _window(self) -> range:
-        # positions where an operator could act: support padded by one zero
-        lo = self.entries[0][0] - 1 if self.entries else -1
-        return range(lo, 0)
-
-    def _signature(self, i: int) -> dict[int, int]:
-        assert self.side == LEFT
-        sgn = 1 if i == 1 else -1
-        vals: dict[int, int] = {}
-        running = 0  # sum of entries at positions < k
-        stored = dict(self.entries)
-        for k in self._window():
-            vals[k] = sgn * (stored.get(k, 0) + 2 * running)
-            running += stored.get(k, 0)
-        return vals
-
-    def _bump(self, k: int, dv: int) -> "HalfPath":
-        d = self.as_dict()
-        d[k] = d.get(k, 0) + dv
-        return HalfPath(self.side, tuple(d.items()))
-
     # -- crystal structure -------------------------------------------------
 
+    def _view(self) -> tuple[tuple[int, int], ...]:
+        """The entries of the left path whose structure this path carries."""
+        if self.side == LEFT:
+            return self.entries
+        return tuple((-k - 1, -v) for k, v in reversed(self.entries))
+
+    def _pairing(self, i: int) -> int:
+        s = 2 * sum(v for _, v in self.entries)
+        return s if i == 0 else -s
+
+    def _signature(self, i: int) -> dict[int, int]:
+        """A_k(i) by position, from one left of the support to -1."""
+        if self.side != LEFT:
+            raise ValueError("the signature is defined for left paths")
+        lo = (self.entries[0][0] if self.entries else 0) - 1
+        return dict(zip(range(lo, 0), _signature_values(self.entries, i)))
+
     def wt(self) -> Weight:
-        if self.side == RIGHT:
-            return -self.flip().wt()
-        total = sum(v for _, v in self.entries)
-        stored = dict(self.entries)
-        lo = self.entries[0][0] if self.entries else 0
+        view = self._view()
+        total = sum(v for _, v in view)
+        stored = dict(view)
+        lo = view[0][0] if view else 0
         d = 0
         for k in range(lo, 0):
             d += k * max(stored.get(k - 1, 0), -stored.get(k, 0))
-        return classical(2 * total, 0) + Weight(0, 0, d)
+        w = classical(2 * total, d)
+        return w if self.side == LEFT else -w
 
     def eps(self, i: int):
-        if self.side == RIGHT:
-            return self.flip().phi(i)
-        return max(self._signature(i).values())
+        top = max(_signature_values(self._view(), i))
+        return top if self.side == LEFT else top - self._pairing(i)
 
     def phi(self, i: int):
-        if self.side == RIGHT:
-            return self.flip().eps(i)
-        return self.eps(i) + self.wt().pairing(i)
+        top = max(_signature_values(self._view(), i))
+        return top + self._pairing(i) if self.side == LEFT else top
 
     def e(self, i: int) -> Optional["HalfPath"]:
-        if self.side == RIGHT:
-            return self.flip().f(i).flip()
-        sig = self._signature(i)
-        top = max(sig.values())
-        if top == 0:
-            return None
-        k = min(p for p, v in sig.items() if v == top)
-        return self._bump(k, -1 if i == 1 else 1)
+        return self.power(i, -1)
 
     def f(self, i: int) -> Optional["HalfPath"]:
-        if self.side == RIGHT:
-            up = self.flip().e(i)
-            return None if up is None else up.flip()
-        sig = self._signature(i)
-        top = max(sig.values())
-        k = max(p for p, v in sig.items() if v == top)
-        return self._bump(k, 1 if i == 1 else -1)
+        return self.power(i, 1)
+
+    def power(self, i: int, n: int) -> Optional["HalfPath"]:
+        """f_i^n for n >= 0 and e_i^(-n) for n < 0 by the signature rule;
+        None when the string runs out."""
+        if n == 0:
+            return self
+        if self.side == LEFT:
+            d = _power_view(self.entries, i, n)
+            return None if d is None else HalfPath(LEFT, tuple(d.items()))
+        d = _power_view(self._view(), i, -n)  # the view's e and f are exchanged
+        return None if d is None else HalfPath(RIGHT, tuple((-k - 1, -v) for k, v in d.items()))
 
     # -- walls and domains --------------------------------------------------
 
@@ -259,9 +295,9 @@ def string_factorization(b: HalfPath) -> list[tuple[int, int]]:
     last_color = 1 if sign > 0 else 0
     word = []
     for k in range(1, total + 1):
-        power = next(m for m, c in enumerate(cum, start=1) if k <= c)
+        block = next(m for m, c in enumerate(cum, start=1) if k <= c)
         color = last_color if (total - k) % 2 == 0 else 1 - last_color
-        word.append((color, power))
+        word.append((color, block))
     return word
 
 

@@ -149,6 +149,10 @@ class ModElement(CrystalElement):
         c = self._tensor().f(i)
         return None if c is None else self._untensor(c)
 
+    def power(self, i: int, n: int) -> Optional["ModElement"]:
+        c = self._tensor().power(i, n)
+        return None if c is None else self._untensor(c)
+
     def key(self):
         return ("mod", self.b1.key(), (self.lam.a0, self.lam.a1, self.lam.d), self.b2.key())
 

@@ -103,5 +103,6 @@ def orbit_canonical(w: Weight) -> tuple[Weight, list[int]]:
         for i in colors:
             cur = cur.reflect(i)
             word.append(i)
-    assert cur == target
+    if cur != target:
+        raise RuntimeError(f"orbit_canonical reached {cur!r}, not {target!r}")
     return target, word

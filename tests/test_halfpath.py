@@ -36,6 +36,16 @@ def test_entry_validation():
         raise AssertionError("left paths may differ from zero only at k <= -1")
 
 
+def test_signature_is_for_left_paths_only():
+    assert left_path({-2: 1, -1: -1})._signature(1) == {-3: 0, -2: 1, -1: 1}
+    try:
+        right_path({0: 1})._signature(1)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("a right path has no signature of its own")
+
+
 def test_hand_checked_operators():
     # the path (..., 0, 1, -1)
     b = left_path({-2: 1, -1: -1})

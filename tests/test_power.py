@@ -1,0 +1,122 @@
+"""Whole-string operators against their single-step reference.
+
+power(i, n) has a string rule on half-paths (the signature rule), tensor
+products (the tensor rule for strings), duals and three-factor elements.
+CrystalElement.power, the loop of single e_i/f_i steps, stays the reference:
+every string rule must return the same element, by key, and None exactly
+where the reference does.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from crystalpaths import from_word, right_path
+from crystalpaths.core import CrystalElement, DualElement, TensorElement
+from crystalpaths.elementary import TElement, oracle_letters, tensor_oracle
+from crystalpaths.levelpath import ModElement
+from crystalpaths.weights import Weight, classical
+
+colors = st.sampled_from([0, 1])
+powers = st.integers(min_value=-8, max_value=8)
+# the length first, so that long words are as frequent as short ones
+letters = st.integers(min_value=0, max_value=24).flatmap(
+    lambda n: st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+left_paths = letters.map(from_word)
+right_paths = letters.map(lambda vals: right_path(dict(enumerate(vals))))
+markers = st.builds(lambda m, l: TElement(classical(m, l)),
+                    st.integers(min_value=-4, max_value=4),
+                    st.integers(min_value=-2, max_value=2))
+mods = st.builds(lambda b1, m, l, b2: ModElement(b1, classical(m, l), b2),
+                 left_paths, st.integers(min_value=-4, max_value=4),
+                 st.integers(min_value=-2, max_value=2), right_paths)
+
+
+def key_of(b):
+    return None if b is None else b.key()
+
+
+def assert_matches_single_steps(b, i, n):
+    assert key_of(b.power(i, n)) == key_of(CrystalElement.power(b, i, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(left_paths, right_paths), colors, powers)
+def test_half_path_strings_match_single_steps(b, i, n):
+    assert_matches_single_steps(b, i, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mods, colors, powers)
+def test_mod_element_strings_match_single_steps(b, i, n):
+    assert_matches_single_steps(b, i, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(letters, colors, powers)
+def test_tensor_oracle_strings_match_single_steps(vals, i, n):
+    assert_matches_single_steps(tensor_oracle(from_word(vals).as_dict(), len(vals) + 2), i, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(left_paths, right_paths, mods), colors, powers)
+def test_dual_strings_match_single_steps(b, i, n):
+    assert_matches_single_steps(DualElement(b), i, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(markers, left_paths, right_paths), markers,
+       st.one_of(markers, left_paths, right_paths), colors, powers)
+def test_tensor_strings_with_infinite_statistics_match_single_steps(x, t, y, i, n):
+    # TElement factors have eps = phi = -inf on both colors
+    assert_matches_single_steps(TensorElement(t, t), i, n)
+    assert_matches_single_steps(TensorElement(x, t), i, n)
+    assert_matches_single_steps(TensorElement(t, y), i, n)
+    assert_matches_single_steps(TensorElement(TensorElement(x, t), y), i, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(letters, colors, powers)
+def test_left_path_strings_match_the_tensor_oracle(vals, i, n):
+    # the oracle word shares no code with the signature rule; its width
+    # leaves room for the n letters f_i^n may add on the left
+    b = from_word(vals)
+    t = CrystalElement.power(tensor_oracle(b.as_dict(), len(vals) + 10), i, n)
+    out = b.power(i, n)
+    assert (out is None) == (t is None)
+    if out is not None:
+        assert out.as_dict() == oracle_letters(t)
+
+
+def flip_reference(r, i):
+    """wt, eps_i, phi_i of a right path through its flip, by the
+    definitions the right paths were first given: the flipped left path's
+    weight is 2*(sum of entries)*(L0 - L1) + delta * sum_k k*max(i_{k-1}, -i_k),
+    its eps_i the maximum of its signature, its phi_i = eps_i + <h_i, wt>,
+    and flipping negates the weight and exchanges eps and phi."""
+    left = r.flip().as_dict()
+    lo = min(left, default=0)
+    total = sum(left.values())
+    d = sum(k * max(left.get(k - 1, 0), -left.get(k, 0)) for k in range(lo, 0))
+    wt = Weight(2 * total, -2 * total, d)
+    sgn = 1 if i == 1 else -1
+    signature, running = [0], 0
+    for k in range(lo, 0):
+        signature.append(sgn * (left.get(k, 0) + 2 * running))
+        running += left.get(k, 0)
+    eps = max(signature)
+    return -wt, eps + wt.pairing(i), eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(right_paths, colors)
+def test_right_path_statistics_match_the_flip(r, i):
+    assert (r.wt(), r.eps(i), r.phi(i)) == flip_reference(r, i)
+    up = r.flip().f(i)
+    assert key_of(r.e(i)) == key_of(up.flip())
+    down = r.flip().e(i)
+    assert key_of(r.f(i)) == key_of(None if down is None else down.flip())
+
+
+@settings(max_examples=200, deadline=None)
+@given(left_paths, colors)
+def test_left_path_phi_needs_no_delta_sum(b, i):
+    assert b.phi(i) == max(b._signature(i).values()) + b.wt().pairing(i)

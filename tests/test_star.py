@@ -85,6 +85,36 @@ def test_closed_form_half_star_matches_peeling():
     assert checked > 100
 
 
+def uniform_wall_left_path(walls, sign):
+    """The left path, zero left of its first wall, whose walls sit at the
+    given positions (repeated for multiplicity) and all carry the given
+    sign: i_k = sign * mult(k) - i_{k-1}."""
+    entries, prev = {}, 0
+    for k in range(min(walls), 0):
+        prev = sign * walls.count(k) - prev
+        entries[k] = prev
+    return left_path(entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=-80, max_value=-1), min_size=1, max_size=16),
+       st.sampled_from([-1, 1]))
+def test_closed_form_half_star_matches_peeling_on_long_paths(walls, sign):
+    b = uniform_wall_left_path(walls, sign)
+    assert b.wall_sign() == sign
+    assert star_half_closed(b) == star_binf(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n)))
+def test_star_is_a_weight_preserving_involution_on_long_paths(letters):
+    b = from_word(letters)
+    s = star_binf(b)
+    assert s.wt() == b.wt()
+    assert star_binf(s) == b
+
+
 def test_star_mod_relations():
     for e in sample_mods(80, seed=6):
         s = star_mod(e)
