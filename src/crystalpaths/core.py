@@ -1,9 +1,9 @@
 """Abstract crystal machinery shared by every concrete realization.
 
-A crystal element exposes a weight, string statistics eps(i)/phi(i) valued in
-the integers extended by -infinity, and partial raising/lowering operators
-e(i)/f(i) that return None where undefined (None models the formal zero
-element of the crystal axioms).  On top of that protocol this module builds
+A crystal element exposes a weight, its pairings <h_i, wt> with the simple
+coroots, string statistics eps(i)/phi(i) valued in the integers extended by
+-infinity, and partial raising/lowering operators e(i)/f(i) that return None
+where undefined (None models the formal zero element of the crystal axioms).  On top of that protocol this module builds
 the tensor product and dual combinators, the breadth-first search engine
 explore, the string walkers power and peel, component enumeration, rooted
 graph isomorphism, an axiom checker, and graph export.
@@ -19,7 +19,8 @@ and e_i lowers eps_i by one: f_i^n acts a = clamp(phi_i(b1) - eps_i(b2), 0, n)
 times on b1 and then n - a times on b2; e_i^n acts
 b = clamp(eps_i(b2) - phi_i(b1), 0, n) times on b2 and then n - b times on
 b1.  Every element type answers power(i, n); the default takes single
-steps, and tensor products, duals and half-paths apply a string at once.
+steps, and tensor products, duals, half-paths and three-factor elements
+apply a string at once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ COLORS = (0, 1)
 
 class CrystalElement:
     """Protocol base class; concrete elements override wt, eps, phi, e, f
-    and key, and power where they have a string rule."""
+    and key, power where they have a string rule, and pairing where they
+    read <h_i, wt> without building the weight."""
 
     def wt(self) -> Weight:
         raise NotImplementedError
@@ -56,6 +58,11 @@ class CrystalElement:
 
     def f(self, i: int) -> Optional["CrystalElement"]:
         raise NotImplementedError
+
+    def pairing(self, i: int) -> int:
+        """<h_i, wt>; element types that know it without the full weight
+        override this."""
+        return self.wt().pairing(i)
 
     def power(self, i: int, n: int) -> Optional["CrystalElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0, one step at a time; None
@@ -102,7 +109,7 @@ class TensorElement(CrystalElement):
         key = ("eps", i)
         if key not in memo:
             memo[key] = max(self.left.eps(i),
-                            self.right.eps(i) - self.left.wt().pairing(i))
+                            self.right.eps(i) - self.left.pairing(i))
         return memo[key]
 
     def phi(self, i: int):
@@ -110,7 +117,7 @@ class TensorElement(CrystalElement):
         key = ("phi", i)
         if key not in memo:
             memo[key] = max(self.right.phi(i),
-                            self.left.phi(i) + self.right.wt().pairing(i))
+                            self.left.phi(i) + self.right.pairing(i))
         return memo[key]
 
     def e(self, i: int):
@@ -184,14 +191,16 @@ def dual_tensor_swap(t: TensorElement) -> TensorElement:
 def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
     """Check the crystal axioms on a finite set; returns violation messages.
 
-    Checked per element and color: phi = eps + <h_i, wt> (with both sides
-    -infinity together), e/f weight shifts, eps/phi steps, and that e and f
+    Checked per element and color: pairing(i) = <h_i, wt>, phi = eps +
+    <h_i, wt> (with both sides -infinity together), e/f weight shifts, eps/phi steps, and that e and f
     are mutually inverse where defined.
     """
     problems: list[str] = []
     for b in elements:
         w = b.wt()
         for i in COLORS:
+            if b.pairing(i) != w.pairing(i):
+                problems.append(f"{b!r}: pairing({i}) != <h_{i}, wt>")
             ep, ph = b.eps(i), b.phi(i)
             if (ep == NEG_INF) != (ph == NEG_INF):
                 problems.append(f"{b!r}: eps/phi -inf mismatch for color {i}")

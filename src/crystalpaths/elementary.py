@@ -78,6 +78,9 @@ class LimitEntry(CrystalElement):
     def wt(self) -> Weight:
         return classical(2 * self.n)
 
+    def pairing(self, i: int) -> int:
+        return 2 * self.n if i == 0 else -2 * self.n
+
     def eps(self, i: int):
         return -self.n if i == 0 else self.n
 

@@ -12,6 +12,15 @@ rules out most non-extremal elements instantly, because an extremal path's
 walls all carry one sign (and a wall-free path is extremal only when it is
 the zero path).
 
+The check reads i-extremality off the string statistics instead of building
+e_i and f_i images.  On a ModElement b1 (x) t_lam (x) b2, eps_i >= eps_i(b1)
+>= 0 and phi_i >= phi_i(b2) >= 0, and e_i is undefined exactly when eps_i = 0,
+f_i exactly when phi_i = 0: by the tensor rule e_i acts on b1 (defined iff
+eps_i(b1) > 0, and then eps_i = eps_i(b1)) or on the right path b2, where it
+is always defined and eps_i > eps_i(b1); f_i likewise.  With
+n = <h_i, wt> and phi_i = eps_i + n, the element is i-extremal exactly when
+eps_i = max(0, -n).
+
 B^max(lam) is the set of elements whose star image is extremal.  It is a
 disjoint union of full plain-operator components, one per tuple
 c = (c_1, ..., c_{n-1}) of nonnegative integers (n = |classical part of
@@ -33,16 +42,16 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-from .core import CrystalElement, explore, plain_moves, power
+from .core import COLORS, explore, plain_moves
 from .levelpath import LevelPath, ModElement, _alt, lp_join, lp_split, u_lambda
 from .star import star_mod
 from .weights import Weight
 
 
-def weyl_op(e: CrystalElement, i: int) -> CrystalElement:
+def weyl_op(e: ModElement, i: int) -> ModElement:
     """S_i: the full string of f_i or e_i prescribed by <h_i, wt>."""
-    n = e.wt().pairing(i)
-    out = power(e, i, n)
+    n = e.pairing(i)
+    out = e.power(i, n)
     if out is None:
         raise RuntimeError(f"S_{i} ran out of operator (power {n})")
     return out
@@ -52,17 +61,13 @@ def starred_weyl_op(e: ModElement, i: int) -> ModElement:
     return star_mod(weyl_op(star_mod(e), i))
 
 
-def _locally_extremal(e: CrystalElement) -> bool:
-    for i in (0, 1):
-        n = e.wt().pairing(i)
-        if n >= 0 and e.e(i) is not None:
-            return False
-        if n <= 0 and e.f(i) is not None:
-            return False
-    return True
+def _locally_extremal(e: ModElement) -> bool:
+    """No e_i where <h_i, wt> >= 0 and no f_i where it is <= 0, for both
+    colors: eps_i = max(0, -<h_i, wt>), by the statistics alone."""
+    return all(e.eps(i) == max(0, -e.pairing(i)) for i in COLORS)
 
 
-def is_extremal(e: CrystalElement, max_len: int = 6) -> bool:
+def is_extremal(e: ModElement, max_len: int = 6) -> bool:
     """Bounded extremality check via alternating S-words of both phases."""
     return extremal_cert(e, max_len).extremal
 
@@ -74,13 +79,13 @@ class ExtremalCert:
     When not extremal, witness is the alternating color word whose S-image
     fails to be i-extremal (empty word: the element itself fails)."""
 
-    element: CrystalElement
+    element: ModElement
     max_len: int
     extremal: bool
     witness: Optional[list[int]] = None
 
 
-def extremal_cert(e: CrystalElement, max_len: int = 6) -> ExtremalCert:
+def extremal_cert(e: ModElement, max_len: int = 6) -> ExtremalCert:
     if not _locally_extremal(e):
         return ExtremalCert(e, max_len, False, [])
     for start in (0, 1):

@@ -24,14 +24,16 @@ power(i, 1).
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
 positional weights and makes wt(f_i b) = wt(b) - alpha_i exact.  Since delta
-pairs to zero, <h_0, wt> = -<h_1, wt> = 2*(sum of entries) on either side,
-and eps/phi need only that sum.
+pairs to zero, <h_0, wt> = -<h_1, wt> = 2*(sum of entries) on either side:
+pairing(i) reads it off the entries, and eps/phi take max_k A_k and that sum
+from one scan of the nonzero entries (A_k is constant across a run of zeros).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from collections.abc import Iterable, Mapping
+from typing import Optional
 
 from .core import CrystalElement, power
 from .weights import Weight, classical
@@ -57,6 +59,26 @@ def _signature_values(view: tuple[tuple[int, int], ...], i: int) -> list[int]:
         vals.append(sgn * (v + 2 * running))
         running += v
     return vals
+
+
+def _statistics(view: tuple[tuple[int, int], ...], i: int) -> tuple[int, int]:
+    """max_k A_k(i) and <h_i, wt> of a left path, from one scan of its
+    nonzero entries."""
+    sgn = 1 if i == 1 else -1
+    top = 0  # A is 0 left of the support
+    running = 0  # sum of entries at positions < k
+    nxt = None  # the position right of the previous entry
+    for k, v in view:
+        if k != nxt and 2 * sgn * running > top:  # A on the zeros before k
+            top = 2 * sgn * running
+        a = sgn * (v + 2 * running)
+        if a > top:
+            top = a
+        running += v
+        nxt = k + 1
+    if nxt is not None and nxt < 0 and 2 * sgn * running > top:  # A on the zeros up to -1
+        top = 2 * sgn * running
+    return top, -2 * sgn * running
 
 
 def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[dict[int, int]]:
@@ -168,10 +190,6 @@ class HalfPath(WallScan, CrystalElement):
             return self.entries
         return tuple((-k - 1, -v) for k, v in reversed(self.entries))
 
-    def _pairing(self, i: int) -> int:
-        s = 2 * sum(v for _, v in self.entries)
-        return s if i == 0 else -s
-
     def _signature(self, i: int) -> dict[int, int]:
         """A_k(i) by position, from one left of the support to -1."""
         if self.side != LEFT:
@@ -190,13 +208,17 @@ class HalfPath(WallScan, CrystalElement):
         w = classical(2 * total, d)
         return w if self.side == LEFT else -w
 
+    def pairing(self, i: int) -> int:
+        s = 2 * sum(v for _, v in self.entries)
+        return s if i == 0 else -s
+
     def eps(self, i: int):
-        top = max(_signature_values(self._view(), i))
-        return top if self.side == LEFT else top - self._pairing(i)
+        top, pairing = _statistics(self._view(), i)
+        return top if self.side == LEFT else top + pairing
 
     def phi(self, i: int):
-        top = max(_signature_values(self._view(), i))
-        return top + self._pairing(i) if self.side == LEFT else top
+        top, pairing = _statistics(self._view(), i)
+        return top + pairing if self.side == LEFT else top
 
     def e(self, i: int) -> Optional["HalfPath"]:
         return self.power(i, -1)

@@ -16,6 +16,17 @@ is that three-factor form and serves as the canonical element type for the
 crystal of the modified algebra: the union over lam of the components
 containing u_lam = u (x) t_lam (x) u^dual.
 
+ModElement applies the tensor rules to its three factors directly.  The
+marker has eps = phi = -infinity, so b1 (x) t has eps(b1) and
+phi(b1) + <h_i, lam> as its statistics and takes every string on b1; with
+p = <h_i, .>:
+
+    eps_i = max(eps_i(b1), eps_i(b2) - p(b1) - p(lam))
+    phi_i = max(phi_i(b2), phi_i(b1) + p(lam) + p(b2))
+
+and a string splits between b1 and b2 by comparing phi_i(b1) + p(lam) with
+eps_i(b2), as core's tensor rule for strings does.
+
 Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
                + delta * ( l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)) ).
 """
@@ -23,10 +34,10 @@ Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from collections.abc import Iterable, Mapping
+from typing import Optional
 
-from .core import CrystalElement, TensorElement
-from .elementary import TElement
+from .core import CrystalElement
 from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, left_path, right_path,
                        u_inf, u_minus_inf)
 from .weights import Weight, classical
@@ -124,34 +135,39 @@ class ModElement(CrystalElement):
         if self.lam.level != 0:
             raise ValueError(f"marker weight must have level zero, got {self.lam!r}")
 
-    def _tensor(self) -> TensorElement:
-        return TensorElement(TensorElement(self.b1, TElement(self.lam)), self.b2)
-
-    @staticmethod
-    def _untensor(t: TensorElement) -> "ModElement":
-        inner = t.left
-        return ModElement(inner.left, inner.right.lam, t.right)
-
     def wt(self) -> Weight:
         return self.b1.wt() + self.lam + self.b2.wt()
 
+    def pairing(self, i: int) -> int:
+        return self.b1.pairing(i) + self.lam.pairing(i) + self.b2.pairing(i)
+
     def eps(self, i: int):
-        return self._tensor().eps(i)
+        return max(self.b1.eps(i),
+                   self.b2.eps(i) - self.b1.pairing(i) - self.lam.pairing(i))
 
     def phi(self, i: int):
-        return self._tensor().phi(i)
+        return max(self.b2.phi(i),
+                   self.b1.phi(i) + self.lam.pairing(i) + self.b2.pairing(i))
 
     def e(self, i: int) -> Optional["ModElement"]:
-        c = self._tensor().e(i)
-        return None if c is None else self._untensor(c)
+        return self.power(i, -1)
 
     def f(self, i: int) -> Optional["ModElement"]:
-        c = self._tensor().f(i)
-        return None if c is None else self._untensor(c)
+        return self.power(i, 1)
 
     def power(self, i: int, n: int) -> Optional["ModElement"]:
-        c = self._tensor().power(i, n)
-        return None if c is None else self._untensor(c)
+        """f_i^n for n >= 0 and e_i^(-n) for n < 0, split between b1 and b2
+        by the tensor rule for strings; None when the string runs out."""
+        if n == 0:
+            return self
+        ph, ep = self.b1.phi(i) + self.lam.pairing(i), self.b2.eps(i)
+        if n > 0:  # f_i acts on b1 while phi(b1 (x) t) > eps(b2)
+            on_left = 0 if ph <= ep else min(n, ph - ep)
+        else:  # e_i acts on b2 while phi(b1 (x) t) < eps(b2)
+            on_left = n + (0 if ph >= ep else min(-n, ep - ph))
+        b1 = self.b1.power(i, on_left)
+        b2 = None if b1 is None else self.b2.power(i, n - on_left)
+        return None if b2 is None else ModElement(b1, self.lam, b2)
 
     def key(self):
         return ("mod", self.b1.key(), (self.lam.a0, self.lam.a1, self.lam.d), self.b2.key())

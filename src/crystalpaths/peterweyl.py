@@ -49,26 +49,36 @@ class Decomposition:
         return cur
 
 
-def decompose(e: ModElement, max_depth: int = 8,
-              extremal_len: int = 4) -> Optional[Decomposition]:
+def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
+              verdicts: Optional[dict] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
 
     Searches the plain component of e* breadth-first for an extremal vector
     x; then b = x* lies in B^max(-wt(x)) and the reversed, inverted search
     word -- transported through star -- lowers/raises b back to e.  Raises
     RuntimeError if that word does not replay from b to e.
+
+    verdicts maps element keys to the extremality verdicts (wall screen and
+    bounded check at this extremal_len) of the candidates searched so far;
+    calls that pass the same table skip the candidates it already holds.
     """
+    if verdicts is None:
+        verdicts = {}
     root = star_mod(e)
     links: dict = {}  # element key -> (parent key, move) in the search tree
     for parent, move, x, new in explore([root], plain_moves, max_depth):
         if not new:
             continue
+        k = x.key()
         if parent is not None:
-            links[x.key()] = (parent.key(), move)
-        if extremal_screen(lp_join(x)) is False or not is_extremal(x, extremal_len):
+            links[k] = (parent.key(), move)
+        extremal = verdicts.get(k)
+        if extremal is None:
+            extremal = verdicts[k] = (extremal_screen(lp_join(x)) is not False
+                                      and is_extremal(x, extremal_len))
+        if not extremal:
             continue
         inverse = []
-        k = x.key()
         while k in links:
             k, (kind, i) = links[k]
             inverse.append(("f" if kind == "e" else "e", i))
@@ -231,14 +241,16 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     rep.element_keys = frozenset(pair_of)
 
-    # decompose every enumerated element (optionally capped)
+    # decompose every enumerated element (optionally capped); the searches
+    # overlap, so they share one table of extremality verdicts
     todo = [elements[k] for k in sorted(elements)]
     if decompose_cap is not None:
         todo = todo[:decompose_cap]
+    verdicts: dict = {}
     for e in todo:
         rep.decompose_total += 1
         try:
-            result = decompose(e, decompose_depth, extremal_len)
+            result = decompose(e, decompose_depth, extremal_len, verdicts=verdicts)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue

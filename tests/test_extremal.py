@@ -1,11 +1,17 @@
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
                           enum_bminus_star, extremal_cert, ground_path,
                           is_extremal, is_extremal_path, lp_join, lp_split,
                           path_from_window, star_mod, u_lambda, weyl_op)
-from crystalpaths.extremal import (extremal_screen, same_entries,
+from crystalpaths.core import CrystalElement, TensorElement
+from crystalpaths.elementary import TElement
+from crystalpaths.extremal import (_locally_extremal, extremal_screen, same_entries,
                                    starred_weyl_op, uniform_wall_path)
+from crystalpaths.halfpath import from_word, right_path
+from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import classical
 
 
@@ -148,3 +154,82 @@ def test_enum_bminus_star_zero_weight():
     lam = classical(0, 1)
     out = enum_bminus_star(lam)
     assert len(out) == 1 and out[0] == u_lambda(lam)
+
+
+# -- extremality from statistics against the image-based definitions ---------
+
+letters = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+mods = st.builds(lambda b1, m, l, b2: ModElement(b1, classical(m, l), b2),
+                 letters.map(from_word), st.integers(min_value=-4, max_value=4),
+                 st.integers(min_value=-2, max_value=2),
+                 letters.map(lambda vals: right_path(dict(enumerate(vals)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mods, st.sampled_from([0, 1]))
+def test_operators_are_undefined_exactly_where_the_statistics_vanish(b, i):
+    assert b.eps(i) >= 0 and b.phi(i) >= 0
+    assert (b.e(i) is None) == (b.eps(i) == 0)
+    assert (b.f(i) is None) == (b.phi(i) == 0)
+    assert b.pairing(i) == b.wt().pairing(i)
+
+
+def image_locally_extremal(e):
+    """The definition: no e_i image where <h_i, wt> >= 0 and no f_i image
+    where <h_i, wt> <= 0, with the images built through the nested tensor
+    product b1 (x) t_lam (x) b2."""
+    t = TensorElement(TensorElement(e.b1, TElement(e.lam)), e.b2)
+    for i in (0, 1):
+        n = e.wt().pairing(i)
+        if n >= 0 and t.e(i) is not None:
+            return False
+        if n <= 0 and t.f(i) is not None:
+            return False
+    return True
+
+
+def image_cert(e, max_len):
+    """(extremal, witness) by the image-based test, with S_i taken one
+    single step at a time on the nested tensor product."""
+    if not image_locally_extremal(e):
+        return False, []
+    for start in (0, 1):
+        cur, color, word = e, start, []
+        for _ in range(max_len):
+            word.append(color)
+            n = cur.wt().pairing(color)
+            t = CrystalElement.power(
+                TensorElement(TensorElement(cur.b1, TElement(cur.lam)), cur.b2), color, n)
+            if t is None:
+                return False, word
+            cur = ModElement(t.left.left, cur.lam, t.right)
+            if not image_locally_extremal(cur):
+                return False, word
+            color = 1 - color
+    return True, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mods)
+def test_local_extremality_matches_the_image_test(b):
+    assert _locally_extremal(b) == image_locally_extremal(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mods, st.integers(min_value=0, max_value=6))
+def test_extremal_cert_matches_the_image_test(b, max_len):
+    cert = extremal_cert(b, max_len)
+    assert (cert.extremal, cert.witness) == image_cert(b, max_len)
+
+
+def test_extremal_cert_matches_the_image_test_on_extremal_elements():
+    # random elements are rarely extremal; the Weyl orbits of u_lam and the
+    # star images of B(-lam) are
+    for m in (-3, -2, 1, 2, 3):
+        for e in enum_bminus_star(classical(m, 1), span=2):
+            cert = extremal_cert(e, 6)
+            assert cert.extremal and (cert.extremal, cert.witness) == image_cert(e, 6)
+            moved = e.f(0) or e.e(0)  # one step off the Weyl orbit
+            cert = extremal_cert(moved, 4)
+            assert (cert.extremal, cert.witness) == image_cert(moved, 4)

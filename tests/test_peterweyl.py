@@ -103,3 +103,28 @@ def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
     assert any("defined-ness differs" in v for v in rep.violations)
     assert "pair map collision" in rep.violations
     assert not rep.product_ok and not rep.ok
+
+
+def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
+    # pw_report shares one table of extremality verdicts across its
+    # decompose calls; each must return what a call on its own returns
+    from crystalpaths import peterweyl
+    calls = []
+    original = peterweyl.decompose
+
+    def recording(e, *args, **kwargs):
+        result = original(e, *args, **kwargs)
+        calls.append((e, args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(peterweyl, "decompose", recording)
+    for m, l in ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1)):
+        calls.clear()
+        rep = pw_report(classical(m, l))
+        assert rep.ok and len(calls) == rep.decompose_total == rep.pair_count
+        assert all("verdicts" in kwargs for _, _, kwargs, _ in calls)
+        for e, args, _, shared in calls:
+            fresh = original(e, *args)
+            assert fresh is not None and shared is not None
+            assert (shared.lam_canonical, shared.bmax_factor.key(), shared.word) == (
+                fresh.lam_canonical, fresh.bmax_factor.key(), fresh.word)

@@ -120,3 +120,54 @@ def test_right_path_statistics_match_the_flip(r, i):
 @given(left_paths, colors)
 def test_left_path_phi_needs_no_delta_sum(b, i):
     assert b.phi(i) == max(b._signature(i).values()) + b.wt().pairing(i)
+
+
+def tensor_route(b):
+    """A ModElement as the nested tensor product it stands for, the route
+    its operators took before they worked on the three factors directly."""
+    return TensorElement(TensorElement(b.b1, TElement(b.lam)), b.b2)
+
+
+def untensor(t):
+    return None if t is None else ModElement(t.left.left, t.left.right.lam, t.right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mods, colors, powers)
+def test_mod_element_operators_match_the_tensor_route(b, i, n):
+    t = tensor_route(b)
+    assert (b.eps(i), b.phi(i)) == (t.eps(i), t.phi(i))
+    assert key_of(b.power(i, n)) == key_of(untensor(t.power(i, n)))
+    assert key_of(b.e(i)) == key_of(untensor(t.e(i)))
+    assert key_of(b.f(i)) == key_of(untensor(t.f(i)))
+
+
+def dense_statistics(b, i):
+    """eps_i, phi_i of a half-path by the definitions with a dense scan:
+    the signature A_k(i) = sgn(i) * (j_k + 2 * sum_{m<k} j_m) of the left
+    view j at every position from one left of its support to -1, its
+    maximum, and <h_i, wt> from the full weight."""
+    view = b.as_dict() if b.side == "left" else b.flip().as_dict()
+    sgn = 1 if i == 1 else -1
+    top, running = 0, 0
+    for k in range(min(view, default=0), 0):
+        top = max(top, sgn * (view.get(k, 0) + 2 * running))
+        running += view.get(k, 0)
+    n = b.wt().pairing(i)
+    return (top, top + n) if b.side == "left" else (top - n, top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(left_paths, right_paths), colors)
+def test_one_pass_statistics_match_the_dense_scan(b, i):
+    assert (b.eps(i), b.phi(i)) == dense_statistics(b, i)
+    assert b.pairing(i) == b.wt().pairing(i)
+    if b.side == "left":
+        assert b.eps(i) == max(b._signature(i).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mods, markers, letters.map(lambda vals: tensor_oracle(
+    from_word(vals).as_dict(), len(vals) + 2))), colors)
+def test_pairing_matches_the_weight(b, i):
+    assert b.pairing(i) == b.wt().pairing(i)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +7,8 @@ from crystalpaths import (from_word, left_path, path_to_seq, seq_to_path, lp_joi
                           star_binf, star_bminf, star_extremal_closed,
                           star_half_closed, star_mod, starred_e, starred_f,
                           u_inf, u_lambda, u_minus_inf)
-from crystalpaths.core import peel
-from crystalpaths.halfpath import apply_word
+from crystalpaths.core import CrystalElement, bfs_component, check_axioms, peel
+from crystalpaths.halfpath import apply_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.star import starred_eps, starred_phi
 from crystalpaths.weights import classical
@@ -148,6 +149,79 @@ def test_starred_and_plain_operators_commute():
                 b = starred_f(e, j)
                 b = b.f(i) if b is not None else None
                 assert a == b
+
+
+# -- Hypothesis properties of the two crystal structures on ModElements -------
+
+short_letters = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+mods = st.builds(lambda b1, m, l, b2: ModElement(b1, classical(m, l), b2),
+                 short_letters.map(from_word), st.integers(min_value=-3, max_value=3),
+                 st.integers(min_value=-2, max_value=2),
+                 short_letters.map(lambda vals: right_path(dict(enumerate(vals)))))
+colors = st.sampled_from([0, 1])
+kinds = st.sampled_from(["e", "f"])
+
+
+@dataclass(frozen=True)
+class Starred(CrystalElement):
+    """A ModElement under the starred structure: that of its star image,
+    carried back through star."""
+
+    inner: ModElement
+
+    def wt(self):
+        return star_mod(self.inner).wt()
+
+    def eps(self, i):
+        return starred_eps(self.inner, i)
+
+    def phi(self, i):
+        return starred_phi(self.inner, i)
+
+    def e(self, i):
+        c = starred_e(self.inner, i)
+        return None if c is None else Starred(c)
+
+    def f(self, i):
+        c = starred_f(self.inner, i)
+        return None if c is None else Starred(c)
+
+    def key(self):
+        return ("starred", self.inner.key())
+
+
+def plain(kind, i):
+    return lambda b: None if b is None else (b.e(i) if kind == "e" else b.f(i))
+
+
+def starred(kind, i):
+    return lambda b: None if b is None else (starred_e(b, i) if kind == "e" else starred_f(b, i))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mods)
+def test_axioms_hold_on_mod_element_components(b):
+    assert check_axioms(bfs_component(b, 3).nodes.values()) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(mods)
+def test_axioms_hold_under_the_starred_operators(b):
+    assert check_axioms(bfs_component(Starred(b), 2).nodes.values()) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(mods, kinds, colors, kinds, colors)
+def test_starred_and_plain_operators_commute_everywhere(b, kind, i, skind, j):
+    x, y = plain(kind, i), starred(skind, j)
+    xy, yx = x(y(b)), y(x(b))
+    assert (None if xy is None else xy.key()) == (None if yx is None else yx.key())
+    # each structure's statistics are invariant under the other's operators
+    if y(b) is not None:
+        assert (y(b).eps(i), y(b).phi(i)) == (b.eps(i), b.phi(i))
+    if x(b) is not None:
+        assert (starred_eps(x(b), j), starred_phi(x(b), j)) == (starred_eps(b, j), starred_phi(b, j))
 
 
 def test_golden_extremal_star_example():
