@@ -84,9 +84,10 @@ class CrystalElement:
 class TensorElement(CrystalElement):
     """Tensor product of two crystal elements.
 
-    wt/eps/phi are memoized per instance: deep tensor words evaluate the
-    statistics of every prefix, so without the cache the recursion is
-    quadratic in the word length."""
+    wt/pairing/eps/phi are memoized per instance: deep tensor words evaluate
+    the statistics of every prefix, so without the cache the recursion is
+    quadratic in the word length.  pairing is the sum of the factors'
+    pairings, so eps/phi never build a prefix weight."""
 
     left: CrystalElement
     right: CrystalElement
@@ -103,6 +104,13 @@ class TensorElement(CrystalElement):
         if "wt" not in memo:
             memo["wt"] = self.left.wt() + self.right.wt()
         return memo["wt"]
+
+    def pairing(self, i: int) -> int:
+        memo = self._memo()
+        key = ("pairing", i)
+        if key not in memo:
+            memo[key] = self.left.pairing(i) + self.right.pairing(i)
+        return memo[key]
 
     def eps(self, i: int):
         memo = self._memo()

@@ -111,6 +111,9 @@ class EndMarker(CrystalElement):
     def wt(self) -> Weight:
         return Weight(0, 0, 0)
 
+    def pairing(self, i: int) -> int:
+        return 0
+
     def eps(self, i: int):
         return 0
 

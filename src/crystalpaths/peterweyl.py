@@ -17,9 +17,18 @@ exhaustive breadth-first enumeration:
   C2: that component contains a unique vector of weight lam;
   C3: its extremal vectors are exactly the Weyl orbit of u_lam.
 
+Star is an involution and X*(e) = (X(e*))*, so a starred word W* acting
+on y is the plain word W acting on y*, followed by one star: W*(y) =
+(W(y*))*.  The starred side therefore runs in star space: the dual family
+is the plain BFS from u_lam*, each B^max element b follows its words as b*,
+and the pairs are keyed by star images (star is a bijection, so keys
+collide exactly when the elements do).  Each element is starred about once
+on the way in and once on the way back.
+
 decompose() inverts the pairing on a single element: raise/lower the star
-image until an extremal vector appears, read off the B^max factor as its
-star, and transport the connecting word back as starred operators.
+image until an extremal vector x appears; the B^max factor is x*, and the
+inverted search word is the starred word from x* back to the element --
+replayed as plain moves on x and starred once.
 """
 
 from __future__ import annotations
@@ -27,44 +36,55 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import COLORS, bfs_component, explore, graphs_isomorphic, plain_moves
+from .core import bfs_component, explore, graphs_isomorphic, plain_moves
 from .extremal import enum_bmax, enum_bminus_star, extremal_screen, is_extremal, weyl_op
 from .levelpath import ModElement, lp_join, u_lambda
-from .star import star_mod, starred_e, starred_f
+from .star import star_mod
 from .weights import Weight, orbit_canonical
 
 
 @dataclass
 class Decomposition:
+    """e = W*(bmax_factor) for the starred word W = word.
+
+    extremal is the star image x = bmax_factor* of the factor, on which
+    the word runs as plain moves: W*(bmax_factor) = (W(x))*.
+    """
+
     lam_canonical: Weight
     bmax_factor: ModElement
     word: list[tuple[str, int]]  # starred ops, applied left to right to bmax_factor
+    extremal: ModElement = field(repr=False)
 
     def replay(self) -> ModElement:
-        cur = self.bmax_factor
+        """The element the word gives from bmax_factor: plain moves on
+        extremal, then one star."""
+        cur = self.extremal
         for kind, i in self.word:
-            cur = starred_e(cur, i) if kind == "e" else starred_f(cur, i)
+            cur = cur.e(i) if kind == "e" else cur.f(i)
             if cur is None:
                 raise RuntimeError("decomposition word failed to replay")
-        return cur
+        return star_mod(cur)
 
 
 def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
-              verdicts: Optional[dict] = None) -> Optional[Decomposition]:
+              verdicts: Optional[dict] = None,
+              e_star: Optional[ModElement] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
 
     Searches the plain component of e* breadth-first for an extremal vector
-    x; then b = x* lies in B^max(-wt(x)) and the reversed, inverted search
-    word -- transported through star -- lowers/raises b back to e.  Raises
-    RuntimeError if that word does not replay from b to e.
+    x; then b = x* lies in B^max(-wt(x)), and the inverted search word W
+    takes x back to e* by plain moves, so the starred word W* takes b to e.
+    Raises RuntimeError if that word does not replay from b to e.
 
     verdicts maps element keys to the extremality verdicts (wall screen and
     bounded check at this extremal_len) of the candidates searched so far;
     calls that pass the same table skip the candidates it already holds.
+    e_star is star_mod(e), for callers that already hold it.
     """
     if verdicts is None:
         verdicts = {}
-    root = star_mod(e)
+    root = star_mod(e) if e_star is None else e_star
     links: dict = {}  # element key -> (parent key, move) in the search tree
     for parent, move, x, new in explore([root], plain_moves, max_depth):
         if not new:
@@ -83,7 +103,7 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
             k, (kind, i) = links[k]
             inverse.append(("f" if kind == "e" else "e", i))
         canon, _ = orbit_canonical(-x.wt())
-        result = Decomposition(canon, star_mod(x), inverse)
+        result = Decomposition(canon, star_mod(x), inverse, x)
         if result.replay().key() != e.key():
             raise RuntimeError("decomposition word does not replay to the element")
         return result
@@ -157,12 +177,6 @@ class SliceReport:
                 and not self.violations)
 
 
-def _starred_moves(e: ModElement):
-    for i in COLORS:
-        yield ("e", i), starred_e(e, i)
-        yield ("f", i), starred_f(e, i)
-
-
 def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int) -> bool:
     if r.wt() != lam:
         return False
@@ -177,6 +191,56 @@ def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int) -> bool:
     return is_extremal(r, extremal_len)
 
 
+def _star_pairs(lam: Weight, bmax: dict, star_depth: int):
+    """The dual family and the pair map of the lam-slice, in star space.
+
+    The dual family is the starred BFS from u_lam, run as the plain BFS from
+    u_lam*; every move of it is replayed on b* for every B^max element b,
+    so that b* follows each word in parallel with u_lam*.  Returns (root,
+    dual, pairs, violations): root is u_lam*; dual maps the key of r* to r*
+    for each dual element r; pairs maps the key of e* to (b key, r* key, e*)
+    for each element e = W*(b) whose partner is r = W*(u_lam); violations
+    lists the words whose defined-ness differs between b and u_lam and the
+    elements reached from two different pairs.
+    """
+    root = star_mod(u_lambda(lam))
+    root_key = root.key()
+    dual: dict = {}
+    trace = []  # (parent key, move, child key or None) in search order
+    for r, move, c, new in explore([root], plain_moves, star_depth):
+        if new:
+            dual[c.key()] = c
+        if r is not None:
+            trace.append((r.key(), move, None if c is None else c.key()))
+
+    # image maps the key of a dual element's star reached from u_lam* to the
+    # element the same word gives from b*
+    pairs: dict = {}
+    violations: list[str] = []
+    for bkey, b in sorted(bmax.items()):
+        y = star_mod(b)
+        image = {root_key: y}
+        pairs[y.key()] = (bkey, root_key, y)
+        for rkey, (kind, i), ckey in trace:
+            if rkey not in image:
+                continue
+            enew = image[rkey].e(i) if kind == "e" else image[rkey].f(i)
+            if (enew is None) != (ckey is None):
+                violations.append(
+                    f"starred {kind}{i} defined-ness differs at b={bkey[:2]}")
+                continue
+            if enew is None:
+                continue
+            prev = pairs.get(enew.key())
+            if prev is not None and prev[:2] != (bkey, ckey):
+                violations.append("pair map not well defined" if ckey in image
+                                  else "pair map collision")
+            if ckey not in image:
+                image[ckey] = enew
+                pairs[enew.key()] = (bkey, ckey, enew)
+    return root, dual, pairs, violations
+
+
 def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
               star_depth: int = 3, extremal_len: int = 4,
               decompose_depth: int = 10, decompose_cap: Optional[int] = None) -> SliceReport:
@@ -185,7 +249,10 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     Enumerates the B^max truncation by plain BFS from the seeds and the dual
     family by starred BFS from u_lam, then replays every move of that BFS on
     every B^max element b, so that b follows each starred word in parallel
-    with u_lam.  Checks, on the truncation: the starred word is defined on b
+    with u_lam.  Both run in star space (_star_pairs), and each element is
+    starred back once at the end; the B^max elements, paired with u_lam,
+    are already in hand, and decompose() gets each star image the report
+    holds.  Checks, on the truncation: the starred word is defined on b
     exactly when it is defined on u_lam; the resulting element depends only
     on (b, image from u_lam); the pair map is injective, so the slice count
     is the product of the factor counts; every dual-family element matches
@@ -198,59 +265,32 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     bmax = enum_bmax(lam, c_bound, plain_depth)
     rep.bmax_size = len(bmax)
 
-    # dual family truncation: starred BFS from u_lam, recording every move
-    root = u_lambda(lam)
-    dual: dict = {}
-    trace = []  # (parent key, move, child key or None) in search order
-    for r, move, c, new in explore([root], _starred_moves, star_depth):
-        if new:
-            dual[c.key()] = c
-        if r is not None:
-            trace.append((r.key(), move, None if c is None else c.key()))
+    root, dual, pairs, rep.violations = _star_pairs(lam, bmax, star_depth)
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(
-        _dual_family_ok(r, lam, extremal_len) for r in dual.values())
+        _dual_family_ok(star_mod(r), lam, extremal_len) for r in dual.values())
 
-    # replay the starred moves on each b: image maps the key of a dual
-    # element reached from u_lam to the element the same word gives from b
-    pair_of: dict = {}  # element key -> (b key, r key)
-    elements: dict = {}
-    for bkey, b in sorted(bmax.items()):
-        image = {root.key(): b}
-        pair_of[bkey] = (bkey, root.key())
-        elements[bkey] = b
-        for rkey, (kind, i), ckey in trace:
-            if rkey not in image:
-                continue
-            enew = starred_e(image[rkey], i) if kind == "e" else starred_f(image[rkey], i)
-            if (enew is None) != (ckey is None):
-                rep.violations.append(
-                    f"starred {kind}{i} defined-ness differs at b={bkey[:2]}")
-                continue
-            if enew is None:
-                continue
-            prev = pair_of.get(enew.key())
-            if prev is not None and prev != (bkey, ckey):
-                rep.violations.append("pair map not well defined" if ckey in image
-                                      else "pair map collision")
-            if ckey not in image:
-                image[ckey] = enew
-                pair_of[enew.key()] = (bkey, ckey)
-                elements[enew.key()] = enew
-    rep.pair_count = len(pair_of)
+    elements: dict = {}  # element key -> (element, its star image)
+    root_key = root.key()
+    for bkey, rkey, y in pairs.values():
+        e = bmax[bkey] if rkey == root_key else star_mod(y)
+        elements[e.key()] = (e, y)
+    rep.pair_count = len(pairs)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
-    rep.element_keys = frozenset(pair_of)
+    rep.element_keys = frozenset(elements)
 
     # decompose every enumerated element (optionally capped); the searches
     # overlap, so they share one table of extremality verdicts
-    todo = [elements[k] for k in sorted(elements)]
+    todo = sorted(elements)
     if decompose_cap is not None:
         todo = todo[:decompose_cap]
     verdicts: dict = {}
-    for e in todo:
+    for k in todo:
+        e, y = elements[k]
         rep.decompose_total += 1
         try:
-            result = decompose(e, decompose_depth, extremal_len, verdicts=verdicts)
+            result = decompose(e, decompose_depth, extremal_len,
+                               verdicts=verdicts, e_star=y)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue

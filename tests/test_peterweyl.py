@@ -1,10 +1,14 @@
 import random
+import sys
 
 from crystalpaths import (decompose, pw_report, slice_invariant_under_reflection,
                           slices_disjoint, u_lambda, verify_c1, verify_c2,
                           verify_c3)
-from crystalpaths.peterweyl import Decomposition
-from crystalpaths.star import starred_f
+from crystalpaths.core import COLORS, explore
+from crystalpaths.extremal import enum_bmax
+from crystalpaths.peterweyl import (Decomposition, SliceReport, _dual_family_ok,
+                                    _star_pairs)
+from crystalpaths.star import star_mod, starred_e, starred_f
 from crystalpaths.weights import classical, orbit_canonical
 
 from conftest import random_walk
@@ -28,6 +32,9 @@ def test_decompose_replays_and_classifies():
         assert d is not None
         assert d.replay() == e
         assert d.lam_canonical == orbit_canonical(classical(m, l))[0]
+        # the word as literal starred operators, and the caller's star image
+        assert d.extremal == star_mod(d.bmax_factor) and _reference_replay(d) == e
+        assert decompose(e, e_star=star_mod(e)) == d
 
 
 def test_decompose_separates_starred_moves():
@@ -128,3 +135,137 @@ def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
             assert fresh is not None and shared is not None
             assert (shared.lam_canonical, shared.bmax_factor.key(), shared.word) == (
                 fresh.lam_canonical, fresh.bmax_factor.key(), fresh.word)
+
+
+# -- the starred side run literally: the reference for the star-space route --
+
+BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
+
+
+def _starred_moves(e):
+    for i in COLORS:
+        yield ("e", i), starred_e(e, i)
+        yield ("f", i), starred_f(e, i)
+
+
+def _reference_replay(d):
+    """The word as starred operators on bmax_factor, X*(y) = (X(y*))* per move."""
+    cur = d.bmax_factor
+    for kind, i in d.word:
+        cur = starred_e(cur, i) if kind == "e" else starred_f(cur, i)
+        if cur is None:
+            raise RuntimeError("decomposition word failed to replay")
+    return cur
+
+
+def _reference_report(lam, decompose_call):
+    """pw_report with the starred BFS from u_lam and the starred replay on
+    each b; returns the report and its pair map (element key -> (b key,
+    dual key))."""
+    rep = SliceReport(lam=lam)
+    canon, _ = orbit_canonical(lam)
+    bmax = enum_bmax(lam, 1, 3)
+    rep.bmax_size = len(bmax)
+    root = u_lambda(lam)
+    dual = {}
+    trace = []
+    for r, move, c, new in explore([root], _starred_moves, 3):
+        if new:
+            dual[c.key()] = c
+        if r is not None:
+            trace.append((r.key(), move, None if c is None else c.key()))
+    rep.dual_size = len(dual)
+    rep.dual_characterization_ok = all(_dual_family_ok(r, lam, 4) for r in dual.values())
+    pair_of = {}
+    elements = {}
+    for bkey, b in sorted(bmax.items()):
+        image = {root.key(): b}
+        pair_of[bkey] = (bkey, root.key())
+        elements[bkey] = b
+        for rkey, (kind, i), ckey in trace:
+            if rkey not in image:
+                continue
+            enew = starred_e(image[rkey], i) if kind == "e" else starred_f(image[rkey], i)
+            if (enew is None) != (ckey is None):
+                rep.violations.append(
+                    f"starred {kind}{i} defined-ness differs at b={bkey[:2]}")
+                continue
+            if enew is None:
+                continue
+            prev = pair_of.get(enew.key())
+            if prev is not None and prev != (bkey, ckey):
+                rep.violations.append("pair map not well defined" if ckey in image
+                                      else "pair map collision")
+            if ckey not in image:
+                image[ckey] = enew
+                pair_of[enew.key()] = (bkey, ckey)
+                elements[enew.key()] = enew
+    rep.pair_count = len(pair_of)
+    rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
+    rep.element_keys = frozenset(pair_of)
+    verdicts = {}
+    for k in sorted(elements):
+        rep.decompose_total += 1
+        try:
+            result = decompose_call(elements[k], 10, 4, verdicts=verdicts)
+        except RuntimeError:
+            rep.decompose_mismatched += 1
+            continue
+        if result is None:
+            rep.decompose_inconclusive += 1
+        elif result.lam_canonical != canon:
+            rep.decompose_mismatched += 1
+    return rep, pair_of
+
+
+def test_star_space_report_matches_the_starred_reference(monkeypatch):
+    from crystalpaths import peterweyl
+    original = peterweyl.decompose
+    found = []
+
+    def recording(e, *args, **kwargs):
+        result = original(e, *args, **kwargs)
+        found.append((e.key(), None if result is None else (
+            result.lam_canonical, result.bmax_factor.key(), result.word)))
+        return result
+
+    monkeypatch.setattr(peterweyl, "decompose", recording)
+    for m, l in BENCH_LAMBDAS + ((5, 0),):
+        lam = classical(m, l)
+        found.clear()
+        rep = pw_report(lam)
+        fast = list(found)
+        root, dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+        back = {k: star_mod(r).key() for k, r in dual.items()}
+        fast_pairs = {star_mod(y).key(): (bkey, back[rkey])
+                      for bkey, rkey, y in pairs.values()}
+
+        found.clear()
+        with monkeypatch.context() as patch:
+            # decompose with its replay check on the literal starred word
+            patch.setattr(Decomposition, "replay", _reference_replay)
+            ref, ref_pairs = _reference_report(lam, recording)
+        assert rep == ref
+        assert violations == ref.violations and root == star_mod(u_lambda(lam))
+        assert fast_pairs == ref_pairs
+        assert fast == found and len(fast) == rep.pair_count
+
+
+def test_pw_report_stars_each_element_about_once(monkeypatch):
+    # star_mod calls of one report stay within a fixed number per element,
+    # counted under every name that binds it in the library
+    from crystalpaths import star
+    original = star.star_mod
+    calls = [0]
+
+    def counting(e):
+        calls[0] += 1
+        return original(e)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crystalpaths" and getattr(module, "star_mod", None) is original:
+            monkeypatch.setattr(module, "star_mod", counting)
+    rep = pw_report(classical(4, 0))
+    assert rep.ok
+    assert calls[0] <= 3 * rep.pair_count + rep.bmax_size + rep.dual_size
+
