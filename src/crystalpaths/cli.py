@@ -8,7 +8,8 @@ F0, F1 (starred), applied left to right.
 Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
 bounded search was inconclusive; 64 malformed or invalid element JSON; 65
 precondition violation, including command-line usage errors, negative
-bounds, a weight given as an element, and a sequence outside the image.
+bounds, a --lambda of more than two components, a weight given as an
+element, and a sequence outside the image.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _read_element(args):
 
 
 def _count(text: str) -> int:
-    """argparse type of the bounds --depth, --c-bound and --word-bound."""
+    """argparse type of the bounds --depth, --c-bound, --word-bound,
+    --support, --entry-bound and --samples."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
@@ -66,8 +68,7 @@ def _count(text: str) -> int:
 
 def _parse_lambda(text: str) -> Weight:
     try:
-        parts = [int(v) for v in text.split(",")]
-        m, l = (parts + [0])[:2]
+        m, l = map(int, text.split(",") if "," in text else (text, 0))
     except ValueError:
         raise CliError(EXIT_PRECONDITION, f"bad --lambda value: {text!r}")
     return classical(m, l)
@@ -306,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pw_verify)
 
     p = sub.add_parser("oracle-check", help="signature rule vs tensor oracle")
-    p.add_argument("--support", type=int, default=4)
-    p.add_argument("--entry-bound", type=int, default=3)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--support", type=_count, default=4)
+    p.add_argument("--entry-bound", type=_count, default=3)
+    p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed-file", help="file holding an integer RNG seed")
     p.set_defaults(func=cmd_oracle_check)

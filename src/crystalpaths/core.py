@@ -5,10 +5,11 @@ coroots, string statistics eps(i)/phi(i) valued in the integers extended by
 -infinity, and partial raising/lowering operators e(i)/f(i) that return None
 where undefined (None models the formal zero element of the crystal axioms).  On top of that protocol this module builds
 the tensor product and dual combinators, the breadth-first search engine
-explore, the string walkers power and peel, component enumeration, rooted
+explore, the string walker peel, component enumeration, rooted
 graph isomorphism, an axiom checker, and graph export.
 
 Tensor conventions (b1 tensor b2):
+    <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
     eps_i = max(eps_i(b1), eps_i(b2) - <h_i, wt b1>)
     phi_i = max(phi_i(b2), phi_i(b1) + <h_i, wt b2>)
     e_i acts on the left factor iff phi_i(b1) >= eps_i(b2)  (ties go left)
@@ -18,9 +19,11 @@ Whole strings follow, since f_i lowers phi_i of the factor it acts on by one
 and e_i lowers eps_i by one: f_i^n acts a = clamp(phi_i(b1) - eps_i(b2), 0, n)
 times on b1 and then n - a times on b2; e_i^n acts
 b = clamp(eps_i(b2) - phi_i(b1), 0, n) times on b2 and then n - b times on
-b1.  Every element type answers power(i, n); the default takes single
-steps, and tensor products, duals, half-paths and three-factor elements
-apply a string at once.
+b1.  Every element type answers power(i, n), and the string walkers call
+it directly; the default takes single steps, and tensor products, duals,
+half-paths and three-factor elements apply a string at once.  A tensor
+product keeps its three statistics of both colors as one tuple, computed
+on first use.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .weights import Weight, simple_root
@@ -84,49 +88,38 @@ class CrystalElement:
 class TensorElement(CrystalElement):
     """Tensor product of two crystal elements.
 
-    wt/pairing/eps/phi are memoized per instance: deep tensor words evaluate
-    the statistics of every prefix, so without the cache the recursion is
-    quadratic in the word length.  pairing is the sum of the factors'
-    pairings, so eps/phi never build a prefix weight."""
+    The string statistics are one value per instance, built on first use:
+    (pairing, eps, phi) for each color by the formulas above, from the
+    factors' statistics.  Deep tensor words read the statistics of every
+    prefix, so without it the recursion is quadratic in the word length;
+    pairing is the sum of the factors' pairings, so eps/phi never build a
+    prefix weight.  e, f and power are the raw tensor rules."""
 
     left: CrystalElement
     right: CrystalElement
 
-    def _memo(self) -> dict:
-        memo = self.__dict__.get("_m")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_m", memo)
-        return memo
+    @cached_property
+    def _stats(self) -> tuple[tuple, ...]:
+        """(pairing, eps, phi) of each color."""
+        b1, b2 = self.left, self.right
+        out = []
+        for i in COLORS:
+            p1, p2 = b1.pairing(i), b2.pairing(i)
+            out.append((p1 + p2, max(b1.eps(i), b2.eps(i) - p1),
+                        max(b2.phi(i), b1.phi(i) + p2)))
+        return tuple(out)
 
     def wt(self) -> Weight:
-        memo = self._memo()
-        if "wt" not in memo:
-            memo["wt"] = self.left.wt() + self.right.wt()
-        return memo["wt"]
+        return self.left.wt() + self.right.wt()
 
     def pairing(self, i: int) -> int:
-        memo = self._memo()
-        key = ("pairing", i)
-        if key not in memo:
-            memo[key] = self.left.pairing(i) + self.right.pairing(i)
-        return memo[key]
+        return self._stats[i][0]
 
     def eps(self, i: int):
-        memo = self._memo()
-        key = ("eps", i)
-        if key not in memo:
-            memo[key] = max(self.left.eps(i),
-                            self.right.eps(i) - self.left.pairing(i))
-        return memo[key]
+        return self._stats[i][1]
 
     def phi(self, i: int):
-        memo = self._memo()
-        key = ("phi", i)
-        if key not in memo:
-            memo[key] = max(self.right.phi(i),
-                            self.left.phi(i) + self.right.pairing(i))
-        return memo[key]
+        return self._stats[i][2]
 
     def e(self, i: int):
         if self.left.phi(i) >= self.right.eps(i):
@@ -189,11 +182,6 @@ class DualElement(CrystalElement):
 
     def key(self):
         return ("dual", self.inner.key())
-
-
-def dual_tensor_swap(t: TensorElement) -> TensorElement:
-    """(b1 tensor b2)^dual = b2^dual tensor b1^dual."""
-    return TensorElement(DualElement(t.right), DualElement(t.left))
 
 
 def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
@@ -279,12 +267,6 @@ def explore(roots: Iterable[CrystalElement], moves, depth: int):
         frontier = nxt
 
 
-def power(b: CrystalElement, i: int, n: int) -> Optional[CrystalElement]:
-    """f_i^n b for n >= 0 and e_i^(-n) b for n < 0; None where the string
-    runs out.  Dispatches to b.power."""
-    return b.power(i, n)
-
-
 def peel(b: CrystalElement, start_color: int) -> list[tuple[int, int]]:
     """The string of b along the colors start_color, 1 - start_color, ...:
     (color, a_k) pairs, a_k being eps_color of b after the full raises along
@@ -295,7 +277,7 @@ def peel(b: CrystalElement, start_color: int) -> list[tuple[int, int]]:
     # after a full raise the previous color is exhausted
     while (k := b.eps(color)) or (not word and b.eps(1 - color)):
         word.append((color, k))
-        b = power(b, color, -k)
+        b = b.power(color, -k)
         color = 1 - color
     return word
 

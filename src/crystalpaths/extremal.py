@@ -57,10 +57,6 @@ def weyl_op(e: ModElement, i: int) -> ModElement:
     return out
 
 
-def starred_weyl_op(e: ModElement, i: int) -> ModElement:
-    return star_mod(weyl_op(star_mod(e), i))
-
-
 def _locally_extremal(e: ModElement) -> bool:
     """No e_i where <h_i, wt> >= 0 and no f_i where it is <= 0, for both
     colors: eps_i = max(0, -<h_i, wt>), by the statistics alone."""
@@ -176,16 +172,6 @@ def bmax_seed(lam: Weight, cvec: tuple[int, ...]) -> LevelPath:
         if q < starts[1]:
             entries[q] = 0
     return LevelPath(m, lam.d, tuple(entries.items()))
-
-
-def same_entries(p: LevelPath, q: LevelPath) -> bool:
-    """Equality of two level paths as bare paths: same ambient classical
-    part and the same entry function, ignoring the delta labels."""
-    if p.m != q.m:
-        return False
-    a = min(p.window()[0], q.window()[0])
-    b = max(p.window()[1], q.window()[1])
-    return all(p.entry(k) == q.entry(k) for k in range(a, b + 1))
 
 
 def bmax_contains(lam: Weight, e: ModElement, max_len: int = 5) -> bool:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
-from .core import CrystalElement, power
+from .core import CrystalElement
 from .weights import Weight, classical
 
 LEFT = "left"
@@ -326,7 +326,7 @@ def string_factorization(b: HalfPath) -> list[tuple[int, int]]:
 def apply_word(b: CrystalElement, word: Iterable[tuple[int, int]]) -> Optional[CrystalElement]:
     """Apply f_color^n (e_color^-n when n < 0) pair by pair; None if a step is undefined."""
     for color, n in word:
-        b = power(b, color, n)
+        b = b.power(color, n)
         if b is None:
             return None
     return b

@@ -156,11 +156,6 @@ def block_transform(s: SeqElement) -> HalfPath:
     return left_path({k - n: v for k, v in enumerate(letters)})
 
 
-def seq_length(s: SeqElement) -> int:
-    """Largest index with a nonzero entry."""
-    return len(s.a)
-
-
 # -- conversion between realizations ---------------------------------------
 
 

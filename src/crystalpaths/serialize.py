@@ -80,11 +80,3 @@ def decode(data: dict) -> Any:
 
 def loads(text: str) -> Any:
     return decode(json.loads(text))
-
-
-def render_path(p: LevelPath) -> str:
-    """Text form with a semicolon marking position 0: (...,0,0;2,-2,2,...)."""
-    a, b = p.window()
-    left = [str(p.entry(k)) for k in range(min(a, -2), 0)]
-    right = [str(p.entry(k)) for k in range(0, max(b, 1) + 1)]
-    return "(...," + ",".join(left) + ";" + ",".join(right) + ",...)"

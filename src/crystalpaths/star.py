@@ -69,14 +69,6 @@ def starred_f(e: ModElement, i: int) -> Optional[ModElement]:
     return None if c is None else star_mod(c)
 
 
-def starred_eps(e: ModElement, i: int):
-    return star_mod(e).eps(i)
-
-
-def starred_phi(e: ModElement, i: int):
-    return star_mod(e).phi(i)
-
-
 def star_half_closed(b: HalfPath) -> HalfPath:
     """Closed-form star image of a uniform-wall half-path.
 

@@ -8,13 +8,23 @@ with no shared code path.
 
 import random
 
-from crystalpaths import HalfPath, left_path, u_inf
+from crystalpaths import HalfPath, LevelPath, left_path, u_inf
 from crystalpaths.elementary import oracle_mismatches, tensor_oracle
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:
     t = tensor_oracle(b.as_dict(), width)
     return all(oracle_mismatches(b, t, i) == 0 for i in (0, 1))
+
+
+def same_entries(p: LevelPath, q: LevelPath) -> bool:
+    """Equality of two level paths as bare paths: same ambient classical
+    part and the same entry function, ignoring the delta labels."""
+    if p.m != q.m:
+        return False
+    a = min(p.window()[0], q.window()[0])
+    b = max(p.window()[1], q.window()[1])
+    return all(p.entry(k) == q.entry(k) for k in range(a, b + 1))
 
 
 def random_walk(start, steps: int, rng: random.Random):

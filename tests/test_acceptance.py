@@ -18,11 +18,13 @@ from crystalpaths import (SeqElement, bfs_component, bmax_contains, bmax_seed,
                           star_extremal_closed, star_half_closed, star_mod,
                           u_inf, u_lambda, verify_c1, verify_c2, verify_c3)
 from crystalpaths.elementary import oracle_mismatches, tensor_oracle
-from crystalpaths.extremal import same_entries, uniform_wall_path
-from crystalpaths.seqreal import (is_monotone, seq_generator, seq_length,
+from crystalpaths.extremal import uniform_wall_path
+from crystalpaths.seqreal import (is_monotone, seq_generator,
                                   seq_to_path, block_transform)
 from crystalpaths.star import starred_e, starred_f
 from crystalpaths.weights import classical
+
+from conftest import same_entries
 
 
 def report(n: int, desc: str, ok: bool) -> None:
@@ -235,13 +237,13 @@ def test_criterion_7_structural_identities():
     # length drop: on the distinguished families the full raise along the
     # parity-chosen color shortens the support by exactly one
     for s in monotone_seqs(6, 4):
-        if seq_length(s) == 0:
+        if len(s.a) == 0:
             continue
-        i = 1 if seq_length(s) % 2 == 0 else 0
+        i = 1 if len(s.a) % 2 == 0 else 0
         cur = s
         for _ in range(cur.eps(i)):
             cur = cur.e(i)
-        if seq_length(cur) != seq_length(s) - 1:
+        if len(cur.a) != len(s.a) - 1:
             ok = False
     for b in uniform_wall_halfpaths(6):
         if not b2_membership(b) or b.path_length() == 0:

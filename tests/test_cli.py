@@ -243,8 +243,21 @@ def test_non_elements_are_precondition_errors(argv, element, capsys, monkeypatch
     ["bmax", "--lambda=2,0", "--c-bound", "-1"],
     ["bmax", "--lambda=2,0", "--depth", "-2"],
     ["pw-verify", "--lambda=1,0", "--word-bound", "-1"],
+    ["oracle-check", "--support", "-1"],
+    ["oracle-check", "--entry-bound", "-1"],
+    ["oracle-check", "--samples", "-3"],
 ])
 def test_negative_bounds_are_precondition_errors(argv, capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, argv, dumps(ground_path(1, 0)))
     assert code == 65 and out == ""
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bmax", "--lambda=2,0,7"],
+    ["pw-verify", "--lambda=1,0,0", "--depth", "2"],
+])
+def test_lambda_with_more_than_two_components_is_a_precondition_error(argv, capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 65 and out == ""
+    assert "bad --lambda value" in err

@@ -1,9 +1,13 @@
-from crystalpaths import TensorElement, Weight, bfs_component, check_axioms, graphs_isomorphic
+import ast
 from itertools import islice
+from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+import crystalpaths
+from crystalpaths import TensorElement, Weight, bfs_component, check_axioms, graphs_isomorphic
 from crystalpaths import from_word, u_inf
-from crystalpaths.core import (DualElement, dual_tensor_swap, explore, plain_moves,
-                               power)
+from crystalpaths.core import DualElement, explore, plain_moves
 from crystalpaths.elementary import BiElement, EndMarker, LimitEntry, TElement
 
 NEG_INF = float("-inf")
@@ -50,6 +54,40 @@ def test_tensor_statistics():
         assert t.eps(i) == max(x.eps(i), y.eps(i) - x.wt().pairing(i))
         assert t.phi(i) == max(y.phi(i), x.phi(i) + y.wt().pairing(i))
     assert t.wt() == x.wt() + y.wt()
+
+
+def reference_stats(b, i):
+    """(pairing, eps, phi) of color i by the formulas of the core module
+    docstring, recursing into every factor with nothing cached."""
+    if isinstance(b, TensorElement):
+        p1, e1, f1 = reference_stats(b.left, i)
+        p2, e2, f2 = reference_stats(b.right, i)
+        return p1 + p2, max(e1, e2 - p1), max(f2, f1 + p2)
+    if isinstance(b, DualElement):
+        p, e, f = reference_stats(b.inner, i)
+        return -p, f, e
+    return b.wt().pairing(i), b.eps(i), b.phi(i)
+
+
+small = st.integers(min_value=-3, max_value=3)
+factors = st.one_of(
+    st.builds(LimitEntry, small),
+    st.just(EndMarker("left")),
+    st.builds(lambda a0, a1, d: TElement(Weight(a0, a1, d)), small, small, small),
+    st.builds(BiElement, st.sampled_from([0, 1]), small))
+tensor_words = st.recursive(
+    factors,
+    lambda inner: st.one_of(st.builds(TensorElement, inner, inner),
+                            st.builds(DualElement, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensor_words)
+def test_tensor_statistics_match_the_uncached_formulas(b):
+    for i in (0, 1):
+        assert (b.pairing(i), b.eps(i), b.phi(i)) == reference_stats(b, i)
+        assert b.pairing(i) == b.wt().pairing(i)
 
 
 def test_tensor_routing_ties():
@@ -107,7 +145,7 @@ def test_dual_element_swaps_everything():
 
 def test_dual_tensor_swap():
     t = TensorElement(BiElement(1, 1), BiElement(0, -1))
-    s = dual_tensor_swap(t)
+    s = TensorElement(DualElement(t.right), DualElement(t.left))
     assert s.left.inner == t.right and s.right.inner == t.left
     assert check_axioms([s]) == []
 
@@ -209,12 +247,22 @@ def test_power_agrees_with_single_steps():
             for _ in range(abs(n)):
                 if expect is not None:
                     expect = expect.f(i) if n >= 0 else expect.e(i)
-            assert power(b, i, n) == expect
-    assert power(b, 0, 0) is b
+            assert b.power(i, n) == expect
+    assert b.power(0, 0) is b
 
 
 def test_power_is_none_once_a_step_is_undefined():
-    assert power(u_inf(), 1, -1) is None
-    assert power(u_inf().f(0).f(0), 0, -3) is None
-    assert power(BiElement(0, 2), 1, 1) is None
-    assert power(BiElement(0, 2), 0, -3) == BiElement(0, 5)
+    assert u_inf().power(1, -1) is None
+    assert u_inf().f(0).f(0).power(0, -3) is None
+    assert BiElement(0, 2).power(1, 1) is None
+    assert BiElement(0, 2).power(0, -3) == BiElement(0, 5)
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips asserts, so no load-bearing check may be one
+    sources = sorted(Path(crystalpaths.__file__).parent.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -8,11 +8,12 @@ from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
                           path_from_window, star_mod, u_lambda, weyl_op)
 from crystalpaths.core import CrystalElement, TensorElement
 from crystalpaths.elementary import TElement
-from crystalpaths.extremal import (_locally_extremal, extremal_screen, same_entries,
-                                   starred_weyl_op, uniform_wall_path)
+from crystalpaths.extremal import _locally_extremal, extremal_screen, uniform_wall_path
 from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import classical
+
+from conftest import same_entries
 
 
 def test_weyl_op_on_ground_paths():
@@ -73,7 +74,7 @@ def test_extremal_screen_rules_out_mixed_walls():
 
 def test_starred_weyl_op_preserves_weight():
     u = u_lambda(classical(2, 0))
-    s = starred_weyl_op(u, 1)
+    s = star_mod(weyl_op(star_mod(u), 1))
     assert s.wt() == u.wt()
     assert star_mod(s).wt() == star_mod(u).wt().reflect(1)
 

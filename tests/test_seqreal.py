@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from crystalpaths import (SeqElement, image_check, path_to_seq, seq_to_path,
                           block_transform, u_inf)
 from crystalpaths.core import check_axioms
-from crystalpaths.seqreal import is_monotone, seq_generator, seq_length
+from crystalpaths.seqreal import is_monotone, seq_generator
 
 from conftest import random_binf_elements
 
@@ -152,8 +152,3 @@ def test_block_transform_preserves_weight():
         for c in (0, 1):
             s = SeqElement(c, vals)
             assert block_transform(s).wt() == s.wt()
-
-
-def test_seq_length():
-    assert seq_length(SeqElement(0, (2, 0, 1))) == 3
-    assert seq_length(seq_generator(0)) == 0

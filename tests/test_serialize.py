@@ -2,7 +2,7 @@ import json
 
 from crystalpaths import (HalfPath, LevelPath, SeqElement, Weight, ground_path,
                           left_path, lp_split, path_from_window, right_path)
-from crystalpaths.serialize import decode, dumps, encode, loads, render_path
+from crystalpaths.serialize import decode, dumps, encode, loads
 
 from conftest import random_binf_elements
 
@@ -56,12 +56,3 @@ def test_decode_rejects_garbage():
         except ValueError:
             continue
         raise AssertionError(f"decode accepted {bad!r}")
-
-
-def test_render_path_marks_origin():
-    g = ground_path(2, 0)
-    text = render_path(g)
-    assert ";" in text
-    left, right = text.split(";")
-    assert right.startswith("2,-2")
-    assert left.endswith("0,0")

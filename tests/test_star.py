@@ -10,7 +10,6 @@ from crystalpaths import (from_word, left_path, path_to_seq, seq_to_path, lp_joi
 from crystalpaths.core import CrystalElement, bfs_component, check_axioms, peel
 from crystalpaths.halfpath import apply_word, right_path
 from crystalpaths.levelpath import ModElement
-from crystalpaths.star import starred_eps, starred_phi
 from crystalpaths.weights import classical
 
 from conftest import random_binf_elements, random_walk
@@ -136,8 +135,6 @@ def test_starred_operators_conjugate():
                 assert sf.wt() == e.wt()
                 back = starred_e(sf, i)
                 assert back == e
-            assert starred_eps(e, i) == star_mod(e).eps(i)
-            assert starred_phi(e, i) == star_mod(e).phi(i)
 
 
 def test_starred_and_plain_operators_commute():
@@ -174,10 +171,10 @@ class Starred(CrystalElement):
         return star_mod(self.inner).wt()
 
     def eps(self, i):
-        return starred_eps(self.inner, i)
+        return star_mod(self.inner).eps(i)
 
     def phi(self, i):
-        return starred_phi(self.inner, i)
+        return star_mod(self.inner).phi(i)
 
     def e(self, i):
         c = starred_e(self.inner, i)
@@ -221,7 +218,8 @@ def test_starred_and_plain_operators_commute_everywhere(b, kind, i, skind, j):
     if y(b) is not None:
         assert (y(b).eps(i), y(b).phi(i)) == (b.eps(i), b.phi(i))
     if x(b) is not None:
-        assert (starred_eps(x(b), j), starred_phi(x(b), j)) == (starred_eps(b, j), starred_phi(b, j))
+        xs, bs = star_mod(x(b)), star_mod(b)
+        assert (xs.eps(j), xs.phi(j)) == (bs.eps(j), bs.phi(j))
 
 
 def test_golden_extremal_star_example():
