@@ -23,10 +23,10 @@ from . import serialize
 from .core import bfs_component
 from .elementary import oracle_mismatches, tensor_oracle
 from .extremal import bmax_contains, bmax_seeds, enum_bmax, extremal_cert
-from .halfpath import HalfPath, left_path
+from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
 from .peterweyl import pw_report, verify_c1, verify_c2, verify_c3
-from .seqreal import SeqElement, image_check, path_to_seq, seq_to_path
+from .seqreal import SeqElement, image_check, path_to_seq
 from .star import star_binf, star_bminf, star_mod, starred_e, starred_f
 from .weights import Weight, classical
 
@@ -121,7 +121,9 @@ def cmd_star(args) -> int:
     if isinstance(elt, HalfPath):
         out = star_binf(elt) if elt.side == "left" else star_bminf(elt)
     elif isinstance(elt, SeqElement):
-        out = path_to_seq(star_binf(seq_to_path(elt)), elt.first_color)
+        # the entries are the string of the star image from first_color
+        word = [(elt.color(p), v) for p, v in enumerate(elt.a, start=1)]
+        out = path_to_seq(apply_word(u_inf(), reversed(word)), elt.first_color)
     elif isinstance(elt, LevelPath):
         out = lp_join(star_mod(lp_split(elt)))
     else:

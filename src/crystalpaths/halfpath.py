@@ -18,8 +18,13 @@ leftmost position attaining M; f_i always lowers the letter at the rightmost
 position attaining M.  These are exactly the tensor-product rules applied to
 the path read as an infinite word of letters, with position index increasing
 to the left.  power(i, n) applies the whole string f_i^n (e_i^(-n) for
-n < 0) to one working copy of the signature, and e_i, f_i are power(i, -1),
-power(i, 1).
+n < 0) in one sweep, and e_i, f_i are power(i, -1), power(i, 1).  A step
+at k changes A_k by +-1 and every A right of k by +-2, so f_i raises the
+maximum by one and the rightmost argmax can only move right, while e_i
+lowers it by one and the leftmost argmax can only move left.  Step t + 1
+then acts at the outermost position beyond step t whose original A is
+M - t, or at the same position again (_string_sites): O(L + n) for the
+whole string, with no rescan of the signature.
 
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
@@ -32,7 +37,7 @@ from one scan of the nonzero entries (A_k is constant across a run of zeros).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Optional
 
 from .core import CrystalElement
@@ -81,30 +86,47 @@ def _statistics(view: tuple[tuple[int, int], ...], i: int) -> tuple[int, int]:
     return top, -2 * sgn * running
 
 
+def _string_sites(vals: list[int], n: int, rightward: bool) -> Iterator[int]:
+    """The indices of vals at which the n steps of a string act, when
+    each step acts at the outermost maximum in one direction (toward the
+    higher indices when rightward) and its site then attains the new
+    maximum, so that later sites lie at or beyond it.
+
+    A step of f raises the maximum by one and every value beyond its site
+    by two; a step of e lowers the maximum by one and leaves the values
+    beyond its site alone.  Either way, after t steps a value beyond the
+    last site equals the maximum exactly when its original value is
+    max(vals) - t: step t + 1 acts at the outermost such index, or again at
+    the last site if there is none.  One table from value to outermost
+    index answers each step in O(1)."""
+    outer: dict[int, int] = {}
+    indices = range(len(vals)) if rightward else range(len(vals) - 1, -1, -1)
+    for k in indices:
+        outer[vals[k]] = k
+    top = max(vals)
+    j = -1 if rightward else len(vals)
+    for t in range(n):
+        k = outer.get(top - t)
+        if k is not None and (k > j if rightward else k < j):
+            j = k
+        yield j
+
+
 def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[dict[int, int]]:
     """The entries of the left path after f_i^n (n >= 0) or e_i^(-n)
-    (n < 0), None when e_i runs out.  Each step moves the letter at the
-    rightmost (f) or leftmost (e) maximum of the signature, which changes
-    A there by +-1 and every A to its right by +-2."""
+    (n < 0), None when e_i runs out.  f_i acts at the rightmost maximum
+    of the signature and raises every A to its right by 2, so its sites
+    move right; e_i acts at the leftmost maximum and leaves A left of it
+    alone, so its sites move left.  The sites come from one sweep
+    (_string_sites), and only one left of the support can be new."""
     vals = _signature_values(view, i)
+    if -n > max(vals):
+        return None
     lo = (view[0][0] if view else 0) - 1
-    if n > 0:  # each f_i may extend the support one position to the left
-        vals[:0] = [0] * n
-        lo -= n
-    step = 1 if n > 0 else -1
-    letter = step if i == 1 else -step
+    letter = (1 if n > 0 else -1) * (1 if i == 1 else -1)
     d = dict(view)
-    for _ in range(abs(n)):
-        top = max(vals)
-        if n > 0:
-            j = len(vals) - 1 - vals[::-1].index(top)
-        elif top == 0:
-            return None
-        else:
-            j = vals.index(top)
+    for j in _string_sites(vals, abs(n), n > 0):
         d[lo + j] = d.get(lo + j, 0) + letter
-        vals[j] += step
-        vals[j + 1:] = [v + 2 * step for v in vals[j + 1:]]
     return d
 
 

@@ -14,7 +14,16 @@ Position index increases toward the "deep" end of the word, so with
 M = max Ahat over positions of color i (padded by zero positions past the
 support, where Ahat = 0): e_i is undefined iff M = 0 and otherwise
 decrements a_p at the largest attaining position; f_i increments a_p at the
-smallest attaining position.
+smallest attaining position.  Both change Ahat_p by +-1 and every Ahat of
+color i at an earlier position by +-2, so f_i raises M by one and its
+smallest argmax can only move to earlier positions, while e_i lowers M by
+one and its largest argmax can only move to later ones: the half-path rule
+mirrored.  power(i, n) applies a whole string in one O(L + n) sweep
+(halfpath._string_sites): step t + 1 acts at the outermost position beyond
+step t whose original Ahat is M - t, or at the same position again.  e_i
+and f_i stay single steps on the full signature, the reference for power.
+pairing(i) = -2 * (sum of a_p over color i - sum over the other color)
+needs no weight, and eps is the maximum of one scan.
 
 The realization embeds the limit crystal; the image is cut out by
 (n-1)*a_{n+1} <= n*a_n for n >= 2.  Monotone sequences (a_{p+1} <= a_p)
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import CrystalElement, peel
-from .halfpath import HalfPath, apply_word, left_path, u_inf
+from .halfpath import HalfPath, _string_sites, apply_word, left_path, u_inf
 from .weights import Weight, simple_root
 
 
@@ -66,18 +75,8 @@ class SeqElement(CrystalElement):
     # -- signature values ---------------------------------------------------
 
     def _signature(self, i: int) -> dict[int, int]:
-        # one pass from the deep end; running is the sum over q > p of a_q,
-        # counted +1 on color i and -1 on the other color
-        sig: dict[int, int] = {}
-        running = 0
-        for p in range(len(self.a) + 2, 0, -1):
-            v = self.value(p)
-            if self.color(p) == i:
-                sig[p] = v + 2 * running
-                running += v
-            else:
-                running -= v
-        return sig
+        first = 1 if self.color(1) == i else 2
+        return dict(zip(range(first, len(self.a) + 3, 2), _signature_values(self, i)))
 
     # -- crystal structure --------------------------------------------------
 
@@ -87,11 +86,16 @@ class SeqElement(CrystalElement):
             w = w - self.value(p) * simple_root(self.color(p))
         return w
 
+    def pairing(self, i: int) -> int:
+        # -2 * (sum of a_p over color i - sum of a_p over the other color)
+        odd, even = sum(self.a[0::2]), sum(self.a[1::2])
+        return 2 * (even - odd) if i == self.first_color else 2 * (odd - even)
+
     def eps(self, i: int):
-        return max(self._signature(i).values())
+        return max(_signature_values(self, i))
 
     def phi(self, i: int):
-        return self.eps(i) + self.wt().pairing(i)
+        return self.eps(i) + self.pairing(i)
 
     def _set(self, p: int, val: int) -> "SeqElement":
         vals = list(self.a) + [0] * max(0, p - len(self.a))
@@ -111,6 +115,46 @@ class SeqElement(CrystalElement):
         top = max(sig.values())
         p = min(q for q, v in sig.items() if v == top)
         return self._set(p, self.value(p) + 1)
+
+    def power(self, i: int, n: int) -> Optional["SeqElement"]:
+        """f_i^n for n >= 0 and e_i^(-n) for n < 0 in one sweep; None when
+        the string runs out, and ValueError at the step where e_i would
+        make an entry negative (outside the image), as the single steps do."""
+        if n == 0:
+            return self
+        vals = _signature_values(self, i)
+        top = max(vals)
+        mine = 0 if self.color(1) == i else 1  # index of the first position of color i
+        a = list(self.a) + [0, 0]
+        step = 1 if n > 0 else -1
+        # e_i's sites move to higher positions, f_i's to lower ones
+        for j in _string_sites(vals, n if n > 0 else min(-n, top), n < 0):
+            p = mine + 2 * j
+            if step < 0 and a[p] == 0:
+                raise ValueError("sequence entries must be nonnegative")
+            a[p] += step
+        if -n > top:
+            return None
+        return SeqElement(self.first_color, tuple(a))
+
+
+def _signature_values(s: SeqElement, i: int) -> list[int]:
+    """Ahat_p(i) for the positions p of color i from the first one to the
+    first one past the support, in increasing p: one pass from the deep
+    end, running being the sum over q > p of a_q, counted +1 on color i and
+    -1 on the other color."""
+    vals = []
+    running = 0
+    mine = 0 if s.color(1) == i else 1  # the parity of p - 1 on color i
+    for q in range(len(s.a) + 1, -1, -1):  # q = p - 1
+        v = s.a[q] if q < len(s.a) else 0
+        if q % 2 == mine:
+            vals.append(v + 2 * running)
+            running += v
+        else:
+            running -= v
+    vals.reverse()
+    return vals
 
 
 def seq_generator(first_color: int = 0) -> SeqElement:

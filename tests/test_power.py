@@ -1,15 +1,18 @@
 """Whole-string operators against their single-step reference.
 
-power(i, n) has a string rule on half-paths (the signature rule), tensor
-products (the tensor rule for strings), duals and three-factor elements.
-CrystalElement.power, the loop of single e_i/f_i steps, stays the reference:
-every string rule must return the same element, by key, and None exactly
-where the reference does.
+power(i, n) has a string rule on half-paths and sequences (the signature
+rule in one sweep), tensor products (the tensor rule for strings), duals
+and three-factor elements.  CrystalElement.power, the loop of single
+e_i/f_i steps, stays the reference: every string rule must return the same
+element, by key, and None exactly where the reference does.  Half-paths
+take their single steps through power itself, so their sweep is also
+checked against a stepwise loop kept here.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalpaths import from_word, right_path
+from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path
 from crystalpaths.core import CrystalElement, DualElement, TensorElement
 from crystalpaths.elementary import TElement, oracle_letters, tensor_oracle
 from crystalpaths.levelpath import ModElement
@@ -42,6 +45,77 @@ def assert_matches_single_steps(b, i, n):
 @given(st.one_of(left_paths, right_paths), colors, powers)
 def test_half_path_strings_match_single_steps(b, i, n):
     assert_matches_single_steps(b, i, n)
+
+
+def stepwise_power(b, i, n):
+    """f_i^n / e_i^(-n) of a half-path by single steps on its left view's
+    signature, rescanned for the maximum at every step: f_i moves the
+    letter at the rightmost maximum, e_i the one at the leftmost, and the
+    step changes A there by +-1 and every A to its right by +-2.  A right
+    path works on the view with e and f exchanged."""
+    view = b.as_dict() if b.side == "left" else b.flip().as_dict()
+    m = n if b.side == "left" else -n
+    lo = min(view, default=0) - 1 - max(m, 0)  # room for f_i to extend the support
+    sgn = 1 if i == 1 else -1
+    vals, running = [], 0
+    for k in range(lo, 0):
+        vals.append(sgn * (view.get(k, 0) + 2 * running))
+        running += view.get(k, 0)
+    step = 1 if m > 0 else -1
+    for _ in range(abs(m)):
+        top = max(vals)
+        if m > 0:
+            j = len(vals) - 1 - vals[::-1].index(top)
+        elif top == 0:
+            return None
+        else:
+            j = vals.index(top)
+        view[lo + j] = view.get(lo + j, 0) + sgn * step
+        vals[j] += step
+        vals[j + 1:] = [v + 2 * step for v in vals[j + 1:]]
+    out = left_path(view)
+    return out if b.side == "left" else out.flip()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(left_paths, right_paths), colors, st.integers(min_value=-30, max_value=30))
+def test_half_path_strings_match_the_stepwise_rescan(b, i, n):
+    assert key_of(b.power(i, n)) == key_of(stepwise_power(b, i, n))
+
+
+def outcome(run):
+    try:
+        return ("element", key_of(run()))
+    except ValueError:
+        return ("ValueError",)
+
+
+# raw entry lists are mostly outside the image; peeled paths lie inside it
+raw_sequences = st.builds(lambda c, a: SeqElement(c, tuple(a)), colors,
+                          st.lists(st.integers(min_value=0, max_value=3), max_size=12))
+image_sequences = st.builds(lambda c, vals: path_to_seq(from_word(vals), c), colors,
+                            st.lists(st.integers(min_value=-3, max_value=3), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_sequences, image_sequences), colors, st.integers(min_value=-12, max_value=12))
+def test_sequence_strings_match_single_steps(s, i, n):
+    # every prefix of the string too, so a ValueError (an entry of an
+    # out-of-image sequence going negative) comes at the same step
+    step = 1 if n > 0 else -1
+    for k in range(0, n + step, step):
+        assert outcome(lambda: s.power(i, k)) == outcome(lambda: CrystalElement.power(s, i, k))
+
+
+def test_sequence_strings_raise_where_an_entry_goes_negative():
+    # Ahat at position 1 is eps_0 = 2 with a_1 = 0: the first e_0 fails,
+    # before the string of length 3 would run out
+    s = SeqElement(0, (0, 0, 1))
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            CrystalElement.power(s, 0, n)
+        with pytest.raises(ValueError):
+            s.power(0, n)
 
 
 @settings(max_examples=150, deadline=None)

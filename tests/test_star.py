@@ -10,6 +10,7 @@ from crystalpaths import (from_word, left_path, path_to_seq, seq_to_path, lp_joi
 from crystalpaths.core import CrystalElement, bfs_component, check_axioms, peel
 from crystalpaths.halfpath import apply_word, right_path
 from crystalpaths.levelpath import ModElement
+from crystalpaths.seqreal import SeqElement
 from crystalpaths.weights import classical
 
 from conftest import random_binf_elements, random_walk
@@ -113,6 +114,22 @@ def test_star_is_a_weight_preserving_involution_on_long_paths(letters):
     s = star_binf(b)
     assert s.wt() == b.wt()
     assert star_binf(s) == b
+
+
+def test_star_and_conversions_take_no_single_sequence_steps(monkeypatch):
+    # the peel of the sequence form and the lowering into it apply whole
+    # strings; a fallback to CrystalElement.power would call e/f per step
+    calls = []
+    for name in ("e", "f"):
+        step = getattr(SeqElement, name)
+        monkeypatch.setattr(SeqElement, name,
+                            lambda self, i, step=step, name=name: calls.append(name) or step(self, i))
+    rng = random.Random(8)
+    b = from_word([rng.randint(-3, 3) for _ in range(80)])
+    s = star_binf.__wrapped__(b)  # past the cache
+    assert seq_to_path(path_to_seq(s, 0)) == s
+    assert calls == []
+    assert star_binf.__wrapped__(s) == b
 
 
 def test_star_mod_relations():
