@@ -9,7 +9,15 @@ Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
 bounded search was inconclusive; 64 malformed or invalid element JSON; 65
 precondition violation, including command-line usage errors, negative
 bounds, a --lambda of more than two components, a weight given as an
-element, and a sequence outside the image.
+element, a sequence outside the image, and an element over the input
+limits.
+
+Input limits: an element may reach at most MAX_SPAN = 256 positions out
+from 0 (a half-path's farthest entry, a level path's window, a sequence's
+length) and hold no entry above MAX_ENTRY = 64 in absolute value (a level
+path's m and a marker's L0 coefficient count as entries).  The star and
+the Weyl operators grow with both: star on a path with one entry 100,000
+positions out was still running after two minutes.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .weights import Weight, classical
 
 EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE = 0, 1, 2
 EXIT_BADJSON, EXIT_PRECONDITION = 64, 65
+MAX_SPAN, MAX_ENTRY = 256, 64
 
 
 class CliError(Exception):
@@ -51,10 +60,32 @@ def _read_element(args):
         raise CliError(EXIT_BADJSON, f"malformed element JSON: {exc}")
     if isinstance(elt, Weight):
         raise CliError(EXIT_PRECONDITION, "a weight is not a crystal element")
+    span, entry = _extent(elt)
+    if span > MAX_SPAN or entry > MAX_ENTRY:
+        raise CliError(EXIT_PRECONDITION,
+                       f"element reaches {span} positions out with entries up to {entry}; "
+                       f"the limits are {MAX_SPAN} and {MAX_ENTRY}")
     if isinstance(elt, SeqElement) and not image_check(elt):
         raise CliError(EXIT_PRECONDITION,
                        "sequence lies outside the image of the limit crystal")
     return elt
+
+
+def _extent(elt) -> tuple[int, int]:
+    """How many positions out from 0 an element reaches, and its largest
+    entry in absolute value (see the input limits above)."""
+    if isinstance(elt, ModElement):
+        (s1, e1), (s2, e2) = _extent(elt.b1), _extent(elt.b2)
+        return max(s1, s2), max(e1, e2, abs(elt.lam.a0))
+    if isinstance(elt, HalfPath):
+        if not elt.entries:
+            return 0, 0
+        far = -elt.entries[0][0] if elt.side == "left" else elt.entries[-1][0] + 1
+        return far, max(abs(v) for _, v in elt.entries)
+    if isinstance(elt, LevelPath):
+        a, b = elt.window()
+        return b - a + 1, max([abs(elt.m)] + [abs(v) for _, v in elt.entries])
+    return len(elt.a), max(elt.a, default=0)  # a sequence
 
 
 def _count(text: str) -> int:

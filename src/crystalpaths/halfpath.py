@@ -28,10 +28,23 @@ whole string, with no rescan of the signature.
 
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
-positional weights and makes wt(f_i b) = wt(b) - alpha_i exact.  Since delta
-pairs to zero, <h_0, wt> = -<h_1, wt> = 2*(sum of entries) on either side:
-pairing(i) reads it off the entries, and eps/phi take max_k A_k and that sum
-from one scan of the nonzero entries (A_k is constant across a run of zeros).
+positional weights and makes wt(f_i b) = wt(b) - alpha_i exact.  Its term at
+k is nonzero only at an entry or one position right of one, so wt is one
+pass over the nonzero entries.  Since delta pairs to zero, <h_0, wt> =
+-<h_1, wt> = 2*(sum of entries) on either side: pairing(i) reads it off the
+entries, and eps/phi take max_k A_k and that sum from one scan of the
+nonzero entries (A_k is constant across a run of zeros).
+
+Every half-path stores its left view, built once: the entries themselves
+for a left path, their mirror (k, v) -> (-k - 1, -v) in reverse order for a
+right path.  A right path's view is the entries of its flip.  The public
+constructor sorts the entries, drops zeros, checks the side of 0 of every
+position and builds the view; results of power and flip come from _built
+instead, which takes the entries and the view as given.  That is safe
+because they are canonical by construction: power changes letters only at
+positions from one left of the support to -1 of the view, then drops zeros
+and sorts once, and the mirror of a sorted, zero-free tuple on one side of
+0 is sorted, zero-free and on the other side.
 """
 
 from __future__ import annotations
@@ -50,6 +63,22 @@ RIGHT = "right"
 def _canon(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     items = entries.items() if isinstance(entries, Mapping) else entries
     return tuple(sorted((k, v) for k, v in items if v != 0))
+
+
+def _mirror(entries: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """j_k = -i_{-k-1}: a left path's entries to its flip's and back."""
+    return tuple((-k - 1, -v) for k, v in reversed(entries))
+
+
+def _built(side: str, entries: tuple[tuple[int, int], ...],
+           view: tuple[tuple[int, int], ...]) -> "HalfPath":
+    """The half-path with canonical entries and their left view, with no
+    sort, zero filter or position check (see the module docstring)."""
+    b = object.__new__(HalfPath)
+    object.__setattr__(b, "side", side)
+    object.__setattr__(b, "entries", entries)
+    object.__setattr__(b, "_left", view)
+    return b
 
 
 def _signature_values(view: tuple[tuple[int, int], ...], i: int) -> list[int]:
@@ -112,13 +141,14 @@ def _string_sites(vals: list[int], n: int, rightward: bool) -> Iterator[int]:
         yield j
 
 
-def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[dict[int, int]]:
-    """The entries of the left path after f_i^n (n >= 0) or e_i^(-n)
-    (n < 0), None when e_i runs out.  f_i acts at the rightmost maximum
-    of the signature and raises every A to its right by 2, so its sites
-    move right; e_i acts at the leftmost maximum and leaves A left of it
-    alone, so its sites move left.  The sites come from one sweep
-    (_string_sites), and only one left of the support can be new."""
+def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """The sorted, zero-free entries of the left path after f_i^n (n >= 0)
+    or e_i^(-n) (n < 0), None when e_i runs out.  f_i acts at the rightmost
+    maximum of the signature and raises every A to its right by 2, so its
+    sites move right; e_i acts at the leftmost maximum and leaves A left of
+    it alone, so its sites move left.  The sites come from one sweep
+    (_string_sites) over positions from one left of the support to -1; they
+    can land on interior zeros, hence the sort."""
     vals = _signature_values(view, i)
     if -n > max(vals):
         return None
@@ -127,7 +157,27 @@ def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[d
     d = dict(view)
     for j in _string_sites(vals, abs(n), n > 0):
         d[lo + j] = d.get(lo + j, 0) + letter
-    return d
+    return tuple(sorted(kv for kv in d.items() if kv[1]))  # _canon without its Mapping test
+
+
+def _weight_parts(view: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(sum of entries, delta coefficient) of a left path in one pass over
+    its nonzero entries: the term k * max(i_{k-1}, -i_k) is nonzero only at
+    an entry k, or at a zero k right of an entry, where it is
+    k * max(i_{k-1}, 0)."""
+    total = d = 0
+    prev, last = 0, None  # the previous entry's value and position
+    for k, v in view:
+        if last is not None and last != k - 1:
+            if prev > 0:  # the zero right of the previous entry
+                d += (last + 1) * prev
+            prev = 0
+        d += k * max(prev, -v)
+        total += v
+        prev, last = v, k
+    if last is not None and last < -1 and prev > 0:
+        d += (last + 1) * prev
+    return total, d
 
 
 class WallScan:
@@ -172,12 +222,14 @@ class HalfPath(WallScan, CrystalElement):
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        object.__setattr__(self, "entries", _canon(self.entries))
-        for k, _ in self.entries:
+        entries = _canon(self.entries)
+        for k, _ in entries:
             if self.side == LEFT and k > -1:
                 raise ValueError(f"left path entry at nonnegative position {k}")
             if self.side == RIGHT and k < 0:
                 raise ValueError(f"right path entry at negative position {k}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_left", entries if self.side == LEFT else _mirror(entries))
 
     # -- basic access -----------------------------------------------------
 
@@ -194,9 +246,11 @@ class HalfPath(WallScan, CrystalElement):
         return [k for k, _ in self.entries]
 
     def flip(self) -> "HalfPath":
-        """Exchange sides: j_k = -i_{-k-1}.  An involution conjugating e/f."""
-        side = RIGHT if self.side == LEFT else LEFT
-        return HalfPath(side, tuple((-k - 1, -v) for k, v in self.entries))
+        """Exchange sides: j_k = -i_{-k-1}.  An involution conjugating e/f.
+        A right path's flip is its left view; a left path's is one mirror."""
+        if self.side == RIGHT:
+            return _built(LEFT, self._left, self._left)
+        return _built(RIGHT, _mirror(self.entries), self.entries)
 
     def key(self):
         return ("hp", self.side, self.entries)
@@ -207,10 +261,9 @@ class HalfPath(WallScan, CrystalElement):
     # -- crystal structure -------------------------------------------------
 
     def _view(self) -> tuple[tuple[int, int], ...]:
-        """The entries of the left path whose structure this path carries."""
-        if self.side == LEFT:
-            return self.entries
-        return tuple((-k - 1, -v) for k, v in reversed(self.entries))
+        """The entries of the left path whose structure this path carries,
+        stored at construction."""
+        return self._left
 
     def _signature(self, i: int) -> dict[int, int]:
         """A_k(i) by position, from one left of the support to -1."""
@@ -220,26 +273,19 @@ class HalfPath(WallScan, CrystalElement):
         return dict(zip(range(lo, 0), _signature_values(self.entries, i)))
 
     def wt(self) -> Weight:
-        view = self._view()
-        total = sum(v for _, v in view)
-        stored = dict(view)
-        lo = view[0][0] if view else 0
-        d = 0
-        for k in range(lo, 0):
-            d += k * max(stored.get(k - 1, 0), -stored.get(k, 0))
-        w = classical(2 * total, d)
-        return w if self.side == LEFT else -w
+        total, d = _weight_parts(self._left)
+        return classical(2 * total, d) if self.side == LEFT else classical(-2 * total, -d)
 
     def pairing(self, i: int) -> int:
         s = 2 * sum(v for _, v in self.entries)
         return s if i == 0 else -s
 
     def eps(self, i: int):
-        top, pairing = _statistics(self._view(), i)
+        top, pairing = _statistics(self._left, i)
         return top if self.side == LEFT else top + pairing
 
     def phi(self, i: int):
-        top, pairing = _statistics(self._view(), i)
+        top, pairing = _statistics(self._left, i)
         return top + pairing if self.side == LEFT else top
 
     def e(self, i: int) -> Optional["HalfPath"]:
@@ -254,10 +300,10 @@ class HalfPath(WallScan, CrystalElement):
         if n == 0:
             return self
         if self.side == LEFT:
-            d = _power_view(self.entries, i, n)
-            return None if d is None else HalfPath(LEFT, tuple(d.items()))
-        d = _power_view(self._view(), i, -n)  # the view's e and f are exchanged
-        return None if d is None else HalfPath(RIGHT, tuple((-k - 1, -v) for k, v in d.items()))
+            view = _power_view(self._left, i, n)
+            return None if view is None else _built(LEFT, view, view)
+        view = _power_view(self._left, i, -n)  # the view's e and f are exchanged
+        return None if view is None else _built(RIGHT, _mirror(view), view)
 
     # -- walls and domains --------------------------------------------------
 
@@ -298,11 +344,11 @@ def u_minus_inf() -> HalfPath:
 
 
 def left_path(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> HalfPath:
-    return HalfPath(LEFT, _canon(entries))
+    return HalfPath(LEFT, entries)
 
 
 def right_path(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> HalfPath:
-    return HalfPath(RIGHT, _canon(entries))
+    return HalfPath(RIGHT, entries)
 
 
 def from_word(values: Iterable[int]) -> HalfPath:

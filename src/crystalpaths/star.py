@@ -7,10 +7,16 @@ list, read as a sequence-realization element with first color i_1, is
 exactly the sequence form of b*; converting it back to a path gives b*.
 Either starting color yields the same element.
 
+star_binf's lru_cache is the only star cache.  Right paths are starred
+through the side flip: in, the flip is the path's stored left view (no
+copy); out, it is one reversal of the entries.
+
 On three-factor elements, (b1, lam, b2)* = (b1*, -lam - wt(b1) - wt(b2), b2*)
-with b2 starred through the side flip.  Star is an involution; it negates
-the relation between the marker weight and the element weight:
-wt(e*) = -lam(e) and lam(e*) = -wt(e).
+with b2 starred through the side flip; the marker comes from one pass over
+each factor's nonzero entries (halfpath._weight_parts), with no weight of a
+factor built.  Star is an involution; it negates the relation between the
+marker weight and the element weight: wt(e*) = -lam(e) and lam(e*) =
+-wt(e).
 
 Starred operators are the star conjugates X*(e) = (X(e*))*; they commute
 with the plain operators and preserve the element weight while shifting the
@@ -29,9 +35,10 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import peel
-from .halfpath import HalfPath, LEFT, RIGHT, u_inf
+from .halfpath import HalfPath, LEFT, RIGHT, _weight_parts, u_inf
 from .levelpath import LevelPath, ModElement, _alt
 from .seqreal import SeqElement, seq_to_path
+from .weights import classical
 
 
 @lru_cache(maxsize=1 << 18)
@@ -52,9 +59,11 @@ def star_bminf(b: HalfPath, start_color: int = 1) -> HalfPath:
 
 def star_mod(e: ModElement) -> ModElement:
     """Star on the modified-algebra crystal."""
+    s1, d1 = _weight_parts(e.b1._view())
+    s2, d2 = _weight_parts(e.b2._view())  # wt(b2) is minus its view's weight
     return ModElement(
         star_binf(e.b1),
-        -e.lam - e.b1.wt() - e.b2.wt(),
+        -e.lam - classical(2 * (s1 - s2), d1 - d2),
         star_bminf(e.b2),
     )
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from crystalpaths import ground_path, left_path, path_from_window, u_lambda
-from crystalpaths.cli import main
+from crystalpaths.cli import MAX_ENTRY, MAX_SPAN, main
 from crystalpaths.serialize import dumps, loads
 from crystalpaths.weights import classical
 
@@ -261,3 +261,46 @@ def test_lambda_with_more_than_two_components_is_a_precondition_error(argv, caps
     code, out, err = run(capsys, monkeypatch, argv)
     assert code == 65 and out == ""
     assert "bad --lambda value" in err
+
+
+def _half(side, entries):
+    return {"side": side, "entries": {str(k): v for k, v in entries.items()}}
+
+
+def _mod(b1=None, m=0, b2=None):
+    return {"b1": _half("left", b1 or {}), "lam": {"L0": m, "L1": -m, "delta": 0},
+            "b2": _half("right", b2 or {})}
+
+
+@pytest.mark.parametrize("argv,element", [
+    (["star"], _half("left", {-100000: 1})),  # ran for minutes before the limit
+    (["star"], _half("left", {-MAX_SPAN - 1: 1})),
+    (["star"], _half("right", {MAX_SPAN: -1})),
+    (["walls"], _half("left", {-1: MAX_ENTRY + 1})),
+    (["apply", "--ops", "f0"], _half("right", {0: -MAX_ENTRY - 1})),
+    (["graph"], {"m": 1, "l": 0, "window_start": -MAX_SPAN, "window": [1]}),
+    (["extremal"], {"m": MAX_ENTRY + 1, "l": 0, "window_start": 0, "window": [1]}),
+    (["walls"], {"m": 1, "l": 0, "window_start": 0, "window": [MAX_ENTRY + 1]}),
+    (["star"], _mod(b2={MAX_SPAN: 1})),
+    (["apply", "--ops", "E0"], _mod(b1={-1: -MAX_ENTRY - 1})),
+    (["extremal"], _mod(m=-MAX_ENTRY - 1)),
+    (["bmax", "--lambda=1,0", "--contains"], _mod(m=MAX_ENTRY + 1)),
+    (["star"], {"first_color": 0, "a": [1] * (MAX_SPAN + 1)}),
+    (["star"], {"first_color": 1, "a": [MAX_ENTRY + 1]}),
+])
+def test_elements_over_the_input_limits_are_precondition_errors(argv, element, capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, argv, json.dumps(element))
+    assert code == 65 and out == ""
+    assert f"the limits are {MAX_SPAN} and {MAX_ENTRY}" in err
+
+
+@pytest.mark.parametrize("element", [
+    _half("left", {-MAX_SPAN: MAX_ENTRY}),
+    _half("right", {MAX_SPAN - 1: -MAX_ENTRY}),
+    {"m": MAX_ENTRY, "l": 0, "window_start": 1 - MAX_SPAN, "window": [1]},
+    _mod(b1={-MAX_SPAN: 1}, m=-MAX_ENTRY, b2={MAX_SPAN - 1: MAX_ENTRY}),
+    {"first_color": 0, "a": [MAX_ENTRY] * MAX_SPAN},
+])
+def test_elements_at_the_input_limits_are_accepted(element, capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch, ["star"], json.dumps(element))
+    assert code == 0 and out

@@ -1,9 +1,11 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from crystalpaths import (HalfPath, Weight, from_word, left_path, right_path,
-                          string_factorization, u_inf, u_minus_inf)
+from crystalpaths import (HalfPath, Weight, from_word, left_path, path_to_seq, right_path,
+                          seq_to_path, star_binf, star_bminf, string_factorization,
+                          u_inf, u_minus_inf)
+from crystalpaths import halfpath
 from crystalpaths.halfpath import apply_word
 
 from conftest import agree_with_oracle, random_binf_elements
@@ -72,6 +74,68 @@ def test_weight_formula_delta_coordinate():
     total = sum(b.as_dict().values())
     d = sum(k * max(b.entry(k - 1), -b.entry(k)) for k in range(-10, 1))
     assert b.wt() == Weight(2 * total, -2 * total, d)
+
+
+# zeros as likely as any letter, so that paths have interior zeros and
+# zeros between their last entry and position -1 (or 0)
+zero_words = st.lists(st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3]), max_size=16)
+zero_paths = st.one_of(zero_words.map(from_word),
+                       zero_words.map(lambda vals: right_path(dict(enumerate(vals)))))
+
+
+def dense_wt(b):
+    """The weight by a scan of every position of the left view's span,
+    with the view built here from the entries: 2*(sum)*(L0 - L1) plus
+    delta * sum_k k * max(i_{k-1}, -i_k), negated on a right path."""
+    view = b.as_dict() if b.side == "left" else {-k - 1: -v for k, v in b.entries}
+    total = sum(view.values())
+    d = sum(k * max(view.get(k - 1, 0), -view.get(k, 0))
+            for k in range(min(view, default=0), 0))
+    w = Weight(2 * total, -2 * total, d)
+    return w if b.side == "left" else -w
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_paths)
+def test_sparse_weight_matches_the_dense_scan(b):
+    assert b.wt() == dense_wt(b)
+
+
+def assert_canonical(b):
+    """b is the path the validating constructor builds from b's side and
+    entries, and its entries are sorted, nonzero and on b's side of 0."""
+    public = HalfPath(b.side, b.entries)
+    assert b == public and hash(b) == hash(public) and b.key() == public.key()
+    assert b._view() == public._view()
+    positions = [k for k, _ in b.entries]
+    assert positions == sorted(set(positions))
+    assert all(v != 0 for _, v in b.entries)
+    assert all(k <= -1 if b.side == "left" else k >= 0 for k in positions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_paths, st.sampled_from([0, 1]), st.integers(min_value=-8, max_value=8))
+@example(from_word([1, 1, 0]), 1, -3)  # e_1 lands on the interior zero at -1
+def test_internal_results_are_canonical(b, i, n):
+    # power and flip build their results with no sort or check
+    results = [b.flip(), b.flip().flip(), b.power(i, n), b.flip().power(i, n)]
+    if b.side == "left":
+        results += [star_binf(b, 1 - i), seq_to_path(path_to_seq(b, i))]
+    else:
+        results.append(star_bminf(b, i))
+    for c in results:
+        if c is not None:
+            assert_canonical(c)
+
+
+def test_public_builders_canonicalize_once(monkeypatch):
+    calls = []
+    canon = halfpath._canon
+    monkeypatch.setattr(halfpath, "_canon", lambda entries: calls.append(entries) or canon(entries))
+    assert left_path({-1: 2, -3: 0, -4: 1}).entries == ((-4, 1), (-1, 2))
+    assert right_path([(2, 1), (0, -1)]).entries == ((0, -1), (2, 1))
+    assert from_word([1, 0, 2]).entries == ((-3, 1), (-1, 2))
+    assert len(calls) == 3
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,8 @@ from crystalpaths import (from_word, left_path, path_to_seq, seq_to_path, lp_joi
                           star_half_closed, star_mod, starred_e, starred_f,
                           u_inf, u_lambda, u_minus_inf)
 from crystalpaths.core import CrystalElement, bfs_component, check_axioms, peel
-from crystalpaths.halfpath import apply_word, right_path
+from crystalpaths import halfpath
+from crystalpaths.halfpath import HalfPath, apply_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.seqreal import SeqElement
 from crystalpaths.weights import classical
@@ -130,6 +131,27 @@ def test_star_and_conversions_take_no_single_sequence_steps(monkeypatch):
     assert seq_to_path(path_to_seq(s, 0)) == s
     assert calls == []
     assert star_binf.__wrapped__(s) == b
+
+
+def test_warm_star_builds_no_validated_paths(monkeypatch):
+    # with the star cache warm, star_mod reads the marker off the entries
+    # and star_bminf flips through stored views: no path goes through the
+    # validating constructor or its sort
+    mods = sample_mods(40, seed=12)
+    assert any(e.b2.entries for e in mods)
+    for e in mods:
+        star_mod(e)
+    calls = []
+    post, canon = HalfPath.__post_init__, halfpath._canon
+    monkeypatch.setattr(HalfPath, "__post_init__", lambda self: calls.append("post") or post(self))
+    monkeypatch.setattr(halfpath, "_canon", lambda entries: calls.append("canon") or canon(entries))
+    left_path({-1: 1})
+    assert calls == ["post", "canon"]  # the counters see a validated construction
+    calls.clear()
+    for e in mods:
+        star_mod(e)
+        star_bminf(e.b2)
+    assert calls == []
 
 
 def test_star_mod_relations():
