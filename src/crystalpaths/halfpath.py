@@ -18,13 +18,23 @@ leftmost position attaining M; f_i always lowers the letter at the rightmost
 position attaining M.  These are exactly the tensor-product rules applied to
 the path read as an infinite word of letters, with position index increasing
 to the left.  power(i, n) applies the whole string f_i^n (e_i^(-n) for
-n < 0) in one sweep, and e_i, f_i are power(i, -1), power(i, 1).  A step
+n < 0) in one pass, and e_i, f_i are power(i, -1), power(i, 1).  A step
 at k changes A_k by +-1 and every A right of k by +-2, so f_i raises the
 maximum by one and the rightmost argmax can only move right, while e_i
 lowers it by one and the leftmost argmax can only move left.  Step t + 1
 then acts at the outermost position beyond step t whose original A is
-M - t, or at the same position again (_string_sites): O(L + n) for the
-whole string, with no rescan of the signature.
+M - t, or at the same position again.  A is constant across a run of
+zeros and stays so while the run lies ahead of the sites (a step shifts
+every A beyond its site alike), so the outermost maximum never falls
+inside a run but at its outer end: its right end for f, its left end for
+e.  The candidate sites are
+therefore one left of the support (A = 0), the entries and one end of
+each zero run, listed with their A in one pass over the nonzero entries.
+A single step acts at one argmax; a longer string becomes (site, count)
+runs read off one table from value to outermost candidate (_runs), and
+the runs, monotone in position, are merged into the sorted entries in one
+pass.  The cost per string is O(entries + distinct values of A), with no
+dense signature over the span, no per-step loop and no sort.
 
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
@@ -42,15 +52,16 @@ constructor sorts the entries, drops zeros, checks the side of 0 of every
 position and builds the view; results of power and flip come from _built
 instead, which takes the entries and the view as given.  That is safe
 because they are canonical by construction: power changes letters only at
-positions from one left of the support to -1 of the view, then drops zeros
-and sorts once, and the mirror of a sorted, zero-free tuple on one side of
-0 is sorted, zero-free and on the other side.
+positions from one left of the support to -1 of the view, merging them in
+position order and dropping the ones that reach zero, and the mirror of a
+sorted, zero-free tuple on one side of 0 is sorted, zero-free and on the
+other side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from .core import CrystalElement
@@ -115,30 +126,38 @@ def _statistics(view: tuple[tuple[int, int], ...], i: int) -> tuple[int, int]:
     return top, -2 * sgn * running
 
 
-def _string_sites(vals: list[int], n: int, rightward: bool) -> Iterator[int]:
-    """The indices of vals at which the n steps of a string act, when
+def _runs(vals: list[int], top: int, steps: int, rightward: bool) -> list[tuple[int, int]]:
+    """The (index, count) runs of a string of `steps` steps over candidate
+    sites whose signature values are vals (in increasing position), when
     each step acts at the outermost maximum in one direction (toward the
     higher indices when rightward) and its site then attains the new
-    maximum, so that later sites lie at or beyond it.
+    maximum, so that later sites lie at or beyond it; top is max(vals).
 
     A step of f raises the maximum by one and every value beyond its site
     by two; a step of e lowers the maximum by one and leaves the values
     beyond its site alone.  Either way, after t steps a value beyond the
     last site equals the maximum exactly when its original value is
-    max(vals) - t: step t + 1 acts at the outermost such index, or again at
-    the last site if there is none.  One table from value to outermost
-    index answers each step in O(1)."""
-    outer: dict[int, int] = {}
-    indices = range(len(vals)) if rightward else range(len(vals) - 1, -1, -1)
-    for k in indices:
-        outer[vals[k]] = k
-    top = max(vals)
-    j = -1 if rightward else len(vals)
-    for t in range(n):
-        k = outer.get(top - t)
-        if k is not None and (k > j if rightward else k < j):
-            j = k
-        yield j
+    top - t: step t + 1 acts at the outermost such index, or again at the
+    last site if there is none.  A single step is one argmax; a longer
+    string reads one table from t to the outermost index of value top - t,
+    over at most min(steps, top - min(vals) + 1) values."""
+    if steps == 1:
+        return [(len(vals) - 1 - vals[::-1].index(top) if rightward else vals.index(top), 1)]
+    size = min(steps, top - min(vals) + 1)
+    table = [-1] * size
+    for j in range(len(vals)) if rightward else range(len(vals) - 1, -1, -1):
+        t = top - vals[j]
+        if t < size:  # later writes lie further out
+            table[t] = j
+    runs = []
+    j, start = table[0], 0
+    for t in range(1, size):
+        k = table[t]
+        if k >= 0 and (k > j if rightward else k < j):
+            runs.append((j, t - start))
+            j, start = k, t
+    runs.append((j, steps - start))
+    return runs
 
 
 def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -146,18 +165,67 @@ def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[t
     or e_i^(-n) (n < 0), None when e_i runs out.  f_i acts at the rightmost
     maximum of the signature and raises every A to its right by 2, so its
     sites move right; e_i acts at the leftmost maximum and leaves A left of
-    it alone, so its sites move left.  The sites come from one sweep
-    (_string_sites) over positions from one left of the support to -1; they
-    can land on interior zeros, hence the sort."""
-    vals = _signature_values(view, i)
-    if -n > max(vals):
-        return None
+    it alone, so its sites move left.  One pass over the entries lists the
+    candidate sites: one left of the support (A = 0), every entry, and the
+    outer end of every zero run (A is constant across it, so only its right
+    end can be the rightmost maximum and its left end the leftmost).  A
+    single step changes the letter at one argmax; a longer string comes
+    from _runs as (site, count) runs, monotone in position, merged into the
+    view in one pass."""
+    sgn = 1 if i == 1 else -1
+    rightward = n > 0
     lo = (view[0][0] if view else 0) - 1
-    letter = (1 if n > 0 else -1) * (1 if i == 1 else -1)
-    d = dict(view)
-    for j in _string_sites(vals, abs(n), n > 0):
-        d[lo + j] = d.get(lo + j, 0) + letter
-    return tuple(sorted(kv for kv in d.items() if kv[1]))  # _canon without its Mapping test
+    # candidate sites in increasing position: A there, the position, and
+    # the index in view of the entry there, or ~index of the next entry
+    vals, pos, slot = [0], [lo], [~0]
+    running = 0  # sum of entries at positions < k
+    nxt = lo + 1  # the position right of the previous entry
+    idx = 0
+    for k, v in view:
+        if k != nxt:  # the zeros nxt..k-1
+            vals.append(2 * sgn * running)
+            pos.append(k - 1 if rightward else nxt)
+            slot.append(~idx)
+        vals.append(sgn * (v + 2 * running))
+        pos.append(k)
+        slot.append(idx)
+        running += v
+        nxt = k + 1
+        idx += 1
+    if nxt < 0:  # the zeros nxt..-1
+        vals.append(2 * sgn * running)
+        pos.append(-1 if rightward else nxt)
+        slot.append(~idx)
+    top = max(vals)
+    if -n > top:
+        return None
+    letter = sgn if rightward else -sgn
+    if n == 1 or n == -1:
+        j = len(vals) - 1 - vals[::-1].index(top) if rightward else vals.index(top)
+        idx = slot[j]
+        if idx < 0:
+            return view[:~idx] + ((pos[j], letter),) + view[~idx:]
+        v = view[idx][1] + letter
+        return view[:idx] + ((pos[j], v),) + view[idx + 1:] if v else view[:idx] + view[idx + 1:]
+    runs = _runs(vals, top, abs(n), rightward)
+    if not rightward:
+        runs.reverse()
+    out: list[tuple[int, int]] = []
+    done = 0  # entries of view already passed
+    for j, count in runs:
+        idx = slot[j]
+        v = letter * count
+        if idx < 0:
+            out += view[done:~idx]
+            done = ~idx
+        else:
+            out += view[done:idx]
+            v += view[idx][1]
+            done = idx + 1
+        if v:
+            out.append((pos[j], v))
+    out += view[done:]
+    return tuple(out)
 
 
 def _weight_parts(view: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -185,17 +253,28 @@ class WallScan:
 
     The wall at k sits between letters k-1 and k and carries multiplicity
     |i_{k-1} + i_k|; its sign is the sign of that sum.  Subclasses provide
-    entry(k) and _wall_range(), a range of positions holding every wall.
+    entries (the positions whose letter differs from default(k)) and
+    _wall_range(), a range of positions holding every wall.
     """
 
+    def default(self, k: int) -> int:
+        """The letter at a position not listed in entries."""
+        return 0
+
+    def entry(self, k: int) -> int:
+        for pos, val in self.entries:
+            if pos == k:
+                return val
+        return self.default(k)
+
     def walls(self) -> list[tuple[int, int]]:
-        """Positions k with i_{k-1} + i_k != 0, with the signed sum."""
-        out = []
-        for k in self._wall_range():
-            s = self.entry(k - 1) + self.entry(k)
-            if s != 0:
-                out.append((k, s))
-        return out
+        """Positions k with i_{k-1} + i_k != 0, with the signed sum, in one
+        pass over the wall range."""
+        stored = dict(self.entries)
+        positions = self._wall_range()
+        letters = [stored[k] if k in stored else self.default(k)
+                   for k in range(positions.start - 1, positions.stop)]
+        return [(k, a + b) for k, a, b in zip(positions, letters, letters[1:]) if a + b]
 
     def wall_positions(self) -> list[int]:
         """Wall positions repeated with multiplicity, in increasing order."""
@@ -232,12 +311,6 @@ class HalfPath(WallScan, CrystalElement):
         object.__setattr__(self, "_left", entries if self.side == LEFT else _mirror(entries))
 
     # -- basic access -----------------------------------------------------
-
-    def entry(self, k: int) -> int:
-        for pos, val in self.entries:
-            if pos == k:
-                return val
-        return 0
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)

@@ -65,12 +65,6 @@ class LevelPath(WallScan):
     def default(self, k: int) -> int:
         return 0 if k < 0 else _alt(k) * self.m
 
-    def entry(self, k: int) -> int:
-        for pos, val in self.entries:
-            if pos == k:
-                return val
-        return self.default(k)
-
     def window(self) -> tuple[int, int]:
         """Smallest [a, b] containing 0 and every non-default position."""
         positions = [k for k, _ in self.entries]

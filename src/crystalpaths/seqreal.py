@@ -18,12 +18,17 @@ smallest attaining position.  Both change Ahat_p by +-1 and every Ahat of
 color i at an earlier position by +-2, so f_i raises M by one and its
 smallest argmax can only move to earlier positions, while e_i lowers M by
 one and its largest argmax can only move to later ones: the half-path rule
-mirrored.  power(i, n) applies a whole string in one O(L + n) sweep
-(halfpath._string_sites): step t + 1 acts at the outermost position beyond
-step t whose original Ahat is M - t, or at the same position again.  e_i
-and f_i stay single steps on the full signature, the reference for power.
-pairing(i) = -2 * (sum of a_p over color i - sum over the other color)
-needs no weight, and eps is the maximum of one scan.
+mirrored.  power(i, n) applies a whole string in one pass: step t + 1 acts
+at the outermost position beyond step t whose original Ahat is M - t, or
+at the same position again, so the string is a list of (position, count)
+runs read off one table from value to outermost position
+(halfpath._runs), in O(L + distinct values of Ahat) rather than O(L + n).
+A position occurs in one run only, so e_i's string raises ValueError
+(an entry would go negative) exactly when one of its single steps would.
+e_i and f_i stay single steps on the full signature, the reference for
+power.  With s_c the sum of a_p over the positions of color c,
+wt = -s_0 * alpha_0 - s_1 * alpha_1 and pairing(i) = -2 * (s_i - s_(1-i))
+need no per-position weight, and eps is the maximum of one scan.
 
 The realization embeds the limit crystal; the image is cut out by
 (n-1)*a_{n+1} <= n*a_n for n >= 2.  Monotone sequences (a_{p+1} <= a_p)
@@ -37,8 +42,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import CrystalElement, peel
-from .halfpath import HalfPath, _string_sites, apply_word, left_path, u_inf
-from .weights import Weight, simple_root
+from .halfpath import HalfPath, _runs, apply_word, left_path, u_inf
+from .weights import Weight
 
 
 def _trim(a: Iterable[int]) -> tuple[int, ...]:
@@ -81,13 +86,13 @@ class SeqElement(CrystalElement):
     # -- crystal structure --------------------------------------------------
 
     def wt(self) -> Weight:
-        w = Weight(0, 0, 0)
-        for p in range(1, len(self.a) + 1):
-            w = w - self.value(p) * simple_root(self.color(p))
-        return w
+        # -s_0 * alpha_0 - s_1 * alpha_1, with alpha_0 = (2, -2, 1), alpha_1 = (-2, 2, 0)
+        odd, even = sum(self.a[0::2]), sum(self.a[1::2])
+        s0, s1 = (odd, even) if self.first_color == 0 else (even, odd)
+        return Weight(2 * (s1 - s0), 2 * (s0 - s1), -s0)
 
     def pairing(self, i: int) -> int:
-        # -2 * (sum of a_p over color i - sum of a_p over the other color)
+        # -2 * (s_i - s_(1-i))
         odd, even = sum(self.a[0::2]), sum(self.a[1::2])
         return 2 * (even - odd) if i == self.first_color else 2 * (odd - even)
 
@@ -117,22 +122,23 @@ class SeqElement(CrystalElement):
         return self._set(p, self.value(p) + 1)
 
     def power(self, i: int, n: int) -> Optional["SeqElement"]:
-        """f_i^n for n >= 0 and e_i^(-n) for n < 0 in one sweep; None when
+        """f_i^n for n >= 0 and e_i^(-n) for n < 0 in one pass; None when
         the string runs out, and ValueError at the step where e_i would
         make an entry negative (outside the image), as the single steps do."""
         if n == 0:
             return self
         vals = _signature_values(self, i)
         top = max(vals)
+        if n < 0 and top == 0:
+            return None
         mine = 0 if self.color(1) == i else 1  # index of the first position of color i
         a = list(self.a) + [0, 0]
-        step = 1 if n > 0 else -1
         # e_i's sites move to higher positions, f_i's to lower ones
-        for j in _string_sites(vals, n if n > 0 else min(-n, top), n < 0):
+        for j, count in _runs(vals, top, n if n > 0 else min(-n, top), n < 0):
             p = mine + 2 * j
-            if step < 0 and a[p] == 0:
+            if n < 0 and a[p] < count:
                 raise ValueError("sequence entries must be nonnegative")
-            a[p] += step
+            a[p] += count if n > 0 else -count
         if -n > top:
             return None
         return SeqElement(self.first_color, tuple(a))

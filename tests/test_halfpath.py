@@ -2,9 +2,9 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from crystalpaths import (HalfPath, Weight, from_word, left_path, path_to_seq, right_path,
-                          seq_to_path, star_binf, star_bminf, string_factorization,
-                          u_inf, u_minus_inf)
+from crystalpaths import (HalfPath, Weight, from_word, left_path, level_path, path_to_seq,
+                          right_path, seq_to_path, star_binf, star_bminf,
+                          string_factorization, u_inf, u_minus_inf)
 from crystalpaths import halfpath
 from crystalpaths.halfpath import apply_word
 
@@ -215,6 +215,46 @@ def test_walls_and_domains():
     assert b.wall_sign() in (-1, 0, 1, None)
     for start, length in b.domains():
         assert length >= 1
+
+
+def dense_walls(entry, positions):
+    """(k, i_{k-1} + i_k) at every k in positions where the sum is nonzero."""
+    return [(k, entry(k - 1) + entry(k)) for k in positions if entry(k - 1) + entry(k)]
+
+
+def expected_sign(walls):
+    signs = {1 if s > 0 else -1 for _, s in walls}
+    return 0 if not signs else signs.pop() if len(signs) == 1 else None
+
+
+wide_entries = st.dictionaries(st.integers(min_value=0, max_value=30),
+                               st.integers(min_value=-3, max_value=3), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_entries, st.booleans())
+def test_half_path_walls_match_the_dense_scan(d, left):
+    b = left_path({-k - 1: v for k, v in d.items()}) if left else right_path(d)
+    stored = b.as_dict()
+    # a wall at position 0 belongs to neither half
+    span = range(-40, 0) if left else range(1, 40)
+    walls = dense_walls(lambda k: stored.get(k, 0), span)
+    assert b.walls() == walls
+    assert b.wall_positions() == [k for k, s in walls for _ in range(abs(s))]
+    assert b.wall_sign() == expected_sign(walls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(min_value=-20, max_value=20),
+                       st.integers(min_value=-3, max_value=3), max_size=8),
+       st.integers(min_value=-3, max_value=3))
+def test_level_path_walls_match_the_dense_scan(d, m):
+    p = level_path(m, 0, d)
+    ground = lambda k: 0 if k < 0 else (-m if k % 2 else m)
+    walls = dense_walls(lambda k: d.get(k, ground(k)), range(-30, 30))
+    assert p.walls() == walls
+    assert p.wall_positions() == [k for k, s in walls for _ in range(abs(s))]
+    assert p.wall_sign() == expected_sign(walls)
 
 
 def test_wall_sign_cases():

@@ -12,7 +12,7 @@ checked against a stepwise loop kept here.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path
+from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path, u_inf
 from crystalpaths.core import CrystalElement, DualElement, TensorElement
 from crystalpaths.elementary import TElement, oracle_letters, tensor_oracle
 from crystalpaths.levelpath import ModElement
@@ -83,6 +83,37 @@ def test_half_path_strings_match_the_stepwise_rescan(b, i, n):
     assert key_of(b.power(i, n)) == key_of(stepwise_power(b, i, n))
 
 
+# few entries far apart: zero runs of many positions between them, where
+# only a run's outer end can act
+sparse_values = st.dictionaries(st.integers(min_value=0, max_value=59),
+                                st.integers(min_value=-4, max_value=4), max_size=6)
+sparse_paths = st.one_of(sparse_values.map(lambda d: left_path({-k - 1: v for k, v in d.items()})),
+                         sparse_values.map(right_path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_paths, colors, st.integers(min_value=-40, max_value=40))
+def test_sparse_half_path_strings_match_the_stepwise_rescan(b, i, n):
+    assert key_of(b.power(i, n)) == key_of(stepwise_power(b, i, n))
+
+
+def test_strings_at_the_ends_of_zero_runs():
+    # A_{-1}(1) = 0 on the generator, and every step of f_1 acts there again
+    assert u_inf().power(1, 5) == left_path({-1: 5})
+    # A(1) = 0, 1, 3, 4 at -4..-1: e_1 acts first at the zero at -1, then
+    # twice at -2, the new leftmost maximum
+    b = from_word([1, 1, 0])
+    assert b.power(1, -3) == left_path({-3: 1, -2: -1, -1: -1})
+    assert b.power(1, -3) == stepwise_power(b, 1, -3)
+    # A(1) = 2 across the zeros -5..-3 and lower elsewhere: f_1 acts at the
+    # run's right end, e_1 at its left end
+    b = left_path({-6: 1, -2: -1})
+    assert b.f(1) == left_path({-6: 1, -3: 1, -2: -1})
+    assert b.e(1) == left_path({-6: 1, -5: -1, -2: -1})
+    for n in (2, 3, -2, -3):
+        assert b.power(1, n) == stepwise_power(b, 1, n)
+
+
 def outcome(run):
     try:
         return ("element", key_of(run()))
@@ -98,10 +129,12 @@ image_sequences = st.builds(lambda c, vals: path_to_seq(from_word(vals), c), col
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(raw_sequences, image_sequences), colors, st.integers(min_value=-12, max_value=12))
-def test_sequence_strings_match_single_steps(s, i, n):
+@given(st.one_of(st.tuples(raw_sequences, st.integers(min_value=-12, max_value=12)),
+                 st.tuples(image_sequences, st.integers(min_value=-24, max_value=24))), colors)
+def test_sequence_strings_match_single_steps(string, i):
     # every prefix of the string too, so a ValueError (an entry of an
     # out-of-image sequence going negative) comes at the same step
+    s, n = string
     step = 1 if n > 0 else -1
     for k in range(0, n + step, step):
         assert outcome(lambda: s.power(i, k)) == outcome(lambda: CrystalElement.power(s, i, k))

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from crystalpaths import (SeqElement, image_check, path_to_seq, seq_to_path,
                           block_transform, u_inf)
+from crystalpaths import from_word as from_path_word
 from crystalpaths.core import check_axioms
 from crystalpaths.seqreal import is_monotone, seq_generator
+from crystalpaths.weights import Weight, simple_root
 
 from conftest import random_binf_elements
 
@@ -18,6 +20,29 @@ def from_word(first_color, word):
     for i in word:
         s = s.f(i)
     return s
+
+
+def weight_by_positions(s):
+    """wt of a sequence element position by position: a_p copies of
+    -alpha_(color p) for every p."""
+    w = Weight(0, 0, 0)
+    for p in range(1, len(s.a) + 1):
+        w = w - s.value(p) * simple_root(s.color(p))
+    return w
+
+
+raw_sequences = st.builds(lambda c, a: SeqElement(c, tuple(a)), colors,
+                          st.lists(st.integers(min_value=0, max_value=5), max_size=16))
+image_sequences = st.builds(lambda c, vals: path_to_seq(from_path_word(vals), c), colors,
+                            st.lists(st.integers(min_value=-3, max_value=3), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(raw_sequences, image_sequences))
+def test_weight_matches_the_per_position_sum(s):
+    assert s.wt() == weight_by_positions(s)
+    for i in (0, 1):
+        assert s.pairing(i) == s.wt().pairing(i)
 
 
 def test_generator():
