@@ -30,11 +30,11 @@ inside a run but at its outer end: its right end for f, its left end for
 e.  The candidate sites are
 therefore one left of the support (A = 0), the entries and one end of
 each zero run, listed with their A in one pass over the nonzero entries.
-A single step acts at one argmax; a longer string becomes (site, count)
-runs read off one table from value to outermost candidate (_runs), and
-the runs, monotone in position, are merged into the sorted entries in one
-pass.  The cost per string is O(entries + distinct values of A), with no
-dense signature over the span, no per-step loop and no sort.
+Every string becomes (site, count) runs read off one table from value to
+outermost candidate (_runs; a single step is one argmax), and the runs,
+monotone in position, are merged into the sorted entries in one pass.
+The cost per string is O(entries + distinct values of A), with no dense
+signature over the span, no per-step loop and no sort.
 
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
@@ -168,10 +168,9 @@ def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[t
     it alone, so its sites move left.  One pass over the entries lists the
     candidate sites: one left of the support (A = 0), every entry, and the
     outer end of every zero run (A is constant across it, so only its right
-    end can be the rightmost maximum and its left end the leftmost).  A
-    single step changes the letter at one argmax; a longer string comes
-    from _runs as (site, count) runs, monotone in position, merged into the
-    view in one pass."""
+    end can be the rightmost maximum and its left end the leftmost).  The
+    string comes from _runs as (site, count) runs, monotone in position,
+    merged into the view in one pass."""
     sgn = 1 if i == 1 else -1
     rightward = n > 0
     lo = (view[0][0] if view else 0) - 1
@@ -200,13 +199,6 @@ def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[t
     if -n > top:
         return None
     letter = sgn if rightward else -sgn
-    if n == 1 or n == -1:
-        j = len(vals) - 1 - vals[::-1].index(top) if rightward else vals.index(top)
-        idx = slot[j]
-        if idx < 0:
-            return view[:~idx] + ((pos[j], letter),) + view[~idx:]
-        v = view[idx][1] + letter
-        return view[:idx] + ((pos[j], v),) + view[idx + 1:] if v else view[:idx] + view[idx + 1:]
     runs = _runs(vals, top, abs(n), rightward)
     if not rightward:
         runs.reverse()
