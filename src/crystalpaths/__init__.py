@@ -18,8 +18,9 @@ from .levelpath import (LevelPath, ModElement, ground_path, level_path,
                         lp_join, lp_split, path_from_window, u_lambda)
 from .star import (star_binf, star_bminf, star_extremal_closed,
                    star_half_closed, star_mod, starred_e, starred_f)
-from .extremal import (bmax_contains, bmax_seed, enum_bmax, enum_bminus_star,
-                       extremal_cert, is_extremal, is_extremal_path, weyl_op)
+from .extremal import (WeylTable, bmax_contains, bmax_seed, enum_bmax,
+                       enum_bminus_star, extremal_cert, is_extremal,
+                       is_extremal_path, weyl_op, weyl_orbit)
 from .peterweyl import (decompose, pw_report, slices_disjoint,
                         slice_invariant_under_reflection, verify_c1,
                         verify_c2, verify_c3)

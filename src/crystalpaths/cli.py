@@ -6,7 +6,7 @@ words are whitespace-separated tokens e0, e1, f0, f1 (plain) and E0, E1,
 F0, F1 (starred), applied left to right.
 
 Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
-bounded search was inconclusive; 64 malformed or invalid element JSON; 65
+bounded search was inconclusive and no check failed; 64 malformed or invalid element JSON; 65
 precondition violation, including command-line usage errors, negative
 bounds, a --lambda of more than two components, a weight given as an
 element, a sequence outside the image, and an element over the input
@@ -30,7 +30,7 @@ import sys
 from . import serialize
 from .core import bfs_component
 from .elementary import oracle_mismatches, tensor_oracle
-from .extremal import bmax_contains, bmax_seeds, enum_bmax, extremal_cert
+from .extremal import WeylTable, bmax_contains, bmax_seeds, enum_bmax, extremal_cert
 from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
 from .peterweyl import pw_report, verify_c1, verify_c2, verify_c3
@@ -226,11 +226,15 @@ def cmd_bmax(args) -> int:
 
 def cmd_pw_verify(args) -> int:
     lam = _parse_lambda(args.lam)
-    c1 = verify_c1(lam, args.depth, span=2, extremal_len=args.word_bound // 2)
+    # one table of S-steps for every check that walks Weyl orbits; it lives
+    # as long as this command
+    table = WeylTable()
+    c1 = verify_c1(lam, args.depth, span=2, extremal_len=args.word_bound // 2,
+                   table=table)
     c2 = verify_c2(lam, args.depth)
-    c3 = verify_c3(lam, args.depth, word_bound=args.word_bound)
+    c3 = verify_c3(lam, args.depth, word_bound=args.word_bound, table=table)
     rep = pw_report(lam, c_bound=1, plain_depth=min(args.depth, 3),
-                    star_depth=min(args.depth, 3))
+                    star_depth=min(args.depth, 3), table=table)
     payload = {
         "lambda": serialize.encode_weight(lam),
         "C1": c1,
@@ -246,9 +250,9 @@ def cmd_pw_verify(args) -> int:
         "violations": rep.violations,
     }
     print(json.dumps(payload, indent=2))
-    if rep.decompose_inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if (c1 and c2 and c3 and rep.ok) else EXIT_FAIL
+    if not (c1 and c2 and c3) or rep.failed:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE if rep.decompose_inconclusive else EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:

@@ -21,6 +21,15 @@ is always defined and eps_i > eps_i(b1); f_i likewise.  With
 n = <h_i, wt> and phi_i = eps_i + n, the element is i-extremal exactly when
 eps_i = max(0, -n).
 
+The walks of many checks cross the same elements, so they read their
+S-steps from a WeylTable: each single step S_i from a locally extremal
+element is computed once, and since S_i reflects the i-string it is an
+involution, so each computed step gives its inverse too.  A table holds
+single steps only, so one serves every word bound; the pw-verify command
+makes one for all of its checks and drops it when it returns, so each
+command starts cold, as a fresh process would.  Checks given no table
+make their own, which keeps nothing past the call.
+
 B^max(lam) is the set of elements whose star image is extremal.  It is a
 disjoint union of full plain-operator components, one per tuple
 c = (c_1, ..., c_{n-1}) of nonnegative integers (n = |classical part of
@@ -63,9 +72,82 @@ def _locally_extremal(e: ModElement) -> bool:
     return all(e.eps(i) == max(0, -e.pairing(i)) for i in COLORS)
 
 
-def is_extremal(e: ModElement, max_len: int = 6) -> bool:
+_UNSEEN = -1  # an S-step not computed yet
+
+
+class WeylTable:
+    """The S-steps of the alternating walks, each computed once, and the
+    extremality verdicts of decompose(), for the checks of one command.
+
+    Numbers the locally extremal elements it meets as nodes.  The step S_i
+    from node n is the node of the image, None where the walks end (S ran
+    out of operator, or the image is not locally extremal), or _UNSEEN.
+    S_i reflects each i-string, so it is an involution: finding
+    S_i(b) = c also gives S_i(c) = b.  A node lets go of its element once
+    both of its steps are known.  Steps are single S_i, so one table
+    serves every word bound, and they refer to nodes by number, so the
+    table holds no reference cycle and is freed as soon as it is dropped.
+    """
+
+    __slots__ = ("_index", "_keys", "_elements", "_steps", "_verdicts")
+
+    def __init__(self):
+        self._index: dict = {}  # element key -> node
+        self._keys: list = []  # node -> element key
+        self._elements: list = []  # node -> element, or None
+        self._steps: list = []  # 2 * node + i -> the step S_i from node
+        self._verdicts: dict = {}
+
+    def verdicts(self, max_len: int) -> dict:
+        """decompose()'s map from element key to verdict at this bound."""
+        return self._verdicts.setdefault(max_len, {})
+
+    def _node(self, e: ModElement) -> Optional[int]:
+        """The node of e, None when e is not locally extremal."""
+        k = e.key()
+        n = self._index.get(k)
+        if n is None and _locally_extremal(e):
+            n = self._index[k] = len(self._keys)
+            self._keys.append(k)
+            self._elements.append(e)
+            self._steps += (_UNSEEN, _UNSEEN)
+        return n
+
+    def _step(self, n: int, i: int) -> Optional[int]:
+        m = self._steps[2 * n + i]
+        if m == _UNSEEN:
+            try:
+                m = self._node(weyl_op(self._elements[n], i))
+            except RuntimeError:
+                m = None
+            self._settle(n, i, m)
+            if m is not None and self._steps[2 * m + i] == _UNSEEN:
+                self._settle(m, i, n)
+        return m
+
+    def _settle(self, n: int, i: int, m: Optional[int]) -> None:
+        self._steps[2 * n + i] = m
+        if self._steps[2 * n + 1 - i] != _UNSEEN:
+            self._elements[n] = None  # no step from n is left to compute
+
+    def _witness(self, n: int, max_len: int) -> Optional[list[int]]:
+        """The first alternating word, phase 0 then 1, up to max_len letters,
+        whose walk from node n ends; None when no walk ends."""
+        for start in COLORS:
+            cur = n
+            color = start
+            for step in range(max_len):
+                cur = self._step(cur, color)
+                if cur is None:
+                    return [(start + j) % 2 for j in range(step + 1)]
+                color = 1 - color
+        return None
+
+
+def is_extremal(e: ModElement, max_len: int = 6, *,
+                table: Optional[WeylTable] = None) -> bool:
     """Bounded extremality check via alternating S-words of both phases."""
-    return extremal_cert(e, max_len).extremal
+    return extremal_cert(e, max_len, table=table).extremal
 
 
 @dataclass
@@ -81,23 +163,38 @@ class ExtremalCert:
     witness: Optional[list[int]] = None
 
 
-def extremal_cert(e: ModElement, max_len: int = 6) -> ExtremalCert:
-    if not _locally_extremal(e):
-        return ExtremalCert(e, max_len, False, [])
-    for start in (0, 1):
-        cur = e
+def extremal_cert(e: ModElement, max_len: int = 6, *,
+                  table: Optional[WeylTable] = None) -> ExtremalCert:
+    """The bounded check, its S-steps read from table; without one it
+    starts cold and keeps nothing."""
+    if table is None:
+        table = WeylTable()
+    root = table._node(e)
+    witness = [] if root is None else table._witness(root, max_len)
+    return ExtremalCert(e, max_len, witness is None, witness)
+
+
+def weyl_orbit(e: ModElement, length: int, max_len: int = 6, *,
+               table: Optional[WeylTable] = None) -> Optional[set]:
+    """The keys of e and of its images under the alternating S-words of
+    both phases up to length letters; None when one of those images fails
+    the bounded check at max_len, or when e is not locally extremal."""
+    if table is None:
+        table = WeylTable()
+    root = table._node(e)
+    if root is None:
+        return None
+    nodes = {root}
+    for start in COLORS:
+        n = root
         color = start
-        word: list[int] = []
-        for _ in range(max_len):
-            word.append(color)
-            try:
-                cur = weyl_op(cur, color)
-            except RuntimeError:
-                return ExtremalCert(e, max_len, False, word)
-            if not _locally_extremal(cur):
-                return ExtremalCert(e, max_len, False, word)
+        for _ in range(length):
+            n = table._step(n, color)
+            if n is None or table._witness(n, max_len) is not None:
+                return None
+            nodes.add(n)
             color = 1 - color
-    return ExtremalCert(e, max_len, True)
+    return {table._keys[n] for n in nodes}
 
 
 def extremal_screen(p: LevelPath) -> Optional[bool]:
@@ -107,10 +204,11 @@ def extremal_screen(p: LevelPath) -> Optional[bool]:
     return False if p.wall_sign() is None else None
 
 
-def is_extremal_path(p: LevelPath, max_len: int = 6) -> bool:
+def is_extremal_path(p: LevelPath, max_len: int = 6, *,
+                     table: Optional[WeylTable] = None) -> bool:
     if extremal_screen(p) is False:
         return False
-    return is_extremal(lp_split(p), max_len)
+    return is_extremal(lp_split(p), max_len, table=table)
 
 
 # -- uniform-wall path construction -----------------------------------------
@@ -202,7 +300,8 @@ def enum_bmax(lam: Weight, c_bound: int, depth: int = 4) -> dict:
 # -- star image of the dual extremal-weight crystal ---------------------------
 
 
-def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5) -> list[ModElement]:
+def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5, *,
+                     table: Optional[WeylTable] = None) -> list[ModElement]:
     """Truncated star image of the dual extremal-weight crystal of -lam.
 
     Its elements are exactly the extremal vectors of weight lam with |m|
@@ -228,7 +327,7 @@ def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5) -> list[ModEl
             p = uniform_wall_path(walls, sgn, lam.d)
             if p.wt() != lam:
                 continue
-            if not is_extremal_path(p, max_len):
+            if not is_extremal_path(p, max_len, table=table):
                 continue
             e = lp_split(p)
             if e.key() not in seen:

@@ -28,7 +28,16 @@ on the way in and once on the way back.
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears; the B^max factor is x*, and the
 inverted search word is the starred word from x* back to the element --
-replayed as plain moves on x and starred once.
+replayed as plain moves on x and starred once.  An extremal vector sits at
+an end of every i-string, and so does every element of its Weyl orbit, so
+the search moves by whole strings: E_i = e_i^eps_i to the top of the
+i-string and F_i = f_i^phi_i to its bottom, each one power() call and
+undefined when its exponent is 0.  The word is a list of (kind, i, n)
+strings, kind^n of color i, and the search depth counts strings.
+
+The checks that walk Weyl orbits (C1, C3, the dual family and decompose)
+take an optional extremal.WeylTable, so that the callers of one command
+compute each S_i step once; without one, each check starts cold.
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import bfs_component, explore, graphs_isomorphic, plain_moves
-from .extremal import enum_bmax, enum_bminus_star, extremal_screen, is_extremal, weyl_op
+from .core import COLORS, bfs_component, explore, graphs_isomorphic, plain_moves
+from .extremal import (WeylTable, enum_bmax, enum_bminus_star, extremal_screen,
+                       is_extremal, weyl_orbit)
 from .levelpath import ModElement, lp_join, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
@@ -53,40 +63,56 @@ class Decomposition:
 
     lam_canonical: Weight
     bmax_factor: ModElement
-    word: list[tuple[str, int]]  # starred ops, applied left to right to bmax_factor
+    # starred strings (kind, i, n), kind^n of color i, applied left to right
+    # to bmax_factor
+    word: list[tuple[str, int, int]]
     extremal: ModElement = field(repr=False)
 
     def replay(self) -> ModElement:
-        """The element the word gives from bmax_factor: plain moves on
+        """The element the word gives from bmax_factor: plain strings on
         extremal, then one star."""
         cur = self.extremal
-        for kind, i in self.word:
-            cur = cur.e(i) if kind == "e" else cur.f(i)
+        for kind, i, n in self.word:
+            cur = cur.power(i, n if kind == "f" else -n)
             if cur is None:
                 raise RuntimeError("decomposition word failed to replay")
         return star_mod(cur)
 
 
+def string_moves(b: ModElement):
+    """The string-end moves at b as ((kind, color, n), image) pairs, in the
+    order E_0, F_0, E_1, F_1: E_i = e_i^eps_i and F_i = f_i^phi_i, the image
+    None where the exponent is 0."""
+    for i in COLORS:
+        eps = b.eps(i)
+        yield ("e", i, eps), (b.power(i, -eps) if eps else None)
+        phi = eps + b.pairing(i)
+        yield ("f", i, phi), (b.power(i, phi) if phi else None)
+
+
 def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
-              verdicts: Optional[dict] = None,
+              table: Optional[WeylTable] = None,
               e_star: Optional[ModElement] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
 
-    Searches the plain component of e* breadth-first for an extremal vector
-    x; then b = x* lies in B^max(-wt(x)), and the inverted search word W
-    takes x back to e* by plain moves, so the starred word W* takes b to e.
-    Raises RuntimeError if that word does not replay from b to e.
+    Searches the plain component of e* breadth-first, by whole strings
+    (string_moves), for an extremal vector x; then b = x* lies in
+    B^max(-wt(x)), and the inverted search word W, a list of (kind, i, n)
+    strings, takes x back to e* by plain strings, so the starred word W*
+    takes b to e.  max_depth bounds the number of strings, not of single
+    steps.  Raises RuntimeError if that word does not replay from b to e.
 
-    verdicts maps element keys to the extremality verdicts (wall screen and
-    bounded check at this extremal_len) of the candidates searched so far;
-    calls that pass the same table skip the candidates it already holds.
-    e_star is star_mod(e), for callers that already hold it.
+    table is the WeylTable of the extremality walks (bounded check at this
+    extremal_len, then the wall screen); calls that share one reuse every
+    S_i step it holds.  e_star is star_mod(e), for callers that already
+    hold it.
     """
-    if verdicts is None:
-        verdicts = {}
+    if table is None:
+        table = WeylTable()
+    verdicts = table.verdicts(extremal_len)
     root = star_mod(e) if e_star is None else e_star
     links: dict = {}  # element key -> (parent key, move) in the search tree
-    for parent, move, x, new in explore([root], plain_moves, max_depth):
+    for parent, move, x, new in explore([root], string_moves, max_depth):
         if not new:
             continue
         k = x.key()
@@ -95,13 +121,13 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
         extremal = verdicts.get(k)
         if extremal is None:
             extremal = verdicts[k] = (extremal_screen(lp_join(x)) is not False
-                                      and is_extremal(x, extremal_len))
+                                      and is_extremal(x, extremal_len, table=table))
         if not extremal:
             continue
         inverse = []
         while k in links:
-            k, (kind, i) = links[k]
-            inverse.append(("f" if kind == "e" else "e", i))
+            k, (kind, i, n) = links[k]
+            inverse.append(("f" if kind == "e" else "e", i, n))
         canon, _ = orbit_canonical(-x.wt())
         result = Decomposition(canon, star_mod(x), inverse, x)
         if result.replay().key() != e.key():
@@ -114,11 +140,11 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
 
 
 def verify_c1(lam: Weight, depth: int = 5, span: int = 2,
-              extremal_len: int = 4) -> bool:
+              extremal_len: int = 4, *, table: Optional[WeylTable] = None) -> bool:
     """Components of extremal weight-lam vectors all match the component of
     u_lam as rooted colored graphs."""
     reference = bfs_component(u_lambda(lam), depth)
-    for b in enum_bminus_star(lam, span=span, max_len=extremal_len):
+    for b in enum_bminus_star(lam, span=span, max_len=extremal_len, table=table):
         if not graphs_isomorphic(bfs_component(b, depth), reference):
             return False
     return True
@@ -132,22 +158,17 @@ def verify_c2(lam: Weight, depth: int = 5) -> bool:
 
 
 def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8,
-              extremal_len: int = 4) -> bool:
+              extremal_len: int = 4, *, table: Optional[WeylTable] = None) -> bool:
     """Extremal vectors in the component of u_lam are exactly the images of
     u_lam under alternating Weyl-operator words."""
-    orbit = {u_lambda(lam).key()}
-    for start in (0, 1):
-        cur = u_lambda(lam)
-        color = start
-        for _ in range(word_bound):
-            cur = weyl_op(cur, color)
-            if not is_extremal(cur, extremal_len):
-                return False
-            orbit.add(cur.key())
-            color = 1 - color
+    if table is None:
+        table = WeylTable()
+    orbit = weyl_orbit(u_lambda(lam), word_bound, extremal_len, table=table)
+    if orbit is None:
+        return False
     graph = bfs_component(u_lambda(lam), depth)
     for _, b in sorted(graph.nodes.items()):
-        if is_extremal(b, extremal_len) and b.key() not in orbit:
+        if is_extremal(b, extremal_len, table=table) and b.key() not in orbit:
             return False
     return True
 
@@ -170,14 +191,19 @@ class SliceReport:
     element_keys: frozenset = frozenset()
 
     @property
+    def failed(self) -> bool:
+        """A definite check failed; an inconclusive decompose() is not one."""
+        return not (self.product_ok and self.dual_characterization_ok
+                    and self.decompose_mismatched == 0
+                    and not self.violations)
+
+    @property
     def ok(self) -> bool:
-        return (self.product_ok and self.dual_characterization_ok
-                and self.decompose_inconclusive == 0
-                and self.decompose_mismatched == 0
-                and not self.violations)
+        return not self.failed and self.decompose_inconclusive == 0
 
 
-def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int) -> bool:
+def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int, *,
+                    table: Optional[WeylTable] = None) -> bool:
     if r.wt() != lam:
         return False
     p = lp_join(r)
@@ -188,7 +214,7 @@ def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int) -> bool:
         return False
     if any(walls[j + 1] - walls[j] > 1 for j in range(len(walls) - 1)):
         return False
-    return is_extremal(r, extremal_len)
+    return is_extremal(r, extremal_len, table=table)
 
 
 def _star_pairs(lam: Weight, bmax: dict, star_depth: int):
@@ -243,7 +269,8 @@ def _star_pairs(lam: Weight, bmax: dict, star_depth: int):
 
 def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
               star_depth: int = 3, extremal_len: int = 4,
-              decompose_depth: int = 10, decompose_cap: Optional[int] = None) -> SliceReport:
+              decompose_depth: int = 10, decompose_cap: Optional[int] = None, *,
+              table: Optional[WeylTable] = None) -> SliceReport:
     """Verify the truncated lam-slice of the decomposition.
 
     Enumerates the B^max truncation by plain BFS from the seeds and the dual
@@ -258,8 +285,11 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     is the product of the factor counts; every dual-family element matches
     its wall characterization; and decompose() recovers a factorization
     with the right orbit, replaying to the element, for every enumerated
-    element.
+    element.  The dual-family checks and the decompose() calls share one
+    WeylTable: table, or a fresh one.
     """
+    if table is None:
+        table = WeylTable()
     rep = SliceReport(lam=lam)
     canon, _ = orbit_canonical(lam)
     bmax = enum_bmax(lam, c_bound, plain_depth)
@@ -268,7 +298,8 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     root, dual, pairs, rep.violations = _star_pairs(lam, bmax, star_depth)
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(
-        _dual_family_ok(star_mod(r), lam, extremal_len) for r in dual.values())
+        _dual_family_ok(star_mod(r), lam, extremal_len, table=table)
+        for r in dual.values())
 
     elements: dict = {}  # element key -> (element, its star image)
     root_key = root.key()
@@ -280,17 +311,16 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     rep.element_keys = frozenset(elements)
 
     # decompose every enumerated element (optionally capped); the searches
-    # overlap, so they share one table of extremality verdicts
+    # overlap, so they share the table of S-steps
     todo = sorted(elements)
     if decompose_cap is not None:
         todo = todo[:decompose_cap]
-    verdicts: dict = {}
     for k in todo:
         e, y = elements[k]
         rep.decompose_total += 1
         try:
             result = decompose(e, decompose_depth, extremal_len,
-                               verdicts=verdicts, e_star=y)
+                               table=table, e_star=y)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue

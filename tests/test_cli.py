@@ -5,6 +5,7 @@ import pytest
 
 from crystalpaths import ground_path, left_path, path_from_window, u_lambda
 from crystalpaths.cli import MAX_ENTRY, MAX_SPAN, main
+from crystalpaths.peterweyl import SliceReport
 from crystalpaths.serialize import dumps, loads
 from crystalpaths.weights import classical
 
@@ -140,6 +141,31 @@ def test_pw_verify(capsys, monkeypatch):
     data = json.loads(out)
     assert data["C1"] and data["C2"] and data["C3"]
     assert data["decompose_inconclusive"] == 0
+
+
+PW_CHECKS = ("C1", "C2", "C3", "product", "dual", "mismatched", "violations")
+
+
+@pytest.mark.parametrize("failing, inconclusive, expected",
+                         [(None, 0, 0), (None, 1, 2)]
+                         + [(check, 1, 1) for check in PW_CHECKS])
+def test_pw_verify_exit_code_puts_a_definite_failure_first(
+        failing, inconclusive, expected, capsys, monkeypatch):
+    # 1 when a definite check fails, else 2 when decompose was inconclusive,
+    # else 0
+    from crystalpaths import cli
+    for name in ("C1", "C2", "C3"):
+        monkeypatch.setattr(cli, f"verify_c{name[1]}",
+                            lambda *args, ok=name != failing, **kwargs: ok)
+    rep = SliceReport(lam=classical(1, 0), product_ok=failing != "product",
+                      dual_characterization_ok=failing != "dual",
+                      decompose_inconclusive=inconclusive,
+                      decompose_mismatched=int(failing == "mismatched"),
+                      violations=["pair map collision"] if failing == "violations" else [])
+    monkeypatch.setattr(cli, "pw_report", lambda *args, **kwargs: rep)
+    code, out, _ = run(capsys, monkeypatch, ["pw-verify", "--lambda=1,0"])
+    assert code == expected
+    assert json.loads(out)["decompose_inconclusive"] == inconclusive
 
 
 def test_oracle_check(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
                           path_from_window, star_mod, u_lambda, weyl_op)
 from crystalpaths.core import CrystalElement, TensorElement
 from crystalpaths.elementary import TElement
-from crystalpaths.extremal import _locally_extremal, extremal_screen, uniform_wall_path
+from crystalpaths.extremal import (_UNSEEN, WeylTable, _locally_extremal,
+                                   extremal_screen, uniform_wall_path)
 from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import classical
@@ -234,3 +236,106 @@ def test_extremal_cert_matches_the_image_test_on_extremal_elements():
             moved = e.f(0) or e.e(0)  # one step off the Weyl orbit
             cert = extremal_cert(moved, 4)
             assert (cert.extremal, cert.witness) == image_cert(moved, 4)
+
+
+# -- the S-step table of one pw-verify command --------------------------------
+
+PW_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
+
+
+def walk_cert(e, max_len):
+    """(extremal, witness) by the alternating walks, each S_i computed
+    afresh with weyl_op."""
+    if not _locally_extremal(e):
+        return False, []
+    for start in (0, 1):
+        cur, color, word = e, start, []
+        for _ in range(max_len):
+            word.append(color)
+            try:
+                cur = weyl_op(cur, color)
+            except RuntimeError:
+                return False, word
+            if not _locally_extremal(cur):
+                return False, word
+            color = 1 - color
+    return True, None
+
+
+def checked_elements(monkeypatch, capsys, m, l):
+    """The elements whose extremality pw-verify --lambda=m,l checks: the
+    arguments of extremal_cert, then the S-images of u_lam that C3 walks."""
+    from crystalpaths import cli, extremal
+    original = extremal.extremal_cert
+    seen = {}
+
+    def recording(e, *args, **kwargs):
+        seen.setdefault(e.key(), e)
+        return original(e, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extremal, "extremal_cert", recording)
+        assert cli.main(["pw-verify", f"--lambda={m},{l}"]) == 0
+    capsys.readouterr()
+    for start in (0, 1):
+        cur, color = u_lambda(classical(m, l)), start
+        for _ in range(8):
+            cur = weyl_op(cur, color)
+            seen.setdefault(cur.key(), cur)
+            color = 1 - color
+    return list(seen.values())
+
+
+def test_shared_table_gives_the_cold_certificates(monkeypatch, capsys):
+    # one table across a command's elements and word bounds answers as a
+    # cold check does, on the non-extremal elements as well
+    witnesses = []
+    steps = 0
+    for m, l in PW_LAMBDAS:
+        table = WeylTable()
+        elements = checked_elements(monkeypatch, capsys, m, l)
+        for e in elements:
+            for bound in (4, 8):
+                shared = extremal_cert(e, bound, table=table)
+                cold = extremal_cert(e, bound)
+                assert ((shared.extremal, shared.witness)
+                        == (cold.extremal, cold.witness) == walk_cert(e, bound))
+                if not cold.extremal:
+                    witnesses.append(len(cold.witness))
+        # every step the table settled from these elements, computed or
+        # filled in as the inverse of another, is the S_i image or a dead end
+        for e in elements:
+            n = table._index.get(e.key())
+            for i in (0, 1) if n is not None else ():
+                step = table._steps[2 * n + i]
+                if step == _UNSEEN:
+                    continue
+                image = weyl_op(e, i)
+                if step is None:
+                    assert not _locally_extremal(image)
+                else:
+                    assert table._keys[step] == image.key()
+                    steps += 1
+    assert min(witnesses) == 0 and max(witnesses) >= 2 and steps > 1000
+
+
+def test_pw_verify_computes_each_weyl_step_once(monkeypatch, capsys):
+    from crystalpaths import cli, extremal
+    original = extremal.weyl_op
+    calls = []
+
+    def counting(e, i):
+        calls.append((e.key(), i))
+        return original(e, i)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crystalpaths" and getattr(module, "weyl_op", None) is original:
+            monkeypatch.setattr(module, "weyl_op", counting)
+    assert cli.main(["pw-verify", "--lambda=4,0"]) == 0
+    first = len(calls)
+    assert first > 0 and len(set(calls)) == first
+    # nothing outlives the command: the same call does the same work again
+    calls.clear()
+    assert cli.main(["pw-verify", "--lambda=4,0"]) == 0
+    assert len(calls) == first
+    capsys.readouterr()

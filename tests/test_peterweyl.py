@@ -4,8 +4,9 @@ import sys
 from crystalpaths import (decompose, pw_report, slice_invariant_under_reflection,
                           slices_disjoint, u_lambda, verify_c1, verify_c2,
                           verify_c3)
-from crystalpaths.core import COLORS, explore
-from crystalpaths.extremal import enum_bmax
+from crystalpaths.core import COLORS, explore, plain_moves
+from crystalpaths.extremal import WeylTable, enum_bmax, extremal_screen, is_extremal
+from crystalpaths.levelpath import lp_join
 from crystalpaths.peterweyl import (Decomposition, SliceReport, _dual_family_ok,
                                     _star_pairs)
 from crystalpaths.star import star_mod, starred_e, starred_f
@@ -113,8 +114,9 @@ def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
 
 
 def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
-    # pw_report shares one table of extremality verdicts across its
-    # decompose calls; each must return what a call on its own returns
+    # pw_report shares one WeylTable of S-steps and extremality verdicts
+    # across its decompose calls; each must return what a call on its own
+    # returns
     from crystalpaths import peterweyl
     calls = []
     original = peterweyl.decompose
@@ -129,7 +131,7 @@ def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
         calls.clear()
         rep = pw_report(classical(m, l))
         assert rep.ok and len(calls) == rep.decompose_total == rep.pair_count
-        assert all("verdicts" in kwargs for _, _, kwargs, _ in calls)
+        assert all("table" in kwargs for _, _, kwargs, _ in calls)
         for e, args, _, shared in calls:
             fresh = original(e, *args)
             assert fresh is not None and shared is not None
@@ -149,12 +151,14 @@ def _starred_moves(e):
 
 
 def _reference_replay(d):
-    """The word as starred operators on bmax_factor, X*(y) = (X(y*))* per move."""
+    """The word as starred operators on bmax_factor: each string (kind, i, n)
+    as n literal steps, X*(y) = (X(y*))* per step."""
     cur = d.bmax_factor
-    for kind, i in d.word:
-        cur = starred_e(cur, i) if kind == "e" else starred_f(cur, i)
-        if cur is None:
-            raise RuntimeError("decomposition word failed to replay")
+    for kind, i, n in d.word:
+        for _ in range(n):
+            cur = starred_e(cur, i) if kind == "e" else starred_f(cur, i)
+            if cur is None:
+                raise RuntimeError("decomposition word failed to replay")
     return cur
 
 
@@ -203,11 +207,11 @@ def _reference_report(lam, decompose_call):
     rep.pair_count = len(pair_of)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     rep.element_keys = frozenset(pair_of)
-    verdicts = {}
+    table = WeylTable()
     for k in sorted(elements):
         rep.decompose_total += 1
         try:
-            result = decompose_call(elements[k], 10, 4, verdicts=verdicts)
+            result = decompose_call(elements[k], 10, 4, table=table)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue
@@ -269,3 +273,73 @@ def test_pw_report_stars_each_element_about_once(monkeypatch):
     assert rep.ok
     assert calls[0] <= 3 * rep.pair_count + rep.bmax_size + rep.dual_size
 
+
+
+# -- the string search against the single-step search ------------------------
+
+
+def _step_decompose(e, max_depth=10, extremal_len=4, verdicts=None):
+    """The single-step search: breadth-first over plain e_i/f_i from e* to
+    the first extremal vector, its word as strings of one step each."""
+    verdicts = {} if verdicts is None else verdicts
+    links = {}
+    for parent, move, x, new in explore([star_mod(e)], plain_moves, max_depth):
+        if not new:
+            continue
+        k = x.key()
+        if parent is not None:
+            links[k] = (parent.key(), move)
+        extremal = verdicts.get(k)
+        if extremal is None:
+            extremal = verdicts[k] = (extremal_screen(lp_join(x)) is not False
+                                      and is_extremal(x, extremal_len))
+        if not extremal:
+            continue
+        inverse = []
+        while k in links:
+            k, (kind, i) = links[k]
+            inverse.append(("f" if kind == "e" else "e", i, 1))
+        return Decomposition(orbit_canonical(-x.wt())[0], star_mod(x), inverse, x)
+    return None
+
+
+def test_string_search_matches_the_step_search(monkeypatch):
+    # every element pw_report decomposes: both searches find a factor, in
+    # the same slice, with B^max markers in one Weyl orbit, replaying to it
+    from crystalpaths import peterweyl
+    original = peterweyl.decompose
+    found = []
+
+    def recording(e, *args, **kwargs):
+        result = original(e, *args, **kwargs)
+        found.append((e, result))
+        return result
+
+    monkeypatch.setattr(peterweyl, "decompose", recording)
+    longest = {}
+    for m, l in BENCH_LAMBDAS + ((5, 0),):
+        found.clear()
+        assert pw_report(classical(m, l)).ok
+        verdicts = {}
+        for e, strings in found:
+            steps = _step_decompose(e, verdicts=verdicts)
+            assert strings is not None and steps is not None
+            assert strings.lam_canonical == steps.lam_canonical
+            assert (orbit_canonical(strings.bmax_factor.lam)[0]
+                    == orbit_canonical(steps.bmax_factor.lam)[0])
+            assert strings.replay() == e == steps.replay()
+            assert _reference_replay(strings) == e
+            size = len(strings.word)
+            longest[size] = longest.get(size, 0) + 1
+    assert max(longest) == 2 and sum(longest.values()) > 4000
+
+
+def test_max_depth_counts_strings():
+    # E0* E0* E1* from u_lam comes back along two strings, one of them two
+    # steps long
+    u = u_lambda(classical(3, 0))
+    e = starred_e(starred_e(starred_e(u, 0), 0), 1)
+    d = decompose(e, max_depth=2)
+    assert d is not None and d.replay() == e
+    assert len(d.word) == 2 and sum(n for _, _, n in d.word) == 3
+    assert decompose(e, max_depth=1) is None
