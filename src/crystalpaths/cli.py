@@ -165,9 +165,7 @@ def cmd_star(args) -> int:
 
 def cmd_walls(args) -> int:
     elt = _read_element(args)
-    if isinstance(elt, ModElement):
-        elt = lp_join(elt)
-    if not isinstance(elt, (HalfPath, LevelPath)):
+    if not isinstance(elt, (HalfPath, LevelPath, ModElement)):
         raise CliError(EXIT_PRECONDITION, "walls needs a path element")
     walls = elt.walls()
     sign = elt.wall_sign()

@@ -84,6 +84,15 @@ class CrystalElement:
         raise NotImplementedError
 
 
+def _string_split(ph, ep, n: int) -> int:
+    """How much of f_i^n (e_i^(-n) for n < 0) on b1 (x) b2 acts on b1, from
+    ph = phi_i(b1) and ep = eps_i(b2).  Compare before subtracting: both may
+    be -inf, and -inf - -inf is nan; past it a difference is +inf at worst."""
+    if n > 0:  # f_i acts on b1 while phi(b1) > eps(b2)
+        return 0 if ph <= ep else min(n, ph - ep)
+    return n + (0 if ph >= ep else min(-n, ep - ph))  # e_i on b2 while phi(b1) < eps(b2)
+
+
 @dataclass(frozen=True)
 class TensorElement(CrystalElement):
     """Tensor product of two crystal elements.
@@ -138,13 +147,7 @@ class TensorElement(CrystalElement):
     def power(self, i: int, n: int):
         if n == 0:
             return self
-        # compare before subtracting: both statistics may be -inf, and
-        # -inf - -inf is nan; past the comparison a difference is +inf at worst
-        ph, ep = self.left.phi(i), self.right.eps(i)
-        if n > 0:  # f_i acts on the left while phi(left) > eps(right)
-            on_left = 0 if ph <= ep else min(n, ph - ep)
-        else:  # e_i acts on the right while phi(left) < eps(right)
-            on_left = n + (0 if ph >= ep else min(-n, ep - ph))
+        on_left = _string_split(self.left.phi(i), self.right.eps(i), n)
         left = self.left.power(i, on_left)
         right = None if left is None else self.right.power(i, n - on_left)
         return None if right is None else TensorElement(left, right)

@@ -7,10 +7,10 @@ apply it to the power is guaranteed by the axioms.
 An element is extremal when every image under an alternating S-word is
 i-extremal for both colors: raising must be absent when <h_i, wt> >= 0 and
 lowering absent when <h_i, wt> <= 0.  is_extremal checks this for all
-alternating words up to a cutoff length; on level paths the wall-sign screen
-rules out most non-extremal elements instantly, because an extremal path's
-walls all carry one sign (and a wall-free path is extremal only when it is
-the zero path).
+alternating words up to a cutoff length; the wall-sign screen, run on the
+three-factor element itself, rules out most non-extremal elements instantly,
+because an extremal path's walls all carry one sign (and a wall-free path is
+extremal only when it is the zero path).
 
 The check reads i-extremality off the string statistics instead of building
 e_i and f_i images.  On a ModElement b1 (x) t_lam (x) b2, eps_i >= eps_i(b1)
@@ -52,7 +52,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .core import COLORS, explore, plain_moves
-from .levelpath import LevelPath, ModElement, _alt, lp_join, lp_split, u_lambda
+from .levelpath import LevelPath, ModElement, _alt, lp_split, u_lambda
 from .star import star_mod
 from .weights import Weight
 
@@ -197,18 +197,17 @@ def weyl_orbit(e: ModElement, length: int, max_len: int = 6, *,
     return {table._keys[n] for n in nodes}
 
 
-def extremal_screen(p: LevelPath) -> Optional[bool]:
-    """Fast necessary test on a level path: False when its walls carry mixed
-    signs, which rules extremality out; None otherwise, meaning the bounded
-    check is still needed.  It screens out nothing else."""
+def extremal_screen(p) -> Optional[bool]:
+    """Fast necessary test on an element with walls: False when they carry
+    mixed signs, which rules extremality out; None otherwise, meaning the
+    bounded check is still needed.  It screens out nothing else."""
     return False if p.wall_sign() is None else None
 
 
 def is_extremal_path(p: LevelPath, max_len: int = 6, *,
                      table: Optional[WeylTable] = None) -> bool:
-    if extremal_screen(p) is False:
-        return False
-    return is_extremal(lp_split(p), max_len, table=table)
+    e = lp_split(p)
+    return extremal_screen(e) is not False and is_extremal(e, max_len, table=table)
 
 
 # -- uniform-wall path construction -----------------------------------------
@@ -277,7 +276,7 @@ def bmax_contains(lam: Weight, e: ModElement, max_len: int = 5) -> bool:
     if e.lam != lam:
         return False
     starred = star_mod(e)
-    if extremal_screen(lp_join(starred)) is False:
+    if extremal_screen(starred) is False:
         return False
     return is_extremal(starred, max_len)
 
@@ -324,12 +323,11 @@ def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5, *,
             walls = [t]
             for g in gaps:
                 walls.append(walls[-1] + g)
-            p = uniform_wall_path(walls, sgn, lam.d)
-            if p.wt() != lam:
+            e = lp_split(uniform_wall_path(walls, sgn, lam.d))
+            if e.wt() != lam or extremal_screen(e) is False:
                 continue
-            if not is_extremal_path(p, max_len, table=table):
+            if not is_extremal(e, max_len, table=table):
                 continue
-            e = lp_split(p)
             if e.key() not in seen:
                 seen.add(e.key())
                 out.append(e)

@@ -241,12 +241,13 @@ def _weight_parts(view: tuple[tuple[int, int], ...]) -> tuple[int, int]:
 
 
 class WallScan:
-    """Walls of a path, shared by half-paths and level paths.
+    """Walls of a path, shared by half-paths, level paths and three-factor
+    elements.
 
     The wall at k sits between letters k-1 and k and carries multiplicity
     |i_{k-1} + i_k|; its sign is the sign of that sum.  Subclasses provide
-    entries (the positions whose letter differs from default(k)) and
-    _wall_range(), a range of positions holding every wall.
+    walls(), read off the nonzero entries (a level path's through its
+    three factors).
     """
 
     def default(self, k: int) -> int:
@@ -258,15 +259,6 @@ class WallScan:
             if pos == k:
                 return val
         return self.default(k)
-
-    def walls(self) -> list[tuple[int, int]]:
-        """Positions k with i_{k-1} + i_k != 0, with the signed sum, in one
-        pass over the wall range."""
-        stored = dict(self.entries)
-        positions = self._wall_range()
-        letters = [stored[k] if k in stored else self.default(k)
-                   for k in range(positions.start - 1, positions.stop)]
-        return [(k, a + b) for k, a, b in zip(positions, letters, letters[1:]) if a + b]
 
     def wall_positions(self) -> list[int]:
         """Wall positions repeated with multiplicity, in increasing order."""
@@ -372,10 +364,16 @@ class HalfPath(WallScan, CrystalElement):
 
     # -- walls and domains --------------------------------------------------
 
-    def _wall_range(self) -> range:
-        # a wall at position 0 belongs to neither half
-        lo, hi = (self.entries[0][0], self.entries[-1][0]) if self.entries else (0, -1)
-        return range(lo, 0) if self.side == LEFT else range(1, hi + 2)
+    def walls(self) -> list[tuple[int, int]]:
+        """Positions k with i_{k-1} + i_k != 0, with the signed sum: the
+        letter at k adds to the walls at k and k + 1, and the entries are
+        sorted, so the walls come out in increasing order."""
+        sums: dict[int, int] = {}
+        for k, v in self.entries:
+            sums[k] = sums.get(k, 0) + v
+            sums[k + 1] = sums.get(k + 1, 0) + v
+        sums.pop(0, None)  # a wall at position 0 belongs to neither half
+        return [(k, s) for k, s in sums.items() if s]
 
     def domains(self) -> list[tuple[int, int]]:
         """Finite domains (start, length) between consecutive walls.

@@ -25,10 +25,13 @@ p = <h_i, .>:
     phi_i = max(phi_i(b2), phi_i(b1) + p(lam) + p(b2))
 
 and a string splits between b1 and b2 by comparing phi_i(b1) + p(lam) with
-eps_i(b2), as core's tensor rule for strings does.
+eps_i(b2), by core's rule for strings (_string_split).
 
 Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
-               + delta * ( l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)) ).
+               + delta * ( l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)) )
+defines them, and a level path reads its weight off its three factors as
+wt(b1) + lam + wt(b2).  Its walls are b1's, the wall at 0 (b1's letter at
+-1 plus b2's at 0 plus m), then b2's, as g_{k-1} + g_k = 0 right of 0.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
-from .core import CrystalElement
+from .core import CrystalElement, _string_split
 from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, left_path, right_path,
                        u_inf, u_minus_inf)
 from .weights import Weight, classical
@@ -80,23 +83,13 @@ class LevelPath(WallScan):
         vals = [self.entry(k) for k in range(a, b + 1)]
         return f"LevelPath(m={self.m}, l={self.l}, [{a}..{b}]={vals})"
 
-    # -- weight -------------------------------------------------------------
+    # -- weight and walls, read off the three factors -------------------------
 
     def wt(self) -> Weight:
-        a, b = self.window()
-        lo, hi = a - 1, b + 2
-        cl = 0
-        dcorr = 0
-        for k in range(lo, hi + 1):
-            ik1, ik = self.entry(k - 1), self.entry(k)
-            gk1, gk = self.default(k - 1), self.default(k)
-            cl += ik1 + ik
-            dcorr += k * (max(ik1, -ik) - max(gk1, -gk))
-        return classical(cl, self.l + dcorr)
+        return lp_split(self).wt()
 
-    def _wall_range(self) -> range:
-        a, b = self.window()
-        return range(a - 1, b + 3)
+    def walls(self) -> list[tuple[int, int]]:
+        return lp_split(self).walls()
 
 
 def ground_path(m: int, l: int = 0) -> LevelPath:
@@ -115,7 +108,7 @@ def path_from_window(m: int, l: int, window_start: int, values: Iterable[int]) -
 
 
 @dataclass(frozen=True)
-class ModElement(CrystalElement):
+class ModElement(WallScan, CrystalElement):
     """b1 (x) t_lam (x) b2 with b1 a left and b2 a right half-path."""
 
     b1: HalfPath
@@ -154,14 +147,17 @@ class ModElement(CrystalElement):
         by the tensor rule for strings; None when the string runs out."""
         if n == 0:
             return self
-        ph, ep = self.b1.phi(i) + self.lam.pairing(i), self.b2.eps(i)
-        if n > 0:  # f_i acts on b1 while phi(b1 (x) t) > eps(b2)
-            on_left = 0 if ph <= ep else min(n, ph - ep)
-        else:  # e_i acts on b2 while phi(b1 (x) t) < eps(b2)
-            on_left = n + (0 if ph >= ep else min(-n, ep - ph))
+        on_left = _string_split(self.b1.phi(i) + self.lam.pairing(i), self.b2.eps(i), n)
         b1 = self.b1.power(i, on_left)
         b2 = None if b1 is None else self.b2.power(i, n - on_left)
         return None if b2 is None else ModElement(b1, self.lam, b2)
+
+    def walls(self) -> list[tuple[int, int]]:
+        """The level path's walls (see the module docstring)."""
+        b1, b2 = self.b1.entries, self.b2.entries
+        zero = ((b1[-1][1] if b1 and b1[-1][0] == -1 else 0)
+                + (b2[0][1] if b2 and b2[0][0] == 0 else 0) + self.lam.a0)
+        return self.b1.walls() + ([(0, zero)] if zero else []) + self.b2.walls()
 
     def key(self):
         return ("mod", self.b1.key(), (self.lam.a0, self.lam.a1, self.lam.d), self.b2.key())
@@ -182,9 +178,8 @@ def lp_split(p: LevelPath) -> ModElement:
     subtracted to become b2; wt(p) = wt(b1) + lam + wt(b2) forces the
     marker weight lam = m*(L0 - L1) + l*delta.
     """
-    a, b = p.window()
-    b1 = left_path({k: p.entry(k) for k in range(a, 0)})
-    b2 = right_path({k: p.entry(k) - p.default(k) for k in range(0, b + 1)})
+    b1 = left_path([(k, v) for k, v in p.entries if k < 0])
+    b2 = right_path([(k, v - p.default(k)) for k, v in p.entries if k >= 0])
     return ModElement(b1, classical(p.m, p.l), b2)
 
 

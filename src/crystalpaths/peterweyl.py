@@ -48,7 +48,7 @@ from typing import Optional
 from .core import COLORS, bfs_component, explore, graphs_isomorphic, plain_moves
 from .extremal import (WeylTable, enum_bmax, enum_bminus_star, extremal_screen,
                        is_extremal, weyl_orbit)
-from .levelpath import ModElement, lp_join, u_lambda
+from .levelpath import ModElement, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
 
@@ -120,7 +120,7 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
             links[k] = (parent.key(), move)
         extremal = verdicts.get(k)
         if extremal is None:
-            extremal = verdicts[k] = (extremal_screen(lp_join(x)) is not False
+            extremal = verdicts[k] = (extremal_screen(x) is not False
                                       and is_extremal(x, extremal_len, table=table))
         if not extremal:
             continue
@@ -206,10 +206,9 @@ def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int, *,
                     table: Optional[WeylTable] = None) -> bool:
     if r.wt() != lam:
         return False
-    p = lp_join(r)
-    if p.wall_sign() is None:
+    if r.wall_sign() is None:
         return False
-    walls = p.wall_positions()
+    walls = r.wall_positions()
     if len(walls) != abs(lam.a0):
         return False
     if any(walls[j + 1] - walls[j] > 1 for j in range(len(walls) - 1)):
@@ -309,6 +308,7 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
     rep.pair_count = len(pairs)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     rep.element_keys = frozenset(elements)
+    del bmax, dual, pairs  # the decompose loop reads only elements
 
     # decompose every enumerated element (optionally capped); the searches
     # overlap, so they share the table of S-steps

@@ -2,8 +2,8 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from crystalpaths import (HalfPath, Weight, from_word, left_path, level_path, path_to_seq,
-                          right_path, seq_to_path, star_binf, star_bminf,
+from crystalpaths import (HalfPath, Weight, from_word, left_path, level_path, lp_split,
+                          path_to_seq, right_path, seq_to_path, star_binf, star_bminf,
                           string_factorization, u_inf, u_minus_inf)
 from crystalpaths import halfpath
 from crystalpaths.halfpath import apply_word
@@ -252,9 +252,13 @@ def test_level_path_walls_match_the_dense_scan(d, m):
     p = level_path(m, 0, d)
     ground = lambda k: 0 if k < 0 else (-m if k % 2 else m)
     walls = dense_walls(lambda k: d.get(k, ground(k)), range(-30, 30))
-    assert p.walls() == walls
-    assert p.wall_positions() == [k for k, s in walls for _ in range(abs(s))]
-    assert p.wall_sign() == expected_sign(walls)
+    positions = [k for k, s in walls for _ in range(abs(s))]
+    # the level path and its three-factor form, whose walls are read off
+    # the factors' entries
+    for x in (p, lp_split(p)):
+        assert x.walls() == walls
+        assert x.wall_positions() == positions
+        assert x.wall_sign() == expected_sign(walls)
 
 
 def test_wall_sign_cases():

@@ -20,12 +20,27 @@ def sample_mod_elements(count, seed=0, lams=((0, 0), (1, 0), (2, 1), (-2, 0), (3
     return out
 
 
+def dense_level_weight(p):
+    """The positional weight formula, summed over every position from one
+    left of the window to two right of it (the terms vanish outside):
+    (sum_k (i_{k-1} + i_k)) * (L0 - L1)
+    + delta * (l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)))."""
+    a, b = p.window()
+    cl = dcorr = 0
+    for k in range(a - 1, b + 3):
+        ik1, ik = p.entry(k - 1), p.entry(k)
+        gk1, gk = p.default(k - 1), p.default(k)
+        cl += ik1 + ik
+        dcorr += k * (max(ik1, -ik) - max(gk1, -gk))
+    return classical(cl, p.l + dcorr)
+
+
 def test_ground_path_entries_and_weight():
     g = ground_path(2, 3)
     assert [g.entry(k) for k in range(-3, 4)] == [0, 0, 0, 2, -2, 2, -2]
-    assert g.wt() == classical(2, 3)
+    assert g.wt() == classical(2, 3) == dense_level_weight(g)
     assert ground_path(-1, 0).entry(0) == -1
-    assert ground_path(0, 5).wt() == classical(0, 5)
+    assert ground_path(0, 5).wt() == classical(0, 5) == dense_level_weight(ground_path(0, 5))
 
 
 def test_sparse_storage_canonicalization():
@@ -119,13 +134,15 @@ def test_weight_delta_tracks_positions():
 def test_marker_weight_is_the_ground_weight():
     # lp_split's marker is forced by wt(p) = wt(b1) + lam + wt(b2), and
     # lp_join's delta label by wt(lp_join(e)) = wt(e); both reduce to the
-    # family label (m, l)
+    # family label (m, l).  A level path's wt is read off its factors, so
+    # the positional formula is the independent reference
     rng = random.Random(3)
     for _ in range(2000):
         m, l = rng.randint(-3, 3), rng.randint(-3, 3)
         p = level_path(m, l, {rng.randint(-8, 8): rng.randint(-4, 4)
                               for _ in range(rng.randrange(8))})
         e = lp_split(p)
+        assert p.wt() == dense_level_weight(p)
         assert e.lam == classical(m, l) == p.wt() - e.b1.wt() - e.b2.wt()
         b1 = left_path({rng.randint(-8, -1): rng.randint(-4, 4)
                         for _ in range(rng.randrange(6))})
@@ -133,7 +150,7 @@ def test_marker_weight_is_the_ground_weight():
                          for _ in range(rng.randrange(6))})
         e = ModElement(b1, classical(m, l), b2)
         q = lp_join(e)
-        assert q.wt() == e.wt() and q.l == l
+        assert q.wt() == e.wt() == dense_level_weight(q) and q.l == l
         assert lp_split(q) == e
 
 
