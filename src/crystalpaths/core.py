@@ -2,11 +2,14 @@
 
 A crystal element exposes a weight, its pairings <h_i, wt> with the simple
 coroots, string statistics eps(i)/phi(i) valued in the integers extended by
--infinity, and partial raising/lowering operators e(i)/f(i) that return None
-where undefined (None models the formal zero element of the crystal axioms).  On top of that protocol this module builds
-the tensor product and dual combinators, the breadth-first search engine
-explore, the string walker peel, component enumeration, rooted
-graph isomorphism, an axiom checker, and graph export.
+-infinity, and one operator, power(i, n): the whole string f_i^n for n >= 0
+and e_i^(-n) for n < 0, None where it is undefined (None models the formal
+zero element of the crystal axioms).  The raising and lowering operators
+e(i)/f(i) are power(i, -1)/power(i, 1), defined once on the base class.  On
+top of that protocol this module builds the tensor product and dual
+combinators, the breadth-first search engine explore, the string walker
+peel, component enumeration, rooted graph isomorphism, an axiom checker,
+and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -19,11 +22,9 @@ Whole strings follow, since f_i lowers phi_i of the factor it acts on by one
 and e_i lowers eps_i by one: f_i^n acts a = clamp(phi_i(b1) - eps_i(b2), 0, n)
 times on b1 and then n - a times on b2; e_i^n acts
 b = clamp(eps_i(b2) - phi_i(b1), 0, n) times on b2 and then n - b times on
-b1.  Every element type answers power(i, n), and the string walkers call
-it directly; the default takes single steps, and tensor products, duals,
-half-paths and three-factor elements apply a string at once.  A tensor
-product keeps its three statistics of both colors as one tuple, computed
-on first use.
+b1.  _string_split is the one place this rule is written; with |n| = 1 it is
+the single-step rule above.  A tensor product keeps its three statistics of
+both colors as one tuple, computed on first use.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ COLORS = (0, 1)
 
 
 class CrystalElement:
-    """Protocol base class; concrete elements override wt, eps, phi, e, f
-    and key, power where they have a string rule, and pairing where they
-    read <h_i, wt> without building the weight."""
+    """Protocol base class; concrete elements define wt, eps, phi, power and
+    key, and pairing where they read <h_i, wt> without building the
+    weight.  power(i, 0) returns the element unchanged."""
 
     def wt(self) -> Weight:
         raise NotImplementedError
@@ -57,27 +58,21 @@ class CrystalElement:
     def phi(self, i: int):
         raise NotImplementedError
 
-    def e(self, i: int) -> Optional["CrystalElement"]:
+    def power(self, i: int, n: int) -> Optional["CrystalElement"]:
+        """f_i^n for n >= 0 and e_i^(-n) for n < 0; None when the string
+        runs out."""
         raise NotImplementedError
 
+    def e(self, i: int) -> Optional["CrystalElement"]:
+        return self.power(i, -1)
+
     def f(self, i: int) -> Optional["CrystalElement"]:
-        raise NotImplementedError
+        return self.power(i, 1)
 
     def pairing(self, i: int) -> int:
         """<h_i, wt>; element types that know it without the full weight
         override this."""
         return self.wt().pairing(i)
-
-    def power(self, i: int, n: int) -> Optional["CrystalElement"]:
-        """f_i^n for n >= 0 and e_i^(-n) for n < 0, one step at a time; None
-        as soon as a step is undefined.  Element types with a string rule
-        override it, and this loop is their reference."""
-        b = self
-        for _ in range(abs(n)):
-            b = b.f(i) if n >= 0 else b.e(i)
-            if b is None:
-                return None
-        return b
 
     def key(self) -> Hashable:
         """Canonical hashable identity used for BFS dedup and graph nodes."""
@@ -102,7 +97,8 @@ class TensorElement(CrystalElement):
     factors' statistics.  Deep tensor words read the statistics of every
     prefix, so without it the recursion is quadratic in the word length;
     pairing is the sum of the factors' pairings, so eps/phi never build a
-    prefix weight.  e, f and power are the raw tensor rules."""
+    prefix weight.  power is the tensor rule for strings, through
+    _string_split."""
 
     left: CrystalElement
     right: CrystalElement
@@ -130,20 +126,6 @@ class TensorElement(CrystalElement):
     def phi(self, i: int):
         return self._stats[i][2]
 
-    def e(self, i: int):
-        if self.left.phi(i) >= self.right.eps(i):
-            c = self.left.e(i)
-            return None if c is None else TensorElement(c, self.right)
-        c = self.right.e(i)
-        return None if c is None else TensorElement(self.left, c)
-
-    def f(self, i: int):
-        if self.left.phi(i) > self.right.eps(i):
-            c = self.left.f(i)
-            return None if c is None else TensorElement(c, self.right)
-        c = self.right.f(i)
-        return None if c is None else TensorElement(self.left, c)
-
     def power(self, i: int, n: int):
         if n == 0:
             return self
@@ -170,14 +152,6 @@ class DualElement(CrystalElement):
 
     def phi(self, i: int):
         return self.inner.eps(i)
-
-    def e(self, i: int):
-        c = self.inner.f(i)
-        return None if c is None else DualElement(c)
-
-    def f(self, i: int):
-        c = self.inner.e(i)
-        return None if c is None else DualElement(c)
 
     def power(self, i: int, n: int):
         c = self.inner.power(i, -n)
@@ -270,13 +244,13 @@ def explore(roots: Iterable[CrystalElement], moves, depth: int):
         frontier = nxt
 
 
-def peel(b: CrystalElement, start_color: int) -> list[tuple[int, int]]:
-    """The string of b along the colors start_color, 1 - start_color, ...:
+def peel(b: CrystalElement, first_color: int) -> list[tuple[int, int]]:
+    """The string of b along the colors first_color, 1 - first_color, ...:
     (color, a_k) pairs, a_k being eps_color of b after the full raises along
     the earlier pairs, until both colors are exhausted.  Lowering the highest
     weight element along the reversed pairs (halfpath.apply_word) gives b."""
     word: list[tuple[int, int]] = []
-    color = start_color
+    color = first_color
     # after a full raise the previous color is exhausted
     while (k := b.eps(color)) or (not word and b.eps(1 - color)):
         word.append((color, k))

@@ -4,8 +4,8 @@ T_lambda is a single element of weight lambda with eps = phi = -infinity and
 no operators; tensoring with it shifts weights without touching the graph.
 
 B_i is { (n)_i : n in Z } with wt (n)_i = n*alpha_i, eps_i = -n, phi_i = n,
-e_i (n) = (n+1), f_i (n) = (n-1); the other color has eps = phi = -infinity
-and undefined operators.
+e_i (n) = (n+1), f_i (n) = (n-1), so f_i^k (n) = (n-k); the other color has
+eps = phi = -infinity and undefined operators.
 
 LimitEntry models a single letter of the limit path crystal, identified with
 Z: e_1 and f_0 decrement, e_0 and f_1 increment, eps_1(n) = phi_0(n) = n,
@@ -37,11 +37,8 @@ class TElement(CrystalElement):
     def phi(self, i: int):
         return NEG_INF
 
-    def e(self, i: int):
-        return None
-
-    def f(self, i: int):
-        return None
+    def power(self, i: int, n: int):
+        return self if n == 0 else None
 
     def key(self):
         return ("t", self.lam.a0, self.lam.a1, self.lam.d)
@@ -61,11 +58,10 @@ class BiElement(CrystalElement):
     def phi(self, i: int):
         return self.n if i == self.color else NEG_INF
 
-    def e(self, i: int):
-        return BiElement(self.color, self.n + 1) if i == self.color else None
-
-    def f(self, i: int):
-        return BiElement(self.color, self.n - 1) if i == self.color else None
+    def power(self, i: int, n: int):
+        if n == 0:
+            return self
+        return BiElement(self.color, self.n - n) if i == self.color else None
 
     def key(self):
         return ("bi", self.color, self.n)
@@ -87,11 +83,10 @@ class LimitEntry(CrystalElement):
     def phi(self, i: int):
         return self.n if i == 0 else -self.n
 
-    def e(self, i: int):
-        return LimitEntry(self.n - 1 if i == 1 else self.n + 1)
-
-    def f(self, i: int):
-        return LimitEntry(self.n + 1 if i == 1 else self.n - 1)
+    def power(self, i: int, n: int):
+        if n == 0:
+            return self
+        return LimitEntry(self.n + n if i == 1 else self.n - n)
 
     def key(self):
         return ("z", self.n)
@@ -120,11 +115,8 @@ class EndMarker(CrystalElement):
     def phi(self, i: int):
         return 0
 
-    def e(self, i: int):
-        return None
-
-    def f(self, i: int):
-        return None
+    def power(self, i: int, n: int):
+        return self if n == 0 else None
 
     def key(self):
         return ("end", self.side)
@@ -133,8 +125,8 @@ class EndMarker(CrystalElement):
 def tensor_oracle(entries: dict[int, int], width: int) -> TensorElement:
     """The left path with the given entries as the tensor word
     EndMarker (x) letter_{-width} (x) ... (x) letter_{-1}, acted on by the
-    raw tensor rules only: a reference for the closed-form path operators
-    that shares no code with them."""
+    tensor rules only (core._string_split): a reference for the closed-form
+    path operators that shares no code with them."""
     cur = TensorElement(EndMarker("left"), LimitEntry(entries.get(-width, 0)))
     for k in range(-width + 1, 0):
         cur = TensorElement(cur, LimitEntry(entries.get(k, 0)))

@@ -92,20 +92,6 @@ def _built(side: str, entries: tuple[tuple[int, int], ...],
     return b
 
 
-def _signature_values(view: tuple[tuple[int, int], ...], i: int) -> list[int]:
-    """A_k(i) of a left path's entries for k from one left of the support
-    to -1."""
-    sgn = 1 if i == 1 else -1
-    vals = [0]
-    running = 0  # sum of entries at positions < k
-    stored = dict(view)
-    for k in range(view[0][0] if view else 0, 0):
-        v = stored.get(k, 0)
-        vals.append(sgn * (v + 2 * running))
-        running += v
-    return vals
-
-
 def _statistics(view: tuple[tuple[int, int], ...], i: int) -> tuple[int, int]:
     """max_k A_k(i) and <h_i, wt> of a left path, from one scan of its
     nonzero entries."""
@@ -250,16 +236,6 @@ class WallScan:
     three factors).
     """
 
-    def default(self, k: int) -> int:
-        """The letter at a position not listed in entries."""
-        return 0
-
-    def entry(self, k: int) -> int:
-        for pos, val in self.entries:
-            if pos == k:
-                return val
-        return self.default(k)
-
     def wall_positions(self) -> list[int]:
         """Wall positions repeated with multiplicity, in increasing order."""
         out: list[int] = []
@@ -317,18 +293,6 @@ class HalfPath(WallScan, CrystalElement):
 
     # -- crystal structure -------------------------------------------------
 
-    def _view(self) -> tuple[tuple[int, int], ...]:
-        """The entries of the left path whose structure this path carries,
-        stored at construction."""
-        return self._left
-
-    def _signature(self, i: int) -> dict[int, int]:
-        """A_k(i) by position, from one left of the support to -1."""
-        if self.side != LEFT:
-            raise ValueError("the signature is defined for left paths")
-        lo = (self.entries[0][0] if self.entries else 0) - 1
-        return dict(zip(range(lo, 0), _signature_values(self.entries, i)))
-
     def wt(self) -> Weight:
         total, d = _weight_parts(self._left)
         return classical(2 * total, d) if self.side == LEFT else classical(-2 * total, -d)
@@ -345,6 +309,8 @@ class HalfPath(WallScan, CrystalElement):
         top, pairing = _statistics(self._left, i)
         return top + pairing if self.side == LEFT else top
 
+    # CrystalElement's e and f, restated: bench/test_bench.py checks that
+    # its tracer wraps and restores HalfPath.e in this class's own dict
     def e(self, i: int) -> Optional["HalfPath"]:
         return self.power(i, -1)
 

@@ -66,7 +66,12 @@ class LevelPath(WallScan):
         object.__setattr__(self, "entries", canon)
 
     def default(self, k: int) -> int:
+        """The letter at a position not listed in entries."""
         return 0 if k < 0 else _alt(k) * self.m
+
+    def entry(self, k: int) -> int:
+        """The letter at position k."""
+        return dict(self.entries).get(k, self.default(k))
 
     def window(self) -> tuple[int, int]:
         """Smallest [a, b] containing 0 and every non-default position."""
@@ -75,13 +80,18 @@ class LevelPath(WallScan):
         b = max([0] + positions)
         return a, b
 
+    def letters(self) -> list[int]:
+        """The letters at the positions of window(), in order."""
+        a, b = self.window()
+        stored = dict(self.entries)
+        return [stored.get(k, self.default(k)) for k in range(a, b + 1)]
+
     def key(self):
         return ("lp", self.m, self.l, self.entries)
 
     def __repr__(self) -> str:
         a, b = self.window()
-        vals = [self.entry(k) for k in range(a, b + 1)]
-        return f"LevelPath(m={self.m}, l={self.l}, [{a}..{b}]={vals})"
+        return f"LevelPath(m={self.m}, l={self.l}, [{a}..{b}]={self.letters()})"
 
     # -- weight and walls, read off the three factors -------------------------
 
@@ -135,12 +145,6 @@ class ModElement(WallScan, CrystalElement):
     def phi(self, i: int):
         return max(self.b2.phi(i),
                    self.b1.phi(i) + self.lam.pairing(i) + self.b2.pairing(i))
-
-    def e(self, i: int) -> Optional["ModElement"]:
-        return self.power(i, -1)
-
-    def f(self, i: int) -> Optional["ModElement"]:
-        return self.power(i, 1)
 
     def power(self, i: int, n: int) -> Optional["ModElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0, split between b1 and b2

@@ -25,10 +25,11 @@ runs read off one table from value to outermost position
 (halfpath._runs), in O(L + distinct values of Ahat) rather than O(L + n).
 A position occurs in one run only, so e_i's string raises ValueError
 (an entry would go negative) exactly when one of its single steps would.
-e_i and f_i stay single steps on the full signature, the reference for
-power.  With s_c the sum of a_p over the positions of color c,
-wt = -s_0 * alpha_0 - s_1 * alpha_1 and pairing(i) = -2 * (s_i - s_(1-i))
-need no per-position weight, and eps is the maximum of one scan.
+e_i and f_i are power(i, -1) and power(i, 1); the single steps on the full
+signature, the reference for power, live in the tests.  With s_c the sum
+of a_p over the positions of color c, wt = -s_0 * alpha_0 - s_1 * alpha_1
+and pairing(i) = -2 * (s_i - s_(1-i)) need no per-position weight, and eps
+is the maximum of one scan.
 
 The realization embeds the limit crystal; the image is cut out by
 (n-1)*a_{n+1} <= n*a_n for n >= 2.  Monotone sequences (a_{p+1} <= a_p)
@@ -77,12 +78,6 @@ class SeqElement(CrystalElement):
     def __repr__(self) -> str:
         return f"SeqElement(c{self.first_color}, {list(self.a)})"
 
-    # -- signature values ---------------------------------------------------
-
-    def _signature(self, i: int) -> dict[int, int]:
-        first = 1 if self.color(1) == i else 2
-        return dict(zip(range(first, len(self.a) + 3, 2), _signature_values(self, i)))
-
     # -- crystal structure --------------------------------------------------
 
     def wt(self) -> Weight:
@@ -97,37 +92,18 @@ class SeqElement(CrystalElement):
         return 2 * (even - odd) if i == self.first_color else 2 * (odd - even)
 
     def eps(self, i: int):
-        return max(_signature_values(self, i))
+        return max(_ahat(self, i))
 
     def phi(self, i: int):
         return self.eps(i) + self.pairing(i)
 
-    def _set(self, p: int, val: int) -> "SeqElement":
-        vals = list(self.a) + [0] * max(0, p - len(self.a))
-        vals[p - 1] = val
-        return SeqElement(self.first_color, tuple(vals))
-
-    def e(self, i: int) -> Optional["SeqElement"]:
-        sig = self._signature(i)
-        top = max(sig.values())
-        if top == 0:
-            return None
-        p = max(q for q, v in sig.items() if v == top)
-        return self._set(p, self.value(p) - 1)
-
-    def f(self, i: int) -> Optional["SeqElement"]:
-        sig = self._signature(i)
-        top = max(sig.values())
-        p = min(q for q, v in sig.items() if v == top)
-        return self._set(p, self.value(p) + 1)
-
     def power(self, i: int, n: int) -> Optional["SeqElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0 in one pass; None when
-        the string runs out, and ValueError at the step where e_i would
-        make an entry negative (outside the image), as the single steps do."""
+        the string runs out, and ValueError when e_i would make an entry
+        negative (outside the image)."""
         if n == 0:
             return self
-        vals = _signature_values(self, i)
+        vals = _ahat(self, i)
         top = max(vals)
         if n < 0 and top == 0:
             return None
@@ -144,7 +120,7 @@ class SeqElement(CrystalElement):
         return SeqElement(self.first_color, tuple(a))
 
 
-def _signature_values(s: SeqElement, i: int) -> list[int]:
+def _ahat(s: SeqElement, i: int) -> list[int]:
     """Ahat_p(i) for the positions p of color i from the first one to the
     first one past the support, in increasing p: one pass from the deep
     end, running being the sum over q > p of a_q, counted +1 on color i and

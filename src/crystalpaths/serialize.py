@@ -38,12 +38,11 @@ def encode(obj: Any) -> dict:
     if isinstance(obj, SeqElement):
         return {"first_color": obj.first_color, "a": list(obj.a)}
     if isinstance(obj, LevelPath):
-        a, b = obj.window()
         return {
             "m": obj.m,
             "l": obj.l,
-            "window_start": a,
-            "window": [obj.entry(k) for k in range(a, b + 1)],
+            "window_start": obj.window()[0],
+            "window": obj.letters(),
         }
     if isinstance(obj, ModElement):
         return {

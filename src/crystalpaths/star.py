@@ -5,18 +5,17 @@ alternating color sequence i_1, i_2, ... and record a_k = eps_{i_k} of the
 element obtained by fully raising along i_{k-1}, ..., i_1.  The recorded
 list, read as a sequence-realization element with first color i_1, is
 exactly the sequence form of b*; converting it back to a path gives b*.
-Either starting color yields the same element.
+Either starting color yields the same element; star_binf starts from color
+1, so each path has one cache entry.
 
 star_binf's lru_cache is the only star cache.  Right paths are starred
 through the side flip: in, the flip is the path's stored left view (no
 copy); out, it is one reversal of the entries.
 
 On three-factor elements, (b1, lam, b2)* = (b1*, -lam - wt(b1) - wt(b2), b2*)
-with b2 starred through the side flip; the marker comes from one pass over
-each factor's nonzero entries (halfpath._weight_parts), with no weight of a
-factor built.  Star is an involution; it negates the relation between the
-marker weight and the element weight: wt(e*) = -lam(e) and lam(e*) =
--wt(e).
+with b2 starred through the side flip; the marker is -wt(e).  Star is an
+involution; it negates the relation between the marker weight and the
+element weight: wt(e*) = -lam(e) and lam(e*) = -wt(e).
 
 Starred operators are the star conjugates X*(e) = (X(e*))*; they commute
 with the plain operators and preserve the element weight while shifting the
@@ -35,37 +34,30 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import peel
-from .halfpath import HalfPath, LEFT, RIGHT, _weight_parts, u_inf
+from .halfpath import HalfPath, LEFT, RIGHT, u_inf
 from .levelpath import LevelPath, ModElement, _alt
 from .seqreal import SeqElement, seq_to_path
-from .weights import classical
 
 
 @lru_cache(maxsize=1 << 18)
-def star_binf(b: HalfPath, start_color: int = 1) -> HalfPath:
-    """Star on the limit crystal of left paths, by peeling."""
+def star_binf(b: HalfPath) -> HalfPath:
+    """Star on the limit crystal of left paths, by peeling from color 1."""
     if b.side != LEFT:
         raise ValueError("star_binf expects a left path")
-    a = tuple(k for _, k in peel(b, start_color))
-    return seq_to_path(SeqElement(start_color, a))
+    a = tuple(k for _, k in peel(b, 1))
+    return seq_to_path(SeqElement(1, a))
 
 
-def star_bminf(b: HalfPath, start_color: int = 1) -> HalfPath:
+def star_bminf(b: HalfPath) -> HalfPath:
     """Star on the dual limit crystal of right paths: flip-conjugated."""
     if b.side != RIGHT:
         raise ValueError("star_bminf expects a right path")
-    return star_binf(b.flip(), start_color).flip()
+    return star_binf(b.flip()).flip()
 
 
 def star_mod(e: ModElement) -> ModElement:
     """Star on the modified-algebra crystal."""
-    s1, d1 = _weight_parts(e.b1._view())
-    s2, d2 = _weight_parts(e.b2._view())  # wt(b2) is minus its view's weight
-    return ModElement(
-        star_binf(e.b1),
-        -e.lam - classical(2 * (s1 - s2), d1 - d2),
-        star_bminf(e.b2),
-    )
+    return ModElement(star_binf(e.b1), -e.wt(), star_bminf(e.b2))
 
 
 def starred_e(e: ModElement, i: int) -> Optional[ModElement]:

@@ -4,12 +4,21 @@ The tensor-chain oracle re-builds a left path as an explicit iterated tensor
 product of single-letter crystals behind an inert end marker, so that the
 closed-form operators on paths can be checked against the raw tensor rules
 with no shared code path.
+
+The library has one operator per element type, the whole string
+power(i, n).  The single steps it is checked against live here, each by
+its definition: the raw tensor tie-break, dense signatures rescanned at
+every step for half-paths and sequences, and the elementary crystals'
+rules.  single_steps(b, i, n) loops them.
 """
 
 import random
 
-from crystalpaths import HalfPath, LevelPath, left_path, u_inf
-from crystalpaths.elementary import oracle_mismatches, tensor_oracle
+from crystalpaths import HalfPath, LevelPath, SeqElement, left_path, seq_to_path, u_inf
+from crystalpaths.core import DualElement, TensorElement, peel
+from crystalpaths.elementary import (BiElement, EndMarker, LimitEntry, TElement,
+                                     oracle_mismatches, tensor_oracle)
+from crystalpaths.levelpath import ModElement
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:
@@ -44,3 +53,117 @@ def random_binf_elements(count: int, max_steps: int, seed: int = 0):
     for _ in range(count):
         out.append(random_walk(u_inf(), rng.randrange(max_steps + 1), rng))
     return out
+
+
+def left_signature(b: HalfPath, i: int) -> dict[int, int]:
+    """A_k(i) = sgn(i) * (i_k + 2 * sum_{j<k} i_j) of a left path by
+    position, from one left of its support to -1, sgn(1) = 1, sgn(0) = -1."""
+    view = b.as_dict()
+    sgn = 1 if i == 1 else -1
+    out, running = {}, 0
+    for k in range(min(view, default=0) - 1, 0):
+        out[k] = sgn * (view.get(k, 0) + 2 * running)
+        running += view.get(k, 0)
+    return out
+
+
+def nested_sum_signature(s: SeqElement, i: int) -> dict[int, int]:
+    """The signature formula of the seqreal docstring, summed term by term:
+    Ahat_p = a_p + 2 * (sum_{q>p, color q = i} a_q - sum_{q>p, color q != i} a_q)
+    for the positions p of color i up to two past the support."""
+    n = len(s.a)
+    return {p: s.value(p) + 2 * (
+                sum(s.value(q) for q in range(p + 1, n + 1) if s.color(q) == i)
+                - sum(s.value(q) for q in range(p + 1, n + 1) if s.color(q) != i))
+            for p in range(1, n + 3) if s.color(p) == i}
+
+
+def stepwise_power(b: HalfPath, i: int, n: int):
+    """f_i^n / e_i^(-n) of a half-path by single steps on its left view's
+    signature, rescanned for the maximum at every step: f_i moves the
+    letter at the rightmost maximum, e_i the one at the leftmost, and the
+    step changes A there by +-1 and every A to its right by +-2.  A right
+    path works on the view with e and f exchanged."""
+    view = b.as_dict() if b.side == "left" else b.flip().as_dict()
+    m = n if b.side == "left" else -n
+    lo = min(view, default=0) - 1 - max(m, 0)  # room for f_i to extend the support
+    sgn = 1 if i == 1 else -1
+    vals, running = [], 0
+    for k in range(lo, 0):
+        vals.append(sgn * (view.get(k, 0) + 2 * running))
+        running += view.get(k, 0)
+    step = 1 if m > 0 else -1
+    for _ in range(abs(m)):
+        top = max(vals)
+        if m > 0:
+            j = len(vals) - 1 - vals[::-1].index(top)
+        elif top == 0:
+            return None
+        else:
+            j = vals.index(top)
+        view[lo + j] = view.get(lo + j, 0) + sgn * step
+        vals[j] += step
+        vals[j + 1:] = [v + 2 * step for v in vals[j + 1:]]
+    out = left_path(view)
+    return out if b.side == "left" else out.flip()
+
+
+def sequence_step(s: SeqElement, i: int, up: bool):
+    """e_i (up) or f_i of a sequence element on its full signature: e_i
+    lowers a_p at the largest position attaining the maximum and is
+    undefined when it is 0, f_i raises a_p at the smallest.  A negative
+    entry raises ValueError in the constructor."""
+    sig = nested_sum_signature(s, i)
+    top = max(sig.values())
+    if up and top == 0:
+        return None
+    p = (max if up else min)(q for q, v in sig.items() if v == top)
+    a = list(s.a) + [0] * max(0, p - len(s.a))
+    a[p - 1] += -1 if up else 1
+    return SeqElement(s.first_color, tuple(a))
+
+
+def single_step(b, i: int, up: bool):
+    """e_i (up) or f_i of b by the single-step definitions, sharing no code
+    with any power: on a tensor product e_i acts on the left factor iff
+    phi_i(left) >= eps_i(right) and f_i iff phi_i(left) > eps_i(right); a
+    three-factor element steps as b1 (x) t_lam (x) b2."""
+    if isinstance(b, TensorElement):
+        ph, ep = b.left.phi(i), b.right.eps(i)
+        if (ph >= ep) if up else (ph > ep):
+            c = single_step(b.left, i, up)
+            return None if c is None else TensorElement(c, b.right)
+        c = single_step(b.right, i, up)
+        return None if c is None else TensorElement(b.left, c)
+    if isinstance(b, DualElement):
+        c = single_step(b.inner, i, not up)
+        return None if c is None else DualElement(c)
+    if isinstance(b, ModElement):
+        t = single_step(TensorElement(TensorElement(b.b1, TElement(b.lam)), b.b2), i, up)
+        return None if t is None else ModElement(t.left.left, b.lam, t.right)
+    if isinstance(b, HalfPath):
+        return stepwise_power(b, i, -1 if up else 1)
+    if isinstance(b, SeqElement):
+        return sequence_step(b, i, up)
+    if isinstance(b, LimitEntry):  # e_1 and f_0 decrement, e_0 and f_1 increment
+        return LimitEntry(b.n - 1 if (i == 1) == up else b.n + 1)
+    if isinstance(b, BiElement):  # e_i (n)_i = (n + 1)_i, f_i (n)_i = (n - 1)_i
+        return BiElement(b.color, b.n + (1 if up else -1)) if i == b.color else None
+    if isinstance(b, (TElement, EndMarker)):
+        return None
+    raise TypeError(f"no single step for {type(b).__name__}")
+
+
+def single_steps(b, i: int, n: int):
+    """f_i^n for n >= 0 and e_i^(-n) for n < 0 one single_step at a time;
+    None as soon as a step is undefined."""
+    for _ in range(abs(n)):
+        b = single_step(b, i, n < 0)
+        if b is None:
+            return None
+    return b
+
+
+def star_from(b: HalfPath, color: int) -> HalfPath:
+    """b* by peeling from the given color (star_binf peels from color 1)."""
+    return seq_to_path(SeqElement(color, tuple(k for _, k in peel(b, color))))

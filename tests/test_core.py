@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 from itertools import islice
 from pathlib import Path
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import crystalpaths
 from crystalpaths import TensorElement, Weight, bfs_component, check_axioms, graphs_isomorphic
 from crystalpaths import from_word, u_inf
-from crystalpaths.core import DualElement, explore, plain_moves
+from crystalpaths.core import CrystalElement, DualElement, explore, plain_moves
 from crystalpaths.elementary import BiElement, EndMarker, LimitEntry, TElement
 
 NEG_INF = float("-inf")
@@ -266,3 +268,20 @@ def test_src_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_power_is_the_one_operator_of_every_element_type():
+    # every element type answers power(i, n) itself; e/f are derived once,
+    # on the base class (HalfPath restates them for bench/test_bench.py)
+    types = []
+    for info in pkgutil.iter_modules(crystalpaths.__path__):
+        module = importlib.import_module(f"crystalpaths.{info.name}")
+        types += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, CrystalElement)
+                  and obj.__module__ == module.__name__]
+    names = {cls.__name__ for cls in types}
+    assert names >= {"CrystalElement", "TensorElement", "DualElement", "TElement", "BiElement",
+                     "LimitEntry", "EndMarker", "HalfPath", "SeqElement", "ModElement"}
+    assert [cls.__name__ for cls in types if "power" not in vars(cls)] == []
+    steps = {cls.__name__ for cls in types if {"e", "f"} & set(vars(cls))}
+    assert steps == {"CrystalElement", "HalfPath"}

@@ -7,7 +7,7 @@ from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
                           enum_bminus_star, extremal_cert, ground_path,
                           is_extremal, is_extremal_path, lp_join, lp_split,
                           path_from_window, star_mod, u_lambda, weyl_op)
-from crystalpaths.core import CrystalElement, TensorElement
+from crystalpaths.core import TensorElement
 from crystalpaths.elementary import TElement
 from crystalpaths.extremal import (_UNSEEN, WeylTable, _locally_extremal,
                                    extremal_screen, uniform_wall_path)
@@ -15,7 +15,7 @@ from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import classical
 
-from conftest import same_entries
+from conftest import same_entries, single_step, single_steps
 
 
 def test_weyl_op_on_ground_paths():
@@ -181,13 +181,13 @@ def test_operators_are_undefined_exactly_where_the_statistics_vanish(b, i):
 def image_locally_extremal(e):
     """The definition: no e_i image where <h_i, wt> >= 0 and no f_i image
     where <h_i, wt> <= 0, with the images built through the nested tensor
-    product b1 (x) t_lam (x) b2."""
+    product b1 (x) t_lam (x) b2 by single steps."""
     t = TensorElement(TensorElement(e.b1, TElement(e.lam)), e.b2)
     for i in (0, 1):
         n = e.wt().pairing(i)
-        if n >= 0 and t.e(i) is not None:
+        if n >= 0 and single_step(t, i, True) is not None:
             return False
-        if n <= 0 and t.f(i) is not None:
+        if n <= 0 and single_step(t, i, False) is not None:
             return False
     return True
 
@@ -202,7 +202,7 @@ def image_cert(e, max_len):
         for _ in range(max_len):
             word.append(color)
             n = cur.wt().pairing(color)
-            t = CrystalElement.power(
+            t = single_steps(
                 TensorElement(TensorElement(cur.b1, TElement(cur.lam)), cur.b2), color, n)
             if t is None:
                 return False, word

@@ -8,7 +8,7 @@ from crystalpaths import (HalfPath, Weight, from_word, left_path, level_path, lp
 from crystalpaths import halfpath
 from crystalpaths.halfpath import apply_word
 
-from conftest import agree_with_oracle, random_binf_elements
+from conftest import agree_with_oracle, left_signature, random_binf_elements, star_from
 
 NEG_INF = float("-inf")
 
@@ -39,13 +39,17 @@ def test_entry_validation():
 
 
 def test_signature_is_for_left_paths_only():
-    assert left_path({-2: 1, -1: -1})._signature(1) == {-3: 0, -2: 1, -1: 1}
-    try:
-        right_path({0: 1})._signature(1)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("a right path has no signature of its own")
+    # A(1) = 0, 1, 1 at -3..-1: eps_1 is the maximum, e_1 acts at its
+    # leftmost position and f_1 at its rightmost
+    b = left_path({-2: 1, -1: -1})
+    assert left_signature(b, 1) == {-3: 0, -2: 1, -1: 1}
+    assert b.eps(1) == 1
+    assert b.e(1) == left_path({-1: -1}) and b.f(1) == left_path({-2: 1})
+    # a right path has no signature of its own: it carries its left view's
+    # structure with eps/phi and e/f exchanged
+    r = right_path({0: 1})
+    assert (r.eps(1), r.phi(1)) == (r.flip().phi(1), r.flip().eps(1))
+    assert r.e(1) == r.flip().f(1).flip()
 
 
 def test_hand_checked_operators():
@@ -71,8 +75,9 @@ def test_f1_on_highest():
 def test_weight_formula_delta_coordinate():
     # wt = 2*(sum of entries)*(L0 - L1) + delta * sum_k k*max(i_{k-1}, -i_k)
     b = left_path({-3: 1, -2: -2, -1: 2})
-    total = sum(b.as_dict().values())
-    d = sum(k * max(b.entry(k - 1), -b.entry(k)) for k in range(-10, 1))
+    letters = b.as_dict()
+    total = sum(letters.values())
+    d = sum(k * max(letters.get(k - 1, 0), -letters.get(k, 0)) for k in range(-10, 1))
     assert b.wt() == Weight(2 * total, -2 * total, d)
 
 
@@ -106,7 +111,7 @@ def assert_canonical(b):
     entries, and its entries are sorted, nonzero and on b's side of 0."""
     public = HalfPath(b.side, b.entries)
     assert b == public and hash(b) == hash(public) and b.key() == public.key()
-    assert b._view() == public._view()
+    assert b._left == public._left
     positions = [k for k, _ in b.entries]
     assert positions == sorted(set(positions))
     assert all(v != 0 for _, v in b.entries)
@@ -120,9 +125,9 @@ def test_internal_results_are_canonical(b, i, n):
     # power and flip build their results with no sort or check
     results = [b.flip(), b.flip().flip(), b.power(i, n), b.flip().power(i, n)]
     if b.side == "left":
-        results += [star_binf(b, 1 - i), seq_to_path(path_to_seq(b, i))]
+        results += [star_binf(b), star_from(b, 0), seq_to_path(path_to_seq(b, i))]
     else:
-        results.append(star_bminf(b, i))
+        results.append(star_bminf(b))
     for c in results:
         if c is not None:
             assert_canonical(c)
@@ -207,8 +212,9 @@ def test_walls_and_domains():
     # wall at k iff i_{k-1} + i_k != 0
     walls = dict(b.walls())
     expected = {}
+    letters = b.as_dict()
     for k in range(-6, 0):
-        s = b.entry(k - 1) + b.entry(k)
+        s = letters.get(k - 1, 0) + letters.get(k, 0)
         if s != 0:
             expected[k] = s
     assert walls == expected

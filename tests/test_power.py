@@ -1,22 +1,25 @@
 """Whole-string operators against their single-step reference.
 
-power(i, n) has a string rule on half-paths and sequences (the signature
-rule in one sweep), tensor products (the tensor rule for strings), duals
-and three-factor elements.  CrystalElement.power, the loop of single
-e_i/f_i steps, stays the reference: every string rule must return the same
-element, by key, and None exactly where the reference does.  Half-paths
-take their single steps through power itself, so their sweep is also
-checked against a stepwise loop kept here.
+power(i, n) is the one operator of every element type: a string rule on
+half-paths and sequences (the signature rule in one sweep), tensor
+products (the tensor rule for strings), duals, three-factor elements and
+closed forms on the elementary crystals.  conftest.single_steps, a loop of
+single steps by their definitions (the raw tensor tie-break, dense
+signatures rescanned at every step), is the reference: every string rule
+must return the same element, by key, and None exactly where the
+reference does.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path, u_inf
-from crystalpaths.core import CrystalElement, DualElement, TensorElement
+from crystalpaths.core import DualElement, TensorElement
 from crystalpaths.elementary import TElement, oracle_letters, tensor_oracle
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import Weight, classical
+
+from conftest import left_signature, single_step, single_steps, stepwise_power
 
 colors = st.sampled_from([0, 1])
 powers = st.integers(min_value=-8, max_value=8)
@@ -38,43 +41,13 @@ def key_of(b):
 
 
 def assert_matches_single_steps(b, i, n):
-    assert key_of(b.power(i, n)) == key_of(CrystalElement.power(b, i, n))
+    assert key_of(b.power(i, n)) == key_of(single_steps(b, i, n))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(left_paths, right_paths), colors, powers)
 def test_half_path_strings_match_single_steps(b, i, n):
     assert_matches_single_steps(b, i, n)
-
-
-def stepwise_power(b, i, n):
-    """f_i^n / e_i^(-n) of a half-path by single steps on its left view's
-    signature, rescanned for the maximum at every step: f_i moves the
-    letter at the rightmost maximum, e_i the one at the leftmost, and the
-    step changes A there by +-1 and every A to its right by +-2.  A right
-    path works on the view with e and f exchanged."""
-    view = b.as_dict() if b.side == "left" else b.flip().as_dict()
-    m = n if b.side == "left" else -n
-    lo = min(view, default=0) - 1 - max(m, 0)  # room for f_i to extend the support
-    sgn = 1 if i == 1 else -1
-    vals, running = [], 0
-    for k in range(lo, 0):
-        vals.append(sgn * (view.get(k, 0) + 2 * running))
-        running += view.get(k, 0)
-    step = 1 if m > 0 else -1
-    for _ in range(abs(m)):
-        top = max(vals)
-        if m > 0:
-            j = len(vals) - 1 - vals[::-1].index(top)
-        elif top == 0:
-            return None
-        else:
-            j = vals.index(top)
-        view[lo + j] = view.get(lo + j, 0) + sgn * step
-        vals[j] += step
-        vals[j + 1:] = [v + 2 * step for v in vals[j + 1:]]
-    out = left_path(view)
-    return out if b.side == "left" else out.flip()
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,8 +109,15 @@ def test_sequence_strings_match_single_steps(string, i):
     # out-of-image sequence going negative) comes at the same step
     s, n = string
     step = 1 if n > 0 else -1
+    cur, expect = s, ("element", s.key())  # single steps up to the prefix
     for k in range(0, n + step, step):
-        assert outcome(lambda: s.power(i, k)) == outcome(lambda: CrystalElement.power(s, i, k))
+        assert outcome(lambda: s.power(i, k)) == expect
+        if cur is not None:
+            try:
+                cur = single_step(cur, i, n < 0)
+                expect = ("element", key_of(cur))
+            except ValueError:
+                cur, expect = None, ("ValueError",)
 
 
 def test_sequence_strings_raise_where_an_entry_goes_negative():
@@ -146,7 +126,7 @@ def test_sequence_strings_raise_where_an_entry_goes_negative():
     s = SeqElement(0, (0, 0, 1))
     for n in (-1, -3):
         with pytest.raises(ValueError):
-            CrystalElement.power(s, 0, n)
+            single_steps(s, 0, n)
         with pytest.raises(ValueError):
             s.power(0, n)
 
@@ -186,7 +166,7 @@ def test_left_path_strings_match_the_tensor_oracle(vals, i, n):
     # the oracle word shares no code with the signature rule; its width
     # leaves room for the n letters f_i^n may add on the left
     b = from_word(vals)
-    t = CrystalElement.power(tensor_oracle(b.as_dict(), len(vals) + 10), i, n)
+    t = single_steps(tensor_oracle(b.as_dict(), len(vals) + 10), i, n)
     out = b.power(i, n)
     assert (out is None) == (t is None)
     if out is not None:
@@ -226,7 +206,7 @@ def test_right_path_statistics_match_the_flip(r, i):
 @settings(max_examples=200, deadline=None)
 @given(left_paths, colors)
 def test_left_path_phi_needs_no_delta_sum(b, i):
-    assert b.phi(i) == max(b._signature(i).values()) + b.wt().pairing(i)
+    assert b.phi(i) == max(left_signature(b, i).values()) + b.wt().pairing(i)
 
 
 def tensor_route(b):
@@ -270,7 +250,7 @@ def test_one_pass_statistics_match_the_dense_scan(b, i):
     assert (b.eps(i), b.phi(i)) == dense_statistics(b, i)
     assert b.pairing(i) == b.wt().pairing(i)
     if b.side == "left":
-        assert b.eps(i) == max(b._signature(i).values())
+        assert b.eps(i) == max(left_signature(b, i).values())
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpaths import (SeqElement, image_check, path_to_seq, seq_to_path,
@@ -9,7 +10,7 @@ from crystalpaths.core import check_axioms
 from crystalpaths.seqreal import is_monotone, seq_generator
 from crystalpaths.weights import Weight, simple_root
 
-from conftest import random_binf_elements
+from conftest import nested_sum_signature, random_binf_elements, sequence_step
 
 colors = st.sampled_from([0, 1])
 words = st.lists(st.sampled_from([0, 1]), max_size=9)
@@ -87,22 +88,20 @@ def test_e_f_inverse(first_color, word, i):
         assert up.f(i) == s
 
 
-def nested_sum_signature(s, i):
-    """The signature formula of the seqreal docstring, summed term by term:
-    Ahat_p = a_p + 2 * (sum_{q>p, color q = i} a_q - sum_{q>p, color q != i} a_q)
-    for the positions p of color i up to two past the support."""
-    n = len(s.a)
-    return {p: s.value(p) + 2 * (
-                sum(s.value(q) for q in range(p + 1, n + 1) if s.color(q) == i)
-                - sum(s.value(q) for q in range(p + 1, n + 1) if s.color(q) != i))
-            for p in range(1, n + 3) if s.color(p) == i}
-
-
 @settings(max_examples=200, deadline=None)
 @given(colors, st.lists(st.integers(min_value=0, max_value=6), max_size=12), colors)
 def test_signature_matches_nested_sums(first_color, a, i):
+    # eps is the maximum and e_i/f_i act at its outermost positions
     s = SeqElement(first_color, tuple(a))
-    assert s._signature(i) == nested_sum_signature(s, i)
+    assert s.eps(i) == max(nested_sum_signature(s, i).values())
+    assert s.f(i) == sequence_step(s, i, False)
+    try:
+        up = sequence_step(s, i, True)
+    except ValueError:  # an entry of an out-of-image sequence goes negative
+        with pytest.raises(ValueError):
+            s.e(i)
+    else:
+        assert s.e(i) == up
 
 
 def test_image_check_examples():

@@ -14,7 +14,7 @@ from crystalpaths.levelpath import ModElement
 from crystalpaths.seqreal import SeqElement
 from crystalpaths.weights import classical
 
-from conftest import random_binf_elements, random_walk
+from conftest import random_binf_elements, random_walk, star_from
 
 
 def sample_mods(count, seed, lams=((0, 0), (1, 0), (2, 0), (2, 1), (-1, 0))):
@@ -49,7 +49,7 @@ def test_star_preserves_weight_on_binf():
 
 def test_star_peel_order_independent():
     for b in random_binf_elements(50, 8, seed=3):
-        assert star_binf(b, start_color=0) == star_binf(b, start_color=1)
+        assert star_from(b, 0) == star_binf(b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,7 +59,8 @@ def test_peel_conversions_and_star_invert_on_long_paths(letters, c):
     b = from_word(letters)
     assert apply_word(u_inf(), reversed(peel(b, c))) == b
     assert seq_to_path(path_to_seq(b, c)) == b
-    assert star_binf(star_binf(b, c), c) == b
+    assert star_from(b, c) == star_binf(b)
+    assert star_binf(star_binf(b)) == b
 
 
 def test_star_conjugates_string_statistics():
@@ -119,7 +120,7 @@ def test_star_is_a_weight_preserving_involution_on_long_paths(letters):
 
 def test_star_and_conversions_take_no_single_sequence_steps(monkeypatch):
     # the peel of the sequence form and the lowering into it apply whole
-    # strings; a fallback to CrystalElement.power would call e/f per step
+    # strings; a loop of single steps would call e/f per step
     calls = []
     for name in ("e", "f"):
         step = getattr(SeqElement, name)
@@ -215,13 +216,9 @@ class Starred(CrystalElement):
     def phi(self, i):
         return star_mod(self.inner).phi(i)
 
-    def e(self, i):
-        c = starred_e(self.inner, i)
-        return None if c is None else Starred(c)
-
-    def f(self, i):
-        c = starred_f(self.inner, i)
-        return None if c is None else Starred(c)
+    def power(self, i, n):
+        c = star_mod(self.inner).power(i, n)
+        return None if c is None else Starred(star_mod(c))
 
     def key(self):
         return ("starred", self.inner.key())
