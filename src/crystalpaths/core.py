@@ -7,9 +7,9 @@ and e_i^(-n) for n < 0, None where it is undefined (None models the formal
 zero element of the crystal axioms).  The raising and lowering operators
 e(i)/f(i) are power(i, -1)/power(i, 1), defined once on the base class.  On
 top of that protocol this module builds the tensor product and dual
-combinators, the breadth-first search engine explore, the string walker
-peel, component enumeration, rooted graph isomorphism, an axiom checker,
-and graph export.
+combinators, the breadth-first search engine explore, lockstep (do other
+elements follow one element's words?), the string walker peel, component
+enumeration, rooted graph isomorphism, an axiom checker, and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -242,6 +242,54 @@ def explore(roots: Iterable[CrystalElement], moves, depth: int):
                     nxt.append(c)
                 yield b, move, c, new
         frontier = nxt
+
+
+def lockstep(root: CrystalElement, moves, depth: int, starts: Iterable[CrystalElement]):
+    """Follow root's words from each start, move for move.
+
+    Explores root once along moves to the given depth, then replays each
+    expanded node's moves on its image, pairing the results by position.
+    Returns (nodes, walks): nodes maps each key found from root to its node;
+    walks lazily yields, per start, (keys, elements, problems): node key ->
+    key of the element the same word reaches, that key -> the element, and
+    (move, problem) records, the problem "defined" (on one side only),
+    "not well defined" (a mapped node reached at a second element) or
+    "collision" (two nodes reach one element).
+    """
+    nodes: dict = {}
+    steps: dict = {}  # expanded node key -> [(move, child key or None), ...]
+    for parent, move, c, new in explore([root], moves, depth):
+        ckey = None if c is None else c.key()
+        if new:
+            nodes[ckey] = c
+        if parent is not None:
+            steps.setdefault(parent.key(), []).append((move, ckey))
+    root_key = root.key()
+
+    def walk(start):
+        keys = {root_key: start.key()}
+        elements = {keys[root_key]: start}
+        problems = []
+        for nkey, out in steps.items():
+            if nkey not in keys:
+                continue
+            for (move, ckey), (_, y) in zip(out, moves(elements[keys[nkey]])):
+                if (y is None) != (ckey is None):
+                    problems.append((move, "defined"))
+                if y is None or ckey is None:
+                    continue
+                ykey = y.key()
+                if ckey in keys:
+                    if keys[ckey] != ykey:
+                        problems.append((move, "not well defined"))
+                    continue
+                if ykey in elements:
+                    problems.append((move, "collision"))
+                keys[ckey] = ykey
+                elements[ykey] = y
+        return keys, elements, problems
+
+    return nodes, map(walk, starts)
 
 
 def peel(b: CrystalElement, first_color: int) -> list[tuple[int, int]]:

@@ -7,10 +7,7 @@ apply it to the power is guaranteed by the axioms.
 An element is extremal when every image under an alternating S-word is
 i-extremal for both colors: raising must be absent when <h_i, wt> >= 0 and
 lowering absent when <h_i, wt> <= 0.  is_extremal checks this for all
-alternating words up to a cutoff length; the wall-sign screen, run on the
-three-factor element itself, rules out most non-extremal elements instantly,
-because an extremal path's walls all carry one sign (and a wall-free path is
-extremal only when it is the zero path).
+alternating words up to a cutoff length.
 
 The check reads i-extremality off the string statistics instead of building
 e_i and f_i images.  On a ModElement b1 (x) t_lam (x) b2, eps_i >= eps_i(b1)
@@ -197,17 +194,9 @@ def weyl_orbit(e: ModElement, length: int, max_len: int = 6, *,
     return {table._keys[n] for n in nodes}
 
 
-def extremal_screen(p) -> Optional[bool]:
-    """Fast necessary test on an element with walls: False when they carry
-    mixed signs, which rules extremality out; None otherwise, meaning the
-    bounded check is still needed.  It screens out nothing else."""
-    return False if p.wall_sign() is None else None
-
-
 def is_extremal_path(p: LevelPath, max_len: int = 6, *,
                      table: Optional[WeylTable] = None) -> bool:
-    e = lp_split(p)
-    return extremal_screen(e) is not False and is_extremal(e, max_len, table=table)
+    return is_extremal(lp_split(p), max_len, table=table)
 
 
 # -- uniform-wall path construction -----------------------------------------
@@ -273,12 +262,7 @@ def bmax_seed(lam: Weight, cvec: tuple[int, ...]) -> LevelPath:
 
 def bmax_contains(lam: Weight, e: ModElement, max_len: int = 5) -> bool:
     """Whether e lies in B^max(lam): marker weight lam and star image extremal."""
-    if e.lam != lam:
-        return False
-    starred = star_mod(e)
-    if extremal_screen(starred) is False:
-        return False
-    return is_extremal(starred, max_len)
+    return e.lam == lam and is_extremal(star_mod(e), max_len)
 
 
 def bmax_seeds(lam: Weight, c_bound: int) -> list[LevelPath]:
@@ -324,9 +308,7 @@ def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5, *,
             for g in gaps:
                 walls.append(walls[-1] + g)
             e = lp_split(uniform_wall_path(walls, sgn, lam.d))
-            if e.wt() != lam or extremal_screen(e) is False:
-                continue
-            if not is_extremal(e, max_len, table=table):
+            if e.wt() != lam or not is_extremal(e, max_len, table=table):
                 continue
             if e.key() not in seen:
                 seen.add(e.key())

@@ -20,10 +20,11 @@ exhaustive breadth-first enumeration:
 Star is an involution and X*(e) = (X(e*))*, so a starred word W* acting
 on y is the plain word W acting on y*, followed by one star: W*(y) =
 (W(y*))*.  The starred side therefore runs in star space: the dual family
-is the plain BFS from u_lam*, each B^max element b follows its words as b*,
-and the pairs are keyed by star images (star is a bijection, so keys
-collide exactly when the elements do).  Each element is starred about once
-on the way in and once on the way back.
+is the plain BFS from u_lam*, each B^max element b* follows its words move
+for move (core.lockstep, which checks C1 too), and the pairs are keyed by
+star images (star is a bijection, so keys collide exactly when the
+elements do).  Each element is starred about once on the way in and once
+on the way back.
 
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears; the B^max factor is x*, and the
@@ -45,9 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import COLORS, bfs_component, explore, graphs_isomorphic, plain_moves
-from .extremal import (WeylTable, enum_bmax, enum_bminus_star, extremal_screen,
-                       is_extremal, weyl_orbit)
+from .core import COLORS, explore, lockstep, plain_moves
+from .extremal import WeylTable, enum_bmax, enum_bminus_star, is_extremal, weyl_orbit
 from .levelpath import ModElement, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
@@ -102,10 +102,9 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
     takes b to e.  max_depth bounds the number of strings, not of single
     steps.  Raises RuntimeError if that word does not replay from b to e.
 
-    table is the WeylTable of the extremality walks (bounded check at this
-    extremal_len, then the wall screen); calls that share one reuse every
-    S_i step it holds.  e_star is star_mod(e), for callers that already
-    hold it.
+    Mixed wall signs rule extremality out, so those nodes skip the bounded
+    check.  table holds its S_i steps and verdicts at this extremal_len, for
+    calls that share it.  e_star is star_mod(e), for callers that hold it.
     """
     if table is None:
         table = WeylTable()
@@ -120,7 +119,7 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
             links[k] = (parent.key(), move)
         extremal = verdicts.get(k)
         if extremal is None:
-            extremal = verdicts[k] = (extremal_screen(x) is not False
+            extremal = verdicts[k] = (x.wall_sign() is not None
                                       and is_extremal(x, extremal_len, table=table))
         if not extremal:
             continue
@@ -142,19 +141,17 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
 def verify_c1(lam: Weight, depth: int = 5, span: int = 2,
               extremal_len: int = 4, *, table: Optional[WeylTable] = None) -> bool:
     """Components of extremal weight-lam vectors all match the component of
-    u_lam as rooted colored graphs."""
-    reference = bfs_component(u_lambda(lam), depth)
-    for b in enum_bminus_star(lam, span=span, max_len=extremal_len, table=table):
-        if not graphs_isomorphic(bfs_component(b, depth), reference):
-            return False
-    return True
+    u_lam: each has weight lam and follows u_lam's words move for move."""
+    starts = enum_bminus_star(lam, span=span, max_len=extremal_len, table=table)
+    _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
+    return all(b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
 
 
 def verify_c2(lam: Weight, depth: int = 5) -> bool:
     """The component of u_lam holds exactly one vector of weight lam."""
-    graph = bfs_component(u_lambda(lam), depth)
-    hits = [n for n, b in graph.nodes.items() if b.wt() == lam]
-    return hits == [graph.root]
+    root = u_lambda(lam)
+    nodes = explore([root], plain_moves, depth)
+    return [b for _, _, b, new in nodes if new and b.wt() == lam] == [root]
 
 
 def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8,
@@ -166,11 +163,9 @@ def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8,
     orbit = weyl_orbit(u_lambda(lam), word_bound, extremal_len, table=table)
     if orbit is None:
         return False
-    graph = bfs_component(u_lambda(lam), depth)
-    for _, b in sorted(graph.nodes.items()):
-        if is_extremal(b, extremal_len, table=table) and b.key() not in orbit:
-            return False
-    return True
+    nodes = explore([u_lambda(lam)], plain_moves, depth)
+    return not any(new and is_extremal(b, extremal_len, table=table) and b.key() not in orbit
+                   for _, _, b, new in nodes)
 
 
 # -- full truncated slice report ----------------------------------------------
@@ -220,49 +215,27 @@ def _star_pairs(lam: Weight, bmax: dict, star_depth: int):
     """The dual family and the pair map of the lam-slice, in star space.
 
     The dual family is the starred BFS from u_lam, run as the plain BFS from
-    u_lam*; every move of it is replayed on b* for every B^max element b,
-    so that b* follows each word in parallel with u_lam*.  Returns (root,
-    dual, pairs, violations): root is u_lam*; dual maps the key of r* to r*
-    for each dual element r; pairs maps the key of e* to (b key, r* key, e*)
-    for each element e = W*(b) whose partner is r = W*(u_lam); violations
-    lists the words whose defined-ness differs between b and u_lam and the
-    elements reached from two different pairs.
+    u_lam*; for every B^max element b, b* follows its words in lockstep
+    with u_lam*.  Returns (root, dual, pairs, violations): root is u_lam*;
+    dual maps the key of r* to r* for each dual element r; pairs maps the
+    key of e* to (b key, r* key, e*) for each element e = W*(b) whose
+    partner is r = W*(u_lam); violations lists the words whose defined-ness
+    differs between b and u_lam, the words that reach one dual element at
+    two elements, and the elements reached from two different pairs.
     """
     root = star_mod(u_lambda(lam))
-    root_key = root.key()
-    dual: dict = {}
-    trace = []  # (parent key, move, child key or None) in search order
-    for r, move, c, new in explore([root], plain_moves, star_depth):
-        if new:
-            dual[c.key()] = c
-        if r is not None:
-            trace.append((r.key(), move, None if c is None else c.key()))
-
-    # image maps the key of a dual element's star reached from u_lam* to the
-    # element the same word gives from b*
+    order = sorted(bmax.items())
+    dual, walks = lockstep(root, plain_moves, star_depth,
+                           (star_mod(b) for _, b in order))
     pairs: dict = {}
     violations: list[str] = []
-    for bkey, b in sorted(bmax.items()):
-        y = star_mod(b)
-        image = {root_key: y}
-        pairs[y.key()] = (bkey, root_key, y)
-        for rkey, (kind, i), ckey in trace:
-            if rkey not in image:
-                continue
-            enew = image[rkey].e(i) if kind == "e" else image[rkey].f(i)
-            if (enew is None) != (ckey is None):
-                violations.append(
-                    f"starred {kind}{i} defined-ness differs at b={bkey[:2]}")
-                continue
-            if enew is None:
-                continue
-            prev = pairs.get(enew.key())
-            if prev is not None and prev[:2] != (bkey, ckey):
-                violations.append("pair map not well defined" if ckey in image
-                                  else "pair map collision")
-            if ckey not in image:
-                image[ckey] = enew
-                pairs[enew.key()] = (bkey, ckey, enew)
+    for (bkey, _), (keys, elements, problems) in zip(order, walks):
+        for (kind, i), problem in problems:
+            violations.append(f"starred {kind}{i} defined-ness differs at b={bkey[:2]}"
+                              if problem == "defined" else f"pair map {problem}")
+        for rkey, ykey in keys.items():
+            if pairs.setdefault(ykey, (bkey, rkey, elements[ykey]))[0] != bkey:
+                violations.append("pair map collision")
     return root, dual, pairs, violations
 
 
@@ -272,12 +245,10 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
               table: Optional[WeylTable] = None) -> SliceReport:
     """Verify the truncated lam-slice of the decomposition.
 
-    Enumerates the B^max truncation by plain BFS from the seeds and the dual
-    family by starred BFS from u_lam, then replays every move of that BFS on
-    every B^max element b, so that b follows each starred word in parallel
-    with u_lam.  Both run in star space (_star_pairs), and each element is
-    starred back once at the end; the B^max elements, paired with u_lam,
-    are already in hand, and decompose() gets each star image the report
+    Enumerates the B^max truncation by plain BFS from the seeds, and the
+    dual family by starred BFS from u_lam, whose words every B^max element
+    b follows in lockstep, in star space (_star_pairs); each element is
+    starred back once, and decompose() gets the star image the report
     holds.  Checks, on the truncation: the starred word is defined on b
     exactly when it is defined on u_lam; the resulting element depends only
     on (b, image from u_lam); the pair map is injective, so the slice count

@@ -54,7 +54,6 @@ class Weight:
         return f"Weight({self.a0}, {self.a1}, {self.d})"
 
 
-ZERO = Weight(0, 0, 0)
 DELTA = Weight(0, 0, 1)
 L0 = Weight(1, 0, 0)
 L1 = Weight(0, 1, 0)

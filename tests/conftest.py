@@ -20,6 +20,9 @@ from crystalpaths.elementary import (BiElement, EndMarker, LimitEntry, TElement,
                                      oracle_mismatches, tensor_oracle)
 from crystalpaths.levelpath import ModElement
 
+# the weights of the pw_verify benchmark workload, as (m, l)
+BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
+
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:
     t = tensor_oracle(b.as_dict(), width)

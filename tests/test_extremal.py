@@ -7,15 +7,15 @@ from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
                           enum_bminus_star, extremal_cert, ground_path,
                           is_extremal, is_extremal_path, lp_join, lp_split,
                           path_from_window, star_mod, u_lambda, weyl_op)
-from crystalpaths.core import TensorElement
+from crystalpaths.core import TensorElement, explore, plain_moves
 from crystalpaths.elementary import TElement
 from crystalpaths.extremal import (_UNSEEN, WeylTable, _locally_extremal,
-                                   extremal_screen, uniform_wall_path)
+                                   uniform_wall_path)
 from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import classical
 
-from conftest import same_entries, single_step, single_steps
+from conftest import BENCH_LAMBDAS, same_entries, single_step, single_steps
 
 
 def test_weyl_op_on_ground_paths():
@@ -68,10 +68,26 @@ def test_extremal_cert_witness_replays():
     assert fails or cert.witness == []
 
 
-def test_extremal_screen_rules_out_mixed_walls():
+def test_mixed_walls_rule_extremality_out():
+    # an extremal element's walls all carry one sign, so the bounded check
+    # rejects every mixed-wall element at every word bound and decompose's
+    # wall-sign screen changes no verdict: here, those of the benchmark
+    # weights' components (depth 5) and the star images of their slices
+    # (B^max's included), where decompose starts its searches
+    from crystalpaths.peterweyl import _star_pairs
     p = path_from_window(0, 0, -2, [1, 1, -1, -1])
-    assert extremal_screen(p) is False
-    assert not is_extremal_path(p)
+    assert p.wall_sign() is None and not is_extremal_path(p)
+    mixed = 0
+    for m, l in BENCH_LAMBDAS:
+        lam = classical(m, l)
+        component = [c for _, _, c, new in explore([u_lambda(lam)], plain_moves, 5) if new]
+        _, _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+        table = WeylTable()
+        for e in component + [y for _, _, y in pairs.values()]:
+            if e.wall_sign() is None:
+                mixed += 1
+                assert not any(is_extremal(e, n, table=table) for n in range(1, 9))
+    assert mixed > 2000
 
 
 def test_starred_weyl_op_preserves_weight():

@@ -1,18 +1,21 @@
 import random
 import sys
+from dataclasses import dataclass
 
 from crystalpaths import (decompose, pw_report, slice_invariant_under_reflection,
                           slices_disjoint, u_lambda, verify_c1, verify_c2,
                           verify_c3)
-from crystalpaths.core import COLORS, explore, plain_moves
-from crystalpaths.extremal import WeylTable, enum_bmax, extremal_screen, is_extremal
-from crystalpaths.levelpath import lp_join
+from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
+                               graphs_isomorphic, lockstep, plain_moves)
+from crystalpaths.extremal import WeylTable, enum_bmax, is_extremal
+from crystalpaths.halfpath import left_path, right_path
+from crystalpaths.levelpath import ModElement
 from crystalpaths.peterweyl import (Decomposition, SliceReport, _dual_family_ok,
                                     _star_pairs)
 from crystalpaths.star import star_mod, starred_e, starred_f
-from crystalpaths.weights import classical, orbit_canonical
+from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
-from conftest import random_walk
+from conftest import BENCH_LAMBDAS, random_walk
 
 
 def test_decompose_of_generator_is_trivial():
@@ -141,8 +144,6 @@ def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
 
 # -- the starred side run literally: the reference for the star-space route --
 
-BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
-
 
 def _starred_moves(e):
     for i in COLORS:
@@ -183,6 +184,8 @@ def _reference_report(lam, decompose_call):
     pair_of = {}
     elements = {}
     for bkey, b in sorted(bmax.items()):
+        if bkey in pair_of:
+            rep.violations.append("pair map collision")
         image = {root.key(): b}
         pair_of[bkey] = (bkey, root.key())
         elements[bkey] = b
@@ -196,14 +199,16 @@ def _reference_report(lam, decompose_call):
                 continue
             if enew is None:
                 continue
-            prev = pair_of.get(enew.key())
-            if prev is not None and prev != (bkey, ckey):
-                rep.violations.append("pair map not well defined" if ckey in image
-                                      else "pair map collision")
-            if ckey not in image:
-                image[ckey] = enew
-                pair_of[enew.key()] = (bkey, ckey)
-                elements[enew.key()] = enew
+            if ckey in image:
+                # the same dual element must give the same element
+                if image[ckey].key() != enew.key():
+                    rep.violations.append("pair map not well defined")
+                continue
+            if enew.key() in pair_of:
+                rep.violations.append("pair map collision")
+            image[ckey] = enew
+            pair_of[enew.key()] = (bkey, ckey)
+            elements[enew.key()] = enew
     rep.pair_count = len(pair_of)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     rep.element_keys = frozenset(pair_of)
@@ -274,6 +279,156 @@ def test_pw_report_stars_each_element_about_once(monkeypatch):
     assert calls[0] <= 3 * rep.pair_count + rep.bmax_size + rep.dual_size
 
 
+# -- a word that reaches a dual node at a second element -----------------------
+
+
+def _lowered(colors) -> Weight:
+    w = Weight(0, 0, 0)
+    for i in colors:
+        w = w - simple_root(i)
+    return w
+
+
+@dataclass(frozen=True)
+class Counts(CrystalElement):
+    """f_i adds one to the count of color i and e_i takes one off: f_0 f_1
+    and f_1 f_0 meet."""
+
+    n: tuple = (0, 0)
+
+    def wt(self):
+        return _lowered([0] * self.n[0] + [1] * self.n[1])
+
+    def power(self, i, n):
+        counts = list(self.n)
+        counts[i] += n
+        return Counts(tuple(counts)) if counts[i] >= 0 else None
+
+    def key(self):
+        return ("counts", self.n)
+
+
+@dataclass(frozen=True)
+class Word(CrystalElement):
+    """f_i appends the letter i and e_i takes a last letter i off: f_0 f_1
+    and f_1 f_0 stay apart."""
+
+    letters: tuple = ()
+
+    def wt(self):
+        return _lowered(self.letters)
+
+    def power(self, i, n):
+        if n >= 0:
+            return Word(self.letters + (i,) * n)
+        if self.letters[len(self.letters) + n:] != (i,) * -n:
+            return None
+        return Word(self.letters[:n])
+
+    def key(self):
+        return ("word", self.letters)
+
+
+def test_pair_map_flags_a_dual_node_reached_at_a_second_element(monkeypatch):
+    # with Counts as u_lam* and Word as the only b*, every word is defined
+    # on both sides and no element is reached twice, so the pair count is
+    # the product; but f_1 f_0 reaches the node (1, 1), already paired with
+    # the word (0, 1), at the word (1, 0)
+    from crystalpaths import peterweyl
+    monkeypatch.setattr(peterweyl, "u_lambda", lambda lam: Counts())
+    monkeypatch.setattr(peterweyl, "star_mod", lambda e: e)
+    b = Word()
+    root, dual, pairs, violations = _star_pairs(classical(1, 0), {b.key(): b}, 2)
+    assert root == Counts() and len(dual) == len(pairs) == 6
+    assert violations == ["pair map not well defined"]
+    assert not graphs_isomorphic(bfs_component(Counts(), 2), bfs_component(b, 2))
+
+
+def test_lockstep_reports_each_kind_of_problem():
+    started = []
+
+    def starts():
+        for start in (Word(), Counts(), Counts((0, 1))):
+            started.append(start)
+            yield start
+
+    nodes, walks = lockstep(Counts(), plain_moves, 2, starts())
+    assert len(nodes) == 6 and started == []  # starts are walked when asked
+    keys, elements, problems = next(walks)
+    assert started == [Word()] and problems == [(("f", 0), "not well defined")]
+    assert elements[keys[("counts", (1, 1))]] == Word((0, 1)) and len(elements) == 6
+    keys, elements, problems = next(walks)
+    assert problems == [] and keys == {k: k for k in nodes} and elements == nodes
+    # e_1 is defined at (0, 1) and (1, 1), not at (0, 0) and (1, 0)
+    assert next(walks)[2] == [(("e", 1), "defined")] * 2
+    assert next(walks, None) is None
+    # the other way round, the words f_0 f_1 and f_1 f_0 meet
+    nodes, walks = lockstep(Word(), plain_moves, 2, [Counts()])
+    keys, elements, problems = next(walks)
+    assert len(nodes) == len(keys) == 7 and len(elements) == 6
+    assert keys[("word", (0, 1))] == keys[("word", (1, 0))] == ("counts", (1, 1))
+    assert problems == [(("f", 0), "collision")]
+
+
+# -- C1 by whole component graphs: the reference for lockstep ------------------
+
+
+def _graph_c1(lam, depth=5, span=2, extremal_len=4):
+    """C1 as it was first written: the component graph of each extremal
+    vector of weight lam against u_lam's, by graphs_isomorphic."""
+    from crystalpaths import peterweyl
+    reference = bfs_component(u_lambda(lam), depth)
+    for b in peterweyl.enum_bminus_star(lam, span=span, max_len=extremal_len):
+        if not graphs_isomorphic(bfs_component(b, depth), reference):
+            return False
+    return True
+
+
+def test_lockstep_c1_matches_the_graph_route(monkeypatch):
+    for m, l in BENCH_LAMBDAS + ((5, 0),):
+        lam = classical(m, l)
+        assert verify_c1(lam) == _graph_c1(lam)
+        assert verify_c1(lam, depth=3, span=1) == _graph_c1(lam, depth=3, span=1)
+    # an element of weight lam off B(-lam)*, whose component is not u_lam's
+    lam = classical(1, 0)
+    foreign = ModElement(left_path({-2: 1}), classical(-1, 1), right_path({}))
+    assert foreign.wt() == lam
+    monkeypatch.setattr("crystalpaths.peterweyl.enum_bminus_star",
+                        lambda *args, **kwargs: [u_lambda(lam), foreign])
+    assert not verify_c1(lam) and not _graph_c1(lam)
+
+
+def _starred_walk(start, steps, rng):
+    """A random walk of plain and starred steps, which leaves the plain
+    component of start."""
+    cur = start
+    for _ in range(steps):
+        i = rng.randrange(2)
+        step = rng.choice((lambda b: b.f(i), lambda b: b.e(i),
+                           lambda b: starred_f(b, i), lambda b: starred_e(b, i)))
+        cur = step(cur) or cur
+    return cur
+
+
+def test_lockstep_agrees_with_graph_isomorphism():
+    rng = random.Random(14)
+    by_weight = {}
+    for _ in range(600):
+        lam = classical(rng.choice((1, 2, 3, -2, -3)), rng.choice((0, 1)))
+        e = _starred_walk(u_lambda(lam), rng.randrange(6), rng)
+        by_weight.setdefault(e.wt(), {})[e.key()] = e
+    buckets = [list(v.values()) for v in by_weight.values() if len(v) > 1]
+    verdicts = []
+    for _ in range(300):
+        a, b = rng.sample(rng.choice(buckets), 2)
+        depth = rng.randint(1, 4)
+        _, walks = lockstep(a, plain_moves, depth, [b])
+        _, _, problems = next(walks)
+        verdicts.append(not problems)
+        assert verdicts[-1] == graphs_isomorphic(bfs_component(a, depth),
+                                                 bfs_component(b, depth))
+    assert 30 < sum(verdicts) < 270
+
 
 # -- the string search against the single-step search ------------------------
 
@@ -291,8 +446,7 @@ def _step_decompose(e, max_depth=10, extremal_len=4, verdicts=None):
             links[k] = (parent.key(), move)
         extremal = verdicts.get(k)
         if extremal is None:
-            extremal = verdicts[k] = (extremal_screen(lp_join(x)) is not False
-                                      and is_extremal(x, extremal_len))
+            extremal = verdicts[k] = is_extremal(x, extremal_len)
         if not extremal:
             continue
         inverse = []
