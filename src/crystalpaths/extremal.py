@@ -33,8 +33,14 @@ c = (c_1, ..., c_{n-1}) of nonnegative integers (n = |classical part of
 lam|), each generated by a seed path: reading left to right, a length-2*c_j
 domain of letters -+j for each j < n followed by the ground tail, with every
 domain starting at an odd position and the tail starting at position 1.
-The seed is fixed by star at the level of entries; its delta label may
-shift, since star negates the delta coordinate of the weight.
+The seed is its own closed-form star image: its walls W_1 <= ... <= W_n = 1
+have W_{j+1} - W_j = 2*c_j, and its letters are levelpath._star_letters
+with the sign of m.  So it is fixed by star at the level of entries; its
+delta label may shift, since star negates the delta coordinate of the
+weight.
+
+uniform_wall_path builds the path with given same-sign walls, zero left of
+the first one; its letters solve the wall recurrence in one pass.
 
 The star image of the dual extremal-weight crystal B(-lam) consists of the
 extremal elements of weight exactly lam; they are uniform-wall paths with
@@ -49,7 +55,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .core import COLORS, explore, plain_moves
-from .levelpath import LevelPath, ModElement, _alt, lp_split, u_lambda
+from .levelpath import LevelPath, ModElement, _alt, _star_letters, lp_split, u_lambda
 from .star import star_mod
 from .weights import Weight
 
@@ -205,59 +211,35 @@ def is_extremal_path(p: LevelPath, max_len: int = 6, *,
 def uniform_wall_path(wall_positions: Iterable[int], sign: int,
                       wt_delta: int = 0) -> LevelPath:
     """Build the path with the given expanded wall positions, all walls of
-    the given sign, zero left of the first wall.  The entries follow from
-    the wall recurrence i_k = sign * mult(k) - i_{k-1}; the ambient family
-    is read off the resulting tail and its delta label is chosen to make
-    the path weight's delta coordinate equal wt_delta.
+    the given sign, zero left of the first wall.  The wall recurrence
+    i_q = sign * mult(q) - i_{q-1} solves to
+    i_q = sign * (-1)^q * sum_{W <= q} (-1)^W, so from the last wall on the
+    path follows the ground pattern of m = sign * sum_W (-1)^W; its delta
+    label is chosen to make the path weight's delta coordinate equal
+    wt_delta.
     """
     walls = sorted(wall_positions)
-    if not walls:
-        return LevelPath(0, wt_delta, ())
-    lo = min(walls[0], 0)
-    hi = max(walls[-1], 0) + 2
-    mult = {k: walls.count(k) for k in set(walls)}
-    entries: dict[int, int] = {}
-    prev = 0
-    for k in range(walls[0], hi + 1):
-        val = sign * mult.get(k, 0) - prev
-        entries[k] = val
-        prev = val
-    m_amb = _alt(hi) * entries[hi]
-    for k in range(lo, walls[0]):
-        entries[k] = 0
-    probe = LevelPath(m_amb, 0, tuple(entries.items()))
-    return LevelPath(m_amb, wt_delta - probe.wt().d, tuple(entries.items()))
+    entries = [(q, sign * _alt(q) * sum(_alt(w) for w in walls if w <= q))
+               for q in range(min([0] + walls), max([0] + walls))]
+    probe = LevelPath(sign * sum(_alt(w) for w in walls), 0, entries)
+    return LevelPath(probe.m, wt_delta - probe.wt().d, probe.entries)
 
 
 # -- B^max(lam) ---------------------------------------------------------------
 
 
 def bmax_seed(lam: Weight, cvec: tuple[int, ...]) -> LevelPath:
-    """The star-fixed seed of B^max(lam) indexed by c = (c_1, ..., c_{n-1})."""
+    """The star-fixed seed of B^max(lam) indexed by c = (c_1, ..., c_{n-1}),
+    n = |m|: its own closed-form star image (levelpath._star_letters), with
+    walls W_1 <= ... <= W_n = 1 and domain j of length W_{j+1} - W_j = 2 * c_j."""
     if lam.level != 0:
         raise ValueError("lam must have level zero")
-    m = lam.a0
-    if m == 0:
-        if cvec:
-            raise ValueError("classical part zero admits only the empty index")
-        return LevelPath(0, lam.d, ())
-    n = abs(m)
-    if len(cvec) != n - 1 or any(c < 0 for c in cvec):
-        raise ValueError(f"need {n - 1} nonnegative block sizes, got {cvec}")
-    sgn = 1 if m > 0 else -1
-    # tail starts at position 1; domain j ends where domain j+1 begins
-    starts = [0] * (n + 1)
-    starts[n] = 1
-    for j in range(n - 1, 0, -1):
-        starts[j] = starts[j + 1] - 2 * cvec[j - 1]
-    entries: dict[int, int] = {}
-    for j in range(1, n):
-        for q in range(starts[j], starts[j + 1]):
-            entries[q] = sgn * _alt(q) * j
-    for q in range(min(starts[1], 0), 1):
-        if q < starts[1]:
-            entries[q] = 0
-    return LevelPath(m, lam.d, tuple(entries.items()))
+    n = abs(lam.a0)
+    if len(cvec) != max(n - 1, 0) or any(c < 0 for c in cvec):
+        raise ValueError(f"need {max(n - 1, 0)} nonnegative block sizes, got {cvec}")
+    walls = [1 - 2 * sum(cvec[j:]) for j in range(n)]
+    sign = 1 if lam.a0 > 0 else -1
+    return LevelPath(lam.a0, lam.d, _star_letters(walls, sign, min([0] + walls), 1))
 
 
 def bmax_contains(lam: Weight, e: ModElement, max_len: int = 5) -> bool:

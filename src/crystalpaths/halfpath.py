@@ -392,32 +392,20 @@ def string_factorization(b: HalfPath) -> list[tuple[int, int]]:
 
     Requires every wall of b to carry the same sign.  Returns a list of
     (color, power) pairs; applying f_color^power in list order to the
-    all-zero path reproduces b.  Slot k (1-based, length = path_length)
-    carries power m when k lies in the m-th domain block by cumulative
-    length; colors alternate and are anchored at the final slot, color 1 for
-    positive walls and color 0 for negative walls.
+    all-zero path reproduces b.  There is one pair per position q of the
+    finite domains, left to right, with power j on the j-th domain; colors
+    alternate and are anchored at the final slot (position -1), color 1
+    for positive walls and color 0 for negative walls.
     """
     if b.side != LEFT:
         raise ValueError("string_factorization is defined for left paths")
     sign = b.wall_sign()
     if sign is None:
         raise ValueError("string_factorization needs walls of a single sign")
-    if sign == 0:
-        return []
-    lengths = [length for _, length in b.domains()]
-    total = sum(lengths)
-    cum = []
-    acc = 0
-    for length in lengths:
-        acc += length
-        cum.append(acc)
-    last_color = 1 if sign > 0 else 0
-    word = []
-    for k in range(1, total + 1):
-        block = next(m for m, c in enumerate(cum, start=1) if k <= c)
-        color = last_color if (total - k) % 2 == 0 else 1 - last_color
-        word.append((color, block))
-    return word
+    last = 1 if sign > 0 else 0  # the color at position -1
+    return [(last if q % 2 else 1 - last, j)
+            for j, (start, length) in enumerate(b.domains(), start=1)
+            for q in range(start, start + length)]
 
 
 def apply_word(b: CrystalElement, word: Iterable[tuple[int, int]]) -> Optional[CrystalElement]:

@@ -32,10 +32,18 @@ Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
 defines them, and a level path reads its weight off its three factors as
 wt(b1) + lam + wt(b2).  Its walls are b1's, the wall at 0 (b1's letter at
 -1 plus b2's at 0 plus m), then b2's, as g_{k-1} + g_k = 0 right of 0.
+
+The closed forms of uniform-wall paths share one layout, _star_letters:
+with walls W_1 <= ... <= W_n expanded by multiplicity, the letter at q is
+sign * (-1)^q * j, j the number of walls at or left of q.  It is 0 left of
+W_1, +-j alternating on the j-th domain [W_j, W_{j+1}), and from W_n on
+the ground pattern of sign * n.  Both closed-form stars and the B^max
+seeds take their letters from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Optional
@@ -49,6 +57,14 @@ from .weights import Weight, classical
 def _alt(k: int) -> int:
     """(-1)**k as an int, safe for negative k."""
     return -1 if k % 2 else 1
+
+
+def _star_letters(walls: list[int], sign: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The closed-form letters sign * (-1)^q * j at positions lo <= q < hi,
+    j the number of the sorted, expanded walls at or left of q: 0 left of
+    the first wall, +-j alternating on the j-th domain, and from the last
+    wall on the ground pattern of sign * len(walls)."""
+    return [(q, sign * _alt(q) * bisect_right(walls, q)) for q in range(lo, hi)]
 
 
 @dataclass(frozen=True)

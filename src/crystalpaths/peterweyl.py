@@ -57,16 +57,24 @@ from .weights import Weight, orbit_canonical
 class Decomposition:
     """e = W*(bmax_factor) for the starred word W = word.
 
-    extremal is the star image x = bmax_factor* of the factor, on which
-    the word runs as plain moves: W*(bmax_factor) = (W(x))*.
+    extremal is the extremal vector x the search found; the B^max factor is
+    its star image, on which the word acts as starred moves, and the word
+    runs on x itself as plain moves: W*(bmax_factor) = (W(x))*.
     """
 
-    lam_canonical: Weight
-    bmax_factor: ModElement
     # starred strings (kind, i, n), kind^n of color i, applied left to right
     # to bmax_factor
     word: list[tuple[str, int, int]]
-    extremal: ModElement = field(repr=False)
+    extremal: ModElement
+
+    @property
+    def bmax_factor(self) -> ModElement:
+        return star_mod(self.extremal)
+
+    @property
+    def lam_canonical(self) -> Weight:
+        """The dominant representative of the factor's Weyl orbit."""
+        return orbit_canonical(-self.extremal.wt())[0]
 
     def replay(self) -> ModElement:
         """The element the word gives from bmax_factor: plain strings on
@@ -99,8 +107,11 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
     (string_moves), for an extremal vector x; then b = x* lies in
     B^max(-wt(x)), and the inverted search word W, a list of (kind, i, n)
     strings, takes x back to e* by plain strings, so the starred word W*
-    takes b to e.  max_depth bounds the number of strings, not of single
-    steps.  Raises RuntimeError if that word does not replay from b to e.
+    takes b to e.  The result keeps only W and x; b and its orbit are
+    computed when asked for.  max_depth bounds the number of strings, not
+    of single steps.  Raises RuntimeError if that word does not replay from
+    b to e.  The search links each node to its parent element, so keys are
+    computed along the found word only.
 
     Mixed wall signs rule extremality out, so those nodes skip the bounded
     check.  table holds its S_i steps and verdicts at this extremal_len, for
@@ -110,13 +121,13 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
         table = WeylTable()
     verdicts = table.verdicts(extremal_len)
     root = star_mod(e) if e_star is None else e_star
-    links: dict = {}  # element key -> (parent key, move) in the search tree
+    links: dict = {}  # element key -> (parent, move) in the search tree
     for parent, move, x, new in explore([root], string_moves, max_depth):
         if not new:
             continue
         k = x.key()
         if parent is not None:
-            links[k] = (parent.key(), move)
+            links[k] = (parent, move)
         extremal = verdicts.get(k)
         if extremal is None:
             extremal = verdicts[k] = (x.wall_sign() is not None
@@ -125,10 +136,10 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
             continue
         inverse = []
         while k in links:
-            k, (kind, i, n) = links[k]
+            parent, (kind, i, n) = links[k]
+            k = parent.key()
             inverse.append(("f" if kind == "e" else "e", i, n))
-        canon, _ = orbit_canonical(-x.wt())
-        result = Decomposition(canon, star_mod(x), inverse, x)
+        result = Decomposition(inverse, x)
         if result.replay().key() != e.key():
             raise RuntimeError("decomposition word does not replay to the element")
         return result

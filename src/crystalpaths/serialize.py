@@ -9,7 +9,9 @@ runs):
     LevelPath  {"m": 2, "l": 0, "window_start": -3, "window": [1, -2, 2, -2]}
     ModElement {"b1": <HalfPath>, "lam": <Weight>, "b2": <HalfPath>}
 
-decode() dispatches on the key set and raises ValueError on anything else.
+decode() dispatches on the key set and raises ValueError on anything else;
+every number must be a JSON integer (true, 1.5 and "2" are rejected, not
+truncated), and HalfPath entry keys are decimal strings such as "-3".
 """
 
 from __future__ import annotations
@@ -57,21 +59,36 @@ def dumps(obj: Any) -> str:
     return json.dumps(encode(obj))
 
 
+def _int(v: Any) -> int:
+    """A JSON integer field: an int that is not a bool."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _position(k: str) -> int:
+    """A HalfPath entry key: an optional minus sign and ASCII digits (int()
+    alone would also take " 1", "+1", "1_0" and non-ASCII digits)."""
+    if not (k.isascii() and k.removeprefix("-").isdigit()):
+        raise ValueError(f"expected a decimal integer key, got {k!r}")
+    return int(k)
+
+
 def decode(data: dict) -> Any:
     if not isinstance(data, dict):
         raise ValueError("element JSON must be an object")
     keys = set(data)
     if keys == {"L0", "L1", "delta"}:
-        return Weight(int(data["L0"]), int(data["L1"]), int(data["delta"]))
+        return Weight(_int(data["L0"]), _int(data["L1"]), _int(data["delta"]))
     if keys == {"side", "entries"}:
-        entries = {int(k): int(v) for k, v in data["entries"].items()}
+        entries = {_position(k): _int(v) for k, v in data["entries"].items()}
         return HalfPath(data["side"], tuple(entries.items()))
     if keys == {"first_color", "a"}:
-        return SeqElement(int(data["first_color"]), tuple(int(v) for v in data["a"]))
+        return SeqElement(_int(data["first_color"]), tuple(_int(v) for v in data["a"]))
     if keys == {"m", "l", "window_start", "window"}:
-        return path_from_window(int(data["m"]), int(data["l"]),
-                                int(data["window_start"]),
-                                [int(v) for v in data["window"]])
+        return path_from_window(_int(data["m"]), _int(data["l"]),
+                                _int(data["window_start"]),
+                                [_int(v) for v in data["window"]])
     if keys == {"b1", "lam", "b2"}:
         return ModElement(decode(data["b1"]), decode(data["lam"]), decode(data["b2"]))
     raise ValueError(f"unrecognized element keys: {sorted(keys)}")

@@ -25,7 +25,10 @@ For an extremal uniform-wall level path of weight -lam there is a closed
 form for the star image: wall positions and multiplicities are kept, the
 letters of the j-th finite inter-wall domain become +-j alternating, and the
 tail from the last wall follows the ambient ground pattern of the full wall
-count.  star_extremal_closed implements that description directly.
+count; a uniform-wall half-path has the same form without the tail.
+star_extremal_closed and star_half_closed read those letters off
+levelpath._star_letters, the one place the layout is written; they share
+no code with the peeling algorithm they are tested against.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import peel
-from .halfpath import HalfPath, LEFT, RIGHT, u_inf
-from .levelpath import LevelPath, ModElement, _alt
+from .halfpath import HalfPath, LEFT, RIGHT
+from .levelpath import LevelPath, ModElement, _star_letters
 from .seqreal import SeqElement, seq_to_path
 
 
@@ -73,10 +76,9 @@ def starred_f(e: ModElement, i: int) -> Optional[ModElement]:
 def star_half_closed(b: HalfPath) -> HalfPath:
     """Closed-form star image of a uniform-wall half-path.
 
-    For a left path with n same-sign walls, the image keeps the wall
-    positions and replaces the letters of the j-th finite domain by +-j with
-    alternation (-1)^q * j at position q for negative walls and its negation
-    for positive walls.  Right paths go through the side flip, which
+    For a left path with same-sign walls at W_1 <= ... <= W_n, the image
+    keeps the walls and puts -sign * (-1)^q * j on the j-th domain
+    (levelpath._star_letters).  Right paths go through the side flip, which
     exchanges wall signs and reverses the domain order.  Raises ValueError
     on mixed wall signs.
     """
@@ -85,14 +87,8 @@ def star_half_closed(b: HalfPath) -> HalfPath:
     sign = b.wall_sign()
     if sign is None:
         raise ValueError("star_half_closed needs walls of a single sign")
-    if sign == 0:
-        return u_inf()
-    entries: dict[int, int] = {}
-    for j, (start, length) in enumerate(b.domains(), start=1):
-        for q in range(start, start + length):
-            letter = _alt(q) * j
-            entries[q] = letter if sign < 0 else -letter
-    return HalfPath(LEFT, tuple(entries.items()))
+    walls = b.wall_positions()
+    return HalfPath(LEFT, _star_letters(walls, -sign, min([0] + walls), 0))
 
 
 def star_extremal_closed(p: LevelPath) -> LevelPath:
@@ -100,34 +96,15 @@ def star_extremal_closed(p: LevelPath) -> LevelPath:
 
     Preconditions: every wall of p carries the same sign (raises ValueError
     otherwise).  For a path with n walls at expanded positions
-    W_1 <= ... <= W_n the image keeps those positions; the letters of the
-    j-th finite domain [W_j, W_{j+1}) become j in absolute value with the
-    alternation (-1)^q * j (negative walls) or (-1)^(q+1) * j (positive
-    walls), and from W_n on the path follows the ground pattern of
-    m_out = n (negative walls) or -n (positive walls).  The wall-free path
-    is its own image up to the delta label.
+    W_1 <= ... <= W_n the image keeps those positions and reads its letters
+    off levelpath._star_letters with the opposite sign: 0 left of W_1,
+    -sign * (-1)^q * j on the j-th finite domain [W_j, W_{j+1}), and from
+    W_n on the ground pattern of m_out = -sign * n.  The wall-free path is
+    its own image up to the delta label.
     """
     sign = p.wall_sign()
     if sign is None:
         raise ValueError("star_extremal_closed needs walls of a single sign")
-    l_out = -p.wt().d
-    if sign == 0:
-        return LevelPath(0, l_out, ())
     walls = p.wall_positions()
-    m_out = len(walls) if sign < 0 else -len(walls)
-    entries: dict[int, int] = {}
-    for j in range(1, len(walls)):
-        for q in range(walls[j - 1], walls[j]):
-            letter = _alt(q) * j
-            entries[q] = letter if sign < 0 else -letter
-    tail_start = walls[-1]
-    out = LevelPath(m_out, l_out, tuple(entries.items()))
-    # positions left of the first wall and from the last wall on must agree
-    # with the defaults of the output family; record any that do not
-    fixups = dict(out.entries)
-    for q in range(min(walls[0], 0), max(tail_start, 0) + 1):
-        if q < walls[0]:
-            fixups[q] = 0
-        elif q >= tail_start:
-            fixups[q] = _alt(q) * m_out
-    return LevelPath(m_out, l_out, tuple(fixups.items()))
+    return LevelPath(-sign * len(walls), -p.wt().d,
+                     _star_letters(walls, -sign, min([0] + walls), max([0] + walls)))

@@ -68,6 +68,19 @@ def test_malformed_json_exit_code(capsys, monkeypatch):
     assert code == 64
 
 
+@pytest.mark.parametrize("element", [
+    {"side": "left", "entries": {"-1": 1.5}},
+    {"side": "left", "entries": {"-1": True}},
+    {"side": "left", "entries": {"-1": "2"}},
+    {"m": 2.7, "l": 0, "window_start": 0, "window": [2]},
+    {"first_color": 0, "a": [1.9]},
+], ids=["entry-float", "entry-bool", "entry-string", "level-m-float", "seq-letter-float"])
+def test_non_integer_numbers_are_malformed(element, capsys, monkeypatch):
+    # these were truncated to integers and the command ran on the result
+    code, out, err = run(capsys, monkeypatch, ["apply", "--ops", "f0"], json.dumps(element))
+    assert code == 64 and out == "" and "integer" in err
+
+
 def test_unrecognized_element_exit_code(capsys, monkeypatch):
     code, _, _ = run(capsys, monkeypatch, ["star"], '{"weird": 1}')
     assert code == 64

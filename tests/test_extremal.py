@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import product
 
@@ -108,21 +109,46 @@ def test_uniform_wall_path_reproduces_grounds():
 
 
 def test_uniform_wall_path_properties():
-    for walls in ([0, 0], [0, 1], [-2, -2], [-1, 1], [0, 1, 1]):
+    # fixed cases, then seeded random wall sets with stacked walls and walls
+    # on both sides of 0; the letters are checked against the recurrence
+    # i_k = sign * mult(k) - i_{k-1} position by position
+    rng = random.Random(29)
+    cases = [[0, 0], [0, 1], [-2, -2], [-1, 1], [0, 1, 1]]
+    cases += [[rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7))] for _ in range(300)]
+    stacked = straddling = 0
+    for walls in cases:
+        stacked += len(set(walls)) < len(walls)
+        straddling += min(walls) < 0 < max(walls)
         for sign in (1, -1):
-            p = uniform_wall_path(walls, sign, 0)
+            delta = rng.randrange(-3, 4)
+            p = uniform_wall_path(walls, sign, delta)
             assert p.wall_positions() == sorted(walls)
             assert p.wall_sign() == sign
-            assert p.wt().d == 0
+            assert p.wt().d == delta
+            lo, hi = p.window()
+            prev = 0
+            for k in range(min(lo, min(walls)) - 2, max(hi, max(walls)) + 3):
+                assert p.entry(k) == sign * walls.count(k) - prev
+                prev = p.entry(k)
+            assert p.m == sign * sum((-1) ** (w % 2) for w in walls)
+    assert stacked > 100 and straddling > 100
 
 
 def test_seed_entries_star_fixed():
-    lam = classical(2, 0)
-    for c1 in range(4):
-        seed = bmax_seed(lam, (c1,))
-        starred = lp_join(star_mod(lp_split(seed)))
-        assert same_entries(seed, starred)
-        assert bmax_contains(lam, lp_split(seed))
+    # every seed with |m| = 1..5, both signs, l in {0, 2} and block sizes
+    # up to 2 (up to 3 for |m| = 2) is star-fixed and lies in B^max
+    count = 0
+    for n in range(1, 6):
+        for m in (n, -n):
+            for l in (0, 2):
+                lam = classical(m, l)
+                for cvec in product(range(4 if n == 2 else 3), repeat=n - 1):
+                    seed = bmax_seed(lam, cvec)
+                    e = lp_split(seed)
+                    assert same_entries(seed, lp_join(star_mod(e)))
+                    assert bmax_contains(lam, e)
+                    count += 1
+    assert count == 4 * (1 + 4 + 9 + 27 + 81)
 
 
 def test_seed_rejects_bad_shapes():

@@ -453,7 +453,7 @@ def _step_decompose(e, max_depth=10, extremal_len=4, verdicts=None):
         while k in links:
             k, (kind, i) = links[k]
             inverse.append(("f" if kind == "e" else "e", i, 1))
-        return Decomposition(orbit_canonical(-x.wt())[0], star_mod(x), inverse, x)
+        return Decomposition(inverse, x)
     return None
 
 
