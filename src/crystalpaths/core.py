@@ -2,14 +2,18 @@
 
 A crystal element exposes a weight, its pairings <h_i, wt> with the simple
 coroots, string statistics eps(i)/phi(i) valued in the integers extended by
--infinity, and one operator, power(i, n): the whole string f_i^n for n >= 0
-and e_i^(-n) for n < 0, None where it is undefined (None models the formal
-zero element of the crystal axioms).  The raising and lowering operators
-e(i)/f(i) are power(i, -1)/power(i, 1), defined once on the base class.  On
-top of that protocol this module builds the tensor product and dual
-combinators, the breadth-first search engine explore, lockstep (do other
-elements follow one element's words?), the string walker peel, component
-enumeration, rooted graph isomorphism, an axiom checker, and graph export.
+-infinity, and two string operations: power(i, n), the whole string f_i^n
+for n >= 0 and e_i^(-n) for n < 0, None where it is undefined (None models
+the formal zero element of the crystal axioms), and top(i), the pair
+(eps_i(b), e_i^eps_i b) of the top of b's i-string.  top defaults to eps
+followed by power; half-paths and sequences override it with one sweep of
+their signature that reads eps_i and climbs together.  The raising and
+lowering operators e(i)/f(i) are power(i, -1)/power(i, 1), defined once on
+the base class.  On top of that protocol this module builds the tensor
+product and dual combinators, the breadth-first search engine explore,
+lockstep (do other elements follow one element's words?), the string
+walker peel (which climbs by top), component enumeration, rooted graph
+isomorphism, an axiom checker, and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -46,8 +50,9 @@ COLORS = (0, 1)
 
 class CrystalElement:
     """Protocol base class; concrete elements define wt, eps, phi, power and
-    key, and pairing where they read <h_i, wt> without building the
-    weight.  power(i, 0) returns the element unchanged."""
+    key, pairing where they read <h_i, wt> without building the weight, and
+    top where one pass can read eps_i and climb.  power(i, 0) returns the
+    element unchanged."""
 
     def wt(self) -> Weight:
         raise NotImplementedError
@@ -62,6 +67,13 @@ class CrystalElement:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0; None when the string
         runs out."""
         raise NotImplementedError
+
+    def top(self, i: int) -> tuple[int, Optional["CrystalElement"]]:
+        """(eps_i(b), e_i^eps_i b): the length of b's i-string above b and
+        the top of the string; (0, b) when e_i is undefined at b, and the
+        image None where power(i, -eps_i) gives None."""
+        k = self.eps(i)
+        return k, self.power(i, -k)
 
     def e(self, i: int) -> Optional["CrystalElement"]:
         return self.power(i, -1)
@@ -296,15 +308,18 @@ def peel(b: CrystalElement, first_color: int) -> list[tuple[int, int]]:
     """The string of b along the colors first_color, 1 - first_color, ...:
     (color, a_k) pairs, a_k being eps_color of b after the full raises along
     the earlier pairs, until both colors are exhausted.  Lowering the highest
-    weight element along the reversed pairs (halfpath.apply_word) gives b."""
+    weight element along the reversed pairs (halfpath.apply_word) gives b.
+    Each pair is one top(color), which reads a_k and makes the full raise
+    together; eps of the other color is read only when the first string is
+    empty, since after a full raise the previous color is exhausted."""
     word: list[tuple[int, int]] = []
     color = first_color
-    # after a full raise the previous color is exhausted
-    while (k := b.eps(color)) or (not word and b.eps(1 - color)):
+    while True:
+        k, b = b.top(color)
+        if not k and (word or not b.eps(1 - color)):
+            return word
         word.append((color, k))
-        b = b.power(color, -k)
         color = 1 - color
-    return word
 
 
 @dataclass

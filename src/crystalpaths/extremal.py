@@ -45,7 +45,10 @@ the first one; its letters solve the wall recurrence in one pass.
 The star image of the dual extremal-weight crystal B(-lam) consists of the
 extremal elements of weight exactly lam; they are uniform-wall paths with
 |m| walls whose inter-wall gaps are 0 or 1, spread over all ambient
-families by shifting the wall block.
+families by shifting the wall block.  Each gap pattern and base position
+gives one of them, so a truncation to base positions in [-span, span]
+holds (2*span + 1) * 2^(|m| - 1) elements (bminus_star_count), the
+generator alone at m = 0.
 """
 
 from __future__ import annotations
@@ -263,6 +266,14 @@ def enum_bmax(lam: Weight, c_bound: int, depth: int = 4) -> dict:
 
 
 # -- star image of the dual extremal-weight crystal ---------------------------
+
+
+def bminus_star_count(lam: Weight, span: int) -> int:
+    """The number of elements enum_bminus_star(lam, span) finds: one per
+    gap pattern in {0, 1}^(|m| - 1) and base wall position in
+    [-span, span], and the generator alone at m = 0."""
+    n = abs(lam.a0)
+    return 1 if n == 0 else (2 * span + 1) * 2 ** (n - 1)
 
 
 def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5, *,

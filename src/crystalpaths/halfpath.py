@@ -18,7 +18,10 @@ leftmost position attaining M; f_i always lowers the letter at the rightmost
 position attaining M.  These are exactly the tensor-product rules applied to
 the path read as an infinite word of letters, with position index increasing
 to the left.  power(i, n) applies the whole string f_i^n (e_i^(-n) for
-n < 0) in one pass, and e_i, f_i are power(i, -1), power(i, 1).  A step
+n < 0) in one pass, and e_i, f_i are power(i, -1), power(i, 1).  On a left
+path top(i) is the same pass with the string length read off it: eps_i is
+max A, found among the candidate sites the pass lists anyway, and e_i^eps_i
+climbs to the top of the string.  A step
 at k changes A_k by +-1 and every A right of k by +-2, so f_i raises the
 maximum by one and the rightmost argmax can only move right, while e_i
 lowers it by one and the leftmost argmax can only move left.  Step t + 1
@@ -49,8 +52,8 @@ Every half-path stores its left view, built once: the entries themselves
 for a left path, their mirror (k, v) -> (-k - 1, -v) in reverse order for a
 right path.  A right path's view is the entries of its flip.  The public
 constructor sorts the entries, drops zeros, checks the side of 0 of every
-position and builds the view; results of power and flip come from _built
-instead, which takes the entries and the view as given.  That is safe
+position and builds the view; results of power, top and flip come from
+_built instead, which takes the entries and the view as given.  That is safe
 because they are canonical by construction: power changes letters only at
 positions from one left of the support to -1 of the view, merging them in
 position order and dropping the ones that reach zero, and the mirror of a
@@ -146,9 +149,12 @@ def _runs(vals: list[int], top: int, steps: int, rightward: bool) -> list[tuple[
     return runs
 
 
-def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """The sorted, zero-free entries of the left path after f_i^n (n >= 0)
-    or e_i^(-n) (n < 0), None when e_i runs out.  f_i acts at the rightmost
+def _power_view(view: tuple[tuple[int, int], ...], i: int,
+                n: Optional[int]) -> tuple[int, Optional[tuple[tuple[int, int], ...]]]:
+    """(max A, entries): eps_i of the left path and the sorted, zero-free
+    entries after f_i^n (n >= 0) or e_i^(-n) (n < 0), None when e_i runs
+    out; n = None climbs to the top of the string, e_i^(max A), and gives
+    the view itself when max A = 0.  f_i acts at the rightmost
     maximum of the signature and raises every A to its right by 2, so its
     sites move right; e_i acts at the leftmost maximum and leaves A left of
     it alone, so its sites move left.  One pass over the entries lists the
@@ -158,7 +164,7 @@ def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[t
     string comes from _runs as (site, count) runs, monotone in position,
     merged into the view in one pass."""
     sgn = 1 if i == 1 else -1
-    rightward = n > 0
+    rightward = n is not None and n > 0
     lo = (view[0][0] if view else 0) - 1
     # candidate sites in increasing position: A there, the position, and
     # the index in view of the entry there, or ~index of the next entry
@@ -182,8 +188,12 @@ def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[t
         pos.append(-1 if rightward else nxt)
         slot.append(~idx)
     top = max(vals)
-    if -n > top:
-        return None
+    if n is None:
+        n = -top
+        if not n:
+            return 0, view
+    elif -n > top:
+        return top, None
     letter = sgn if rightward else -sgn
     runs = _runs(vals, top, abs(n), rightward)
     if not rightward:
@@ -203,7 +213,7 @@ def _power_view(view: tuple[tuple[int, int], ...], i: int, n: int) -> Optional[t
         if v:
             out.append((pos[j], v))
     out += view[done:]
-    return tuple(out)
+    return top, tuple(out)
 
 
 def _weight_parts(view: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -323,10 +333,20 @@ class HalfPath(WallScan, CrystalElement):
         if n == 0:
             return self
         if self.side == LEFT:
-            view = _power_view(self._left, i, n)
+            _, view = _power_view(self._left, i, n)
             return None if view is None else _built(LEFT, view, view)
-        view = _power_view(self._left, i, -n)  # the view's e and f are exchanged
+        _, view = _power_view(self._left, i, -n)  # the view's e and f are exchanged
         return None if view is None else _built(RIGHT, _mirror(view), view)
+
+    def top(self, i: int) -> tuple[int, "HalfPath"]:
+        """(eps_i, e_i^eps_i b); on a left path from one pass that reads
+        eps_i = max A and climbs.  A right path's climb is f_i^phi_i on its
+        view, a string whose length that pass does not read first, so it
+        takes eps and power."""
+        if self.side != LEFT:
+            return super().top(i)
+        k, view = _power_view(self._left, i, None)
+        return k, (_built(LEFT, view, view) if k else self)
 
     # -- walls and domains --------------------------------------------------
 

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import COLORS, explore, lockstep, plain_moves
-from .extremal import WeylTable, enum_bmax, enum_bminus_star, is_extremal, weyl_orbit
+from .extremal import (WeylTable, bminus_star_count, enum_bmax, enum_bminus_star,
+                       is_extremal, weyl_orbit)
 from .levelpath import ModElement, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
@@ -152,8 +153,12 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
 def verify_c1(lam: Weight, depth: int = 5, span: int = 2,
               extremal_len: int = 4, *, table: Optional[WeylTable] = None) -> bool:
     """Components of extremal weight-lam vectors all match the component of
-    u_lam: each has weight lam and follows u_lam's words move for move."""
+    u_lam: there are as many as the wall characterization predicts
+    (bminus_star_count), and each has weight lam and follows u_lam's words
+    move for move."""
     starts = enum_bminus_star(lam, span=span, max_len=extremal_len, table=table)
+    if len(starts) != bminus_star_count(lam, span):
+        return False
     _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
     return all(b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
 

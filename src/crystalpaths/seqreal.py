@@ -25,8 +25,13 @@ runs read off one table from value to outermost position
 (halfpath._runs), in O(L + distinct values of Ahat) rather than O(L + n).
 A position occurs in one run only, so e_i's string raises ValueError
 (an entry would go negative) exactly when one of its single steps would.
-e_i and f_i are power(i, -1) and power(i, 1); the single steps on the full
-signature, the reference for power, live in the tests.  With s_c the sum
+top(i) is the same pass with the string length read off it: eps_i is
+max Ahat, and e_i^eps_i climbs to the top of the string.  e_i and f_i are
+power(i, -1) and power(i, 1); the single steps on the full signature, the
+reference for power, live in the tests.  Results of power and top come
+from _built, which skips the validating constructor: their first color is
+copied from a validated element and the sweep has already rejected a
+negative entry, so only the trailing zeros need trimming.  With s_c the sum
 of a_p over the positions of color c, wt = -s_0 * alpha_0 - s_1 * alpha_1
 and pairing(i) = -2 * (s_i - s_(1-i)) need no per-position weight, and eps
 is the maximum of one scan.
@@ -103,21 +108,47 @@ class SeqElement(CrystalElement):
         negative (outside the image)."""
         if n == 0:
             return self
-        vals = _ahat(self, i)
-        top = max(vals)
-        if n < 0 and top == 0:
-            return None
-        mine = 0 if self.color(1) == i else 1  # index of the first position of color i
-        a = list(self.a) + [0, 0]
-        # e_i's sites move to higher positions, f_i's to lower ones
-        for j, count in _runs(vals, top, n if n > 0 else min(-n, top), n < 0):
-            p = mine + 2 * j
-            if n < 0 and a[p] < count:
-                raise ValueError("sequence entries must be nonnegative")
-            a[p] += count if n > 0 else -count
-        if -n > top:
-            return None
-        return SeqElement(self.first_color, tuple(a))
+        return _string(self, i, n)[1]
+
+    def top(self, i: int) -> tuple[int, "SeqElement"]:
+        """(eps_i, e_i^eps_i s) in one pass; ValueError where power(i, -eps_i)
+        raises it."""
+        return _string(self, i, None)
+
+
+def _built(first_color: int, a: Iterable[int]) -> SeqElement:
+    """The sequence element with a validated first color and nonnegative
+    entries, trimmed but not checked again (see the module docstring)."""
+    s = object.__new__(SeqElement)
+    object.__setattr__(s, "first_color", first_color)
+    object.__setattr__(s, "a", _trim(a))
+    return s
+
+
+def _string(s: SeqElement, i: int, n: Optional[int]) -> tuple[int, Optional[SeqElement]]:
+    """(eps_i, s after f_i^n (n > 0) or e_i^(-n) (n < 0)) from one _ahat,
+    None when e_i runs out; n = None climbs to the top of the string,
+    e_i^eps_i, and gives s itself when eps_i = 0.  Raises ValueError when
+    e_i would make an entry negative (outside the image)."""
+    vals = _ahat(s, i)
+    top = max(vals)
+    if n is None:
+        n = -top
+        if not n:
+            return 0, s
+    elif n < 0 and top == 0:
+        return 0, None
+    mine = 0 if s.color(1) == i else 1  # index of the first position of color i
+    a = list(s.a) + [0, 0]
+    # e_i's sites move to higher positions, f_i's to lower ones
+    for j, count in _runs(vals, top, n if n > 0 else min(-n, top), n < 0):
+        p = mine + 2 * j
+        if n < 0 and a[p] < count:
+            raise ValueError("sequence entries must be nonnegative")
+        a[p] += count if n > 0 else -count
+    if -n > top:
+        return top, None
+    return top, _built(s.first_color, a)
 
 
 def _ahat(s: SeqElement, i: int) -> list[int]:

@@ -6,7 +6,10 @@ element obtained by fully raising along i_{k-1}, ..., i_1.  The recorded
 list, read as a sequence-realization element with first color i_1, is
 exactly the sequence form of b*; converting it back to a path gives b*.
 Either starting color yields the same element; star_binf starts from color
-1, so each path has one cache entry.
+1, so each path has one cache entry.  Each recorded a_k and its full raise
+are one top(i_k), a single signature sweep on the path and again on the
+sequence form (seqreal.seq_to_path peels it), so eps is read on its own
+at most once per peel, when the first string is empty.
 
 star_binf's lru_cache is the only star cache.  Right paths are starred
 through the side flip: in, the flip is the path's stored left view (no

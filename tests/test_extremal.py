@@ -11,7 +11,7 @@ from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
 from crystalpaths.core import TensorElement, explore, plain_moves
 from crystalpaths.elementary import TElement
 from crystalpaths.extremal import (_UNSEEN, WeylTable, _locally_extremal,
-                                   uniform_wall_path)
+                                   bminus_star_count, uniform_wall_path)
 from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import classical
@@ -199,6 +199,18 @@ def test_enum_bminus_star_zero_weight():
     lam = classical(0, 1)
     out = enum_bminus_star(lam)
     assert len(out) == 1 and out[0] == u_lambda(lam)
+
+
+def test_bminus_star_count_matches_the_enumeration():
+    # one element per gap pattern and base position, whatever the level
+    # and the extremality cutoff
+    for m in range(-6, 7):
+        for l in (-2, 0, 1):
+            lam = classical(m, l)
+            table = WeylTable()
+            for span, max_len in product((1, 2, 3), (4, 5)):
+                out = enum_bminus_star(lam, span=span, max_len=max_len, table=table)
+                assert len(out) == bminus_star_count(lam, span), (m, l, span, max_len)
 
 
 # -- extremality from statistics against the image-based definitions ---------

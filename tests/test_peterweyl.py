@@ -389,13 +389,29 @@ def test_lockstep_c1_matches_the_graph_route(monkeypatch):
         lam = classical(m, l)
         assert verify_c1(lam) == _graph_c1(lam)
         assert verify_c1(lam, depth=3, span=1) == _graph_c1(lam, depth=3, span=1)
-    # an element of weight lam off B(-lam)*, whose component is not u_lam's
+    # an element of weight lam off B(-lam)*, whose component is not u_lam's,
+    # in place of one start, so that the start count still holds
+    from crystalpaths import peterweyl
     lam = classical(1, 0)
     foreign = ModElement(left_path({-2: 1}), classical(-1, 1), right_path({}))
     assert foreign.wt() == lam
+    enum = peterweyl.enum_bminus_star
     monkeypatch.setattr("crystalpaths.peterweyl.enum_bminus_star",
-                        lambda *args, **kwargs: [u_lambda(lam), foreign])
+                        lambda *args, **kwargs: enum(*args, **kwargs)[:-1] + [foreign])
     assert not verify_c1(lam) and not _graph_c1(lam)
+
+
+def test_c1_fails_on_a_missing_start(monkeypatch):
+    # every start left follows u_lam's words, so only the count sees the
+    # one that is gone
+    from crystalpaths import peterweyl
+    enum = peterweyl.enum_bminus_star
+    monkeypatch.setattr("crystalpaths.peterweyl.enum_bminus_star",
+                        lambda *args, **kwargs: enum(*args, **kwargs)[:-1])
+    for m, l in BENCH_LAMBDAS:
+        lam = classical(m, l)
+        assert _graph_c1(lam)
+        assert not verify_c1(lam)
 
 
 def _starred_walk(start, steps, rng):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path, u_inf
 from crystalpaths.core import DualElement, TensorElement
 from crystalpaths.elementary import TElement, oracle_letters, tensor_oracle
+from crystalpaths.halfpath import HalfPath
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import Weight, classical
 
@@ -129,6 +130,44 @@ def test_sequence_strings_raise_where_an_entry_goes_negative():
             single_steps(s, 0, n)
         with pytest.raises(ValueError):
             s.power(0, n)
+
+
+def top_outcome(run):
+    try:
+        k, b = run()
+        return ("element", k, key_of(b))
+    except ValueError:
+        return ("ValueError",)
+
+
+tensors = st.builds(TensorElement, st.one_of(left_paths, right_paths, mods),
+                    st.one_of(left_paths, right_paths))
+duals = st.one_of(left_paths, right_paths, mods).map(DualElement)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(left_paths, right_paths, sparse_paths, raw_sequences, image_sequences,
+                 mods, tensors, duals), colors)
+def test_top_matches_eps_and_power(b, i):
+    # one sweep on half-paths and sequences, eps then power elsewhere; a
+    # raw sequence raises ValueError exactly where power does
+    def reference():
+        k = b.eps(i)
+        return k, b.power(i, -k)
+
+    out = top_outcome(lambda: b.top(i))
+    assert out == top_outcome(reference)
+    if out[:2] == ("element", 0) and isinstance(b, (HalfPath, SeqElement)):
+        assert b.top(i)[1] is b  # the sweeps build nothing at the top
+
+
+def test_top_of_sequences_raises_where_power_does():
+    s = SeqElement(0, (0, 0, 1))
+    assert s.eps(0) == 2
+    with pytest.raises(ValueError):
+        s.power(0, -2)
+    with pytest.raises(ValueError):
+        s.top(0)
 
 
 @settings(max_examples=150, deadline=None)

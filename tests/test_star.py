@@ -134,6 +134,25 @@ def test_star_and_conversions_take_no_single_sequence_steps(monkeypatch):
     assert star_binf.__wrapped__(s) == b
 
 
+def test_star_and_conversions_read_eps_once_per_peel(monkeypatch):
+    # every string of a peel is one top, which reads eps_i in its own sweep;
+    # eps is read on its own only to check the other color when the first
+    # string is empty, at most once per peel
+    calls = []
+    statistics, seq_eps = halfpath._statistics, SeqElement.eps
+    monkeypatch.setattr(halfpath, "_statistics",
+                        lambda view, i: calls.append("path") or statistics(view, i))
+    monkeypatch.setattr(SeqElement, "eps", lambda self, i: calls.append("seq") or seq_eps(self, i))
+    rng = random.Random(8)
+    b = from_word([rng.randint(-3, 3) for _ in range(80)])
+    s = star_binf.__wrapped__(b)  # peels b, then its star's sequence form
+    assert seq_to_path(path_to_seq(s, 0)) == s  # peels s, then its sequence form
+    assert calls.count("path") <= 2 and calls.count("seq") <= 2
+    calls.clear()
+    assert star_binf.__wrapped__(s) == b
+    assert calls.count("path") <= 1 and calls.count("seq") <= 1
+
+
 def test_warm_star_builds_no_validated_paths(monkeypatch):
     # with the star cache warm, star_mod reads the marker off the entries
     # and star_bminf flips through stored views: no path goes through the
