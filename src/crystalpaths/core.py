@@ -10,7 +10,8 @@ followed by power; half-paths and sequences override it with one sweep of
 their signature that reads eps_i and climbs together.  The raising and
 lowering operators e(i)/f(i) are power(i, -1)/power(i, 1), defined once on
 the base class.  On top of that protocol this module builds the tensor
-product and dual combinators, the breadth-first search engine explore,
+product and dual combinators, the breadth-first search engine explore (the
+one place a search keys its nodes; it yields each node with its key),
 lockstep (do other elements follow one element's words?), the string
 walker peel (which climbs by top), component enumeration, rooted graph
 isomorphism, an axiom checker, and graph export.
@@ -182,7 +183,7 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
     """
     problems: list[str] = []
     for b in elements:
-        w = b.wt()
+        w, k = b.wt(), b.key()
         for i in COLORS:
             if b.pairing(i) != w.pairing(i):
                 problems.append(f"{b!r}: pairing({i}) != <h_{i}, wt>")
@@ -199,7 +200,7 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
                 if up.eps(i) != ep - 1 or up.phi(i) != ph + 1:
                     problems.append(f"{b!r}: eps/phi step wrong under e_{i}")
                 down = up.f(i)
-                if down is None or down.key() != b.key():
+                if down is None or down.key() != k:
                     problems.append(f"{b!r}: f_{i} e_{i} b != b")
             down = b.f(i)
             if down is not None:
@@ -208,7 +209,7 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
                 if down.eps(i) != ep + 1 or down.phi(i) != ph - 1:
                     problems.append(f"{b!r}: eps/phi step wrong under f_{i}")
                 up2 = down.e(i)
-                if up2 is None or up2.key() != b.key():
+                if up2 is None or up2.key() != k:
                     problems.append(f"{b!r}: e_{i} f_{i} b != b")
     return problems
 
@@ -229,38 +230,43 @@ def explore(roots: Iterable[CrystalElement], moves, depth: int):
     """Breadth-first search from roots along moves, to the given depth.
 
     moves(b) yields (move, image) pairs, the image None where the move is
-    undefined.  Yields (parent, move, child, new) tuples in discovery order:
-    first each root as (None, None, root, new), then, level by level, every
-    move of every node at distance < depth from the roots, in the order
-    moves yields them.  new is True exactly when child is defined and its
-    key() was not seen before; only new nodes are expanded, in the order
-    they were found.  Nothing is computed beyond what the consumer takes.
+    undefined.  Yields (parent_key, move, child, child_key, new) tuples in
+    discovery order: first each root as (None, None, root, root_key, new),
+    then, level by level, every move of every node at distance < depth from
+    the roots, in the order moves yields them.  Each root and each defined
+    child is keyed once, here; child and child_key are None where the move
+    is undefined.  new is True exactly when child is defined and its key
+    was not seen before; only new nodes are expanded, in the order they
+    were found.  Nothing is computed beyond what the consumer takes.
     """
     seen = set()
     frontier = []
     for root in roots:
-        new = root.key() not in seen
+        k = root.key()
+        new = k not in seen
         if new:
-            seen.add(root.key())
-            frontier.append(root)
-        yield None, None, root, new
+            seen.add(k)
+            frontier.append((k, root))
+        yield None, None, root, k, new
     for _ in range(depth):
         nxt = []
-        for b in frontier:
+        for bkey, b in frontier:
             for move, c in moves(b):
-                new = c is not None and c.key() not in seen
+                k = None if c is None else c.key()
+                new = k is not None and k not in seen
                 if new:
-                    seen.add(c.key())
-                    nxt.append(c)
-                yield b, move, c, new
+                    seen.add(k)
+                    nxt.append((k, c))
+                yield bkey, move, c, k, new
         frontier = nxt
 
 
 def lockstep(root: CrystalElement, moves, depth: int, starts: Iterable[CrystalElement]):
     """Follow root's words from each start, move for move.
 
-    Explores root once along moves to the given depth, then replays each
-    expanded node's moves on its image, pairing the results by position.
+    Explores root once along moves to the given depth, keeping the node
+    keys explore yields, then replays each expanded node's moves on its
+    image, pairing the results by position.
     Returns (nodes, walks): nodes maps each key found from root to its node;
     walks lazily yields, per start, (keys, elements, problems): node key ->
     key of the element the same word reaches, that key -> the element, and
@@ -268,15 +274,14 @@ def lockstep(root: CrystalElement, moves, depth: int, starts: Iterable[CrystalEl
     "not well defined" (a mapped node reached at a second element) or
     "collision" (two nodes reach one element).
     """
-    nodes: dict = {}
+    search = explore([root], moves, depth)
+    _, _, _, root_key, _ = next(search)
+    nodes = {root_key: root}
     steps: dict = {}  # expanded node key -> [(move, child key or None), ...]
-    for parent, move, c, new in explore([root], moves, depth):
-        ckey = None if c is None else c.key()
+    for pkey, move, c, ckey, new in search:
         if new:
             nodes[ckey] = c
-        if parent is not None:
-            steps.setdefault(parent.key(), []).append((move, ckey))
-    root_key = root.key()
+        steps.setdefault(pkey, []).append((move, ckey))
 
     def walk(start):
         keys = {root_key: start.key()}
@@ -366,8 +371,8 @@ class ComponentGraph:
         return json.dumps(payload, indent=2)
 
 
-def node_id(b: CrystalElement) -> str:
-    raw = repr(b.key()).encode()
+def node_id(key: Hashable) -> str:
+    raw = repr(key).encode()
     return hashlib.sha1(raw).hexdigest()[:16]
 
 
@@ -379,19 +384,21 @@ def bfs_component(root: CrystalElement, max_depth: int) -> ComponentGraph:
     raising edges too since crystal graphs have at most one arrow per color
     in each direction at a node.
     """
-    rid = node_id(root)
+    search = explore([root], plain_moves, max_depth)
+    _, _, _, root_key, _ = next(search)
+    rid = node_id(root_key)
     graph = ComponentGraph(root=rid, nodes={rid: root}, depth={rid: 0})
-    ids = {root.key(): rid}  # element key -> node id
-    for parent, move, c, new in explore([root], plain_moves, max_depth):
-        if parent is None or c is None:
+    ids = {root_key: rid}  # element key -> node id
+    for pkey, move, c, ckey, new in search:
+        if c is None:
             continue
-        src = ids[parent.key()]
+        src = ids[pkey]
         if new:
-            dst = ids[c.key()] = node_id(c)
+            dst = ids[ckey] = node_id(ckey)
             graph.nodes[dst] = c
             graph.depth[dst] = graph.depth[src] + 1
         else:
-            dst = ids[c.key()]
+            dst = ids[ckey]
         kind, i = move
         graph.edges.append((src, dst, i) if kind == "f" else (dst, src, i))
     graph.edges = sorted(set(graph.edges))

@@ -262,7 +262,7 @@ def enum_bmax(lam: Weight, c_bound: int, depth: int = 4) -> dict:
     the BFS truncation (to the given depth) of the components with block
     sizes up to c_bound, keyed by element key."""
     roots = [lp_split(seed) for seed in bmax_seeds(lam, c_bound)]
-    return {c.key(): c for _, _, c, new in explore(roots, plain_moves, depth) if new}
+    return {k: c for _, _, c, k, new in explore(roots, plain_moves, depth) if new}
 
 
 # -- star image of the dual extremal-weight crystal ---------------------------
@@ -293,17 +293,13 @@ def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5, *,
         return [u_lambda(lam)]
     n = abs(m)
     sgn = 1 if m > 0 else -1
-    out: list[ModElement] = []
-    seen = set()
+    out: dict = {}  # element key -> element, in the order found
     for gaps in product((0, 1), repeat=n - 1):
         for t in range(-span, span + 1):
             walls = [t]
             for g in gaps:
                 walls.append(walls[-1] + g)
             e = lp_split(uniform_wall_path(walls, sgn, lam.d))
-            if e.wt() != lam or not is_extremal(e, max_len, table=table):
-                continue
-            if e.key() not in seen:
-                seen.add(e.key())
-                out.append(e)
-    return out
+            if e.wt() == lam and is_extremal(e, max_len, table=table):
+                out.setdefault(e.key(), e)
+    return list(out.values())

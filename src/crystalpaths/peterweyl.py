@@ -111,8 +111,7 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
     takes b to e.  The result keeps only W and x; b and its orbit are
     computed when asked for.  max_depth bounds the number of strings, not
     of single steps.  Raises RuntimeError if that word does not replay from
-    b to e.  The search links each node to its parent element, so keys are
-    computed along the found word only.
+    b to e.
 
     Mixed wall signs rule extremality out, so those nodes skip the bounded
     check.  table holds its S_i steps and verdicts at this extremal_len, for
@@ -122,13 +121,12 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
         table = WeylTable()
     verdicts = table.verdicts(extremal_len)
     root = star_mod(e) if e_star is None else e_star
-    links: dict = {}  # element key -> (parent, move) in the search tree
-    for parent, move, x, new in explore([root], string_moves, max_depth):
+    links: dict = {}  # element key -> (parent key, move) in the search tree
+    for pkey, move, x, k, new in explore([root], string_moves, max_depth):
         if not new:
             continue
-        k = x.key()
-        if parent is not None:
-            links[k] = (parent, move)
+        if pkey is not None:
+            links[k] = (pkey, move)
         extremal = verdicts.get(k)
         if extremal is None:
             extremal = verdicts[k] = (x.wall_sign() is not None
@@ -137,8 +135,7 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
             continue
         inverse = []
         while k in links:
-            parent, (kind, i, n) = links[k]
-            k = parent.key()
+            k, (kind, i, n) = links[k]
             inverse.append(("f" if kind == "e" else "e", i, n))
         result = Decomposition(inverse, x)
         if result.replay().key() != e.key():
@@ -167,7 +164,7 @@ def verify_c2(lam: Weight, depth: int = 5) -> bool:
     """The component of u_lam holds exactly one vector of weight lam."""
     root = u_lambda(lam)
     nodes = explore([root], plain_moves, depth)
-    return [b for _, _, b, new in nodes if new and b.wt() == lam] == [root]
+    return [b for _, _, b, _, new in nodes if new and b.wt() == lam] == [root]
 
 
 def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8,
@@ -180,8 +177,8 @@ def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8,
     if orbit is None:
         return False
     nodes = explore([u_lambda(lam)], plain_moves, depth)
-    return not any(new and is_extremal(b, extremal_len, table=table) and b.key() not in orbit
-                   for _, _, b, new in nodes)
+    return not any(new and is_extremal(b, extremal_len, table=table) and k not in orbit
+                   for _, _, b, k, new in nodes)
 
 
 # -- full truncated slice report ----------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import crystalpaths
 from crystalpaths import TensorElement, Weight, bfs_component, check_axioms, graphs_isomorphic
 from crystalpaths import from_word, u_inf
-from crystalpaths.core import CrystalElement, DualElement, explore, plain_moves
+from crystalpaths.core import CrystalElement, DualElement, explore, lockstep, plain_moves
 from crystalpaths.elementary import BiElement, EndMarker, LimitEntry, TElement
 
 NEG_INF = float("-inf")
@@ -164,8 +164,8 @@ def test_bfs_component_truncation_and_edges():
 
 
 def events(roots, depth, moves=plain_moves):
-    return [(p and p.key(), m, c and c.key(), new)
-            for p, m, c, new in explore(roots, moves, depth)]
+    return [(pkey, m, ckey, new)
+            for pkey, m, _, ckey, new in explore(roots, moves, depth)]
 
 
 def test_explore_reports_every_move_in_discovery_order():
@@ -219,6 +219,33 @@ def test_explore_stops_with_its_consumer():
     assert expanded == [0, 1]
     search.close()
     assert expanded == [0, 1]
+
+
+def test_each_node_is_keyed_once():
+    keyed = []
+
+    class Counted(LimitEntry):
+        """A letter that records its key() calls."""
+
+        def power(self, i, n):
+            return Counted(super().power(i, n).n)
+
+        def key(self):
+            keyed.append(self.n)
+            return super().key()
+
+    # explore keys each root and each defined child once (every move of a
+    # letter is defined), and yields that key
+    evs = list(explore([Counted(5), Counted(0), Counted(5)], plain_moves, 2))
+    assert sorted(keyed) == sorted(c.n for _, _, c, _, _ in evs)
+    assert all(k == ("z", c.n) for _, _, c, k, _ in evs)
+    # bfs_component and lockstep (before any walk) key no node again
+    once = len(list(explore([LimitEntry(0)], plain_moves, 2)))
+    for consume in (lambda root: bfs_component(root, 2),
+                    lambda root: lockstep(root, plain_moves, 2, [Counted(0)])):
+        keyed.clear()
+        consume(Counted(0))
+        assert len(keyed) == once
 
 
 def test_graph_isomorphism_positive_and_negative():

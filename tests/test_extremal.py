@@ -81,7 +81,7 @@ def test_mixed_walls_rule_extremality_out():
     mixed = 0
     for m, l in BENCH_LAMBDAS:
         lam = classical(m, l)
-        component = [c for _, _, c, new in explore([u_lambda(lam)], plain_moves, 5) if new]
+        component = [c for _, _, c, _, new in explore([u_lambda(lam)], plain_moves, 5) if new]
         _, _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
         table = WeylTable()
         for e in component + [y for _, _, y in pairs.values()]:

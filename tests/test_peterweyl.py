@@ -174,11 +174,11 @@ def _reference_report(lam, decompose_call):
     root = u_lambda(lam)
     dual = {}
     trace = []
-    for r, move, c, new in explore([root], _starred_moves, 3):
+    for rkey, move, c, ckey, new in explore([root], _starred_moves, 3):
         if new:
-            dual[c.key()] = c
-        if r is not None:
-            trace.append((r.key(), move, None if c is None else c.key()))
+            dual[ckey] = c
+        if rkey is not None:
+            trace.append((rkey, move, ckey))
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(r, lam, 4) for r in dual.values())
     pair_of = {}
@@ -454,12 +454,11 @@ def _step_decompose(e, max_depth=10, extremal_len=4, verdicts=None):
     the first extremal vector, its word as strings of one step each."""
     verdicts = {} if verdicts is None else verdicts
     links = {}
-    for parent, move, x, new in explore([star_mod(e)], plain_moves, max_depth):
+    for pkey, move, x, k, new in explore([star_mod(e)], plain_moves, max_depth):
         if not new:
             continue
-        k = x.key()
-        if parent is not None:
-            links[k] = (parent.key(), move)
+        if pkey is not None:
+            links[k] = (pkey, move)
         extremal = verdicts.get(k)
         if extremal is None:
             extremal = verdicts[k] = is_extremal(x, extremal_len)
