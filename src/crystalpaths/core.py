@@ -14,7 +14,9 @@ product and dual combinators, the breadth-first search engine explore (the
 one place a search keys its nodes; it yields each node with its key),
 lockstep (do other elements follow one element's words?), the string
 walker peel (which climbs by top), component enumeration, rooted graph
-isomorphism, an axiom checker, and graph export.
+isomorphism, an axiom checker (check_axioms, which reads each weight,
+(eps_i, phi_i) and image once per call, keyed by key(), so both ends of an
+arrow share them), and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -174,43 +176,81 @@ class DualElement(CrystalElement):
         return ("dual", self.inner.key())
 
 
+class _Memo(dict):
+    """A dict that fills a missing entry with read(key) on first lookup."""
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, key):
+        value = self[key] = self.read(key)
+        return value
+
+
+# The two arrows of color i at an element b, as check_axioms walks them:
+# (n, the operator power(i, n), its inverse, the sign of alpha_i in the
+# image's weight, the weight shift).
+_ARROWS = tuple(((-1, "e", "f", "+", simple_root(i)), (1, "f", "e", "-", -simple_root(i)))
+                for i in COLORS)
+
+
 def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
     """Check the crystal axioms on a finite set; returns violation messages.
 
     Checked per element and color: pairing(i) = <h_i, wt>, phi = eps +
-    <h_i, wt> (with both sides -infinity together), e/f weight shifts, eps/phi steps, and that e and f
-    are mutually inverse where defined.
+    <h_i, wt> (with both sides -infinity together), e/f weight shifts,
+    eps/phi steps, and that e and f are mutually inverse where defined.
+
+    Each fact is computed at most once per call and shared by both ends of
+    every arrow: an element's weight, its (eps_i, phi_i) for each color,
+    and each image power(i, +-1).  Elements are identified by key(), as in
+    explore's dedup: two elements with one key are taken to have the same
+    weight, statistics and images, and a key's facts are read off the first
+    element met with it.  Each key is numbered once and the tables hold
+    those numbers, images included, so they keep no references between
+    elements; they live for the call only.
     """
+    found: list[CrystalElement] = []  # number -> the first element met with its key
+    numbers: dict = {}  # key -> number
+
+    def number(b):
+        j = numbers.setdefault(b.key(), len(found))
+        if j == len(found):
+            found.append(b)
+        return j
+
+    def image(entry):
+        j, i, n = entry
+        c = found[j].power(i, n)
+        return None if c is None else number(c)
+
+    weight = _Memo(lambda j: found[j].wt())
+    stats = _Memo(lambda entry: (found[entry[0]].eps(entry[1]), found[entry[0]].phi(entry[1])))
+    images = _Memo(image)  # (number, i, n) -> number of power(i, n), None where undefined
     problems: list[str] = []
     for b in elements:
-        w, k = b.wt(), b.key()
+        k = number(b)
+        w = weight[k]
         for i in COLORS:
             if b.pairing(i) != w.pairing(i):
                 problems.append(f"{b!r}: pairing({i}) != <h_{i}, wt>")
-            ep, ph = b.eps(i), b.phi(i)
+            ep, ph = stats[k, i]
             if (ep == NEG_INF) != (ph == NEG_INF):
                 problems.append(f"{b!r}: eps/phi -inf mismatch for color {i}")
                 continue
             if ep != NEG_INF and ph != ep + w.pairing(i):
                 problems.append(f"{b!r}: phi_{i} != eps_{i} + <h_{i}, wt>")
-            up = b.e(i)
-            if up is not None:
-                if up.wt() != w + simple_root(i):
-                    problems.append(f"{b!r}: wt(e_{i} b) != wt(b) + alpha_{i}")
-                if up.eps(i) != ep - 1 or up.phi(i) != ph + 1:
-                    problems.append(f"{b!r}: eps/phi step wrong under e_{i}")
-                down = up.f(i)
-                if down is None or down.key() != k:
-                    problems.append(f"{b!r}: f_{i} e_{i} b != b")
-            down = b.f(i)
-            if down is not None:
-                if down.wt() != w - simple_root(i):
-                    problems.append(f"{b!r}: wt(f_{i} b) != wt(b) - alpha_{i}")
-                if down.eps(i) != ep + 1 or down.phi(i) != ph - 1:
-                    problems.append(f"{b!r}: eps/phi step wrong under f_{i}")
-                up2 = down.e(i)
-                if up2 is None or up2.key() != k:
-                    problems.append(f"{b!r}: e_{i} f_{i} b != b")
+            for n, op, back, sign, shift in _ARROWS[i]:
+                y = images[k, i, n]
+                if y is None:
+                    continue
+                if weight[y] != w + shift:
+                    problems.append(f"{b!r}: wt({op}_{i} b) != wt(b) {sign} alpha_{i}")
+                if stats[y, i] != (ep + n, ph - n):
+                    problems.append(f"{b!r}: eps/phi step wrong under {op}_{i}")
+                if images[y, i, -n] != k:
+                    problems.append(f"{b!r}: {back}_{i} {op}_{i} b != b")
     return problems
 
 
@@ -359,10 +399,10 @@ class ComponentGraph:
             "nodes": [
                 {
                     "id": nid,
-                    "wt": {"L0": b.wt().a0, "L1": b.wt().a1, "delta": b.wt().d},
+                    "wt": {"L0": w.a0, "L1": w.a1, "delta": w.d},
                     "depth": self.depth[nid],
                 }
-                for nid, b in sorted(self.nodes.items())
+                for nid, w in sorted((nid, b.wt()) for nid, b in self.nodes.items())
             ],
             "edges": [
                 {"src": s, "dst": d, "color": i} for s, d, i in sorted(self.edges)

@@ -9,16 +9,18 @@ The library has one operator per element type, the whole string
 power(i, n).  The single steps it is checked against live here, each by
 its definition: the raw tensor tie-break, dense signatures rescanned at
 every step for half-paths and sequences, and the elementary crystals'
-rules.  single_steps(b, i, n) loops them.
+rules.  single_steps(b, i, n) loops them.  reference_check_axioms is the
+straight-line axiom checker that re-reads every fact at every arrow end.
 """
 
 import random
 
 from crystalpaths import HalfPath, LevelPath, SeqElement, left_path, seq_to_path, u_inf
-from crystalpaths.core import DualElement, TensorElement, peel
+from crystalpaths.core import COLORS, NEG_INF, DualElement, TensorElement, peel
 from crystalpaths.elementary import (BiElement, EndMarker, LimitEntry, TElement,
                                      oracle_mismatches, tensor_oracle)
 from crystalpaths.levelpath import ModElement
+from crystalpaths.weights import simple_root
 
 # the weights of the pw_verify benchmark workload, as (m, l)
 BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
@@ -170,3 +172,40 @@ def single_steps(b, i: int, n: int):
 def star_from(b: HalfPath, color: int) -> HalfPath:
     """b* by peeling from the given color (star_binf peels from color 1)."""
     return seq_to_path(SeqElement(color, tuple(k for _, k in peel(b, color))))
+
+
+def reference_check_axioms(elements) -> list[str]:
+    """check_axioms by its definition, element by element: each end of an
+    arrow applies both operators and reads the weight, eps and phi of both
+    elements again.  Same messages in the same order as check_axioms."""
+    problems: list[str] = []
+    for b in elements:
+        w, k = b.wt(), b.key()
+        for i in COLORS:
+            if b.pairing(i) != w.pairing(i):
+                problems.append(f"{b!r}: pairing({i}) != <h_{i}, wt>")
+            ep, ph = b.eps(i), b.phi(i)
+            if (ep == NEG_INF) != (ph == NEG_INF):
+                problems.append(f"{b!r}: eps/phi -inf mismatch for color {i}")
+                continue
+            if ep != NEG_INF and ph != ep + w.pairing(i):
+                problems.append(f"{b!r}: phi_{i} != eps_{i} + <h_{i}, wt>")
+            up = b.e(i)
+            if up is not None:
+                if up.wt() != w + simple_root(i):
+                    problems.append(f"{b!r}: wt(e_{i} b) != wt(b) + alpha_{i}")
+                if up.eps(i) != ep - 1 or up.phi(i) != ph + 1:
+                    problems.append(f"{b!r}: eps/phi step wrong under e_{i}")
+                down = up.f(i)
+                if down is None or down.key() != k:
+                    problems.append(f"{b!r}: f_{i} e_{i} b != b")
+            down = b.f(i)
+            if down is not None:
+                if down.wt() != w - simple_root(i):
+                    problems.append(f"{b!r}: wt(f_{i} b) != wt(b) - alpha_{i}")
+                if down.eps(i) != ep + 1 or down.phi(i) != ph - 1:
+                    problems.append(f"{b!r}: eps/phi step wrong under f_{i}")
+                up2 = down.e(i)
+                if up2 is None or up2.key() != k:
+                    problems.append(f"{b!r}: e_{i} f_{i} b != b")
+    return problems

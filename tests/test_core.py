@@ -1,6 +1,10 @@
 import ast
+import gc
 import importlib
 import pkgutil
+import random
+from collections import Counter
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -11,6 +15,12 @@ from crystalpaths import TensorElement, Weight, bfs_component, check_axioms, gra
 from crystalpaths import from_word, u_inf
 from crystalpaths.core import CrystalElement, DualElement, explore, lockstep, plain_moves
 from crystalpaths.elementary import BiElement, EndMarker, LimitEntry, TElement
+from crystalpaths.extremal import enum_bmax
+from crystalpaths.levelpath import u_lambda
+from crystalpaths.seqreal import seq_generator
+from crystalpaths.weights import classical
+
+from conftest import random_walk, reference_check_axioms
 
 NEG_INF = float("-inf")
 
@@ -113,7 +123,7 @@ def test_tensor_with_inert_factor_mixes_neg_inf():
     assert t.f(1).right.n == 1
 
 
-def test_check_axioms_on_tensor_sample():
+def tensor_sample():
     # BiElement weights carry the full affine weight including the delta
     # coordinate, so the axioms hold on the nose for their tensor products.
     # (Single path letters only track the classical direction; their delta
@@ -122,16 +132,113 @@ def test_check_axioms_on_tensor_sample():
               for a in range(-2, 3) for b in range(-2, 3)]
     sample += [TensorElement(BiElement(i, a), BiElement(i, b))
                for i in (0, 1) for a in range(-2, 3) for b in range(-2, 3)]
-    assert check_axioms(sample) == []
+    return sample
+
+
+def test_check_axioms_on_tensor_sample():
+    assert check_axioms(tensor_sample()) == []
+
+
+# Broken element types, each closed under its operators so that key() still
+# identifies an element (check_axioms relies on it).
+
+
+class Broken(LimitEntry):
+    """phi off by one."""
+
+    def phi(self, i):
+        return super().phi(i) + 1
+
+    def power(self, i, n):
+        return Broken(super().power(i, n).n)
+
+
+@dataclass(frozen=True)
+class Flipping(BiElement):
+    """e_i flips a tag that f_i keeps, so e_i and f_i are not inverse."""
+
+    tag: int = 0
+
+    def power(self, i, n):
+        c = super().power(i, n)
+        return None if c is None else Flipping(c.color, c.n, self.tag ^ (n < 0))
+
+    def key(self):
+        return ("flipping", self.color, self.n, self.tag)
+
+
+class Tilted(BiElement):
+    """A delta part n on the weight of (n)_i, so e_i and f_i shift the
+    weight by alpha_i -+ delta."""
+
+    def wt(self):
+        return super().wt() + Weight(0, 0, self.n)
+
+    def power(self, i, n):
+        c = super().power(i, n)
+        return None if c is None else Tilted(c.color, c.n)
 
 
 def test_check_axioms_flags_broken_element():
-    class Broken(LimitEntry):
-        def phi(self, i):
-            return super().phi(i) + 1
-
     problems = check_axioms([Broken(0)])
     assert problems
+
+
+def axiom_samples():
+    """Named element lists for the differential test; the broken ones
+    are named "broken: ..."."""
+    lams = ((0, 0), (1, 0), (2, 1), (-2, 0), (3, -1))
+    rng = random.Random(5)
+    mod_roots = [u_lambda(classical(m, l)) for m, l in lams]
+    mod_roots += [random_walk(root, 6, rng) for root in mod_roots]
+    yield "binf path", bfs_component(u_inf(), 6).nodes.values()
+    yield "binf seq", bfs_component(seq_generator(0), 6).nodes.values()
+    for root in mod_roots:
+        yield f"mod {root!r}", bfs_component(root, 3).nodes.values()
+    for m in (5, -5):
+        yield f"bmax {m}", enum_bmax(classical(m, 0), 1, 3).values()
+    yield "tensor sample", tensor_sample()
+    broken = list(bfs_component(Broken(0), 3).nodes.values())
+    yield "broken: phi off by one", broken + broken[:3]
+    yield "broken: phi off by one, one element", [Broken(0)]
+    yield "broken: e not inverse to f", bfs_component(Flipping(1, 0), 3).nodes.values()
+    yield "broken: wrong weight shift", bfs_component(Tilted(0, 0), 3).nodes.values()
+    yield "broken: tensors", [TensorElement(x, BiElement(1, b)) for b in range(-2, 3)
+                             for x in (Broken(b), Flipping(1, b), Tilted(1, b))]
+
+
+def test_check_axioms_matches_the_reference_checker():
+    for name, elements in axiom_samples():
+        elements = list(elements)
+        expected = reference_check_axioms(elements)
+        assert check_axioms(elements) == expected, name
+        assert bool(expected) == name.startswith("broken"), name
+
+
+def test_check_axioms_computes_each_image_once():
+    calls = Counter()
+
+    class Counting(LimitEntry):
+        def power(self, i, n):
+            calls[self.n, i, n] += 1
+            return Counting(super().power(i, n).n)
+
+    nodes = list(bfs_component(Counting(0), 3).nodes.values())
+    calls.clear()
+    check_axioms(nodes)
+    assert len(calls) == 4 * len(nodes) + 4  # e and f of both colors, and back from the ends
+    assert [entry for entry, count in calls.items() if count > 1] == []
+
+
+def test_check_axioms_leaves_no_garbage():
+    nodes = list(bfs_component(u_lambda(classical(2, 0)), 4).nodes.values())
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_axioms(nodes) == []
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dual_element_swaps_everything():
