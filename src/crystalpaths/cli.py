@@ -9,15 +9,18 @@ Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
 bounded search was inconclusive and no check failed; 64 malformed or invalid element JSON; 65
 precondition violation, including command-line usage errors, negative
 bounds, a --lambda of more than two components, a weight given as an
-element, a sequence outside the image, and an element over the input
-limits.
+element, a sequence outside the image, an element over the input limits,
+and an oracle-check --support above MAX_SPAN.
 
 Input limits: an element may reach at most MAX_SPAN = 256 positions out
 from 0 (a half-path's farthest entry, a level path's window, a sequence's
 length) and hold no entry above MAX_ENTRY = 64 in absolute value (a level
 path's m and a marker's L0 coefficient count as entries).  The star and
 the Weyl operators grow with both: star on a path with one entry 100,000
-positions out was still running after two minutes.
+positions out was still running after two minutes.  oracle-check's random
+paths reach --support positions out, so the same MAX_SPAN bounds it: the
+tensor oracle nests its word --support + 2 levels deep, and at 330 it
+overflowed Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -231,8 +234,7 @@ def cmd_pw_verify(args) -> int:
                    table=table)
     c2 = verify_c2(lam, args.depth)
     c3 = verify_c3(lam, args.depth, word_bound=args.word_bound, table=table)
-    rep = pw_report(lam, c_bound=1, plain_depth=min(args.depth, 3),
-                    star_depth=min(args.depth, 3), table=table)
+    rep = pw_report(lam, c_bound=1, depth=min(args.depth, 3), table=table)
     payload = {
         "lambda": serialize.encode_weight(lam),
         "C1": c1,
@@ -254,6 +256,9 @@ def cmd_pw_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.support > MAX_SPAN:
+        raise CliError(EXIT_PRECONDITION,
+                       f"--support {args.support} is over the limit of {MAX_SPAN} positions")
     seed = args.seed
     if args.seed_file:
         try:

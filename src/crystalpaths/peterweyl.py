@@ -38,7 +38,9 @@ strings, kind^n of color i, and the search depth counts strings.
 
 The checks that walk Weyl orbits (C1, C3, the dual family and decompose)
 take an optional extremal.WeylTable, so that the callers of one command
-compute each S_i step once; without one, each check starts cold.
+compute each S_i step once; without one, each check starts cold.  C3 and
+the slice report bound extremality checks by EXTREMAL_LEN, and the report's
+decompose() searches by DECOMPOSE_DEPTH strings.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from .extremal import (WeylTable, bminus_star_count, enum_bmax, enum_bminus_star
 from .levelpath import ModElement, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
+
+EXTREMAL_LEN = 4
+DECOMPOSE_DEPTH = 10
 
 
 @dataclass
@@ -75,7 +80,7 @@ class Decomposition:
     @property
     def lam_canonical(self) -> Weight:
         """The dominant representative of the factor's Weyl orbit."""
-        return orbit_canonical(-self.extremal.wt())[0]
+        return orbit_canonical(-self.extremal.wt())
 
     def replay(self) -> ModElement:
         """The element the word gives from bmax_factor: plain strings on
@@ -167,17 +172,17 @@ def verify_c2(lam: Weight, depth: int = 5) -> bool:
     return [b for _, _, b, _, new in nodes if new and b.wt() == lam] == [root]
 
 
-def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8,
-              extremal_len: int = 4, *, table: Optional[WeylTable] = None) -> bool:
+def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8, *,
+              table: Optional[WeylTable] = None) -> bool:
     """Extremal vectors in the component of u_lam are exactly the images of
     u_lam under alternating Weyl-operator words."""
     if table is None:
         table = WeylTable()
-    orbit = weyl_orbit(u_lambda(lam), word_bound, extremal_len, table=table)
+    orbit = weyl_orbit(u_lambda(lam), word_bound, EXTREMAL_LEN, table=table)
     if orbit is None:
         return False
     nodes = explore([u_lambda(lam)], plain_moves, depth)
-    return not any(new and is_extremal(b, extremal_len, table=table) and k not in orbit
+    return not any(new and is_extremal(b, EXTREMAL_LEN, table=table) and k not in orbit
                    for _, _, b, k, new in nodes)
 
 
@@ -224,7 +229,7 @@ def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int, *,
     return is_extremal(r, extremal_len, table=table)
 
 
-def _star_pairs(lam: Weight, bmax: dict, star_depth: int):
+def _star_pairs(lam: Weight, bmax: dict, depth: int):
     """The dual family and the pair map of the lam-slice, in star space.
 
     The dual family is the starred BFS from u_lam, run as the plain BFS from
@@ -238,7 +243,7 @@ def _star_pairs(lam: Weight, bmax: dict, star_depth: int):
     """
     root = star_mod(u_lambda(lam))
     order = sorted(bmax.items())
-    dual, walks = lockstep(root, plain_moves, star_depth,
+    dual, walks = lockstep(root, plain_moves, depth,
                            (star_mod(b) for _, b in order))
     pairs: dict = {}
     violations: list[str] = []
@@ -252,36 +257,37 @@ def _star_pairs(lam: Weight, bmax: dict, star_depth: int):
     return root, dual, pairs, violations
 
 
-def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
-              star_depth: int = 3, extremal_len: int = 4,
-              decompose_depth: int = 10, decompose_cap: Optional[int] = None, *,
+def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
+              decompose_cap: Optional[int] = None, *,
               table: Optional[WeylTable] = None) -> SliceReport:
     """Verify the truncated lam-slice of the decomposition.
 
     Enumerates the B^max truncation by plain BFS from the seeds, and the
-    dual family by starred BFS from u_lam, whose words every B^max element
-    b follows in lockstep, in star space (_star_pairs); each element is
-    starred back once, and decompose() gets the star image the report
-    holds.  Checks, on the truncation: the starred word is defined on b
-    exactly when it is defined on u_lam; the resulting element depends only
-    on (b, image from u_lam); the pair map is injective, so the slice count
-    is the product of the factor counts; every dual-family element matches
-    its wall characterization; and decompose() recovers a factorization
-    with the right orbit, replaying to the element, for every enumerated
-    element.  The dual-family checks and the decompose() calls share one
-    WeylTable: table, or a fresh one.
+    dual family by starred BFS from u_lam, both to depth; every B^max
+    element b follows the dual family's words in lockstep, in star space
+    (_star_pairs); each element is starred back once, and decompose() gets
+    the star image the report holds.  Checks, on the truncation: the
+    starred word is defined on b exactly when it is defined on u_lam; the
+    resulting element depends only on (b, image from u_lam); the pair map
+    is injective, so the slice count is the product of the factor counts;
+    every dual-family element matches its wall characterization; and
+    decompose() recovers a factorization replaying to the element, for
+    every enumerated element, whose orbit has lam's representative
+    (orbit_canonical, in closed form, so the cost does not grow with lam's
+    delta label).  The dual-family checks and the decompose() calls share
+    one WeylTable: table, or a fresh one.
     """
     if table is None:
         table = WeylTable()
     rep = SliceReport(lam=lam)
-    canon, _ = orbit_canonical(lam)
-    bmax = enum_bmax(lam, c_bound, plain_depth)
+    canon = orbit_canonical(lam)
+    bmax = enum_bmax(lam, c_bound, depth)
     rep.bmax_size = len(bmax)
 
-    root, dual, pairs, rep.violations = _star_pairs(lam, bmax, star_depth)
+    root, dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(
-        _dual_family_ok(star_mod(r), lam, extremal_len, table=table)
+        _dual_family_ok(star_mod(r), lam, EXTREMAL_LEN, table=table)
         for r in dual.values())
 
     elements: dict = {}  # element key -> (element, its star image)
@@ -303,7 +309,7 @@ def pw_report(lam: Weight, c_bound: int = 1, plain_depth: int = 3,
         e, y = elements[k]
         rep.decompose_total += 1
         try:
-            result = decompose(e, decompose_depth, extremal_len,
+            result = decompose(e, DECOMPOSE_DEPTH, EXTREMAL_LEN,
                                table=table, e_star=y)
         except RuntimeError:
             rep.decompose_mismatched += 1
@@ -320,19 +326,14 @@ def slices_disjoint(r1: SliceReport, r2: SliceReport) -> bool:
 
 
 def slice_invariant_under_reflection(lam: Weight, i: int, c_bound: int = 1,
-                                     depth_small: int = 2, depth_big: int = 4,
-                                     extremal_len: int = 4) -> bool:
+                                     depth_small: int = 2, depth_big: int = 4) -> bool:
     """The truncated slice of lam embeds in a deeper truncation of the slice
     of s_i(lam), and vice versa: evidence that the slice depends only on the
     Weyl orbit."""
     lam2 = lam.reflect(i)
-    small1 = pw_report(lam, c_bound, depth_small, depth_small, extremal_len,
-                       decompose_cap=0)
-    small2 = pw_report(lam2, c_bound, depth_small, depth_small, extremal_len,
-                       decompose_cap=0)
-    big1 = pw_report(lam, c_bound + 1, depth_big, depth_big, extremal_len,
-                     decompose_cap=0)
-    big2 = pw_report(lam2, c_bound + 1, depth_big, depth_big, extremal_len,
-                     decompose_cap=0)
+    small1 = pw_report(lam, c_bound, depth_small, decompose_cap=0)
+    small2 = pw_report(lam2, c_bound, depth_small, decompose_cap=0)
+    big1 = pw_report(lam, c_bound + 1, depth_big, decompose_cap=0)
+    big2 = pw_report(lam2, c_bound + 1, depth_big, decompose_cap=0)
     return (small1.element_keys <= big2.element_keys
             and small2.element_keys <= big1.element_keys)

@@ -75,33 +75,16 @@ def classical(m: int, l: int = 0) -> Weight:
     return Weight(m, -m, l)
 
 
-def orbit_canonical(w: Weight) -> tuple[Weight, list[int]]:
+def orbit_canonical(w: Weight) -> Weight:
     """Canonical affine Weyl orbit representative of a level-zero weight.
 
     For w = m*(L0-L1) + l*delta the orbit under s_0, s_1 is
-    { (+-m)*(L0-L1) + (l + k*m)*delta : k an integer }.  The representative
-    has m >= 0 and, when m > 0, delta coordinate reduced into [0, m).
-    Returns (canonical, word) where word = [i_1, i_2, ...] satisfies
-    s_{i_k} ... s_{i_1} (w) = canonical.
+    { (+-m)*(L0-L1) + (l + k*m)*delta : k an integer }: s_1 flips the sign
+    of m, and s_0 then s_1 lowers l by |m|.  The representative, read off
+    in closed form, has m >= 0 and, when m > 0, delta coordinate reduced
+    into [0, m); at m = 0 the orbit is {w}.
     """
     if w.level != 0:
         raise ValueError(f"orbit_canonical needs a level-zero weight, got {w!r}")
     m, l = w.a0, w.d
-    if m == 0:
-        return w, []
-    target = classical(abs(m), l % abs(m))
-    word: list[int] = []
-    cur = w
-    if cur.a0 < 0:
-        cur = cur.reflect(1)
-        word.append(1)
-    # Now cur = |m|*(L0-L1) + l*delta.  s_0 then s_1 shifts l down by |m|;
-    # s_1 then s_0 shifts it up by |m|.
-    while cur.d != target.d:
-        colors = (0, 1) if cur.d > target.d else (1, 0)
-        for i in colors:
-            cur = cur.reflect(i)
-            word.append(i)
-    if cur != target:
-        raise RuntimeError(f"orbit_canonical reached {cur!r}, not {target!r}")
-    return target, word
+    return w if m == 0 else classical(abs(m), l % abs(m))

@@ -294,8 +294,8 @@ def test_criterion_8_component_and_slice_verification():
                     and verify_c2(lam, depth=5)
                     and verify_c3(lam, depth=5, word_bound=8)):
                 ok = False
-    r1 = pw_report(classical(1, 0), c_bound=1, plain_depth=3, star_depth=3)
-    r2 = pw_report(classical(2, 0), c_bound=1, plain_depth=3, star_depth=3)
+    r1 = pw_report(classical(1, 0), c_bound=1, depth=3)
+    r2 = pw_report(classical(2, 0), c_bound=1, depth=3)
     for r in (r1, r2):
         if not r.ok or r.pair_count != r.bmax_size * r.dual_size:
             ok = False

@@ -189,6 +189,22 @@ def test_oracle_check(capsys, monkeypatch):
     assert data["failures"] == 0 and data["checked"] == 200
 
 
+def test_oracle_check_support_over_the_span_limit_is_a_precondition_error(capsys, monkeypatch):
+    # the oracle nests its word support + 2 levels deep; at 330 it overflowed
+    # the recursion limit and exited 1, as if a property had failed
+    code, out, err = run(capsys, monkeypatch,
+                         ["oracle-check", "--support", str(MAX_SPAN + 1)])
+    assert code == 65 and out == ""
+    assert f"limit of {MAX_SPAN}" in err
+
+
+def test_oracle_check_support_at_the_span_limit_runs(capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch,
+                       ["oracle-check", "--support", str(MAX_SPAN), "--samples", "2"])
+    assert code == 0
+    assert json.loads(out) == {"checked": 4, "failures": 0}
+
+
 def test_file_input(tmp_path, capsys, monkeypatch):
     f = tmp_path / "elt.json"
     f.write_text(dumps(ground_path(1, 0)))

@@ -1,6 +1,6 @@
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from crystalpaths import (decompose, pw_report, slice_invariant_under_reflection,
                           slices_disjoint, u_lambda, verify_c1, verify_c2,
@@ -24,7 +24,7 @@ def test_decompose_of_generator_is_trivial():
     assert d is not None
     assert d.word == []
     assert d.bmax_factor == u_lambda(lam)
-    assert d.lam_canonical == orbit_canonical(lam)[0]
+    assert d.lam_canonical == orbit_canonical(lam)
 
 
 def test_decompose_replays_and_classifies():
@@ -35,7 +35,7 @@ def test_decompose_replays_and_classifies():
         d = decompose(e)
         assert d is not None
         assert d.replay() == e
-        assert d.lam_canonical == orbit_canonical(classical(m, l))[0]
+        assert d.lam_canonical == orbit_canonical(classical(m, l))
         # the word as literal starred operators, and the caller's star image
         assert d.extremal == star_mod(d.bmax_factor) and _reference_replay(d) == e
         assert decompose(e, e_star=star_mod(e)) == d
@@ -50,7 +50,7 @@ def test_decompose_separates_starred_moves():
     assert d.replay() == e
     # factorization lands in the same orbit slice and the plain factor is a
     # legitimate B^max member for its own marker weight
-    assert d.lam_canonical == orbit_canonical(lam)[0]
+    assert d.lam_canonical == orbit_canonical(lam)
     from crystalpaths import bmax_contains
     assert bmax_contains(d.bmax_factor.lam, d.bmax_factor)
 
@@ -68,8 +68,7 @@ def test_c2_unique_top_weight_vector():
 
 
 def test_pw_report_product_structure():
-    rep = pw_report(classical(1, 0), c_bound=1, plain_depth=2, star_depth=2,
-                    decompose_cap=25)
+    rep = pw_report(classical(1, 0), c_bound=1, depth=2, decompose_cap=25)
     assert rep.ok
     assert rep.pair_count == rep.bmax_size * rep.dual_size
     assert rep.decompose_inconclusive == 0
@@ -78,10 +77,8 @@ def test_pw_report_product_structure():
 
 
 def test_slices_disjoint_across_orbits():
-    r1 = pw_report(classical(1, 0), c_bound=1, plain_depth=2, star_depth=2,
-                   decompose_cap=0)
-    r2 = pw_report(classical(2, 0), c_bound=1, plain_depth=2, star_depth=2,
-                   decompose_cap=0)
+    r1 = pw_report(classical(1, 0), c_bound=1, depth=2, decompose_cap=0)
+    r2 = pw_report(classical(2, 0), c_bound=1, depth=2, decompose_cap=0)
     assert slices_disjoint(r1, r2)
     assert not slices_disjoint(r1, r1)
 
@@ -94,8 +91,7 @@ def test_slice_invariance_under_reflection():
 def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
     monkeypatch.setattr(Decomposition, "replay",
                         lambda self: u_lambda(classical(5, 0)))
-    rep = pw_report(classical(1, 0), c_bound=1, plain_depth=1, star_depth=1,
-                    decompose_cap=1)
+    rep = pw_report(classical(1, 0), c_bound=1, depth=1, decompose_cap=1)
     assert rep.decompose_total == 1
     assert rep.decompose_mismatched == 1
     assert not rep.ok
@@ -110,7 +106,7 @@ def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
     foreign = starred_f(u, 0)
     monkeypatch.setattr("crystalpaths.peterweyl.enum_bmax",
                         lambda *args: {e.key(): e for e in (u, foreign)})
-    rep = pw_report(lam, c_bound=1, plain_depth=3, star_depth=3, decompose_cap=0)
+    rep = pw_report(lam, c_bound=1, depth=3, decompose_cap=0)
     assert any("defined-ness differs" in v for v in rep.violations)
     assert "pair map collision" in rep.violations
     assert not rep.product_ok and not rep.ok
@@ -168,7 +164,7 @@ def _reference_report(lam, decompose_call):
     each b; returns the report and its pair map (element key -> (b key,
     dual key))."""
     rep = SliceReport(lam=lam)
-    canon, _ = orbit_canonical(lam)
+    canon = orbit_canonical(lam)
     bmax = enum_bmax(lam, 1, 3)
     rep.bmax_size = len(bmax)
     root = u_lambda(lam)
@@ -258,6 +254,21 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
         assert violations == ref.violations and root == star_mod(u_lambda(lam))
         assert fast_pairs == ref_pairs
         assert fast == found and len(fast) == rep.pair_count
+
+
+def test_pw_report_does_not_grow_with_the_delta_label(monkeypatch):
+    # lam's orbit representative is read off in closed form, so the report
+    # at a large delta label needs no reflection and matches the one at the
+    # representative's label on every count
+    def no_reflect(self, i):
+        raise AssertionError("pw_report reflected a weight")
+
+    monkeypatch.setattr(Weight, "reflect", no_reflect)
+    far, near = pw_report(classical(3, 20000)), pw_report(classical(3, 2))
+    assert far.ok and near.ok
+    for f in fields(far):
+        if f.name not in ("lam", "element_keys"):
+            assert getattr(far, f.name) == getattr(near, f.name), f.name
 
 
 def test_pw_report_stars_each_element_about_once(monkeypatch):
@@ -494,8 +505,8 @@ def test_string_search_matches_the_step_search(monkeypatch):
             steps = _step_decompose(e, verdicts=verdicts)
             assert strings is not None and steps is not None
             assert strings.lam_canonical == steps.lam_canonical
-            assert (orbit_canonical(strings.bmax_factor.lam)[0]
-                    == orbit_canonical(steps.bmax_factor.lam)[0])
+            assert (orbit_canonical(strings.bmax_factor.lam)
+                    == orbit_canonical(steps.bmax_factor.lam))
             assert strings.replay() == e == steps.replay()
             assert _reference_replay(strings) == e
             size = len(strings.word)

@@ -62,20 +62,60 @@ def test_classical():
     assert classical(0).level == 0
 
 
-@given(st.integers(min_value=-6, max_value=6).filter(lambda m: m != 0),
-       st.integers(min_value=-10, max_value=10))
-def test_orbit_canonical_reaches_fundamental_domain(m, l):
-    canon, word = orbit_canonical(classical(m, l))
-    assert canon == classical(abs(m), l % abs(m))
-    w = classical(m, l)
-    for i in word:
-        w = w.reflect(i)
-    assert w == canon
+def _reference_walk(w):
+    """The orbit representative walked to by reflections: s_1 once if m < 0,
+    then s_0 s_1 (lowering l by |m|) or s_1 s_0 (raising it) until l lies in
+    [0, |m|).  Returns (weight, word) with s_{i_k} ... s_{i_1} (w) = weight."""
+    word = []
+    if w.a0 == 0:
+        return w, word
+    if w.a0 < 0:
+        w = w.reflect(1)
+        word.append(1)
+    while not 0 <= w.d < w.a0:
+        for i in ((0, 1) if w.d >= w.a0 else (1, 0)):
+            w = w.reflect(i)
+            word.append(i)
+    return w, word
+
+
+ORBIT_GRID = [(m, l) for m in range(-6, 7) for l in range(-60, 61)]
+
+
+def test_orbit_canonical_reaches_fundamental_domain():
+    for m, l in ORBIT_GRID:
+        w = classical(m, l)
+        canon = orbit_canonical(w)
+        walked, word = _reference_walk(w)
+        assert canon == walked
+        for i in word:
+            w = w.reflect(i)
+        assert w == canon
 
 
 def test_orbit_canonical_fixed_points():
-    for m in (1, 2, 3):
-        for l in range(m):
-            canon, word = orbit_canonical(classical(m, l))
-            assert canon == classical(m, l)
-            assert word == []
+    fixed = set()
+    for m, l in ORBIT_GRID:
+        w = classical(m, l)
+        if orbit_canonical(w) == w:
+            fixed.add((m, l))
+        assert (orbit_canonical(w) == w) == (_reference_walk(w)[1] == [])
+    assert fixed == {(0, l) for l in range(-60, 61)} | {
+        (m, l) for m in range(1, 7) for l in range(m)}
+
+
+def test_orbit_canonical_needs_no_reflection(monkeypatch):
+    def no_reflect(self, i):
+        raise AssertionError("orbit_canonical reflected")
+
+    monkeypatch.setattr(Weight, "reflect", no_reflect)
+    for m in (-7, -3, -1, 1, 2, 5):
+        for l in (10**18, -10**18):
+            canon = orbit_canonical(classical(m, l))
+            assert canon.level == 0 and canon.a0 == abs(m)
+            assert 0 <= canon.d < abs(m) and (canon.d - l) % abs(m) == 0
+
+
+def test_orbit_canonical_needs_level_zero():
+    with pytest.raises(ValueError):
+        orbit_canonical(L0)
