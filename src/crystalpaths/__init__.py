@@ -22,5 +22,4 @@ from .extremal import (WeylTable, bmax_contains, bmax_seed, enum_bmax,
                        enum_bminus_star, extremal_cert, is_extremal,
                        is_extremal_path, weyl_op, weyl_orbit)
 from .peterweyl import (decompose, pw_report, slices_disjoint,
-                        slice_invariant_under_reflection, verify_c1,
-                        verify_c2, verify_c3)
+                        slice_invariant_under_reflection, verify_component)

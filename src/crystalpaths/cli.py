@@ -6,7 +6,9 @@ words are whitespace-separated tokens e0, e1, f0, f1 (plain) and E0, E1,
 F0, F1 (starred), applied left to right.
 
 Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
-bounded search was inconclusive and no check failed; 64 malformed or invalid element JSON; 65
+bounded search was inconclusive and no check failed; 64 malformed or
+invalid element JSON, including JSON nested too deeply for the parser's
+recursion (about 1,000 levels); 65
 precondition violation, including command-line usage errors, negative
 bounds, a --lambda of more than two components, a weight given as an
 element, a sequence outside the image, an element over the input limits,
@@ -36,7 +38,7 @@ from .elementary import oracle_mismatches, tensor_oracle
 from .extremal import WeylTable, bmax_contains, bmax_seeds, enum_bmax, extremal_cert
 from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
-from .peterweyl import pw_report, verify_c1, verify_c2, verify_c3
+from .peterweyl import pw_report, verify_component
 from .seqreal import SeqElement, image_check, path_to_seq
 from .star import star_binf, star_bminf, star_mod, starred_e, starred_f
 from .weights import Weight, classical
@@ -59,7 +61,8 @@ def _read_element(args):
         raise CliError(EXIT_PRECONDITION, f"cannot read input: {exc}")
     try:
         elt = serialize.loads(text)
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise CliError(EXIT_BADJSON, f"malformed element JSON: {exc}")
     if isinstance(elt, Weight):
         raise CliError(EXIT_PRECONDITION, "a weight is not a crystal element")
@@ -230,10 +233,7 @@ def cmd_pw_verify(args) -> int:
     # one table of S-steps for every check that walks Weyl orbits; it lives
     # as long as this command
     table = WeylTable()
-    c1 = verify_c1(lam, args.depth, span=2, extremal_len=args.word_bound // 2,
-                   table=table)
-    c2 = verify_c2(lam, args.depth)
-    c3 = verify_c3(lam, args.depth, word_bound=args.word_bound, table=table)
+    c1, c2, c3 = verify_component(lam, args.depth, args.word_bound, table=table)
     rep = pw_report(lam, c_bound=1, depth=min(args.depth, 3), table=table)
     payload = {
         "lambda": serialize.encode_weight(lam),
@@ -342,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pw-verify", help="Peter-Weyl slice verification")
     p.add_argument("--lambda", dest="lam", required=True, help="m,l")
-    p.add_argument("--depth", type=_count, default=5)
-    p.add_argument("--word-bound", type=_count, default=8)
+    p.add_argument("--depth", type=_count, default=5,
+                   help="BFS depth of C1-C3 (of the slice report, at most 3)")
+    p.add_argument("--word-bound", type=_count, default=8,
+                   help="C3's Weyl-orbit word length; halved, C1's extremality bound")
     p.set_defaults(func=cmd_pw_verify)
 
     p = sub.add_parser("oracle-check", help="signature rule vs tensor oracle")

@@ -84,6 +84,7 @@ _UNSEEN = -1  # an S-step not computed yet
 class WeylTable:
     """The S-steps of the alternating walks, each computed once, and the
     extremality verdicts of decompose(), for the checks of one command.
+    verdicts maps an element key to decompose()'s verdict at EXTREMAL_LEN.
 
     Numbers the locally extremal elements it meets as nodes.  The step S_i
     from node n is the node of the image, None where the walks end (S ran
@@ -95,18 +96,14 @@ class WeylTable:
     table holds no reference cycle and is freed as soon as it is dropped.
     """
 
-    __slots__ = ("_index", "_keys", "_elements", "_steps", "_verdicts")
+    __slots__ = ("_index", "_keys", "_elements", "_steps", "verdicts")
 
     def __init__(self):
         self._index: dict = {}  # element key -> node
         self._keys: list = []  # node -> element key
         self._elements: list = []  # node -> element, or None
         self._steps: list = []  # 2 * node + i -> the step S_i from node
-        self._verdicts: dict = {}
-
-    def verdicts(self, max_len: int) -> dict:
-        """decompose()'s map from element key to verdict at this bound."""
-        return self._verdicts.setdefault(max_len, {})
+        self.verdicts: dict = {}  # element key -> decompose()'s verdict
 
     def _node(self, e: ModElement) -> Optional[int]:
         """The node of e, None when e is not locally extremal."""

@@ -36,11 +36,15 @@ i-string and F_i = f_i^phi_i to its bottom, each one power() call and
 undefined when its exponent is 0.  The word is a list of (kind, i, n)
 strings, kind^n of color i, and the search depth counts strings.
 
-The checks that walk Weyl orbits (C1, C3, the dual family and decompose)
-take an optional extremal.WeylTable, so that the callers of one command
-compute each S_i step once; without one, each check starts cold.  C3 and
-the slice report bound extremality checks by EXTREMAL_LEN, and the report's
-decompose() searches by DECOMPOSE_DEPTH strings.
+verify_component() checks C1-C3 on one lockstep walk of u_lam's
+component.  It and the other checks that walk Weyl orbits (the dual
+family and decompose) take an optional extremal.WeylTable, so that the
+callers of one command compute each S_i step once; without one, each check
+starts cold.  EXTREMAL_LEN bounds the extremality checks of C3, decompose()
+and the slice report, and the report's decompose() searches by
+DECOMPOSE_DEPTH strings.  C1's starts sit within C1_SPAN, and half of
+word_bound, the length of C3's orbit words (pw-verify's --word-bound),
+bounds their extremality.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .star import star_mod
 from .weights import Weight, orbit_canonical
 
 EXTREMAL_LEN = 4
+C1_SPAN = 2
 DECOMPOSE_DEPTH = 10
 
 
@@ -104,7 +109,7 @@ def string_moves(b: ModElement):
         yield ("f", i, phi), (b.power(i, phi) if phi else None)
 
 
-def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
+def decompose(e: ModElement, max_depth: int = 8, *,
               table: Optional[WeylTable] = None,
               e_star: Optional[ModElement] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
@@ -118,13 +123,14 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
     of single steps.  Raises RuntimeError if that word does not replay from
     b to e.
 
-    Mixed wall signs rule extremality out, so those nodes skip the bounded
-    check.  table holds its S_i steps and verdicts at this extremal_len, for
-    calls that share it.  e_star is star_mod(e), for callers that hold it.
+    Extremality is checked at EXTREMAL_LEN; mixed wall signs rule it out,
+    so those nodes skip the bounded check.  table holds its S_i steps and
+    verdicts, for calls that share it.  e_star is star_mod(e), for callers
+    that hold it.
     """
     if table is None:
         table = WeylTable()
-    verdicts = table.verdicts(extremal_len)
+    verdicts = table.verdicts
     root = star_mod(e) if e_star is None else e_star
     links: dict = {}  # element key -> (parent key, move) in the search tree
     for pkey, move, x, k, new in explore([root], string_moves, max_depth):
@@ -135,7 +141,7 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
         extremal = verdicts.get(k)
         if extremal is None:
             extremal = verdicts[k] = (x.wall_sign() is not None
-                                      and is_extremal(x, extremal_len, table=table))
+                                      and is_extremal(x, EXTREMAL_LEN, table=table))
         if not extremal:
             continue
         inverse = []
@@ -152,38 +158,30 @@ def decompose(e: ModElement, max_depth: int = 8, extremal_len: int = 4, *,
 # -- component-level checks ---------------------------------------------------
 
 
-def verify_c1(lam: Weight, depth: int = 5, span: int = 2,
-              extremal_len: int = 4, *, table: Optional[WeylTable] = None) -> bool:
-    """Components of extremal weight-lam vectors all match the component of
-    u_lam: there are as many as the wall characterization predicts
-    (bminus_star_count), and each has weight lam and follows u_lam's words
-    move for move."""
-    starts = enum_bminus_star(lam, span=span, max_len=extremal_len, table=table)
-    if len(starts) != bminus_star_count(lam, span):
-        return False
-    _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
-    return all(b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
+def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8, *,
+                     table: Optional[WeylTable] = None) -> tuple[bool, bool, bool]:
+    """(C1, C2, C3) on the component of u_lam, walked once to depth.
 
-
-def verify_c2(lam: Weight, depth: int = 5) -> bool:
-    """The component of u_lam holds exactly one vector of weight lam."""
-    root = u_lambda(lam)
-    nodes = explore([root], plain_moves, depth)
-    return [b for _, _, b, _, new in nodes if new and b.wt() == lam] == [root]
-
-
-def verify_c3(lam: Weight, depth: int = 5, word_bound: int = 8, *,
-              table: Optional[WeylTable] = None) -> bool:
-    """Extremal vectors in the component of u_lam are exactly the images of
-    u_lam under alternating Weyl-operator words."""
+    C1: there are as many extremal starts of weight lam within C1_SPAN as
+    bminus_star_count predicts, and each follows u_lam's words move for
+    move (one lockstep).  C2 and C3 read that walk's nodes: u_lam is the
+    only one of weight lam, and every extremal one lies in u_lam's Weyl
+    orbit.  word_bound sets the length of the orbit's alternating words
+    and, halved, C1's extremality bound; C3 checks at EXTREMAL_LEN.
+    """
     if table is None:
         table = WeylTable()
-    orbit = weyl_orbit(u_lambda(lam), word_bound, EXTREMAL_LEN, table=table)
-    if orbit is None:
-        return False
-    nodes = explore([u_lambda(lam)], plain_moves, depth)
-    return not any(new and is_extremal(b, EXTREMAL_LEN, table=table) and k not in orbit
-                   for _, _, b, k, new in nodes)
+    root = u_lambda(lam)
+    starts = enum_bminus_star(lam, span=C1_SPAN, max_len=word_bound // 2, table=table)
+    nodes, walks = lockstep(root, plain_moves, depth, starts)
+    c1 = len(starts) == bminus_star_count(lam, C1_SPAN) and all(
+        b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
+    c2 = [b for b in nodes.values() if b.wt() == lam] == [root]
+    orbit = weyl_orbit(root, word_bound, EXTREMAL_LEN, table=table)
+    c3 = orbit is not None and not any(
+        is_extremal(b, EXTREMAL_LEN, table=table) and k not in orbit
+        for k, b in nodes.items())
+    return c1, c2, c3
 
 
 # -- full truncated slice report ----------------------------------------------
@@ -309,8 +307,7 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
         e, y = elements[k]
         rep.decompose_total += 1
         try:
-            result = decompose(e, DECOMPOSE_DEPTH, EXTREMAL_LEN,
-                               table=table, e_star=y)
+            result = decompose(e, DECOMPOSE_DEPTH, table=table, e_star=y)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue

@@ -16,7 +16,7 @@ from crystalpaths import (SeqElement, bfs_component, bmax_contains, bmax_seed,
                           path_from_window, pw_report, slices_disjoint,
                           slice_invariant_under_reflection, star_binf,
                           star_extremal_closed, star_half_closed, star_mod,
-                          u_inf, u_lambda, verify_c1, verify_c2, verify_c3)
+                          u_inf, u_lambda, verify_component)
 from crystalpaths.elementary import oracle_mismatches, tensor_oracle
 from crystalpaths.extremal import uniform_wall_path
 from crystalpaths.seqreal import (is_monotone, seq_generator,
@@ -290,9 +290,7 @@ def test_criterion_8_component_and_slice_verification():
     for m in (1, 2, 3):
         for dl in (0, 1):
             lam = classical(m, dl)
-            if not (verify_c1(lam, depth=5, span=2, extremal_len=4)
-                    and verify_c2(lam, depth=5)
-                    and verify_c3(lam, depth=5, word_bound=8)):
+            if not all(verify_component(lam, depth=5, word_bound=8)):
                 ok = False
     r1 = pw_report(classical(1, 0), c_bound=1, depth=3)
     r2 = pw_report(classical(2, 0), c_bound=1, depth=3)

@@ -81,6 +81,16 @@ def test_non_integer_numbers_are_malformed(element, capsys, monkeypatch):
     assert code == 64 and out == "" and "integer" in err
 
 
+@pytest.mark.parametrize("text", ['{"b1": ' * 990 + "1" + "}" * 990,
+                                  "[" * 100000 + "]" * 100000],
+                         ids=["nested-factors", "nested-lists"])
+def test_deeply_nested_json_is_malformed(text, capsys, monkeypatch):
+    # the parser's RecursionError escaped with a traceback and exit 1, the
+    # code of a failed check
+    code, out, err = run(capsys, monkeypatch, ["star"], text)
+    assert code == 64 and out == "" and "malformed element JSON" in err
+
+
 def test_unrecognized_element_exit_code(capsys, monkeypatch):
     code, _, _ = run(capsys, monkeypatch, ["star"], '{"weird": 1}')
     assert code == 64
@@ -167,9 +177,8 @@ def test_pw_verify_exit_code_puts_a_definite_failure_first(
     # 1 when a definite check fails, else 2 when decompose was inconclusive,
     # else 0
     from crystalpaths import cli
-    for name in ("C1", "C2", "C3"):
-        monkeypatch.setattr(cli, f"verify_c{name[1]}",
-                            lambda *args, ok=name != failing, **kwargs: ok)
+    monkeypatch.setattr(cli, "verify_component", lambda *args, **kwargs: tuple(
+        name != failing for name in ("C1", "C2", "C3")))
     rep = SliceReport(lam=classical(1, 0), product_ok=failing != "product",
                       dual_characterization_ok=failing != "dual",
                       decompose_inconclusive=inconclusive,

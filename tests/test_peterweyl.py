@@ -3,15 +3,15 @@ import sys
 from dataclasses import dataclass, fields
 
 from crystalpaths import (decompose, pw_report, slice_invariant_under_reflection,
-                          slices_disjoint, u_lambda, verify_c1, verify_c2,
-                          verify_c3)
+                          slices_disjoint, u_lambda, verify_component)
 from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
                                graphs_isomorphic, lockstep, plain_moves)
-from crystalpaths.extremal import WeylTable, enum_bmax, is_extremal
+from crystalpaths.extremal import (WeylTable, bminus_star_count, enum_bmax,
+                                   enum_bminus_star, is_extremal, weyl_orbit)
 from crystalpaths.halfpath import left_path, right_path
 from crystalpaths.levelpath import ModElement
-from crystalpaths.peterweyl import (Decomposition, SliceReport, _dual_family_ok,
-                                    _star_pairs)
+from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
+                                    _dual_family_ok, _star_pairs)
 from crystalpaths.star import star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
@@ -57,14 +57,87 @@ def test_decompose_separates_starred_moves():
 
 def test_component_checks_small_weights():
     for m, l in ((1, 0), (2, 0)):
-        lam = classical(m, l)
-        assert verify_c1(lam, depth=4, span=2)
-        assert verify_c2(lam, depth=4)
-        assert verify_c3(lam, depth=4, word_bound=6)
+        assert verify_component(classical(m, l), depth=4, word_bound=6) == (True, True, True)
 
 
 def test_c2_unique_top_weight_vector():
-    assert verify_c2(classical(3, 1), depth=4)
+    assert verify_component(classical(3, 1), depth=4)[1]
+
+
+# -- C1, C2 and C3 as three walks: the reference for verify_component -----------
+
+
+def _verify_c1(lam, depth=5, span=2, extremal_len=4, *, table=None):
+    """Components of extremal weight-lam vectors all match the component of
+    u_lam: there are as many as the wall characterization predicts
+    (bminus_star_count), and each has weight lam and follows u_lam's words
+    move for move."""
+    starts = enum_bminus_star(lam, span=span, max_len=extremal_len, table=table)
+    if len(starts) != bminus_star_count(lam, span):
+        return False
+    _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
+    return all(b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
+
+
+def _verify_c2(lam, depth=5):
+    """The component of u_lam holds exactly one vector of weight lam."""
+    root = u_lambda(lam)
+    nodes = explore([root], plain_moves, depth)
+    return [b for _, _, b, _, new in nodes if new and b.wt() == lam] == [root]
+
+
+def _verify_c3(lam, depth=5, word_bound=8, *, table=None):
+    """Extremal vectors in the component of u_lam are exactly the images of
+    u_lam under alternating Weyl-operator words."""
+    if table is None:
+        table = WeylTable()
+    orbit = weyl_orbit(u_lambda(lam), word_bound, EXTREMAL_LEN, table=table)
+    if orbit is None:
+        return False
+    nodes = explore([u_lambda(lam)], plain_moves, depth)
+    return not any(new and is_extremal(b, EXTREMAL_LEN, table=table) and k not in orbit
+                   for _, _, b, k, new in nodes)
+
+
+def _reference_component_checks(lam, depth=5, word_bound=8):
+    """C1, C2 and C3 by three walks of u_lam's component, with the bounds
+    pw-verify gave them: span 2 and extremality at word_bound // 2 for C1."""
+    table = WeylTable()
+    return (_verify_c1(lam, depth, span=2, extremal_len=word_bound // 2, table=table),
+            _verify_c2(lam, depth),
+            _verify_c3(lam, depth, word_bound=word_bound, table=table))
+
+
+def test_component_checks_match_the_three_walks():
+    for m, l in BENCH_LAMBDAS + ((5, 0),):
+        lam = classical(m, l)
+        assert verify_component(lam) == _reference_component_checks(lam) == (True, True, True)
+    # bounds at which C3 fails, so that a failing verdict is compared too
+    for (m, l), depth, word_bound in (((2, 0), 6, 2), ((3, 0), 5, 0), ((1, 0), 7, 1)):
+        lam = classical(m, l)
+        got = verify_component(lam, depth, word_bound)
+        assert got == _reference_component_checks(lam, depth, word_bound)
+        assert not got[2]
+
+
+def test_pw_verify_walks_u_lambda_once(monkeypatch, capsys):
+    # C1, C2 and C3 read one plain walk of u_lam's component
+    from crystalpaths import cli, core, peterweyl
+    roots = []
+
+    def wrap(original):
+        def recording(starts, moves, depth):
+            starts = list(starts)
+            if moves is plain_moves:
+                roots.append([b.key() for b in starts])
+            return original(starts, moves, depth)
+        return recording
+
+    monkeypatch.setattr(core, "explore", wrap(core.explore))
+    monkeypatch.setattr(peterweyl, "explore", wrap(peterweyl.explore))
+    assert cli.main(["pw-verify", "--lambda=3,0"]) == 0
+    capsys.readouterr()
+    assert roots.count([u_lambda(classical(3, 0)).key()]) == 1
 
 
 def test_pw_report_product_structure():
@@ -212,7 +285,7 @@ def _reference_report(lam, decompose_call):
     for k in sorted(elements):
         rep.decompose_total += 1
         try:
-            result = decompose_call(elements[k], 10, 4, table=table)
+            result = decompose_call(elements[k], 10, table=table)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue
@@ -398,8 +471,8 @@ def _graph_c1(lam, depth=5, span=2, extremal_len=4):
 def test_lockstep_c1_matches_the_graph_route(monkeypatch):
     for m, l in BENCH_LAMBDAS + ((5, 0),):
         lam = classical(m, l)
-        assert verify_c1(lam) == _graph_c1(lam)
-        assert verify_c1(lam, depth=3, span=1) == _graph_c1(lam, depth=3, span=1)
+        assert verify_component(lam)[0] == _graph_c1(lam)
+        assert verify_component(lam, depth=3)[0] == _graph_c1(lam, depth=3)
     # an element of weight lam off B(-lam)*, whose component is not u_lam's,
     # in place of one start, so that the start count still holds
     from crystalpaths import peterweyl
@@ -409,7 +482,7 @@ def test_lockstep_c1_matches_the_graph_route(monkeypatch):
     enum = peterweyl.enum_bminus_star
     monkeypatch.setattr("crystalpaths.peterweyl.enum_bminus_star",
                         lambda *args, **kwargs: enum(*args, **kwargs)[:-1] + [foreign])
-    assert not verify_c1(lam) and not _graph_c1(lam)
+    assert not verify_component(lam)[0] and not _graph_c1(lam)
 
 
 def test_c1_fails_on_a_missing_start(monkeypatch):
@@ -422,7 +495,7 @@ def test_c1_fails_on_a_missing_start(monkeypatch):
     for m, l in BENCH_LAMBDAS:
         lam = classical(m, l)
         assert _graph_c1(lam)
-        assert not verify_c1(lam)
+        assert not verify_component(lam)[0]
 
 
 def _starred_walk(start, steps, rng):
