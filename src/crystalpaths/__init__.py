@@ -21,5 +21,5 @@ from .star import (star_binf, star_bminf, star_extremal_closed,
 from .extremal import (WeylTable, bmax_contains, bmax_seed, enum_bmax,
                        enum_bminus_star, extremal_cert, is_extremal,
                        is_extremal_path, weyl_op, weyl_orbit)
-from .peterweyl import (decompose, pw_report, slices_disjoint,
+from .peterweyl import (decompose, pw_report, pw_verify, slices_disjoint,
                         slice_invariant_under_reflection, verify_component)

@@ -6,7 +6,9 @@ words are whitespace-separated tokens e0, e1, f0, f1 (plain) and E0, E1,
 F0, F1 (starred), applied left to right.
 
 Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
-bounded search was inconclusive and no check failed; 64 malformed or
+bounded search was inconclusive and no check failed.  pw-verify takes its
+verdict from the one record peterweyl.pw_verify returns: 1 when it failed,
+else 0 when it is ok, else 2.  64 malformed or
 invalid element JSON, including JSON nested too deeply for the parser's
 recursion (about 1,000 levels); 65
 precondition violation, including command-line usage errors, negative
@@ -35,10 +37,10 @@ import sys
 from . import serialize
 from .core import bfs_component
 from .elementary import oracle_mismatches, tensor_oracle
-from .extremal import WeylTable, bmax_contains, bmax_seeds, enum_bmax, extremal_cert
+from .extremal import bmax_contains, bmax_seeds, enum_bmax, extremal_cert
 from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
-from .peterweyl import pw_report, verify_component
+from .peterweyl import pw_verify
 from .seqreal import SeqElement, image_check, path_to_seq
 from .star import star_binf, star_bminf, star_mod, starred_e, starred_f
 from .weights import Weight, classical
@@ -230,16 +232,12 @@ def cmd_bmax(args) -> int:
 
 def cmd_pw_verify(args) -> int:
     lam = _parse_lambda(args.lam)
-    # one table of S-steps for every check that walks Weyl orbits; it lives
-    # as long as this command
-    table = WeylTable()
-    c1, c2, c3 = verify_component(lam, args.depth, args.word_bound, table=table)
-    rep = pw_report(lam, c_bound=1, depth=min(args.depth, 3), table=table)
+    rep = pw_verify(lam, args.depth, args.word_bound)
     payload = {
         "lambda": serialize.encode_weight(lam),
-        "C1": c1,
-        "C2": c2,
-        "C3": c3,
+        "C1": rep.c1,
+        "C2": rep.c2,
+        "C3": rep.c3,
         "bmax_size": rep.bmax_size,
         "dual_size": rep.dual_size,
         "pair_count": rep.pair_count,
@@ -250,9 +248,7 @@ def cmd_pw_verify(args) -> int:
         "violations": rep.violations,
     }
     print(json.dumps(payload, indent=2))
-    if not (c1 and c2 and c3) or rep.failed:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE if rep.decompose_inconclusive else EXIT_OK
+    return EXIT_FAIL if rep.failed else EXIT_OK if rep.ok else EXIT_INCONCLUSIVE
 
 
 def cmd_oracle_check(args) -> int:

@@ -200,9 +200,8 @@ def weyl_orbit(e: ModElement, length: int, max_len: int = 6, *,
     return {table._keys[n] for n in nodes}
 
 
-def is_extremal_path(p: LevelPath, max_len: int = 6, *,
-                     table: Optional[WeylTable] = None) -> bool:
-    return is_extremal(lp_split(p), max_len, table=table)
+def is_extremal_path(p: LevelPath, max_len: int = 6) -> bool:
+    return is_extremal(lp_split(p), max_len)
 
 
 # -- uniform-wall path construction -----------------------------------------

@@ -49,8 +49,8 @@ from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from .core import CrystalElement, _string_split
-from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, left_path, right_path,
-                       u_inf, u_minus_inf)
+from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, _positions, left_path,
+                       right_path, u_inf, u_minus_inf)
 from .weights import Weight, classical
 
 
@@ -70,15 +70,16 @@ def _star_letters(walls: list[int], sign: int, lo: int, hi: int) -> list[tuple[i
 @dataclass(frozen=True)
 class LevelPath(WallScan):
     """A path in P_{m,l}, stored sparsely as differences from the defaults
-    (0 to the left of position 0, the ground pattern from position 0 on)."""
+    (0 to the left of position 0, the ground pattern from position 0 on).
+    The constructor rejects entries that list a position twice."""
 
     m: int
     l: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        items = self.entries.items() if isinstance(self.entries, Mapping) else self.entries
-        canon = tuple(sorted((k, v) for k, v in items if v != self.default(k)))
+        canon = tuple(sorted((k, v) for k, v in _positions(self.entries).items()
+                             if v != self.default(k)))
         object.__setattr__(self, "entries", canon)
 
     def default(self, k: int) -> int:
@@ -123,7 +124,7 @@ def ground_path(m: int, l: int = 0) -> LevelPath:
 
 
 def level_path(m: int, l: int, values: Mapping[int, int]) -> LevelPath:
-    return LevelPath(m, l, tuple(values.items()))
+    return LevelPath(m, l, values)
 
 
 def path_from_window(m: int, l: int, window_start: int, values: Iterable[int]) -> LevelPath:
@@ -209,4 +210,4 @@ def lp_join(e: ModElement) -> LevelPath:
     entries = dict(e.b1.entries)
     for k, v in e.b2.entries:
         entries[k] = v + (0 if k < 0 else _alt(k) * m)
-    return LevelPath(m, e.lam.d, tuple(entries.items()))
+    return LevelPath(m, e.lam.d, entries)

@@ -37,14 +37,16 @@ undefined when its exponent is 0.  The word is a list of (kind, i, n)
 strings, kind^n of color i, and the search depth counts strings.
 
 verify_component() checks C1-C3 on one lockstep walk of u_lam's
-component.  It and the other checks that walk Weyl orbits (the dual
-family and decompose) take an optional extremal.WeylTable, so that the
-callers of one command compute each S_i step once; without one, each check
-starts cold.  EXTREMAL_LEN bounds the extremality checks of C3, decompose()
-and the slice report, and the report's decompose() searches by
-DECOMPOSE_DEPTH strings.  C1's starts sit within C1_SPAN, and half of
-word_bound, the length of C3's orbit words (pw-verify's --word-bound),
-bounds their extremality.
+component.  pw_verify() is pw-verify's whole verdict: it runs
+verify_component() and the slice report on one extremal.WeylTable, so that
+each S_i step is computed once, and returns one SliceReport holding C1-C3
+and the slice's counts, whose failed and ok decide the exit code.  The
+checks that walk Weyl orbits (C3, the dual family and decompose) take an
+optional table; without one, each check starts cold.  EXTREMAL_LEN bounds
+the extremality checks of C3, decompose() and the slice report, and the
+report's decompose() searches by DECOMPOSE_DEPTH strings.  C1's starts sit
+within C1_SPAN, and half of word_bound, the length of C3's orbit words
+(pw-verify's --word-bound), bounds their extremality.
 """
 
 from __future__ import annotations
@@ -190,6 +192,10 @@ def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8, *,
 @dataclass
 class SliceReport:
     lam: Weight
+    # C1-C3 of verify_component; None when this report did not check them
+    c1: Optional[bool] = None
+    c2: Optional[bool] = None
+    c3: Optional[bool] = None
     bmax_size: int = 0
     dual_size: int = 0
     pair_count: int = 0
@@ -203,17 +209,19 @@ class SliceReport:
 
     @property
     def failed(self) -> bool:
-        """A definite check failed; an inconclusive decompose() is not one."""
-        return not (self.product_ok and self.dual_characterization_ok
-                    and self.decompose_mismatched == 0
-                    and not self.violations)
+        """A definite check failed, C1-C3 among them; an inconclusive
+        decompose() is not one, and an unchecked C1-C3 passes."""
+        return (False in (self.c1, self.c2, self.c3)
+                or not (self.product_ok and self.dual_characterization_ok
+                        and self.decompose_mismatched == 0
+                        and not self.violations))
 
     @property
     def ok(self) -> bool:
         return not self.failed and self.decompose_inconclusive == 0
 
 
-def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int, *,
+def _dual_family_ok(r: ModElement, lam: Weight, *,
                     table: Optional[WeylTable] = None) -> bool:
     if r.wt() != lam:
         return False
@@ -224,7 +232,7 @@ def _dual_family_ok(r: ModElement, lam: Weight, extremal_len: int, *,
         return False
     if any(walls[j + 1] - walls[j] > 1 for j in range(len(walls) - 1)):
         return False
-    return is_extremal(r, extremal_len, table=table)
+    return is_extremal(r, EXTREMAL_LEN, table=table)
 
 
 def _star_pairs(lam: Weight, bmax: dict, depth: int):
@@ -285,7 +293,7 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     root, dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(
-        _dual_family_ok(star_mod(r), lam, EXTREMAL_LEN, table=table)
+        _dual_family_ok(star_mod(r), lam, table=table)
         for r in dual.values())
 
     elements: dict = {}  # element key -> (element, its star image)
@@ -315,6 +323,19 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
             rep.decompose_inconclusive += 1
         elif result.lam_canonical != canon:
             rep.decompose_mismatched += 1
+    return rep
+
+
+def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
+    """pw-verify's checks of lam in one record: C1-C3 on u_lam's component
+    to depth (verify_component, with word_bound) and the slice report at
+    c_bound 1 and depth at most 3 (pw_report), on one WeylTable.  The
+    record fails when any check fails, and is ok when none does and every
+    decompose() search succeeded."""
+    table = WeylTable()
+    c1, c2, c3 = verify_component(lam, depth, word_bound, table=table)
+    rep = pw_report(lam, 1, min(depth, 3), table=table)
+    rep.c1, rep.c2, rep.c3 = c1, c2, c3
     return rep
 
 

@@ -82,7 +82,7 @@ def decode(data: dict) -> Any:
         return Weight(_int(data["L0"]), _int(data["L1"]), _int(data["delta"]))
     if keys == {"side", "entries"}:
         entries = {_position(k): _int(v) for k, v in data["entries"].items()}
-        return HalfPath(data["side"], tuple(entries.items()))
+        return HalfPath(data["side"], entries)
     if keys == {"first_color", "a"}:
         return SeqElement(_int(data["first_color"]), tuple(_int(v) for v in data["a"]))
     if keys == {"m", "l", "window_start", "window"}:

@@ -177,14 +177,13 @@ def test_pw_verify_exit_code_puts_a_definite_failure_first(
     # 1 when a definite check fails, else 2 when decompose was inconclusive,
     # else 0
     from crystalpaths import cli
-    monkeypatch.setattr(cli, "verify_component", lambda *args, **kwargs: tuple(
-        name != failing for name in ("C1", "C2", "C3")))
-    rep = SliceReport(lam=classical(1, 0), product_ok=failing != "product",
+    rep = SliceReport(lam=classical(1, 0), c1=failing != "C1", c2=failing != "C2",
+                      c3=failing != "C3", product_ok=failing != "product",
                       dual_characterization_ok=failing != "dual",
                       decompose_inconclusive=inconclusive,
                       decompose_mismatched=int(failing == "mismatched"),
                       violations=["pair map collision"] if failing == "violations" else [])
-    monkeypatch.setattr(cli, "pw_report", lambda *args, **kwargs: rep)
+    monkeypatch.setattr(cli, "pw_verify", lambda *args, **kwargs: rep)
     code, out, _ = run(capsys, monkeypatch, ["pw-verify", "--lambda=1,0"])
     assert code == expected
     assert json.loads(out)["decompose_inconclusive"] == inconclusive

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -152,6 +153,22 @@ def test_marker_weight_is_the_ground_weight():
         q = lp_join(e)
         assert q.wt() == e.wt() == dense_level_weight(q) and q.l == l
         assert lp_split(q) == e
+
+
+@pytest.mark.parametrize("build, entries", [
+    (left_path, [(-1, 1), (-1, 2)]),
+    (left_path, [(-2, 0), (-2, 1)]),
+    (right_path, [(3, 1), (3, 0)]),
+    (right_path, [(0, 0), (0, 0)]),
+    (partial(LevelPath, 2, 0), ((0, 1), (0, 3))),
+    (partial(LevelPath, 2, 0), ((0, 2), (0, 2))),  # the default letter at 0
+    (partial(LevelPath, 1, 0), [(-1, 0), (-1, 1)]),
+])
+def test_constructors_reject_a_position_listed_twice(build, entries):
+    # zero and default values count too: a position kept twice printed as
+    # one path and keyed as another
+    with pytest.raises(ValueError, match="listed twice"):
+        build(entries)
 
 
 def test_mod_element_rejects_swapped_sides():

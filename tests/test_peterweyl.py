@@ -2,6 +2,8 @@ import random
 import sys
 from dataclasses import dataclass, fields
 
+import pytest
+
 from crystalpaths import (decompose, pw_report, slice_invariant_under_reflection,
                           slices_disjoint, u_lambda, verify_component)
 from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
@@ -140,6 +142,25 @@ def test_pw_verify_walks_u_lambda_once(monkeypatch, capsys):
     assert roots.count([u_lambda(classical(3, 0)).key()]) == 1
 
 
+@pytest.mark.parametrize("values, failed, ok", [
+    ({}, False, True),  # C1-C3 unchecked
+    ({"c1": True, "c2": True, "c3": True}, False, True),
+    ({"c1": True, "c3": None}, False, True),
+    ({"c1": False}, True, False),
+    ({"c2": False}, True, False),
+    ({"c3": False, "c1": True}, True, False),
+    ({"decompose_inconclusive": 1}, False, False),
+    ({"c2": False, "decompose_inconclusive": 1}, True, False),
+    ({"violations": ["pair map collision"], "decompose_inconclusive": 1}, True, False),
+])
+def test_slice_report_verdict_counts_c1_to_c3(values, failed, ok):
+    # a False among C1-C3 fails the report, None is unchecked, and a
+    # definite failure beats an inconclusive decompose()
+    rep = SliceReport(lam=classical(1, 0), product_ok=True,
+                      dual_characterization_ok=True, **values)
+    assert (rep.failed, rep.ok) == (failed, ok)
+
+
 def test_pw_report_product_structure():
     rep = pw_report(classical(1, 0), c_bound=1, depth=2, decompose_cap=25)
     assert rep.ok
@@ -249,7 +270,7 @@ def _reference_report(lam, decompose_call):
         if rkey is not None:
             trace.append((rkey, move, ckey))
     rep.dual_size = len(dual)
-    rep.dual_characterization_ok = all(_dual_family_ok(r, lam, 4) for r in dual.values())
+    rep.dual_characterization_ok = all(_dual_family_ok(r, lam) for r in dual.values())
     pair_of = {}
     elements = {}
     for bkey, b in sorted(bmax.items()):
