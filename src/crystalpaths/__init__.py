@@ -18,8 +18,8 @@ from .levelpath import (LevelPath, ModElement, ground_path, level_path,
                         lp_join, lp_split, path_from_window, u_lambda)
 from .star import (star_binf, star_bminf, star_extremal_closed,
                    star_half_closed, star_mod, starred_e, starred_f)
-from .extremal import (WeylTable, bmax_contains, bmax_seed, enum_bmax,
-                       enum_bminus_star, extremal_cert, is_extremal,
-                       is_extremal_path, weyl_op, weyl_orbit)
+from .extremal import (bmax_contains, bmax_seed, enum_bmax, enum_bminus_star,
+                       extremal_cert, is_extremal, is_extremal_path, weyl_op,
+                       weyl_orbit)
 from .peterweyl import (decompose, pw_report, pw_verify, slices_disjoint,
                         slice_invariant_under_reflection, verify_component)

@@ -22,10 +22,13 @@ The walks of many checks cross the same elements, so they read their
 S-steps from a WeylTable: each single step S_i from a locally extremal
 element is computed once, and since S_i reflects the i-string it is an
 involution, so each computed step gives its inverse too.  A table holds
-single steps only, so one serves every word bound; the pw-verify command
-makes one for all of its checks and drops it when it returns, so each
-command starts cold, as a fresh process would.  Checks given no table
-make their own, which keeps nothing past the call.
+single steps only, so one serves every word bound.  The table in use sits
+in a context variable: a function that runs several checks (pw_verify,
+verify_component, pw_report, decompose, enum_bminus_star) joins the table
+already in scope, or opens one for its call and drops it when it returns,
+so each pw-verify command starts cold, as a fresh process would.  A check
+called outside any scope makes its own table, which keeps nothing past the
+call.
 
 B^max(lam) is the set of elements whose star image is extremal.  It is a
 disjoint union of full plain-operator components, one per tuple
@@ -53,6 +56,8 @@ generator alone at m = 0.
 
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
@@ -83,8 +88,9 @@ _UNSEEN = -1  # an S-step not computed yet
 
 class WeylTable:
     """The S-steps of the alternating walks, each computed once, and the
-    extremality verdicts of decompose(), for the checks of one command.
-    verdicts maps an element key to decompose()'s verdict at EXTREMAL_LEN.
+    extremality verdicts of decompose(), for the checks of one scope
+    (_shares_table).  verdicts maps an element key to decompose()'s verdict
+    at EXTREMAL_LEN.
 
     Numbers the locally extremal elements it meets as nodes.  The step S_i
     from node n is the node of the image, None where the walks end (S ran
@@ -147,10 +153,33 @@ class WeylTable:
         return None
 
 
-def is_extremal(e: ModElement, max_len: int = 6, *,
-                table: Optional[WeylTable] = None) -> bool:
+_TABLE: ContextVar[Optional[WeylTable]] = ContextVar("weyl_table", default=None)
+
+
+def _shares_table(fn):
+    """fn run on the WeylTable in scope, or on one opened for the call and
+    dropped when it returns or raises."""
+    @functools.wraps(fn)
+    def sharing(*args, **kwargs):
+        if _TABLE.get() is not None:
+            return fn(*args, **kwargs)
+        token = _TABLE.set(WeylTable())
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _TABLE.reset(token)
+    return sharing
+
+
+def _table() -> WeylTable:
+    """The table in scope; outside any scope, a fresh one."""
+    table = _TABLE.get()
+    return WeylTable() if table is None else table
+
+
+def is_extremal(e: ModElement, max_len: int = 6) -> bool:
     """Bounded extremality check via alternating S-words of both phases."""
-    return extremal_cert(e, max_len, table=table).extremal
+    return extremal_cert(e, max_len).extremal
 
 
 @dataclass
@@ -166,24 +195,21 @@ class ExtremalCert:
     witness: Optional[list[int]] = None
 
 
-def extremal_cert(e: ModElement, max_len: int = 6, *,
-                  table: Optional[WeylTable] = None) -> ExtremalCert:
-    """The bounded check, its S-steps read from table; without one it
-    starts cold and keeps nothing."""
-    if table is None:
-        table = WeylTable()
+def extremal_cert(e: ModElement, max_len: int = 6) -> ExtremalCert:
+    """The bounded check, its S-steps read from the table in scope; outside
+    any scope it starts cold and keeps nothing."""
+    table = _table()
     root = table._node(e)
     witness = [] if root is None else table._witness(root, max_len)
     return ExtremalCert(e, max_len, witness is None, witness)
 
 
-def weyl_orbit(e: ModElement, length: int, max_len: int = 6, *,
-               table: Optional[WeylTable] = None) -> Optional[set]:
+def weyl_orbit(e: ModElement, length: int, max_len: int = 6) -> Optional[set]:
     """The keys of e and of its images under the alternating S-words of
     both phases up to length letters; None when one of those images fails
-    the bounded check at max_len, or when e is not locally extremal."""
-    if table is None:
-        table = WeylTable()
+    the bounded check at max_len, or when e is not locally extremal.  Its
+    S-steps are read from the table in scope, as in extremal_cert."""
+    table = _table()
     root = table._node(e)
     if root is None:
         return None
@@ -272,8 +298,8 @@ def bminus_star_count(lam: Weight, span: int) -> int:
     return 1 if n == 0 else (2 * span + 1) * 2 ** (n - 1)
 
 
-def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5, *,
-                     table: Optional[WeylTable] = None) -> list[ModElement]:
+@_shares_table
+def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5) -> list[ModElement]:
     """Truncated star image of the dual extremal-weight crystal of -lam.
 
     Its elements are exactly the extremal vectors of weight lam with |m|
@@ -296,6 +322,6 @@ def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5, *,
             for g in gaps:
                 walls.append(walls[-1] + g)
             e = lp_split(uniform_wall_path(walls, sgn, lam.d))
-            if e.wt() == lam and is_extremal(e, max_len, table=table):
+            if e.wt() == lam and is_extremal(e, max_len):
                 out.setdefault(e.key(), e)
     return list(out.values())

@@ -51,14 +51,15 @@ nonzero entries (A_k is constant across a run of zeros).
 Every half-path stores its left view, built once: the entries themselves
 for a left path, their mirror (k, v) -> (-k - 1, -v) in reverse order for a
 right path.  A right path's view is the entries of its flip.  The public
-constructor rejects a position listed twice, sorts the entries, drops
-zeros, checks the side of 0 of every position and builds the view; results
-of power, top and flip come from _built instead, which takes the entries
-and the view as given.  That is safe because they are canonical by
-construction: power changes letters only at positions from one left of the
-support to -1 of the view, merging them in position order and dropping the
-ones that reach zero, and the mirror of a sorted, zero-free tuple on one
-side of 0 is sorted, zero-free and on the other side.
+constructor rejects a position listed twice and a position or value that
+is not an int, sorts the entries, drops zeros, checks the side of 0 of
+every position and builds the view; results of power, top and flip come
+from _built instead, which takes the entries and the view as given.  That
+is safe because they are canonical by construction: power changes letters
+only at positions from one left of the support to -1 of the view, merging
+them in position order and dropping the ones that reach zero, and the
+mirror of a sorted, zero-free tuple on one side of 0 is sorted, zero-free
+and on the other side.
 """
 
 from __future__ import annotations
@@ -77,13 +78,18 @@ RIGHT = "right"
 def _positions(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> Mapping[int, int]:
     """The entries given to a public constructor, as a mapping from position
     to value.  Raises ValueError when they list a position twice, zero
-    values included (a mapping cannot)."""
+    values included (a mapping cannot), or when a position or value is not
+    an int (a bool is not one)."""
     if isinstance(entries, Mapping):
-        return entries
-    pairs = list(entries)
-    positions = dict(pairs)
-    if len(positions) < len(pairs):
-        raise ValueError(f"a position is listed twice in {pairs}")
+        positions = entries
+    else:
+        pairs = list(entries)
+        positions = dict(pairs)
+        if len(positions) < len(pairs):
+            raise ValueError(f"a position is listed twice in {pairs}")
+    for k, v in positions.items():
+        if type(k) is not int or type(v) is not int:
+            raise ValueError(f"positions and values must be ints, got {k!r}: {v!r}")
     return positions
 
 

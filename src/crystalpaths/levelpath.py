@@ -71,13 +71,16 @@ def _star_letters(walls: list[int], sign: int, lo: int, hi: int) -> list[tuple[i
 class LevelPath(WallScan):
     """A path in P_{m,l}, stored sparsely as differences from the defaults
     (0 to the left of position 0, the ground pattern from position 0 on).
-    The constructor rejects entries that list a position twice."""
+    The constructor rejects entries that list a position twice, and an m,
+    l, position or value that is not an int."""
 
     m: int
     l: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if type(self.m) is not int or type(self.l) is not int:
+            raise ValueError(f"m and l must be ints, got {self.m!r}, {self.l!r}")
         canon = tuple(sorted((k, v) for k, v in _positions(self.entries).items()
                              if v != self.default(k)))
         object.__setattr__(self, "entries", canon)

@@ -38,15 +38,18 @@ strings, kind^n of color i, and the search depth counts strings.
 
 verify_component() checks C1-C3 on one lockstep walk of u_lam's
 component.  pw_verify() is pw-verify's whole verdict: it runs
-verify_component() and the slice report on one extremal.WeylTable, so that
-each S_i step is computed once, and returns one SliceReport holding C1-C3
-and the slice's counts, whose failed and ok decide the exit code.  The
-checks that walk Weyl orbits (C3, the dual family and decompose) take an
-optional table; without one, each check starts cold.  EXTREMAL_LEN bounds
-the extremality checks of C3, decompose() and the slice report, and the
-report's decompose() searches by DECOMPOSE_DEPTH strings.  C1's starts sit
-within C1_SPAN, and half of word_bound, the length of C3's orbit words
-(pw-verify's --word-bound), bounds their extremality.
+verify_component() and the slice report and returns one SliceReport
+holding C1-C3 and the slice's counts, whose failed and ok decide the exit
+code.  The checks that walk Weyl orbits (C3, the dual family and
+decompose) read their S-steps from the extremal.WeylTable in scope:
+pw_verify(), verify_component(), pw_report() and decompose() each join
+the table of their caller or open one for the call, so one pw-verify
+command computes each S_i step once, and a check called on its own starts
+cold.  EXTREMAL_LEN bounds the extremality checks of C3, decompose() and
+the slice report, and the report's decompose() searches by DECOMPOSE_DEPTH
+strings.  C1's starts sit within C1_SPAN, and half of word_bound, the
+length of C3's orbit words (pw-verify's --word-bound), bounds their
+extremality.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import COLORS, explore, lockstep, plain_moves
-from .extremal import (WeylTable, bminus_star_count, enum_bmax, enum_bminus_star,
-                       is_extremal, weyl_orbit)
+from .extremal import (_TABLE, _shares_table, bminus_star_count, enum_bmax,
+                       enum_bminus_star, is_extremal, weyl_orbit)
 from .levelpath import ModElement, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
@@ -111,8 +114,8 @@ def string_moves(b: ModElement):
         yield ("f", i, phi), (b.power(i, phi) if phi else None)
 
 
+@_shares_table
 def decompose(e: ModElement, max_depth: int = 8, *,
-              table: Optional[WeylTable] = None,
               e_star: Optional[ModElement] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
 
@@ -126,13 +129,11 @@ def decompose(e: ModElement, max_depth: int = 8, *,
     b to e.
 
     Extremality is checked at EXTREMAL_LEN; mixed wall signs rule it out,
-    so those nodes skip the bounded check.  table holds its S_i steps and
-    verdicts, for calls that share it.  e_star is star_mod(e), for callers
-    that hold it.
+    so those nodes skip the bounded check.  The S_i steps and verdicts sit
+    in the table in scope, shared with the other calls of that scope.
+    e_star is star_mod(e), for callers that hold it.
     """
-    if table is None:
-        table = WeylTable()
-    verdicts = table.verdicts
+    verdicts = _TABLE.get().verdicts
     root = star_mod(e) if e_star is None else e_star
     links: dict = {}  # element key -> (parent key, move) in the search tree
     for pkey, move, x, k, new in explore([root], string_moves, max_depth):
@@ -143,7 +144,7 @@ def decompose(e: ModElement, max_depth: int = 8, *,
         extremal = verdicts.get(k)
         if extremal is None:
             extremal = verdicts[k] = (x.wall_sign() is not None
-                                      and is_extremal(x, EXTREMAL_LEN, table=table))
+                                      and is_extremal(x, EXTREMAL_LEN))
         if not extremal:
             continue
         inverse = []
@@ -160,8 +161,8 @@ def decompose(e: ModElement, max_depth: int = 8, *,
 # -- component-level checks ---------------------------------------------------
 
 
-def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8, *,
-                     table: Optional[WeylTable] = None) -> tuple[bool, bool, bool]:
+@_shares_table
+def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8) -> tuple[bool, bool, bool]:
     """(C1, C2, C3) on the component of u_lam, walked once to depth.
 
     C1: there are as many extremal starts of weight lam within C1_SPAN as
@@ -171,17 +172,15 @@ def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8, *,
     orbit.  word_bound sets the length of the orbit's alternating words
     and, halved, C1's extremality bound; C3 checks at EXTREMAL_LEN.
     """
-    if table is None:
-        table = WeylTable()
     root = u_lambda(lam)
-    starts = enum_bminus_star(lam, span=C1_SPAN, max_len=word_bound // 2, table=table)
+    starts = enum_bminus_star(lam, span=C1_SPAN, max_len=word_bound // 2)
     nodes, walks = lockstep(root, plain_moves, depth, starts)
     c1 = len(starts) == bminus_star_count(lam, C1_SPAN) and all(
         b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
     c2 = [b for b in nodes.values() if b.wt() == lam] == [root]
-    orbit = weyl_orbit(root, word_bound, EXTREMAL_LEN, table=table)
+    orbit = weyl_orbit(root, word_bound, EXTREMAL_LEN)
     c3 = orbit is not None and not any(
-        is_extremal(b, EXTREMAL_LEN, table=table) and k not in orbit
+        is_extremal(b, EXTREMAL_LEN) and k not in orbit
         for k, b in nodes.items())
     return c1, c2, c3
 
@@ -221,8 +220,7 @@ class SliceReport:
         return not self.failed and self.decompose_inconclusive == 0
 
 
-def _dual_family_ok(r: ModElement, lam: Weight, *,
-                    table: Optional[WeylTable] = None) -> bool:
+def _dual_family_ok(r: ModElement, lam: Weight) -> bool:
     if r.wt() != lam:
         return False
     if r.wall_sign() is None:
@@ -232,7 +230,7 @@ def _dual_family_ok(r: ModElement, lam: Weight, *,
         return False
     if any(walls[j + 1] - walls[j] > 1 for j in range(len(walls) - 1)):
         return False
-    return is_extremal(r, EXTREMAL_LEN, table=table)
+    return is_extremal(r, EXTREMAL_LEN)
 
 
 def _star_pairs(lam: Weight, bmax: dict, depth: int):
@@ -263,9 +261,9 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
     return root, dual, pairs, violations
 
 
+@_shares_table
 def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
-              decompose_cap: Optional[int] = None, *,
-              table: Optional[WeylTable] = None) -> SliceReport:
+              decompose_cap: Optional[int] = None) -> SliceReport:
     """Verify the truncated lam-slice of the decomposition.
 
     Enumerates the B^max truncation by plain BFS from the seeds, and the
@@ -281,10 +279,8 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     every enumerated element, whose orbit has lam's representative
     (orbit_canonical, in closed form, so the cost does not grow with lam's
     delta label).  The dual-family checks and the decompose() calls share
-    one WeylTable: table, or a fresh one.
+    the WeylTable in scope, opened for the call when there is none.
     """
-    if table is None:
-        table = WeylTable()
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
     bmax = enum_bmax(lam, c_bound, depth)
@@ -292,9 +288,8 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
 
     root, dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
     rep.dual_size = len(dual)
-    rep.dual_characterization_ok = all(
-        _dual_family_ok(star_mod(r), lam, table=table)
-        for r in dual.values())
+    rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
+                                       for r in dual.values())
 
     elements: dict = {}  # element key -> (element, its star image)
     root_key = root.key()
@@ -315,7 +310,7 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
         e, y = elements[k]
         rep.decompose_total += 1
         try:
-            result = decompose(e, DECOMPOSE_DEPTH, table=table, e_star=y)
+            result = decompose(e, DECOMPOSE_DEPTH, e_star=y)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue
@@ -326,15 +321,15 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     return rep
 
 
+@_shares_table
 def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
     """pw-verify's checks of lam in one record: C1-C3 on u_lam's component
     to depth (verify_component, with word_bound) and the slice report at
     c_bound 1 and depth at most 3 (pw_report), on one WeylTable.  The
     record fails when any check fails, and is ok when none does and every
     decompose() search succeeded."""
-    table = WeylTable()
-    c1, c2, c3 = verify_component(lam, depth, word_bound, table=table)
-    rep = pw_report(lam, 1, min(depth, 3), table=table)
+    c1, c2, c3 = verify_component(lam, depth, word_bound)
+    rep = pw_report(lam, 1, min(depth, 3))
     rep.c1, rep.c2, rep.c3 = c1, c2, c3
     return rep
 

@@ -11,19 +11,52 @@ its definition: the raw tensor tie-break, dense signatures rescanned at
 every step for half-paths and sequences, and the elementary crystals'
 rules.  single_steps(b, i, n) loops them.  reference_check_axioms is the
 straight-line axiom checker that re-reads every fact at every arrow end.
+
+weyl_scope() runs a block on one WeylTable, as one call of a sharing
+function (extremal._shares_table) does; current_table() is the table in
+scope, None outside any; counted_tables(monkeypatch) lists each table
+built from then on.
 """
 
 import random
+from contextlib import contextmanager
 
 from crystalpaths import HalfPath, LevelPath, SeqElement, left_path, seq_to_path, u_inf
 from crystalpaths.core import COLORS, NEG_INF, DualElement, TensorElement, peel
 from crystalpaths.elementary import (BiElement, EndMarker, LimitEntry, TElement,
                                      oracle_mismatches, tensor_oracle)
+from crystalpaths.extremal import _TABLE, WeylTable
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import simple_root
 
 # the weights of the pw_verify benchmark workload, as (m, l)
 BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
+
+
+def current_table():
+    return _TABLE.get()
+
+
+@contextmanager
+def weyl_scope():
+    table = WeylTable()
+    token = _TABLE.set(table)
+    try:
+        yield table
+    finally:
+        _TABLE.reset(token)
+
+
+def counted_tables(monkeypatch) -> list:
+    built = []
+    original = WeylTable.__init__
+
+    def counting(self):
+        built.append(None)
+        original(self)
+
+    monkeypatch.setattr(WeylTable, "__init__", counting)
+    return built
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:

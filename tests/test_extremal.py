@@ -10,13 +10,14 @@ from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
                           path_from_window, star_mod, u_lambda, weyl_op)
 from crystalpaths.core import TensorElement, explore, plain_moves
 from crystalpaths.elementary import TElement
-from crystalpaths.extremal import (_UNSEEN, WeylTable, _locally_extremal,
-                                   bminus_star_count, uniform_wall_path)
+from crystalpaths.extremal import (_UNSEEN, _locally_extremal, bminus_star_count,
+                                   uniform_wall_path)
 from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import classical
 
-from conftest import BENCH_LAMBDAS, same_entries, single_step, single_steps
+from conftest import (BENCH_LAMBDAS, counted_tables, current_table, same_entries,
+                      single_step, single_steps, weyl_scope)
 
 
 def test_weyl_op_on_ground_paths():
@@ -83,11 +84,11 @@ def test_mixed_walls_rule_extremality_out():
         lam = classical(m, l)
         component = [c for _, _, c, _, new in explore([u_lambda(lam)], plain_moves, 5) if new]
         _, _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
-        table = WeylTable()
-        for e in component + [y for _, _, y in pairs.values()]:
-            if e.wall_sign() is None:
-                mixed += 1
-                assert not any(is_extremal(e, n, table=table) for n in range(1, 9))
+        with weyl_scope():
+            for e in component + [y for _, _, y in pairs.values()]:
+                if e.wall_sign() is None:
+                    mixed += 1
+                    assert not any(is_extremal(e, n) for n in range(1, 9))
     assert mixed > 2000
 
 
@@ -207,10 +208,18 @@ def test_bminus_star_count_matches_the_enumeration():
     for m in range(-6, 7):
         for l in (-2, 0, 1):
             lam = classical(m, l)
-            table = WeylTable()
-            for span, max_len in product((1, 2, 3), (4, 5)):
-                out = enum_bminus_star(lam, span=span, max_len=max_len, table=table)
-                assert len(out) == bminus_star_count(lam, span), (m, l, span, max_len)
+            with weyl_scope():
+                for span, max_len in product((1, 2, 3), (4, 5)):
+                    out = enum_bminus_star(lam, span=span, max_len=max_len)
+                    assert len(out) == bminus_star_count(lam, span), (m, l, span, max_len)
+
+
+def test_standalone_enum_bminus_star_builds_one_table(monkeypatch):
+    # its candidates share the table the call opens, and it is dropped
+    built = counted_tables(monkeypatch)
+    out = enum_bminus_star(classical(3, 0), span=2, max_len=4)
+    assert len(out) == bminus_star_count(classical(3, 0), 2)
+    assert len(built) == 1 and current_table() is None
 
 
 # -- extremality from statistics against the image-based definitions ---------
@@ -346,16 +355,17 @@ def test_shared_table_gives_the_cold_certificates(monkeypatch, capsys):
     witnesses = []
     steps = 0
     for m, l in PW_LAMBDAS:
-        table = WeylTable()
         elements = checked_elements(monkeypatch, capsys, m, l)
-        for e in elements:
-            for bound in (4, 8):
-                shared = extremal_cert(e, bound, table=table)
-                cold = extremal_cert(e, bound)
-                assert ((shared.extremal, shared.witness)
-                        == (cold.extremal, cold.witness) == walk_cert(e, bound))
-                if not cold.extremal:
-                    witnesses.append(len(cold.witness))
+        with weyl_scope() as table:
+            shared = [extremal_cert(e, bound) for e in elements for bound in (4, 8)]
+        # the cold side runs outside any scope, so it cannot read the table
+        assert current_table() is None
+        cold = [extremal_cert(e, bound) for e in elements for bound in (4, 8)]
+        walked = [walk_cert(e, bound) for e in elements for bound in (4, 8)]
+        for s, c, w in zip(shared, cold, walked, strict=True):
+            assert (s.extremal, s.witness) == (c.extremal, c.witness) == w
+            if not c.extremal:
+                witnesses.append(len(c.witness))
         # every step the table settled from these elements, computed or
         # filled in as the inverse of another, is the S_i image or a dead end
         for e in elements:

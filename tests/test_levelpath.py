@@ -171,6 +171,25 @@ def test_constructors_reject_a_position_listed_twice(build, entries):
         build(entries)
 
 
+@pytest.mark.parametrize("build, entries", [
+    (left_path, {-1: 1.5}),
+    (left_path, {-1.0: 1}),
+    (left_path, [(-1, True)]),
+    (right_path, {0: 2.0}),
+    (right_path, {False: 1}),
+    (partial(LevelPath, 2, 0), {-1: True}),
+    (partial(LevelPath, 2, 0), ((0.0, 1),)),
+    (partial(LevelPath, 2.5, 0), ()),
+    (partial(LevelPath, 2, 0.5), ()),
+    (partial(LevelPath, True, 0), ()),
+])
+def test_constructors_reject_what_is_not_an_int(build, entries):
+    # a float value gave a float weight and a float position a float
+    # delta; a bool is not an int here either
+    with pytest.raises(ValueError, match="must be ints"):
+        build(entries)
+
+
 def test_mod_element_rejects_swapped_sides():
     g = lp_split(ground_path(1, 0))
     for b1, b2 in ((g.b2, g.b2), (g.b1, g.b1), (g.b2, g.b1)):

@@ -1,15 +1,17 @@
 import random
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 import pytest
 
-from crystalpaths import (decompose, pw_report, slice_invariant_under_reflection,
-                          slices_disjoint, u_lambda, verify_component)
+from crystalpaths import (decompose, pw_report, pw_verify,
+                          slice_invariant_under_reflection, slices_disjoint,
+                          u_lambda, verify_component)
 from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
                                graphs_isomorphic, lockstep, plain_moves)
-from crystalpaths.extremal import (WeylTable, bminus_star_count, enum_bmax,
-                                   enum_bminus_star, is_extremal, weyl_orbit)
+from crystalpaths.extremal import (bminus_star_count, enum_bmax, enum_bminus_star,
+                                   is_extremal, weyl_orbit)
 from crystalpaths.halfpath import left_path, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
@@ -17,7 +19,7 @@ from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
 from crystalpaths.star import star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
-from conftest import BENCH_LAMBDAS, random_walk
+from conftest import BENCH_LAMBDAS, counted_tables, current_table, random_walk
 
 
 def test_decompose_of_generator_is_trivial():
@@ -69,12 +71,12 @@ def test_c2_unique_top_weight_vector():
 # -- C1, C2 and C3 as three walks: the reference for verify_component -----------
 
 
-def _verify_c1(lam, depth=5, span=2, extremal_len=4, *, table=None):
+def _verify_c1(lam, depth=5, span=2, extremal_len=4):
     """Components of extremal weight-lam vectors all match the component of
     u_lam: there are as many as the wall characterization predicts
     (bminus_star_count), and each has weight lam and follows u_lam's words
     move for move."""
-    starts = enum_bminus_star(lam, span=span, max_len=extremal_len, table=table)
+    starts = enum_bminus_star(lam, span=span, max_len=extremal_len)
     if len(starts) != bminus_star_count(lam, span):
         return False
     _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
@@ -88,26 +90,25 @@ def _verify_c2(lam, depth=5):
     return [b for _, _, b, _, new in nodes if new and b.wt() == lam] == [root]
 
 
-def _verify_c3(lam, depth=5, word_bound=8, *, table=None):
+def _verify_c3(lam, depth=5, word_bound=8):
     """Extremal vectors in the component of u_lam are exactly the images of
     u_lam under alternating Weyl-operator words."""
-    if table is None:
-        table = WeylTable()
-    orbit = weyl_orbit(u_lambda(lam), word_bound, EXTREMAL_LEN, table=table)
+    orbit = weyl_orbit(u_lambda(lam), word_bound, EXTREMAL_LEN)
     if orbit is None:
         return False
     nodes = explore([u_lambda(lam)], plain_moves, depth)
-    return not any(new and is_extremal(b, EXTREMAL_LEN, table=table) and k not in orbit
+    return not any(new and is_extremal(b, EXTREMAL_LEN) and k not in orbit
                    for _, _, b, k, new in nodes)
 
 
 def _reference_component_checks(lam, depth=5, word_bound=8):
     """C1, C2 and C3 by three walks of u_lam's component, with the bounds
-    pw-verify gave them: span 2 and extremality at word_bound // 2 for C1."""
-    table = WeylTable()
-    return (_verify_c1(lam, depth, span=2, extremal_len=word_bound // 2, table=table),
+    pw-verify gave them: span 2 and extremality at word_bound // 2 for C1.
+    Run outside any scope, each extremality check starts cold."""
+    assert current_table() is None
+    return (_verify_c1(lam, depth, span=2, extremal_len=word_bound // 2),
             _verify_c2(lam, depth),
-            _verify_c3(lam, depth, word_bound=word_bound, table=table))
+            _verify_c3(lam, depth, word_bound=word_bound))
 
 
 def test_component_checks_match_the_three_walks():
@@ -182,6 +183,53 @@ def test_slice_invariance_under_reflection():
                                             depth_small=2, depth_big=4)
 
 
+# -- the WeylTable scope ---------------------------------------------------------
+
+
+def test_pw_verify_builds_one_table_per_command(monkeypatch, capsys):
+    # every check of one command shares its table, and the next command
+    # starts cold on a table of its own
+    from crystalpaths import cli
+    built = counted_tables(monkeypatch)
+    assert cli.main(["pw-verify", "--lambda=2,0"]) == 0
+    assert len(built) == 1
+    assert cli.main(["pw-verify", "--lambda=2,0"]) == 0
+    capsys.readouterr()
+    assert len(built) == 2 and current_table() is None
+
+
+def test_slice_invariance_builds_one_table_per_report(monkeypatch):
+    built = counted_tables(monkeypatch)
+    assert slice_invariant_under_reflection(classical(1, 0), 1,
+                                            depth_small=2, depth_big=4)
+    assert len(built) == 4 and current_table() is None
+
+
+class ReplayFailed(Exception):
+    pass
+
+
+def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
+    # each sharing function, on its own; the three that replay a
+    # decomposition raise out of their scope once replay does
+    lam = classical(1, 0)
+    replaying = [partial(pw_verify, lam, 3, 4), partial(pw_report, lam, 1, 2),
+                 partial(decompose, starred_f(u_lambda(lam), 1))]
+    for call in replaying + [partial(verify_component, lam, 3, 4),
+                             partial(enum_bminus_star, lam, 1, 4)]:
+        call()
+        assert current_table() is None
+
+    def failing(self):
+        raise ReplayFailed
+
+    monkeypatch.setattr(Decomposition, "replay", failing)
+    for call in replaying:
+        with pytest.raises(ReplayFailed):
+            call()
+        assert current_table() is None
+
+
 def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
     monkeypatch.setattr(Decomposition, "replay",
                         lambda self: u_lambda(classical(5, 0)))
@@ -215,8 +263,9 @@ def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
     original = peterweyl.decompose
 
     def recording(e, *args, **kwargs):
+        table = current_table()
         result = original(e, *args, **kwargs)
-        calls.append((e, args, kwargs, result))
+        calls.append((e, args, table, result))
         return result
 
     monkeypatch.setattr(peterweyl, "decompose", recording)
@@ -224,7 +273,11 @@ def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
         calls.clear()
         rep = pw_report(classical(m, l))
         assert rep.ok and len(calls) == rep.decompose_total == rep.pair_count
-        assert all("table" in kwargs for _, _, kwargs, _ in calls)
+        # one table, current in every call of the report
+        assert calls[0][2] is not None
+        assert all(table is calls[0][2] for _, _, table, _ in calls)
+        # the fresh side runs outside any scope, each call on its own table
+        assert current_table() is None
         for e, args, _, shared in calls:
             fresh = original(e, *args)
             assert fresh is not None and shared is not None
@@ -302,11 +355,10 @@ def _reference_report(lam, decompose_call):
     rep.pair_count = len(pair_of)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     rep.element_keys = frozenset(pair_of)
-    table = WeylTable()
     for k in sorted(elements):
         rep.decompose_total += 1
         try:
-            result = decompose_call(elements[k], 10, table=table)
+            result = decompose_call(elements[k], 10)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue
@@ -340,6 +392,8 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
                       for bkey, rkey, y in pairs.values()}
 
         found.clear()
+        # the reference runs outside any scope: each decompose starts cold
+        assert current_table() is None
         with monkeypatch.context() as patch:
             # decompose with its replay check on the literal starred word
             patch.setattr(Decomposition, "replay", _reference_replay)

@@ -37,3 +37,21 @@ def test_library_imports_only_what_it_uses():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_the_weyl_table_is_shared_by_scope_not_passed():
+    # the checks read the table in scope (extremal._shares_table), so no
+    # function takes one, and one module holds the context variable
+    params, holders = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params += [f"{path.name}:{node.lineno}"
+                           for arg in a.posonlyargs + a.args + a.kwonlyargs
+                           if arg.arg == "table"]
+            elif isinstance(node, ast.Call) and "ContextVar" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                holders.add(path.name)
+    assert params == [] and holders == {"extremal.py"}
