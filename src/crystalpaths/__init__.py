@@ -7,9 +7,7 @@ the Peter-Weyl type decomposition.
 """
 
 from .weights import CLW, DELTA, L0, L1, Weight, classical, orbit_canonical, simple_root
-from .core import (CrystalElement, DualElement, TensorElement, bfs_component,
-                   check_axioms, graphs_isomorphic)
-from .elementary import BiElement, LimitEntry, TElement
+from .core import CrystalElement, bfs_component, check_axioms, graphs_isomorphic
 from .halfpath import (HalfPath, from_word, left_path, right_path,
                        string_factorization, u_inf, u_minus_inf)
 from .seqreal import (SeqElement, image_check, path_to_seq, seq_to_path,

@@ -22,9 +22,7 @@ length) and hold no entry above MAX_ENTRY = 64 in absolute value (a level
 path's m and a marker's L0 coefficient count as entries).  The star and
 the Weyl operators grow with both: star on a path with one entry 100,000
 positions out was still running after two minutes.  oracle-check's random
-paths reach --support positions out, so the same MAX_SPAN bounds it: the
-tensor oracle nests its word --support + 2 levels deep, and at 330 it
-overflowed Python's recursion limit.
+paths reach --support positions out, so the same MAX_SPAN bounds it.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import sys
 
 from . import serialize
 from .core import bfs_component
-from .elementary import oracle_mismatches, tensor_oracle
+from .elementary import oracle_mismatches, oracle_word
 from .extremal import bmax_contains, bmax_seeds, enum_bmax, extremal_cert
 from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
@@ -269,10 +267,10 @@ def cmd_oracle_check(args) -> int:
         entries = {-k: rng.randint(-args.entry_bound, args.entry_bound)
                    for k in range(1, args.support + 1)}
         b = left_path(entries)
-        t = tensor_oracle(b.as_dict(), width)
+        word = oracle_word(b.as_dict(), width)
         for i in (0, 1):
             checked += 1
-            failures += oracle_mismatches(b, t, i)
+            failures += oracle_mismatches(b, word, i)
     print(json.dumps({"checked": checked, "failures": failures}))
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

@@ -10,7 +10,8 @@ followed by power; half-paths and sequences override it with one sweep of
 their signature that reads eps_i and climbs together.  The raising and
 lowering operators e(i)/f(i) are power(i, -1)/power(i, 1), defined once on
 the base class.  On top of that protocol this module builds the tensor
-product and dual combinators, the breadth-first search engine explore (the
+rule for strings (_string_split, which ModElement and the tensor-word
+oracle in elementary apply), the breadth-first search engine explore (the
 one place a search keys its nodes; it yields each node with its key),
 lockstep (do other elements follow one element's words?), the string
 walker peel (which climbs by top), component enumeration, rooted graph
@@ -30,8 +31,8 @@ and e_i lowers eps_i by one: f_i^n acts a = clamp(phi_i(b1) - eps_i(b2), 0, n)
 times on b1 and then n - a times on b2; e_i^n acts
 b = clamp(eps_i(b2) - phi_i(b1), 0, n) times on b2 and then n - b times on
 b1.  _string_split is the one place this rule is written; with |n| = 1 it is
-the single-step rule above.  A tensor product keeps its three statistics of
-both colors as one tuple, computed on first use.
+the single-step rule above.  The generic tensor product and dual elements
+built from these formulas are test references (tests/crystals.py).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .weights import Weight, simple_root
@@ -101,79 +101,6 @@ def _string_split(ph, ep, n: int) -> int:
     if n > 0:  # f_i acts on b1 while phi(b1) > eps(b2)
         return 0 if ph <= ep else min(n, ph - ep)
     return n + (0 if ph >= ep else min(-n, ep - ph))  # e_i on b2 while phi(b1) < eps(b2)
-
-
-@dataclass(frozen=True)
-class TensorElement(CrystalElement):
-    """Tensor product of two crystal elements.
-
-    The string statistics are one value per instance, built on first use:
-    (pairing, eps, phi) for each color by the formulas above, from the
-    factors' statistics.  Deep tensor words read the statistics of every
-    prefix, so without it the recursion is quadratic in the word length;
-    pairing is the sum of the factors' pairings, so eps/phi never build a
-    prefix weight.  power is the tensor rule for strings, through
-    _string_split."""
-
-    left: CrystalElement
-    right: CrystalElement
-
-    @cached_property
-    def _stats(self) -> tuple[tuple, ...]:
-        """(pairing, eps, phi) of each color."""
-        b1, b2 = self.left, self.right
-        out = []
-        for i in COLORS:
-            p1, p2 = b1.pairing(i), b2.pairing(i)
-            out.append((p1 + p2, max(b1.eps(i), b2.eps(i) - p1),
-                        max(b2.phi(i), b1.phi(i) + p2)))
-        return tuple(out)
-
-    def wt(self) -> Weight:
-        return self.left.wt() + self.right.wt()
-
-    def pairing(self, i: int) -> int:
-        return self._stats[i][0]
-
-    def eps(self, i: int):
-        return self._stats[i][1]
-
-    def phi(self, i: int):
-        return self._stats[i][2]
-
-    def power(self, i: int, n: int):
-        if n == 0:
-            return self
-        on_left = _string_split(self.left.phi(i), self.right.eps(i), n)
-        left = self.left.power(i, on_left)
-        right = None if left is None else self.right.power(i, n - on_left)
-        return None if right is None else TensorElement(left, right)
-
-    def key(self):
-        return ("tensor", self.left.key(), self.right.key())
-
-
-@dataclass(frozen=True)
-class DualElement(CrystalElement):
-    """Dual crystal: weights negate, eps/phi swap, e/f swap."""
-
-    inner: CrystalElement
-
-    def wt(self) -> Weight:
-        return -self.inner.wt()
-
-    def eps(self, i: int):
-        return self.inner.phi(i)
-
-    def phi(self, i: int):
-        return self.inner.eps(i)
-
-    def power(self, i: int, n: int):
-        c = self.inner.power(i, -n)
-        return None if c is None else DualElement(c)
-
-    def key(self):
-        return ("dual", self.inner.key())
 
 
 class _Memo(dict):

@@ -1,159 +1,74 @@
-"""The elementary crystals: T_lambda, B_i, and the rank-one limit crystal.
+"""The tensor-word oracle for left paths.
 
-T_lambda is a single element of weight lambda with eps = phi = -infinity and
-no operators; tensoring with it shifts weights without touching the graph.
+The paper's crystal structure on paths is the tensor rule applied to a word
+of letters of the rank-one limit crystal, identified with Z: a letter n has
+<h_0, wt> = 2n, <h_1, wt> = -2n, eps_0 = -n, eps_1 = n and phi = eps +
+<h_i, wt>; e_1 and f_0 decrement it, e_0 and f_1 increment it.  A left path
+is the word end (x) letter_{-width} (x) ... (x) letter_{-1}, the end marker
+standing in for the untouched infinite tail: its statistics are all zero
+and it has no operators, which is correct whenever the word keeps enough
+slack that no operator acts beyond it.
 
-B_i is { (n)_i : n in Z } with wt (n)_i = n*alpha_i, eps_i = -n, phi_i = n,
-e_i (n) = (n+1), f_i (n) = (n-1), so f_i^k (n) = (n-k); the other color has
-eps = phi = -infinity and undefined operators.
-
-LimitEntry models a single letter of the limit path crystal, identified with
-Z: e_1 and f_0 decrement, e_0 and f_1 increment, eps_1(n) = phi_0(n) = n,
-eps_0(n) = phi_1(n) = -n, and the weight is the classical 2n*(L0 - L1).
-EndMarker is a truncation stub (all string statistics zero, no operators)
-standing in for the untouched infinite tail when a path is modeled as a
-finite tensor word; tensor_oracle builds that word for a left path and
-oracle_mismatches compares a path's operators with it.
+The word is a plain list of letters.  word_operators folds the prefix
+statistics (pairing, eps, phi) of one color from the end marker rightwards
+by the binary tensor formulas of core, and e/f descend from the right end:
+at each letter, core._string_split decides whether the step acts on the
+letter or on the prefix to its left, so one step changes one letter, and
+it is undefined when it would reach the end marker.  The oracle shares no
+code with the path operators; oracle_mismatches compares them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
-from .core import NEG_INF, CrystalElement, TensorElement
-from .weights import Weight, classical, simple_root
-
-
-@dataclass(frozen=True)
-class TElement(CrystalElement):
-    lam: Weight
-
-    def wt(self) -> Weight:
-        return self.lam
-
-    def eps(self, i: int):
-        return NEG_INF
-
-    def phi(self, i: int):
-        return NEG_INF
-
-    def power(self, i: int, n: int):
-        return self if n == 0 else None
-
-    def key(self):
-        return ("t", self.lam.a0, self.lam.a1, self.lam.d)
+from .core import _string_split
 
 
-@dataclass(frozen=True)
-class BiElement(CrystalElement):
-    color: int
-    n: int
-
-    def wt(self) -> Weight:
-        return self.n * simple_root(self.color)
-
-    def eps(self, i: int):
-        return -self.n if i == self.color else NEG_INF
-
-    def phi(self, i: int):
-        return self.n if i == self.color else NEG_INF
-
-    def power(self, i: int, n: int):
-        if n == 0:
-            return self
-        return BiElement(self.color, self.n - n) if i == self.color else None
-
-    def key(self):
-        return ("bi", self.color, self.n)
+def oracle_word(entries: dict[int, int], width: int) -> list[int]:
+    """The letters of a left path at the positions -width, ..., -1."""
+    return [entries.get(k, 0) for k in range(-width, 0)]
 
 
-@dataclass(frozen=True)
-class LimitEntry(CrystalElement):
-    n: int
+def word_operators(word: list[int], i: int) -> tuple[int, int, Optional[list[int]],
+                                                     Optional[list[int]]]:
+    """(eps_i, phi_i, e_i word, f_i word) of the tensor word; an image is
+    None where the step would act on the end marker."""
+    sgn = 1 if i == 0 else -1
+    pairing = eps = phi = 0  # the end marker
+    phis = []  # phis[j]: phi_i of the end marker and the letters before j
+    for n in word:
+        phis.append(phi)
+        p, e = 2 * sgn * n, -sgn * n
+        pairing, eps, phi = pairing + p, max(eps, e - pairing), max(e + p, phi + p)
 
-    def wt(self) -> Weight:
-        return classical(2 * self.n)
+    def step(n: int) -> Optional[list[int]]:
+        for j in range(len(word) - 1, -1, -1):
+            if not _string_split(phis[j], -sgn * word[j], n):  # acts on letter j
+                out = list(word)
+                out[j] -= sgn * n
+                return out
+        return None
 
-    def pairing(self, i: int) -> int:
-        return 2 * self.n if i == 0 else -2 * self.n
-
-    def eps(self, i: int):
-        return -self.n if i == 0 else self.n
-
-    def phi(self, i: int):
-        return self.n if i == 0 else -self.n
-
-    def power(self, i: int, n: int):
-        if n == 0:
-            return self
-        return LimitEntry(self.n + n if i == 1 else self.n - n)
-
-    def key(self):
-        return ("z", self.n)
+    return eps, phi, step(-1), step(1)
 
 
-@dataclass(frozen=True)
-class EndMarker(CrystalElement):
-    """Truncation stub for an infinite tail of a path tensor word.
-
-    Statistics eps = phi = 0 of weight zero: raising and lowering are left
-    undefined, which is correct whenever the word keeps enough slack that no
-    operator would act beyond the truncation window.
-    """
-
-    side: str = "left"
-
-    def wt(self) -> Weight:
-        return Weight(0, 0, 0)
-
-    def pairing(self, i: int) -> int:
-        return 0
-
-    def eps(self, i: int):
-        return 0
-
-    def phi(self, i: int):
-        return 0
-
-    def power(self, i: int, n: int):
-        return self if n == 0 else None
-
-    def key(self):
-        return ("end", self.side)
+def word_letters(word: list[int]) -> dict[int, int]:
+    """Nonzero letters of a word by position, the last one at -1."""
+    return {k - len(word): v for k, v in enumerate(word) if v != 0}
 
 
-def tensor_oracle(entries: dict[int, int], width: int) -> TensorElement:
-    """The left path with the given entries as the tensor word
-    EndMarker (x) letter_{-width} (x) ... (x) letter_{-1}, acted on by the
-    tensor rules only (core._string_split): a reference for the closed-form
-    path operators that shares no code with them."""
-    cur = TensorElement(EndMarker("left"), LimitEntry(entries.get(-width, 0)))
-    for k in range(-width + 1, 0):
-        cur = TensorElement(cur, LimitEntry(entries.get(k, 0)))
-    return cur
-
-
-def oracle_letters(t) -> dict[int, int]:
-    """Nonzero letters of a tensor_oracle word by position."""
-    letters = []
-    node = t
-    while isinstance(node, TensorElement):
-        letters.append(node.right.n)
-        node = node.left
-    letters.reverse()
-    return {k - len(letters): v for k, v in enumerate(letters) if v != 0}
-
-
-def oracle_mismatches(b, t: TensorElement, i: int) -> int:
-    """Disagreements on color i between the left path b and t, its
-    tensor_oracle word: 1 when eps or phi differ (e and f then go unchecked),
-    else one for each of e and f whose results differ."""
-    if b.eps(i) != t.eps(i) or b.phi(i) != t.phi(i):
+def oracle_mismatches(b, word: list[int], i: int) -> int:
+    """Disagreements on color i between the left path b and word, its
+    oracle_word: 1 when eps or phi differ (e and f then go unchecked), else
+    one for each of e and f whose results differ."""
+    eps, phi, up, down = word_operators(word, i)
+    if b.eps(i) != eps or b.phi(i) != phi:
         return 1
     count = 0
-    for bb, tt in ((b.e(i), t.e(i)), (b.f(i), t.f(i))):
-        if (bb is None) != (tt is None):
+    for bb, ww in ((b.e(i), up), (b.f(i), down)):
+        if (bb is None) != (ww is None):
             count += 1
-        elif bb is not None and bb.as_dict() != oracle_letters(tt):
+        elif bb is not None and bb.as_dict() != word_letters(ww):
             count += 1
     return count

@@ -28,13 +28,15 @@ A position occurs in one run only, so e_i's string raises ValueError
 top(i) is the same pass with the string length read off it: eps_i is
 max Ahat, and e_i^eps_i climbs to the top of the string.  e_i and f_i are
 power(i, -1) and power(i, 1); the single steps on the full signature, the
-reference for power, live in the tests.  Results of power and top come
-from _built, which skips the validating constructor: their first color is
-copied from a validated element and the sweep has already rejected a
-negative entry, so only the trailing zeros need trimming.  With s_c the sum
-of a_p over the positions of color c, wt = -s_0 * alpha_0 - s_1 * alpha_1
-and pairing(i) = -2 * (s_i - s_(1-i)) need no per-position weight, and eps
-is the maximum of one scan.
+reference for power, live in the tests.  The constructor raises ValueError
+when first_color or an entry is not an int (a bool is not one), when
+first_color is not 0 or 1, or when an entry is negative.  Results of power
+and top come from _built, which skips the validating constructor: their
+first color is copied from a validated element and the sweep has already
+rejected a negative entry, so only the trailing zeros need trimming.  With
+s_c the sum of a_p over the positions of color c, wt = -s_0 * alpha_0 -
+s_1 * alpha_1 and pairing(i) = -2 * (s_i - s_(1-i)) need no per-position
+weight, and eps is the maximum of one scan.
 
 The realization embeds the limit crystal; the image is cut out by
 (n-1)*a_{n+1} <= n*a_n for n >= 2.  Monotone sequences (a_{p+1} <= a_p)
@@ -65,9 +67,13 @@ class SeqElement(CrystalElement):
     a: tuple[int, ...]
 
     def __post_init__(self):
+        a = tuple(self.a)
+        if type(self.first_color) is not int or any(type(v) is not int for v in a):
+            raise ValueError(f"first_color and entries must be ints, "
+                             f"got {self.first_color!r}, {a!r}")
         if self.first_color not in (0, 1):
             raise ValueError("first_color must be 0 or 1")
-        object.__setattr__(self, "a", _trim(self.a))
+        object.__setattr__(self, "a", _trim(a))
         if any(v < 0 for v in self.a):
             raise ValueError("sequence entries must be nonnegative")
 

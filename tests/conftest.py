@@ -1,9 +1,10 @@
 """Shared helpers for the test suite.
 
-The tensor-chain oracle re-builds a left path as an explicit iterated tensor
-product of single-letter crystals behind an inert end marker, so that the
-closed-form operators on paths can be checked against the raw tensor rules
-with no shared code path.
+agree_with_oracle checks a left path's operators against the flat tensor
+word of elementary, the letters of the path behind an inert end marker
+acted on by the tensor rules only, with no code shared with the path
+operators.  The generic crystals (tensor products, duals, the elementary
+crystals and the nested tensor oracle) live in crystals.py.
 
 The library has one operator per element type, the whole string
 power(i, n).  The single steps it is checked against live here, each by
@@ -22,12 +23,13 @@ import random
 from contextlib import contextmanager
 
 from crystalpaths import HalfPath, LevelPath, SeqElement, left_path, seq_to_path, u_inf
-from crystalpaths.core import COLORS, NEG_INF, DualElement, TensorElement, peel
-from crystalpaths.elementary import (BiElement, EndMarker, LimitEntry, TElement,
-                                     oracle_mismatches, tensor_oracle)
+from crystalpaths.core import COLORS, NEG_INF, peel
+from crystalpaths.elementary import oracle_mismatches, oracle_word
 from crystalpaths.extremal import _TABLE, WeylTable
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import simple_root
+
+from crystals import BiElement, DualElement, EndMarker, LimitEntry, TElement, TensorElement
 
 # the weights of the pw_verify benchmark workload, as (m, l)
 BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
@@ -60,8 +62,10 @@ def counted_tables(monkeypatch) -> list:
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:
-    t = tensor_oracle(b.as_dict(), width)
-    return all(oracle_mismatches(b, t, i) == 0 for i in (0, 1))
+    """Whether b's eps, phi, e and f of both colors match the tensor word
+    of its letters at -width, ..., -1."""
+    word = oracle_word(b.as_dict(), width)
+    return all(oracle_mismatches(b, word, i) == 0 for i in COLORS)
 
 
 def same_entries(p: LevelPath, q: LevelPath) -> bool:

@@ -17,14 +17,13 @@ from crystalpaths import (SeqElement, bfs_component, bmax_contains, bmax_seed,
                           slice_invariant_under_reflection, star_binf,
                           star_extremal_closed, star_half_closed, star_mod,
                           u_inf, u_lambda, verify_component)
-from crystalpaths.elementary import oracle_mismatches, tensor_oracle
 from crystalpaths.extremal import uniform_wall_path
 from crystalpaths.seqreal import (is_monotone, seq_generator,
                                   seq_to_path, block_transform)
 from crystalpaths.star import starred_e, starred_f
 from crystalpaths.weights import classical
 
-from conftest import left_signature, nested_sum_signature, same_entries
+from conftest import agree_with_oracle, left_signature, nested_sum_signature, same_entries
 
 
 def report(n: int, desc: str, ok: bool) -> None:
@@ -119,19 +118,13 @@ def test_criterion_1_golden_star_example():
     report(1, "golden star example", ok)
 
 
-def _oracle_agrees(entries, width):
-    b = left_path(entries)
-    t = tensor_oracle(b.as_dict(), width)
-    return all(oracle_mismatches(b, t, i) == 0 for i in (0, 1))
-
-
 def test_criterion_2_tensor_oracle_equivalence():
     t0 = time.time()
     mismatches = 0
     # exhaustive: support in [-6, -1], entries in [-3, 3]
     for combo in itertools.product(range(-3, 4), repeat=6):
         entries = {k - 6: v for k, v in enumerate(combo) if v != 0}
-        if not _oracle_agrees(entries, 8):
+        if not agree_with_oracle(left_path(entries), 8):
             mismatches += 1
     # plus 10^4 random reachable elements
     rng = random.Random(20260826)
@@ -142,7 +135,7 @@ def test_criterion_2_tensor_oracle_equivalence():
             nxt = b.f(i) if rng.random() < 0.7 else b.e(i)
             if nxt is not None:
                 b = nxt
-        if not _oracle_agrees(b.as_dict(), 15):
+        if not agree_with_oracle(b, 15):
             mismatches += 1
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 60.0

@@ -8,8 +8,7 @@ from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
                           enum_bminus_star, extremal_cert, ground_path,
                           is_extremal, is_extremal_path, lp_join, lp_split,
                           path_from_window, star_mod, u_lambda, weyl_op)
-from crystalpaths.core import TensorElement, explore, plain_moves
-from crystalpaths.elementary import TElement
+from crystalpaths.core import explore, plain_moves
 from crystalpaths.extremal import (_UNSEEN, _locally_extremal, bminus_star_count,
                                    uniform_wall_path)
 from crystalpaths.halfpath import from_word, right_path
@@ -18,6 +17,7 @@ from crystalpaths.weights import classical
 
 from conftest import (BENCH_LAMBDAS, counted_tables, current_table, same_entries,
                       single_step, single_steps, weyl_scope)
+from crystals import TElement, TensorElement
 
 
 def test_weyl_op_on_ground_paths():

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path, u_inf
-from crystalpaths.core import DualElement, TensorElement
-from crystalpaths.elementary import TElement, oracle_letters, tensor_oracle
 from crystalpaths.halfpath import HalfPath
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import Weight, classical
 
 from conftest import left_signature, single_step, single_steps, stepwise_power
+from crystals import DualElement, TElement, TensorElement, oracle_letters, tensor_oracle
 
 colors = st.sampled_from([0, 1])
 powers = st.integers(min_value=-8, max_value=8)
@@ -203,13 +202,17 @@ def test_tensor_strings_with_infinite_statistics_match_single_steps(x, t, y, i, 
 @given(letters, colors, powers)
 def test_left_path_strings_match_the_tensor_oracle(vals, i, n):
     # the oracle word shares no code with the signature rule; its width
-    # leaves room for the n letters f_i^n may add on the left
+    # leaves room for the n letters f_i^n may add on the left.  The single
+    # steps are checked on every example: a string of one step is one
+    # argmax, a path of its own in the kernel
     b = from_word(vals)
-    t = single_steps(tensor_oracle(b.as_dict(), len(vals) + 10), i, n)
-    out = b.power(i, n)
-    assert (out is None) == (t is None)
-    if out is not None:
-        assert out.as_dict() == oracle_letters(t)
+    word = tensor_oracle(b.as_dict(), len(vals) + 10)
+    for m in {n, -1, 1}:
+        t = single_steps(word, i, m)
+        out = b.power(i, m)
+        assert (out is None) == (t is None)
+        if out is not None:
+            assert out.as_dict() == oracle_letters(t)
 
 
 def flip_reference(r, i):

@@ -57,6 +57,20 @@ def test_trailing_zeros_trimmed():
     assert SeqElement(0, (2, 1, 0, 0)).a == (2, 1)
 
 
+@pytest.mark.parametrize("first_color, a", [
+    (0, (1.5, 1)),
+    (0, (2, 0.0)),
+    (1, (True,)),
+    (True, (2,)),
+    (1.0, (2,)),
+])
+def test_constructor_rejects_what_is_not_an_int(first_color, a):
+    # a float entry gave a float weight, and a bool first color serialized
+    # as true, which serialize.loads rejects
+    with pytest.raises(ValueError, match="must be ints"):
+        SeqElement(first_color, a)
+
+
 def test_color_convention():
     s = SeqElement(1, (1, 1, 1))
     assert [s.color(p) for p in (1, 2, 3, 4)] == [1, 0, 1, 0]

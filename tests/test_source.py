@@ -55,3 +55,34 @@ def test_the_weyl_table_is_shared_by_scope_not_passed():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 holders.add(path.name)
     assert params == [] and holders == {"extremal.py"}
+
+
+def test_the_tensor_word_oracle_shares_no_code_with_the_paths():
+    # elementary is the oracle the path operators are checked against
+    tree = ast.parse((SRC / "elementary.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert imported.isdisjoint({"halfpath", "seqreal", "levelpath", "star"})
+
+
+def test_the_library_defines_only_the_engine_element_types():
+    # the generic crystals (tensor products, duals, the elementary crystals)
+    # are test references and live in tests/crystals.py
+    bases = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases}
+    elements = {"CrystalElement"}
+    grown = True
+    while grown:
+        found = {name for name, of in bases.items() if of & elements}
+        grown = not found <= elements
+        elements |= found
+    assert elements - {"CrystalElement"} == {"HalfPath", "SeqElement", "ModElement"}
