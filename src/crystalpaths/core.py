@@ -9,7 +9,8 @@ the formal zero element of the crystal axioms), and top(i), the pair
 followed by power; half-paths and sequences override it with one sweep of
 their signature that reads eps_i and climbs together.  The raising and
 lowering operators e(i)/f(i) are power(i, -1)/power(i, 1), defined once on
-the base class.  On top of that protocol this module builds the tensor
+the base class, and arrows(i) is the pair (e(i), f(i)), which ModElement
+computes from one read of its statistics.  On top of that protocol this module builds the tensor
 rule for strings (_string_split, which ModElement and the tensor-word
 oracle in elementary apply), the breadth-first search engine explore (the
 one place a search keys its nodes; it yields each node with its key),
@@ -83,6 +84,11 @@ class CrystalElement:
 
     def f(self, i: int) -> Optional["CrystalElement"]:
         return self.power(i, 1)
+
+    def arrows(self, i: int) -> tuple[Optional["CrystalElement"], Optional["CrystalElement"]]:
+        """(e_i b, f_i b); element types that can share one read of their
+        statistics between the two override this."""
+        return self.power(i, -1), self.power(i, 1)
 
     def pairing(self, i: int) -> int:
         """<h_i, wt>; element types that know it without the full weight
@@ -187,10 +193,12 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
 
 def plain_moves(b: CrystalElement) -> Iterator[tuple[tuple[str, int], Optional[CrystalElement]]]:
     """The plain operators at b as ((kind, color), image) pairs, in the
-    order e_0, f_0, e_1, f_1; the image is None where undefined."""
+    order e_0, f_0, e_1, f_1; the image is None where undefined.  Both
+    arrows of a color come from one arrows(i) call."""
     for i in COLORS:
-        yield ("e", i), b.e(i)
-        yield ("f", i), b.f(i)
+        e, f = b.arrows(i)
+        yield ("e", i), e
+        yield ("f", i), f
 
 
 def explore(roots: Iterable[CrystalElement], moves, depth: int):

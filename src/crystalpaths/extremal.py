@@ -63,15 +63,19 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .core import COLORS, explore, plain_moves
-from .levelpath import LevelPath, ModElement, _alt, _star_letters, lp_split, u_lambda
+from .levelpath import (LevelPath, ModElement, _alt, _ends, _star_letters, lp_split,
+                        u_lambda)
 from .star import star_mod
 from .weights import Weight
 
 
 def weyl_op(e: ModElement, i: int) -> ModElement:
-    """S_i: the full string of f_i or e_i prescribed by <h_i, wt>."""
-    n = e.pairing(i)
-    out = e.power(i, n)
+    """S_i: the full string of f_i or e_i prescribed by <h_i, wt>, read
+    with the string's statistics in one _stats call."""
+    stats = e._stats(i)
+    eps, phi = _ends(stats)
+    n = phi - eps
+    out = e._power(i, n, stats)
     if out is None:
         raise RuntimeError(f"S_{i} ran out of operator (power {n})")
     return out
@@ -79,8 +83,9 @@ def weyl_op(e: ModElement, i: int) -> ModElement:
 
 def _locally_extremal(e: ModElement) -> bool:
     """No e_i where <h_i, wt> >= 0 and no f_i where it is <= 0, for both
-    colors: eps_i = max(0, -<h_i, wt>), by the statistics alone."""
-    return all(e.eps(i) == max(0, -e.pairing(i)) for i in COLORS)
+    colors: eps_i = max(0, -<h_i, wt>), by the statistics alone, with
+    <h_i, wt> = phi_i - eps_i."""
+    return all(eps == max(0, eps - phi) for eps, phi in (_ends(e._stats(i)) for i in COLORS))
 
 
 _UNSEEN = -1  # an S-step not computed yet

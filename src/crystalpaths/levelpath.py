@@ -25,7 +25,17 @@ p = <h_i, .>:
     phi_i = max(phi_i(b2), phi_i(b1) + p(lam) + p(b2))
 
 and a string splits between b1 and b2 by comparing phi_i(b1) + p(lam) with
-eps_i(b2), by core's rule for strings (_string_split).
+eps_i(b2), by core's rule for strings (_string_split).  So four numbers of
+color i decide everything: eps_i(b1), phi_i(b1) + p(lam), eps_i(b2) and
+phi_i(b2).  ModElement._stats(i) reads them from one scan of each factor's
+left view, and _ends gives eps_i and phi_i from them (phi_i - eps_i is
+p(wt)).  eps, phi and power each read them once.  A call site that needs
+more than one of these for a color reads them once and passes them to
+_power: arrows (both plain arrows), peterweyl.string_moves (both string
+ends) and extremal.weyl_op and _locally_extremal.  Nothing is cached.  The
+results of _power and lp_split are built without the constructor's checks
+(_built_mod, and halfpath._built for the factors): b1 stays a left and b2 a
+right path and lam keeps its level, by construction.
 
 Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
                + delta * ( l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)) )
@@ -49,8 +59,8 @@ from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from .core import CrystalElement, _string_split
-from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, _positions, left_path,
-                       right_path, u_inf, u_minus_inf)
+from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, _built, _mirror, _positions,
+                       _statistics, u_inf, u_minus_inf)
 from .weights import Weight, classical
 
 
@@ -137,6 +147,24 @@ def path_from_window(m: int, l: int, window_start: int, values: Iterable[int]) -
 # -- the three-factor form ---------------------------------------------------
 
 
+def _ends(stats: tuple[int, int, int, int]) -> tuple[int, int]:
+    """(eps_i, phi_i) of b1 (x) t_lam (x) b2 from ModElement._stats' four
+    numbers; phi_i - eps_i is <h_i, wt>."""
+    eps1, ph1, eps2, phi2 = stats
+    return eps1 + max(0, eps2 - ph1), phi2 + max(0, ph1 - eps2)
+
+
+def _built_mod(b1: HalfPath, lam: Weight, b2: HalfPath) -> "ModElement":
+    """The element b1 (x) t_lam (x) b2 without the constructor's checks,
+    for b1 a left and b2 a right half-path and lam of level zero by
+    construction."""
+    e = object.__new__(ModElement)
+    object.__setattr__(e, "b1", b1)
+    object.__setattr__(e, "lam", lam)
+    object.__setattr__(e, "b2", b2)
+    return e
+
+
 @dataclass(frozen=True)
 class ModElement(WallScan, CrystalElement):
     """b1 (x) t_lam (x) b2 with b1 a left and b2 a right half-path."""
@@ -158,23 +186,40 @@ class ModElement(WallScan, CrystalElement):
     def pairing(self, i: int) -> int:
         return self.b1.pairing(i) + self.lam.pairing(i) + self.b2.pairing(i)
 
+    def _stats(self, i: int) -> tuple[int, int, int, int]:
+        """The four numbers of the tensor rule (eps(b1), phi(b1) + <h_i, lam>,
+        eps(b2), phi(b2)) of color i, from one scan of each factor's left
+        view; _ends reads eps_i and phi_i off them."""
+        top1, p1 = _statistics(self.b1._left, i)
+        top2, p2 = _statistics(self.b2._left, i)  # the view's eps and phi are b2's phi and eps
+        return top1, top1 + p1 + self.lam.pairing(i), top2 + p2, top2
+
     def eps(self, i: int):
-        return max(self.b1.eps(i),
-                   self.b2.eps(i) - self.b1.pairing(i) - self.lam.pairing(i))
+        return _ends(self._stats(i))[0]
 
     def phi(self, i: int):
-        return max(self.b2.phi(i),
-                   self.b1.phi(i) + self.lam.pairing(i) + self.b2.pairing(i))
+        return _ends(self._stats(i))[1]
 
     def power(self, i: int, n: int) -> Optional["ModElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0, split between b1 and b2
         by the tensor rule for strings; None when the string runs out."""
+        return self._power(i, n, self._stats(i))
+
+    def arrows(self, i: int) -> tuple[Optional["ModElement"], Optional["ModElement"]]:
+        stats = self._stats(i)
+        return self._power(i, -1, stats), self._power(i, 1, stats)
+
+    def _power(self, i: int, n: int, stats: tuple[int, int, int, int]) -> Optional["ModElement"]:
+        """power(i, n) on the four numbers _stats(i) gives.  e_i runs out
+        on b1 past eps(b1) and f_i on b2 past phi(b2); the factors change
+        sides by neither, so the result is built without the checks."""
         if n == 0:
             return self
-        on_left = _string_split(self.b1.phi(i) + self.lam.pairing(i), self.b2.eps(i), n)
-        b1 = self.b1.power(i, on_left)
-        b2 = None if b1 is None else self.b2.power(i, n - on_left)
-        return None if b2 is None else ModElement(b1, self.lam, b2)
+        eps1, ph1, eps2, phi2 = stats
+        on_left = _string_split(ph1, eps2, n)
+        if -on_left > eps1 or n - on_left > phi2:
+            return None
+        return _built_mod(self.b1.power(i, on_left), self.lam, self.b2.power(i, n - on_left))
 
     def walls(self) -> list[tuple[int, int]]:
         """The level path's walls (see the module docstring)."""
@@ -200,11 +245,14 @@ def lp_split(p: LevelPath) -> ModElement:
 
     The left letters become b1; the right letters have the ground pattern
     subtracted to become b2; wt(p) = wt(b1) + lam + wt(b2) forces the
-    marker weight lam = m*(L0 - L1) + l*delta.
+    marker weight lam = m*(L0 - L1) + l*delta.  A level path's entries
+    are sorted and differ from the defaults, so both halves are canonical
+    as they stand and are built without the constructors' checks.
     """
-    b1 = left_path([(k, v) for k, v in p.entries if k < 0])
-    b2 = right_path([(k, v - p.default(k)) for k, v in p.entries if k >= 0])
-    return ModElement(b1, classical(p.m, p.l), b2)
+    left = tuple((k, v) for k, v in p.entries if k < 0)
+    right = tuple((k, v - p.default(k)) for k, v in p.entries if k >= 0)
+    return _built_mod(_built(LEFT, left, left), classical(p.m, p.l),
+                      _built(RIGHT, right, _mirror(right)))
 
 
 def lp_join(e: ModElement) -> LevelPath:

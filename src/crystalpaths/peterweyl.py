@@ -60,7 +60,7 @@ from typing import Optional
 from .core import COLORS, explore, lockstep, plain_moves
 from .extremal import (_TABLE, _shares_table, bminus_star_count, enum_bmax,
                        enum_bminus_star, is_extremal, weyl_orbit)
-from .levelpath import ModElement, u_lambda
+from .levelpath import ModElement, _ends, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
 
@@ -106,12 +106,13 @@ class Decomposition:
 def string_moves(b: ModElement):
     """The string-end moves at b as ((kind, color, n), image) pairs, in the
     order E_0, F_0, E_1, F_1: E_i = e_i^eps_i and F_i = f_i^phi_i, the image
-    None where the exponent is 0."""
+    None where the exponent is 0.  Both exponents and both strings of a
+    color come from one read of b's statistics."""
     for i in COLORS:
-        eps = b.eps(i)
-        yield ("e", i, eps), (b.power(i, -eps) if eps else None)
-        phi = eps + b.pairing(i)
-        yield ("f", i, phi), (b.power(i, phi) if phi else None)
+        stats = b._stats(i)
+        eps, phi = _ends(stats)
+        yield ("e", i, eps), (b._power(i, -eps, stats) if eps else None)
+        yield ("f", i, phi), (b._power(i, phi, stats) if phi else None)
 
 
 @_shares_table

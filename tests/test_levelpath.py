@@ -2,11 +2,15 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalpaths import (LevelPath, ModElement, Weight, ground_path,
                           left_path, level_path, lp_join, lp_split,
                           path_from_window, right_path, u_lambda)
 from crystalpaths.core import check_axioms
+from crystalpaths.extremal import weyl_op
+from crystalpaths.halfpath import LEFT, RIGHT
+from crystalpaths.peterweyl import string_moves
 from crystalpaths.weights import classical
 
 from conftest import random_walk
@@ -206,3 +210,47 @@ def test_lp_join_rejects_nonzero_level_marker():
         pass
     else:
         raise AssertionError("marker of nonzero level must be rejected")
+
+
+level_paths = st.builds(LevelPath, st.integers(min_value=-4, max_value=4),
+                        st.integers(min_value=-2, max_value=2),
+                        st.dictionaries(st.integers(min_value=-12, max_value=12),
+                                        st.integers(min_value=-4, max_value=4), max_size=10))
+
+
+def public_split(p):
+    """lp_split through the public constructors, which sort, drop zeros
+    and check every entry again."""
+    b1 = left_path([(k, v) for k, v in p.entries if k < 0])
+    b2 = right_path([(k, v - p.default(k)) for k, v in p.entries if k >= 0])
+    return ModElement(b1, classical(p.m, p.l), b2)
+
+
+def assert_built_as_the_constructor_builds(e, ref):
+    assert e == ref and hash(e) == hash(ref) and e.key() == ref.key()
+    assert (e.b1.side, e.b2.side) == (LEFT, RIGHT)
+    assert (e.b1._left, e.b2._left) == (ref.b1._left, ref.b2._left)
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_paths)
+def test_split_builds_what_the_public_constructors_build(p):
+    e = lp_split(p)
+    assert_built_as_the_constructor_builds(e, public_split(p))
+    assert lp_join(e) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 1]),
+       st.integers(min_value=-6, max_value=6))
+def test_strings_build_what_the_constructor_builds(seed, i, n):
+    # power, arrows, string_moves and weyl_op build their results without
+    # the constructor's checks; ref carries b's marker weight
+    b = sample_mod_elements(1, seed)[0]
+    images = [b.power(i, n), *b.arrows(i), weyl_op(b, i)]
+    images += [c for _, c in string_moves(b)]
+    for c in images:
+        if c is None:
+            continue
+        ref = ModElement(left_path(c.b1.entries), b.lam, right_path(c.b2.entries))
+        assert_built_as_the_constructor_builds(c, ref)

@@ -438,6 +438,32 @@ def test_pw_report_stars_each_element_about_once(monkeypatch):
     assert calls[0] <= 3 * rep.pair_count + rep.bmax_size + rep.dual_size
 
 
+def test_pw_report_reads_the_statistics_about_twice_per_string(monkeypatch):
+    # each ModElement string (one tensor-rule split in levelpath) reads the
+    # statistics of its two factors once, shared with its color's other
+    # string, exponents and checks where the call site holds them: at most
+    # 2.5 halfpath._statistics scans per string, counted under every name
+    # that binds them in the library, with a cold star cache
+    from crystalpaths import halfpath, levelpath, star
+    calls = {"scans": 0, "strings": 0}
+
+    def counted(name, original):
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    scan = halfpath._statistics
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crystalpaths" and getattr(module, "_statistics", None) is scan:
+            monkeypatch.setattr(module, "_statistics", counted("scans", scan))
+    monkeypatch.setattr(levelpath, "_string_split", counted("strings", levelpath._string_split))
+    star.star_binf.cache_clear()
+    assert pw_report(classical(3, 0)).ok
+    assert calls["strings"] > 1000
+    assert calls["scans"] <= 2.5 * calls["strings"]
+
+
 # -- a word that reaches a dual node at a second element -----------------------
 
 

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path, u_inf
+from crystalpaths.extremal import _locally_extremal, weyl_op
 from crystalpaths.halfpath import HalfPath
 from crystalpaths.levelpath import ModElement
+from crystalpaths.peterweyl import string_moves
 from crystalpaths.weights import Weight, classical
 
 from conftest import left_signature, single_step, single_steps, stepwise_power
@@ -261,14 +263,46 @@ def untensor(t):
     return None if t is None else ModElement(t.left.left, t.left.right.lam, t.right)
 
 
+def tensor_string_moves(t):
+    """string_moves' pairs read off the tensor route: E_i = e_i^eps_i and
+    F_i = f_i^phi_i with phi_i = eps_i + <h_i, wt>."""
+    out = []
+    for i in (0, 1):
+        eps = t.eps(i)
+        phi = eps + t.pairing(i)
+        out.append((("e", i, eps), key_of(untensor(t.power(i, -eps))) if eps else None))
+        out.append((("f", i, phi), key_of(untensor(t.power(i, phi))) if phi else None))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(mods, colors, powers)
 def test_mod_element_operators_match_the_tensor_route(b, i, n):
+    # the call sites that read ModElement's statistics once per color too:
+    # string_moves, weyl_op, _locally_extremal and arrows
     t = tensor_route(b)
     assert (b.eps(i), b.phi(i)) == (t.eps(i), t.phi(i))
     assert key_of(b.power(i, n)) == key_of(untensor(t.power(i, n)))
     assert key_of(b.e(i)) == key_of(untensor(t.e(i)))
     assert key_of(b.f(i)) == key_of(untensor(t.f(i)))
+    assert tuple(map(key_of, b.arrows(i))) == (key_of(untensor(t.e(i))),
+                                               key_of(untensor(t.f(i))))
+    assert [(move, key_of(c)) for move, c in string_moves(b)] == tensor_string_moves(t)
+    assert weyl_op(b, i).key() == key_of(untensor(t.power(i, t.pairing(i))))
+    assert _locally_extremal(b) == all(t.eps(j) == max(0, -t.pairing(j)) for j in (0, 1))
+
+
+def arrows_outcome(run):
+    try:
+        return tuple(map(key_of, run()))
+    except ValueError:
+        return ("ValueError",)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mods, left_paths, right_paths, raw_sequences, image_sequences), colors)
+def test_arrows_are_e_and_f(b, i):
+    assert arrows_outcome(lambda: b.arrows(i)) == arrows_outcome(lambda: (b.e(i), b.f(i)))
 
 
 def dense_statistics(b, i):
