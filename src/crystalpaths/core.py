@@ -10,10 +10,11 @@ followed by power; half-paths and sequences override it with one sweep of
 their signature that reads eps_i and climbs together.  The raising and
 lowering operators e(i)/f(i) are power(i, -1)/power(i, 1), defined once on
 the base class, and arrows(i) is the pair (e(i), f(i)), which ModElement
-computes from one read of its statistics.  On top of that protocol this module builds the tensor
-rule for strings (_string_split, which ModElement and the tensor-word
-oracle in elementary apply), the breadth-first search engine explore (the
-one place a search keys its nodes; it yields each node with its key),
+computes from one read of its statistics.  On top of that protocol this
+module builds the tensor rule for strings (_string_split, which ModElement
+and the tensor-word oracle in elementary apply), the breadth-first search
+engine explore (the one place a search keys its nodes; it yields each node
+with its key),
 lockstep (do other elements follow one element's words?), the string
 walker peel (which climbs by top), component enumeration, rooted graph
 isomorphism, an axiom checker (check_axioms, which reads each weight,

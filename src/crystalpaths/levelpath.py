@@ -206,13 +206,16 @@ class ModElement(WallScan, CrystalElement):
         return self._power(i, n, self._stats(i))
 
     def arrows(self, i: int) -> tuple[Optional["ModElement"], Optional["ModElement"]]:
+        """(e_i b, f_i b) from one _stats read."""
         stats = self._stats(i)
         return self._power(i, -1, stats), self._power(i, 1, stats)
 
     def _power(self, i: int, n: int, stats: tuple[int, int, int, int]) -> Optional["ModElement"]:
-        """power(i, n) on the four numbers _stats(i) gives.  e_i runs out
-        on b1 past eps(b1) and f_i on b2 past phi(b2); the factors change
-        sides by neither, so the result is built without the checks."""
+        """power(i, n) on the four numbers _stats(i) gives.  The string
+        runs out exactly where it would take e_i past eps(b1) on b1 or f_i
+        past phi(b2) on b2, as every other string on a half-path is
+        defined; so both factor strings are defined, keep their sides, and
+        the result is built without the constructor's checks."""
         if n == 0:
             return self
         eps1, ph1, eps2, phi2 = stats
