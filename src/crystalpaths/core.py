@@ -5,9 +5,11 @@ coroots, string statistics eps(i)/phi(i) valued in the integers extended by
 -infinity, and two string operations: power(i, n), the whole string f_i^n
 for n >= 0 and e_i^(-n) for n < 0, None where it is undefined (None models
 the formal zero element of the crystal axioms), and top(i), the pair
-(eps_i(b), e_i^eps_i b) of the top of b's i-string.  top defaults to eps
-followed by power; half-paths and sequences override it with one sweep of
-their signature that reads eps_i and climbs together.  The raising and
+(eps_i(b), e_i^eps_i b) of the top of b's i-string.  ends(i) is the pair
+(eps_i, phi_i), which half-paths, sequences and ModElement read in one
+pass.  top defaults to eps followed by power; half-paths and sequences
+override it with one sweep of their signature that reads eps_i and climbs
+together.  The raising and
 lowering operators e(i)/f(i) are power(i, -1)/power(i, 1), defined once on
 the base class, and arrows(i) is the pair (e(i), f(i)), which ModElement
 computes from one read of its statistics.  On top of that protocol this
@@ -19,7 +21,8 @@ lockstep (do other elements follow one element's words?), the string
 walker peel (which climbs by top), component enumeration, rooted graph
 isomorphism, an axiom checker (check_axioms, which reads each weight,
 (eps_i, phi_i) and image once per call, keyed by key(), so both ends of an
-arrow share them), and graph export.
+arrow share them: the statistics through ends(i), and both images of a
+color through one arrows(i)), and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -67,6 +70,11 @@ class CrystalElement:
 
     def phi(self, i: int):
         raise NotImplementedError
+
+    def ends(self, i: int) -> tuple:
+        """(eps_i, phi_i); element types that read both in one pass
+        override this."""
+        return self.eps(i), self.phi(i)
 
     def power(self, i: int, n: int) -> Optional["CrystalElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0; None when the string
@@ -137,13 +145,16 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
     eps/phi steps, and that e and f are mutually inverse where defined.
 
     Each fact is computed at most once per call and shared by both ends of
-    every arrow: an element's weight, its (eps_i, phi_i) for each color,
-    and each image power(i, +-1).  Elements are identified by key(), as in
-    explore's dedup: two elements with one key are taken to have the same
-    weight, statistics and images, and a key's facts are read off the first
-    element met with it.  Each key is numbered once and the tables hold
-    those numbers, images included, so they keep no references between
-    elements; they live for the call only.
+    every arrow: an element's weight, its (eps_i, phi_i) for each color
+    (one ends(i) call), and each image power(i, +-1).  Where neither image
+    of a color at a checked element is known yet, both come from one
+    arrows(i) call; otherwise only the missing one is computed.  Elements
+    are identified by key(), as in explore's dedup: two elements with one
+    key are taken to have the same weight, statistics and images, and a
+    key's facts are read off the first element met with it.  Each key is
+    numbered once and the tables hold those numbers, images included, so
+    they keep no references between elements; they live for the call
+    only.
     """
     found: list[CrystalElement] = []  # number -> the first element met with its key
     numbers: dict = {}  # key -> number
@@ -154,13 +165,15 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
             found.append(b)
         return j
 
-    def image(entry):
-        j, i, n = entry
-        c = found[j].power(i, n)
+    def numbered(c):
         return None if c is None else number(c)
 
+    def image(entry):
+        j, i, n = entry
+        return numbered(found[j].power(i, n))
+
     weight = _Memo(lambda j: found[j].wt())
-    stats = _Memo(lambda entry: (found[entry[0]].eps(entry[1]), found[entry[0]].phi(entry[1])))
+    stats = _Memo(lambda entry: found[entry[0]].ends(entry[1]))
     images = _Memo(image)  # (number, i, n) -> number of power(i, n), None where undefined
     problems: list[str] = []
     for b in elements:
@@ -175,6 +188,8 @@ def check_axioms(elements: Iterable[CrystalElement]) -> list[str]:
                 continue
             if ep != NEG_INF and ph != ep + w.pairing(i):
                 problems.append(f"{b!r}: phi_{i} != eps_{i} + <h_{i}, wt>")
+            if (k, i, -1) not in images and (k, i, 1) not in images:
+                images[k, i, -1], images[k, i, 1] = map(numbered, found[k].arrows(i))
             for n, op, back, sign, shift in _ARROWS[i]:
                 y = images[k, i, n]
                 if y is None:

@@ -33,11 +33,14 @@ inside a run but at its outer end: its right end for f, its left end for
 e.  The candidate sites are
 therefore one left of the support (A = 0), the entries and one end of
 each zero run, listed with their A in one pass over the nonzero entries.
-Every string becomes (site, count) runs read off one table from value to
-outermost candidate (_runs; a single step is one argmax), and the runs,
-monotone in position, are merged into the sorted entries in one pass.
-The cost per string is O(entries + distinct values of A), with no dense
-signature over the span, no per-step loop and no sort.
+A single step (_step, which power(i, +-1) calls) is one scan for the
+outermost maximum over those sites and one splice of the letter there,
+with no candidate list and no table.  A longer string, and top, becomes
+(site, count) runs read off one table from value to outermost candidate
+(_runs), and the runs, monotone in position, are merged into the sorted
+entries in one pass.  The cost per string is O(entries + distinct values
+of A), with no dense signature over the span, no per-step loop and no
+sort.
 
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
@@ -45,8 +48,9 @@ positional weights and makes wt(f_i b) = wt(b) - alpha_i exact.  Its term at
 k is nonzero only at an entry or one position right of one, so wt is one
 pass over the nonzero entries.  Since delta pairs to zero, <h_0, wt> =
 -<h_1, wt> = 2*(sum of entries) on either side: pairing(i) reads it off the
-entries, and eps/phi take max_k A_k and that sum from one scan of the
-nonzero entries (A_k is constant across a run of zeros).
+entries, and eps, phi and the pair ends(i) take max_k A_k and that sum
+from one scan of the nonzero entries (A_k is constant across a run of
+zeros).
 
 Every half-path stores its left view, built once: the entries themselves
 for a left path, their mirror (k, v) -> (-k - 1, -v) in reverse order for a
@@ -131,6 +135,44 @@ def _statistics(view: tuple[tuple[int, int], ...], i: int) -> tuple[int, int]:
     if nxt is not None and nxt < 0 and 2 * sgn * running > top:  # A on the zeros up to -1
         top = 2 * sgn * running
     return top, -2 * sgn * running
+
+
+def _step(view: tuple[tuple[int, int], ...], i: int,
+          up: bool) -> Optional[tuple[tuple[int, int], ...]]:
+    """The sorted, zero-free entries of a left path after e_i (up) or f_i,
+    None where e_i is undefined: one scan for the outermost maximum of A
+    over the same candidate sites as _power_view, the letter there changed
+    in one splice.  Scanning in increasing position, f_i takes a later site
+    on a tie (the rightmost maximum), e_i only a strictly higher one (the
+    leftmost)."""
+    sgn = 1 if i == 1 else -1
+    tie = 1 if up else 0
+    pos = (view[0][0] if view else 0) - 1  # one left of the support, A = 0
+    slot = ~0  # index in view of the entry at pos, or ~index of the next entry
+    bar = tie  # the A a later site needs: the maximum so far, plus tie
+    running = 0  # sum of entries at positions < k
+    nxt = pos + 1  # the position right of the previous entry
+    for idx, (k, v) in enumerate(view):
+        if k != nxt:  # the zeros nxt..k-1
+            a = 2 * sgn * running
+            if a >= bar:
+                bar, pos, slot = a + tie, nxt if up else k - 1, ~idx
+        a = sgn * (v + 2 * running)
+        if a >= bar:
+            bar, pos, slot = a + tie, k, idx
+        running += v
+        nxt = k + 1
+    if nxt < 0:  # the zeros nxt..-1
+        a = 2 * sgn * running
+        if a >= bar:
+            bar, pos, slot = a + tie, nxt if up else -1, ~len(view)
+    if up and bar == tie:  # max A = 0
+        return None
+    letter = -sgn if up else sgn
+    if slot < 0:
+        return view[:~slot] + ((pos, letter),) + view[~slot:]
+    v = view[slot][1] + letter
+    return view[:slot] + (((pos, v),) if v else ()) + view[slot + 1:]
 
 
 def _runs(vals: list[int], top: int, steps: int, rightward: bool) -> list[tuple[int, int]]:
@@ -337,6 +379,10 @@ class HalfPath(WallScan, CrystalElement):
         top, pairing = _statistics(self._left, i)
         return top + pairing if self.side == LEFT else top
 
+    def ends(self, i: int) -> tuple[int, int]:
+        top, pairing = _statistics(self._left, i)
+        return (top, top + pairing) if self.side == LEFT else (top + pairing, top)
+
     # CrystalElement's e and f, restated: bench/test_bench.py checks that
     # its tracer wraps and restores HalfPath.e in this class's own dict
     def e(self, i: int) -> Optional["HalfPath"]:
@@ -350,11 +396,14 @@ class HalfPath(WallScan, CrystalElement):
         None when the string runs out."""
         if n == 0:
             return self
-        if self.side == LEFT:
-            _, view = _power_view(self._left, i, n)
-            return None if view is None else _built(LEFT, view, view)
-        _, view = _power_view(self._left, i, -n)  # the view's e and f are exchanged
-        return None if view is None else _built(RIGHT, _mirror(view), view)
+        m = n if self.side == LEFT else -n  # the view's e and f are exchanged
+        if m == 1 or m == -1:
+            view = _step(self._left, i, m < 0)
+        else:
+            _, view = _power_view(self._left, i, m)
+        if view is None:
+            return None
+        return _built(LEFT, view, view) if self.side == LEFT else _built(RIGHT, _mirror(view), view)
 
     def top(self, i: int) -> tuple[int, "HalfPath"]:
         """(eps_i, e_i^eps_i b); on a left path from one pass that reads

@@ -29,9 +29,9 @@ eps_i(b2), by core's rule for strings (_string_split).  So four numbers of
 color i decide everything: eps_i(b1), phi_i(b1) + p(lam), eps_i(b2) and
 phi_i(b2).  ModElement._stats(i) reads them from one scan of each factor's
 left view, and _ends gives eps_i and phi_i from them (phi_i - eps_i is
-p(wt)).  eps, phi and power each read them once.  A call site that needs
-more than one of these for a color reads them once and passes them to
-_power: arrows (both plain arrows), peterweyl.string_moves (both string
+p(wt)).  eps, phi, ends (the pair) and power each read them once.  A
+call site that needs more than one of these for a color reads them once
+and passes them to _power: arrows (both plain arrows), peterweyl.string_moves (both string
 ends) and extremal.weyl_op and _locally_extremal.  Nothing is cached.  The
 results of _power and lp_split are built without the constructor's checks
 (_built_mod, and halfpath._built for the factors): b1 stays a left and b2 a
@@ -40,8 +40,11 @@ right path and lam keeps its level, by construction.
 Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
                + delta * ( l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)) )
 defines them, and a level path reads its weight off its three factors as
-wt(b1) + lam + wt(b2).  Its walls are b1's, the wall at 0 (b1's letter at
--1 plus b2's at 0 plus m), then b2's, as g_{k-1} + g_k = 0 right of 0.
+wt(b1) + lam + wt(b2).  ModElement.wt builds that sum as one Weight from
+each factor's sum of entries and delta coefficient, read off its left view
+in one pass (halfpath._weight_parts); a right path's weight is minus its
+view's.  Its walls are b1's, the wall at 0 (b1's letter at -1 plus b2's
+at 0 plus m), then b2's, as g_{k-1} + g_k = 0 right of 0.
 
 The closed forms of uniform-wall paths share one layout, _star_letters:
 with walls W_1 <= ... <= W_n expanded by multiplicity, the letter at q is
@@ -60,7 +63,7 @@ from typing import Optional
 
 from .core import CrystalElement, _string_split
 from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, _built, _mirror, _positions,
-                       _statistics, u_inf, u_minus_inf)
+                       _statistics, _weight_parts, u_inf, u_minus_inf)
 from .weights import Weight, classical
 
 
@@ -181,7 +184,12 @@ class ModElement(WallScan, CrystalElement):
             raise ValueError(f"marker weight must have level zero, got {self.lam!r}")
 
     def wt(self) -> Weight:
-        return self.b1.wt() + self.lam + self.b2.wt()
+        """wt(b1) + lam + wt(b2) as one Weight; a right path's weight is
+        minus its left view's."""
+        total1, d1 = _weight_parts(self.b1._left)
+        total2, d2 = _weight_parts(self.b2._left)
+        m, lam = 2 * (total1 - total2), self.lam
+        return Weight(lam.a0 + m, lam.a1 - m, lam.d + d1 - d2)
 
     def pairing(self, i: int) -> int:
         return self.b1.pairing(i) + self.lam.pairing(i) + self.b2.pairing(i)
@@ -199,6 +207,9 @@ class ModElement(WallScan, CrystalElement):
 
     def phi(self, i: int):
         return _ends(self._stats(i))[1]
+
+    def ends(self, i: int) -> tuple[int, int]:
+        return _ends(self._stats(i))
 
     def power(self, i: int, n: int) -> Optional["ModElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0, split between b1 and b2

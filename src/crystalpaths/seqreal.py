@@ -108,6 +108,10 @@ class SeqElement(CrystalElement):
     def phi(self, i: int):
         return self.eps(i) + self.pairing(i)
 
+    def ends(self, i: int) -> tuple[int, int]:
+        eps = max(_ahat(self, i))
+        return eps, eps + self.pairing(i)
+
     def power(self, i: int, n: int) -> Optional["SeqElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0 in one pass; None when
         the string runs out, and ValueError when e_i would make an entry

@@ -16,9 +16,12 @@ through the side flip: in, the flip is the path's stored left view (no
 copy); out, it is one reversal of the entries.
 
 On three-factor elements, (b1, lam, b2)* = (b1*, -lam - wt(b1) - wt(b2), b2*)
-with b2 starred through the side flip; the marker is -wt(e).  Star is an
-involution; it negates the relation between the marker weight and the
-element weight: wt(e*) = -lam(e) and lam(e*) = -wt(e).
+with b2 starred through the side flip; the marker is -wt(e).  The result
+is built without ModElement's checks (levelpath._built_mod): star_binf
+returns a left path, star_bminf a right one, and -wt(e) has level zero, as
+every factor weight and lam do.  Star is an involution; it negates the
+relation between the marker weight and the element weight:
+wt(e*) = -lam(e) and lam(e*) = -wt(e).
 
 Starred operators are the star conjugates X*(e) = (X(e*))*; they commute
 with the plain operators and preserve the element weight while shifting the
@@ -41,7 +44,7 @@ from typing import Optional
 
 from .core import peel
 from .halfpath import HalfPath, LEFT, RIGHT
-from .levelpath import LevelPath, ModElement, _star_letters
+from .levelpath import LevelPath, ModElement, _built_mod, _star_letters
 from .seqreal import SeqElement, seq_to_path
 
 
@@ -63,7 +66,7 @@ def star_bminf(b: HalfPath) -> HalfPath:
 
 def star_mod(e: ModElement) -> ModElement:
     """Star on the modified-algebra crystal."""
-    return ModElement(star_binf(e.b1), -e.wt(), star_bminf(e.b2))
+    return _built_mod(star_binf(e.b1), -e.wt(), star_bminf(e.b2))
 
 
 def starred_e(e: ModElement, i: int) -> Optional[ModElement]:

@@ -2,6 +2,7 @@ import gc
 import importlib
 import pkgutil
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -227,6 +228,24 @@ def test_check_axioms_computes_each_image_once():
     check_axioms(nodes)
     assert len(calls) == 4 * len(nodes) + 4  # e and f of both colors, and back from the ends
     assert [entry for entry, count in calls.items() if count > 1] == []
+
+
+def test_check_axioms_reads_the_statistics_once_per_fact(monkeypatch):
+    # each (eps_i, phi_i) is one ends(i) and both images of a color one
+    # arrows(i): at most 7 halfpath._statistics scans per element and
+    # color, counted under every name that binds them in the library
+    from crystalpaths import halfpath
+    calls = []
+    scan = halfpath._statistics
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crystalpaths" and getattr(module, "_statistics", None) is scan:
+            monkeypatch.setattr(module, "_statistics",
+                                lambda *args: calls.append(None) or scan(*args))
+    nodes = list(enum_bmax(classical(5, 0), 1, 3).values())
+    calls.clear()
+    assert check_axioms(nodes) == []
+    assert len(nodes) > 100
+    assert len(calls) <= 7 * 2 * len(nodes)
 
 
 def test_check_axioms_leaves_no_garbage():

@@ -13,7 +13,8 @@ reference does.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalpaths import SeqElement, from_word, left_path, path_to_seq, right_path, u_inf
+from crystalpaths import (LevelPath, SeqElement, from_word, left_path, lp_split, path_to_seq,
+                          right_path, u_inf)
 from crystalpaths.extremal import _locally_extremal, weyl_op
 from crystalpaths.halfpath import HalfPath
 from crystalpaths.levelpath import ModElement
@@ -70,6 +71,14 @@ sparse_paths = st.one_of(sparse_values.map(lambda d: left_path({-k - 1: v for k,
 @given(sparse_paths, colors, st.integers(min_value=-40, max_value=40))
 def test_sparse_half_path_strings_match_the_stepwise_rescan(b, i, n):
     assert key_of(b.power(i, n)) == key_of(stepwise_power(b, i, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(left_paths, right_paths, sparse_paths), colors, st.sampled_from([-1, 1]))
+def test_single_steps_match_the_single_step_definition(b, i, n):
+    # a string of one step takes a kernel of its own (halfpath._step)
+    assert key_of(b.power(i, n)) == key_of(single_step(b, i, n < 0))
+    assert key_of((b.e if n < 0 else b.f)(i)) == key_of(single_step(b, i, n < 0))
 
 
 def test_strings_at_the_ends_of_zero_runs():
@@ -324,9 +333,31 @@ def dense_statistics(b, i):
 @given(st.one_of(left_paths, right_paths), colors)
 def test_one_pass_statistics_match_the_dense_scan(b, i):
     assert (b.eps(i), b.phi(i)) == dense_statistics(b, i)
+    assert b.ends(i) == (b.eps(i), b.phi(i))
     assert b.pairing(i) == b.wt().pairing(i)
     if b.side == "left":
         assert b.eps(i) == max(left_signature(b, i).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mods, raw_sequences, image_sequences), colors)
+def test_ends_are_eps_and_phi(b, i):
+    assert b.ends(i) == (b.eps(i), b.phi(i))
+
+
+split_paths = st.builds(LevelPath, st.integers(min_value=-4, max_value=4),
+                        st.integers(min_value=-2, max_value=2),
+                        st.dictionaries(st.integers(min_value=-12, max_value=12),
+                                        st.integers(min_value=-4, max_value=4), max_size=10)
+                        ).map(lp_split)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mods, split_paths))
+def test_mod_element_weight_is_the_sum_of_its_factors(b):
+    # wt() reads both factors' entries into one Weight; the reference is
+    # the sum of the three weights
+    assert b.wt() == b.b1.wt() + b.lam + b.b2.wt()
 
 
 @settings(max_examples=200, deadline=None)

@@ -86,3 +86,17 @@ def test_the_library_defines_only_the_engine_element_types():
         grown = not found <= elements
         elements |= found
     assert elements - {"CrystalElement"} == {"HalfPath", "SeqElement", "ModElement"}
+
+
+def test_every_class_with_eps_or_phi_defines_ends():
+    # check_axioms reads (eps_i, phi_i) through ends: a class that defines
+    # eps or phi defines ends too, so no type inherits an ends that reads
+    # its statistics another way than its own eps and phi
+    missing = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if methods & {"eps", "phi"} and "ends" not in methods:
+                    missing.append(f"{path.name}:{node.name}")
+    assert missing == []

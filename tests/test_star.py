@@ -251,6 +251,18 @@ def starred(kind, i):
     return lambda b: None if b is None else (starred_e(b, i) if kind == "e" else starred_f(b, i))
 
 
+@settings(max_examples=200, deadline=None)
+@given(mods)
+def test_star_mod_builds_what_the_constructor_builds(e):
+    # star_mod builds its result without the constructor's checks; the
+    # reference marker is -lam - wt(b1) - wt(b2)
+    s = star_mod(e)
+    ref = ModElement(left_path(s.b1.entries), -(e.b1.wt() + e.lam + e.b2.wt()),
+                     right_path(s.b2.entries))
+    assert s == ref and hash(s) == hash(ref) and s.key() == ref.key()
+    assert star_mod(s) == e
+
+
 @settings(max_examples=40, deadline=None)
 @given(mods)
 def test_axioms_hold_on_mod_element_components(b):
