@@ -345,21 +345,27 @@ class ComponentGraph:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = {
-            "root": self.root,
-            "nodes": [
-                {
-                    "id": nid,
-                    "wt": {"L0": w.a0, "L1": w.a1, "delta": w.d},
-                    "depth": self.depth[nid],
-                }
-                for nid, w in sorted((nid, b.wt()) for nid, b in self.nodes.items())
-            ],
-            "edges": [
-                {"src": s, "dst": d, "color": i} for s, d, i in sorted(self.edges)
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        """The text json.dumps(payload, indent=2) gives for the graph's
+        root, nodes (id, weight, depth) and edges, each record written from
+        a fixed template: indent= would send json to its pure-Python
+        encoder."""
+        dumps = json.dumps
+        nodes = [
+            f'    {{\n      "id": {dumps(nid)},\n      "wt": {{\n'
+            f'        "L0": {w.a0},\n        "L1": {w.a1},\n        "delta": {w.d}\n'
+            f'      }},\n      "depth": {self.depth[nid]}\n    }}'
+            for nid, w in sorted((nid, b.wt()) for nid, b in self.nodes.items())]
+        edges = [
+            f'    {{\n      "src": {dumps(s)},\n      "dst": {dumps(d)},\n'
+            f'      "color": {i}\n    }}'
+            for s, d, i in sorted(self.edges)]
+        return (f'{{\n  "root": {dumps(self.root)},\n  "nodes": {_json_list(nodes)},\n'
+                f'  "edges": {_json_list(edges)}\n}}')
+
+
+def _json_list(records: list[str]) -> str:
+    """A list of indent-2 records two levels deep, as json.dumps writes it."""
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
 
 
 def node_id(key: Hashable) -> str:

@@ -23,13 +23,15 @@ on y is the plain word W acting on y*, followed by one star: W*(y) =
 is the plain BFS from u_lam*, each B^max element b* follows its words move
 for move (core.lockstep, which checks C1 too), and the pairs are keyed by
 star images (star is a bijection, so keys collide exactly when the
-elements do).  Each element is starred about once on the way in and once
-on the way back.
+elements do).  The report holds only star images: each factor element is
+starred once (a B^max element into star space, a dual element back for its
+wall check), and no element of the slice is starred at all.
 
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears; the B^max factor is x*, and the
 inverted search word is the starred word from x* back to the element --
-replayed as plain moves on x and starred once.  An extremal vector sits at
+replayed as plain moves on x, which gives the element's star image, and
+checked against the star image it searched from.  An extremal vector sits at
 an end of every i-string, and so does every element of its Weyl orbit, so
 the search moves by whole strings: E_i = e_i^eps_i to the top of the
 i-string and F_i = f_i^phi_i to its bottom, each one power() call and
@@ -92,15 +94,20 @@ class Decomposition:
         """The dominant representative of the factor's Weyl orbit."""
         return orbit_canonical(-self.extremal.wt())
 
-    def replay(self) -> ModElement:
-        """The element the word gives from bmax_factor: plain strings on
-        extremal, then one star."""
+    def star_image(self) -> ModElement:
+        """The star image of the element the word gives: its plain strings
+        run on extremal, W(x) = (W*(x*))*."""
         cur = self.extremal
         for kind, i, n in self.word:
             cur = cur.power(i, n if kind == "f" else -n)
             if cur is None:
                 raise RuntimeError("decomposition word failed to replay")
-        return star_mod(cur)
+        return cur
+
+    def replay(self) -> ModElement:
+        """The element the word gives from bmax_factor: star_image(), starred
+        once."""
+        return star_mod(self.star_image())
 
 
 def string_moves(b: ModElement):
@@ -116,7 +123,7 @@ def string_moves(b: ModElement):
 
 
 @_shares_table
-def decompose(e: ModElement, max_depth: int = 8, *,
+def decompose(e: Optional[ModElement], max_depth: int = 8, *,
               e_star: Optional[ModElement] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
 
@@ -127,12 +134,13 @@ def decompose(e: ModElement, max_depth: int = 8, *,
     takes b to e.  The result keeps only W and x; b and its orbit are
     computed when asked for.  max_depth bounds the number of strings, not
     of single steps.  Raises RuntimeError if that word does not replay from
-    b to e.
+    b to e, checked in star space: W(x) against e* (star_image()).
 
     Extremality is checked at EXTREMAL_LEN; mixed wall signs rule it out,
     so those nodes skip the bounded check.  The S_i steps and verdicts sit
     in the table in scope, shared with the other calls of that scope.
-    e_star is star_mod(e), for callers that hold it.
+    e_star is star_mod(e), for callers that hold it; e may then be None,
+    as it is not read.
     """
     verdicts = _TABLE.get().verdicts
     root = star_mod(e) if e_star is None else e_star
@@ -153,7 +161,7 @@ def decompose(e: ModElement, max_depth: int = 8, *,
             k, (kind, i, n) = links[k]
             inverse.append(("f" if kind == "e" else "e", i, n))
         result = Decomposition(inverse, x)
-        if result.replay().key() != e.key():
+        if result.star_image().key() != root.key():
             raise RuntimeError("decomposition word does not replay to the element")
         return result
     return None
@@ -205,6 +213,8 @@ class SliceReport:
     decompose_inconclusive: int = 0
     decompose_mismatched: int = 0
     violations: list[str] = field(default_factory=list)
+    # keys of the slice elements' star images: star is a bijection, so two
+    # reports share a key exactly when they share an element
     element_keys: frozenset = frozenset()
 
     @property
@@ -270,16 +280,16 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     Enumerates the B^max truncation by plain BFS from the seeds, and the
     dual family by starred BFS from u_lam, both to depth; every B^max
     element b follows the dual family's words in lockstep, in star space
-    (_star_pairs); each element is starred back once, and decompose() gets
-    the star image the report holds.  Checks, on the truncation: the
-    starred word is defined on b exactly when it is defined on u_lam; the
-    resulting element depends only on (b, image from u_lam); the pair map
-    is injective, so the slice count is the product of the factor counts;
-    every dual-family element matches its wall characterization; and
-    decompose() recovers a factorization replaying to the element, for
-    every enumerated element, whose orbit has lam's representative
-    (orbit_canonical, in closed form, so the cost does not grow with lam's
-    delta label).  The dual-family checks and the decompose() calls share
+    (_star_pairs).  The report holds only the elements' star images, keys
+    element_keys by them and hands them to decompose() as e_star, so no
+    element is starred.  Checks, on the truncation: the starred word is
+    defined on b exactly when it is defined on u_lam; the resulting element
+    depends only on (b, image from u_lam); the pair map is injective, so
+    the slice count is the product of the factor counts; every dual-family
+    element matches its wall characterization; and decompose() recovers a
+    factorization replaying to the element, for every enumerated element,
+    whose orbit has lam's representative (orbit_canonical, in closed form,
+    so the cost does not grow with lam's delta label).  The dual-family checks and the decompose() calls share
     the WeylTable in scope, opened for the call when there is none.
     """
     rep = SliceReport(lam=lam)
@@ -287,16 +297,12 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     bmax = enum_bmax(lam, c_bound, depth)
     rep.bmax_size = len(bmax)
 
-    root, dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
+    _, dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
 
-    elements: dict = {}  # element key -> (element, its star image)
-    root_key = root.key()
-    for bkey, rkey, y in pairs.values():
-        e = bmax[bkey] if rkey == root_key else star_mod(y)
-        elements[e.key()] = (e, y)
+    elements = {ykey: y for ykey, (_, _, y) in pairs.items()}  # star images
     rep.pair_count = len(pairs)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     rep.element_keys = frozenset(elements)
@@ -308,10 +314,9 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     if decompose_cap is not None:
         todo = todo[:decompose_cap]
     for k in todo:
-        e, y = elements[k]
         rep.decompose_total += 1
         try:
-            result = decompose(e, DECOMPOSE_DEPTH, e_star=y)
+            result = decompose(None, DECOMPOSE_DEPTH, e_star=elements[k])
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import json
 import pkgutil
 import random
 import sys
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import crystalpaths
 from crystalpaths import Weight, bfs_component, check_axioms, graphs_isomorphic
 from crystalpaths import from_word, u_inf
-from crystalpaths.core import CrystalElement, explore, lockstep, plain_moves
+from crystalpaths.core import (ComponentGraph, CrystalElement, explore, lockstep,
+                               plain_moves)
 from crystalpaths.extremal import enum_bmax
 from crystalpaths.levelpath import u_lambda
 from crystalpaths.seqreal import seq_generator
@@ -286,6 +288,27 @@ def test_bfs_component_truncation_and_edges():
         assert src in g.nodes and dst in g.nodes and i in (0, 1)
     # deterministic output
     assert g.to_json() == bfs_component(LimitEntry(0), 3).to_json()
+
+
+def _reference_json(g):
+    """ComponentGraph.to_json as first written: one payload through
+    json.dumps with indent=2."""
+    return json.dumps({
+        "root": g.root,
+        "nodes": [{"id": nid, "wt": {"L0": w.a0, "L1": w.a1, "delta": w.d},
+                   "depth": g.depth[nid]}
+                  for nid, w in sorted((nid, b.wt()) for nid, b in g.nodes.items())],
+        "edges": [{"src": s, "dst": d, "color": i} for s, d, i in sorted(g.edges)],
+    }, indent=2)
+
+
+def test_to_json_matches_the_indented_dumps():
+    graphs = [bfs_component(u_inf(), 6), bfs_component(u_lambda(classical(3, 1)), 4),
+              bfs_component(u_lambda(classical(-2, 0)), 3), bfs_component(LimitEntry(0), 3),
+              bfs_component(u_inf(), 0), ComponentGraph(root="empty")]
+    assert graphs[-2].edges == [] and len(graphs[-2].nodes) == 1
+    for g in graphs:
+        assert g.to_json() == _reference_json(g)
 
 
 def events(roots, depth, moves=plain_moves):

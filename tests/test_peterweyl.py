@@ -211,7 +211,7 @@ class ReplayFailed(Exception):
 
 def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
     # each sharing function, on its own; the three that replay a
-    # decomposition raise out of their scope once replay does
+    # decomposition raise out of their scope once the replay does
     lam = classical(1, 0)
     replaying = [partial(pw_verify, lam, 3, 4), partial(pw_report, lam, 1, 2),
                  partial(decompose, starred_f(u_lambda(lam), 1))]
@@ -223,7 +223,7 @@ def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
     def failing(self):
         raise ReplayFailed
 
-    monkeypatch.setattr(Decomposition, "replay", failing)
+    monkeypatch.setattr(Decomposition, "star_image", failing)
     for call in replaying:
         with pytest.raises(ReplayFailed):
             call()
@@ -231,7 +231,7 @@ def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
 
 
 def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
-    monkeypatch.setattr(Decomposition, "replay",
+    monkeypatch.setattr(Decomposition, "star_image",
                         lambda self: u_lambda(classical(5, 0)))
     rep = pw_report(classical(1, 0), c_bound=1, depth=1, decompose_cap=1)
     assert rep.decompose_total == 1
@@ -262,10 +262,10 @@ def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
     calls = []
     original = peterweyl.decompose
 
-    def recording(e, *args, **kwargs):
+    def recording(e, *args, e_star=None, **kwargs):
         table = current_table()
-        result = original(e, *args, **kwargs)
-        calls.append((e, args, table, result))
+        result = original(e, *args, e_star=e_star, **kwargs)
+        calls.append((star_mod(e_star) if e is None else e, args, table, result))
         return result
 
     monkeypatch.setattr(peterweyl, "decompose", recording)
@@ -309,7 +309,8 @@ def _reference_replay(d):
 def _reference_report(lam, decompose_call):
     """pw_report with the starred BFS from u_lam and the starred replay on
     each b; returns the report and its pair map (element key -> (b key,
-    dual key))."""
+    dual key)).  Like pw_report, the report keys its elements by their star
+    images, and decomposes them in the order of those keys."""
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
     bmax = enum_bmax(lam, 1, 3)
@@ -354,11 +355,12 @@ def _reference_report(lam, decompose_call):
             elements[enew.key()] = enew
     rep.pair_count = len(pair_of)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
-    rep.element_keys = frozenset(pair_of)
-    for k in sorted(elements):
+    starred = {star_mod(e).key(): e for e in elements.values()}
+    rep.element_keys = frozenset(starred)
+    for k in sorted(starred):
         rep.decompose_total += 1
         try:
-            result = decompose_call(elements[k], 10)
+            result = decompose_call(starred[k], 10)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue
@@ -374,8 +376,9 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
     original = peterweyl.decompose
     found = []
 
-    def recording(e, *args, **kwargs):
-        result = original(e, *args, **kwargs)
+    def recording(e, *args, e_star=None, **kwargs):
+        result = original(e, *args, e_star=e_star, **kwargs)
+        e = star_mod(e_star) if e is None else e
         found.append((e.key(), None if result is None else (
             result.lam_canonical, result.bmax_factor.key(), result.word)))
         return result
@@ -396,7 +399,8 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
         assert current_table() is None
         with monkeypatch.context() as patch:
             # decompose with its replay check on the literal starred word
-            patch.setattr(Decomposition, "replay", _reference_replay)
+            patch.setattr(Decomposition, "star_image",
+                          lambda d: star_mod(_reference_replay(d)))
             ref, ref_pairs = _reference_report(lam, recording)
         assert rep == ref
         assert violations == ref.violations and root == star_mod(u_lambda(lam))
@@ -419,9 +423,10 @@ def test_pw_report_does_not_grow_with_the_delta_label(monkeypatch):
             assert getattr(far, f.name) == getattr(near, f.name), f.name
 
 
-def test_pw_report_stars_each_element_about_once(monkeypatch):
-    # star_mod calls of one report stay within a fixed number per element,
-    # counted under every name that binds it in the library
+def test_pw_report_stars_only_the_factors(monkeypatch):
+    # one report stars each B^max element and each dual element once, and
+    # u_lam once, and no element of the slice: star_mod calls counted under
+    # every name that binds it in the library
     from crystalpaths import star
     original = star.star_mod
     calls = [0]
@@ -435,7 +440,7 @@ def test_pw_report_stars_each_element_about_once(monkeypatch):
             monkeypatch.setattr(module, "star_mod", counting)
     rep = pw_report(classical(4, 0))
     assert rep.ok
-    assert calls[0] <= 3 * rep.pair_count + rep.bmax_size + rep.dual_size
+    assert calls[0] == rep.bmax_size + rep.dual_size + 1
 
 
 def test_pw_report_reads_the_statistics_about_twice_per_string(monkeypatch):
@@ -664,9 +669,9 @@ def test_string_search_matches_the_step_search(monkeypatch):
     original = peterweyl.decompose
     found = []
 
-    def recording(e, *args, **kwargs):
-        result = original(e, *args, **kwargs)
-        found.append((e, result))
+    def recording(e, *args, e_star=None, **kwargs):
+        result = original(e, *args, e_star=e_star, **kwargs)
+        found.append((star_mod(e_star) if e is None else e, result))
         return result
 
     monkeypatch.setattr(peterweyl, "decompose", recording)
@@ -686,6 +691,33 @@ def test_string_search_matches_the_step_search(monkeypatch):
             size = len(strings.word)
             longest[size] = longest.get(size, 0) + 1
     assert max(longest) == 2 and sum(longest.values()) > 4000
+
+
+def test_replay_is_the_starred_star_image(monkeypatch):
+    # for every star image y that pw_report decomposes, the word's plain
+    # strings on the extremal vector give y, and replay(), the plain-space
+    # check, gives the element y*
+    from crystalpaths import peterweyl
+    original = peterweyl.decompose
+    found = []
+
+    def recording(e, *args, e_star=None, **kwargs):
+        result = original(e, *args, e_star=e_star, **kwargs)
+        found.append((e_star, result))
+        return result
+
+    monkeypatch.setattr(peterweyl, "decompose", recording)
+    words = 0
+    for m, l in BENCH_LAMBDAS:
+        found.clear()
+        rep = pw_report(classical(m, l))
+        assert len(found) == rep.decompose_total == rep.pair_count
+        for y, d in found:
+            assert y is not None and d is not None
+            assert d.star_image() == y
+            assert d.replay() == star_mod(y)
+            words += bool(d.word)
+    assert words > 1000
 
 
 def test_max_depth_counts_strings():
