@@ -12,8 +12,8 @@ from .halfpath import (HalfPath, from_word, left_path, right_path,
                        string_factorization, u_inf, u_minus_inf)
 from .seqreal import (SeqElement, image_check, path_to_seq, seq_to_path,
                       block_transform)
-from .levelpath import (LevelPath, ModElement, ground_path, level_path,
-                        lp_join, lp_split, path_from_window, u_lambda)
+from .levelpath import (LevelPath, ModElement, ground_path, is_extremal_by_walls,
+                        level_path, lp_join, lp_split, path_from_window, u_lambda)
 from .star import (star_binf, star_bminf, star_extremal_closed,
                    star_half_closed, star_mod, starred_e, starred_f)
 from .extremal import (bmax_contains, bmax_seed, enum_bmax, enum_bminus_star,

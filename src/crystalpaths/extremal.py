@@ -7,7 +7,10 @@ apply it to the power is guaranteed by the axioms.
 An element is extremal when every image under an alternating S-word is
 i-extremal for both colors: raising must be absent when <h_i, wt> >= 0 and
 lowering absent when <h_i, wt> <= 0.  is_extremal checks this for all
-alternating words up to a cutoff length.
+alternating words up to a cutoff length.  It is the definition that
+levelpath.is_extremal_by_walls, walls of one sign, is tested against: the
+slice report reads extremality off the walls, and C1, C3, extremal_cert,
+weyl_orbit and the CLI keep this walk.
 
 The check reads i-extremality off the string statistics instead of building
 e_i and f_i images.  On a ModElement b1 (x) t_lam (x) b2, eps_i >= eps_i(b1)
@@ -23,10 +26,10 @@ S-steps from a WeylTable: each single step S_i from a locally extremal
 element is computed once, and since S_i reflects the i-string it is an
 involution, so each computed step gives its inverse too.  A table holds
 single steps only, so one serves every word bound.  The table in use sits
-in a context variable: a function that runs several checks (pw_verify,
-verify_component, pw_report, decompose, enum_bminus_star) joins the table
-already in scope, or opens one for its call and drops it when it returns,
-so each pw-verify command starts cold, as a fresh process would.  A check
+in a context variable: a function that runs several checks
+(verify_component, enum_bminus_star) joins the table already in scope, or
+opens one for its call and drops it when it returns, so each pw-verify
+command starts cold, as a fresh process would.  A check
 called outside any scope makes its own table, which keeps nothing past the
 call.
 
@@ -92,10 +95,9 @@ _UNSEEN = -1  # an S-step not computed yet
 
 
 class WeylTable:
-    """The S-steps of the alternating walks, each computed once, and the
-    extremality verdicts of decompose(), for the checks of one scope
-    (_shares_table).  verdicts maps an element key to decompose()'s verdict
-    at EXTREMAL_LEN.
+    """The S-steps of the alternating walks, each computed once, for the
+    checks of one scope (_shares_table).  It holds no extremality verdicts:
+    decompose() reads its verdict off the walls and joins no table.
 
     Numbers the locally extremal elements it meets as nodes.  The step S_i
     from node n is the node of the image, None where the walks end (S ran
@@ -107,14 +109,13 @@ class WeylTable:
     table holds no reference cycle and is freed as soon as it is dropped.
     """
 
-    __slots__ = ("_index", "_keys", "_elements", "_steps", "verdicts")
+    __slots__ = ("_index", "_keys", "_elements", "_steps")
 
     def __init__(self):
         self._index: dict = {}  # element key -> node
         self._keys: list = []  # node -> element key
         self._elements: list = []  # node -> element, or None
         self._steps: list = []  # 2 * node + i -> the step S_i from node
-        self.verdicts: dict = {}  # element key -> decompose()'s verdict
 
     def _node(self, e: ModElement) -> Optional[int]:
         """The node of e, None when e is not locally extremal."""

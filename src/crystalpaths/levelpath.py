@@ -52,6 +52,10 @@ sign * (-1)^q * j, j the number of walls at or left of q.  It is 0 left of
 W_1, +-j alternating on the j-th domain [W_j, W_{j+1}), and from W_n on
 the ground pattern of sign * n.  Both closed-form stars and the B^max
 seeds take their letters from it.
+
+is_extremal_by_walls reads extremality off the walls, all of one sign; its
+docstring argues from the signature rule that such an element passes the
+bounded S-walk (extremal.is_extremal) at every length.
 """
 
 from __future__ import annotations
@@ -247,6 +251,54 @@ class ModElement(WallScan, CrystalElement):
 
     def __repr__(self) -> str:
         return f"ModElement({self.b1!r}, {self.lam!r}, {self.b2!r})"
+
+
+def is_extremal_by_walls(x: WallScan) -> bool:
+    """Whether x is extremal, read off its walls: every wall carries one
+    sign (wall_sign() is not None).  extremal.is_extremal, the bounded walk
+    of alternating S-words, is the definition it is tested against.
+
+    The argument, on the level path (i_k) of x, with S_k the sum of the
+    letters left of k and the walls w_k = i_{k-1} + i_k = S_{k+1} - S_{k-1}:
+
+    The signature.  A_k(i) = sgn(i) * (i_k + 2 * S_k) = sgn(i) * (S_k +
+    S_{k+1}) steps by sgn(i) * w_k from k - 1 to k, so A_k(i) = sgn(i) * R_k
+    with R_k the sum of the walls at or left of k.  R is 0 far left and W,
+    the sum of all walls, far right; <h_1, wt> = -W and <h_0, wt> = W, so
+    A runs from 0 to -<h_i, wt>.  The tensor rule of b1 (x) t_lam (x) b2
+    is the signature rule on the whole word: eps(b1) is the maximum of A
+    over k < 0 and eps(b2) - <h_i, wt(b1) + lam> its maximum over k >= 0,
+    so eps_i = max_k A_k(i); e_i acts on b1 exactly when the leftmost
+    maximum lies there and f_i when the rightmost does, as on a half-path.
+
+    L1: walls of one sign make x locally extremal.  R then runs
+    monotonically from 0 to W, so the maximum of A_k(i) is the larger of
+    its ends: eps_i = max(0, -<h_i, wt>) for both colors, which is
+    extremal._locally_extremal.
+
+    L2: S_i (extremal.weyl_op) keeps the walls of one sign.  Take them
+    positive (negative walls are the same with the colors exchanged) with
+    W > 0 (W = 0 leaves no wall, and S_i is the identity).  S_1 = e_1^W
+    raises the whole 1-string.  By the string rule (halfpath._runs) its
+    step t + 1 acts at the leftmost k whose A_k(1) = R_k was W - t, or at
+    step t's site again if no R_k was; R being monotone, that is the
+    position of the (W - t)-th wall counted with multiplicity.  So the
+    letter at each wall position k drops by w_k, and the wall at k becomes
+    w_k - w_k - w_{k-1} = -w_{k-1}.  S_0 = f_0^W lowers the whole 0-string;
+    its step t + 1 acts at the rightmost k whose A_k(0) = -R_k was -t, one
+    left of the (t + 1)-th wall, so the letter at k drops by w_{k+1} and
+    the wall at k becomes -w_{k+1}.  Either way every wall moves one place
+    (right on a raise, left on a lowering) and changes sign: the image has
+    walls of one sign.
+
+    By induction on the word, each S_i along an alternating word takes the
+    whole string L1 gives it, so it is defined, and its image has walls of
+    one sign, so by L1 it is locally extremal: is_extremal(x, n) holds for
+    every n.  The converse, that a mixed-sign element fails the walk at
+    some length, does not follow from L1 and L2; it holds on every element
+    the tests try, though some need words longer than 8.
+    """
+    return x.wall_sign() is not None
 
 
 def u_lambda(lam: Weight) -> ModElement:

@@ -28,10 +28,12 @@ starred once (a B^max element into star space, a dual element back for its
 wall check), and no element of the slice is starred at all.
 
 decompose() inverts the pairing on a single element: raise/lower the star
-image until an extremal vector x appears; the B^max factor is x*, and the
-inverted search word is the starred word from x* back to the element --
-replayed as plain moves on x, which gives the element's star image, and
-checked against the star image it searched from.  An extremal vector sits at
+image until an extremal vector x appears, read off its walls
+(levelpath.is_extremal_by_walls: they all carry one sign, which implies
+the bounded S-walk's verdict at every length); the B^max factor is x*,
+and the inverted search word is the starred word from x* back to the
+element -- replayed as plain moves on x, which gives the element's star
+image, and checked against the star image it searched from.  An extremal vector sits at
 an end of every i-string, and so does every element of its Weyl orbit, so
 the search moves by whole strings: E_i = e_i^eps_i to the top of the
 i-string and F_i = f_i^phi_i to its bottom, each one power() call and
@@ -42,16 +44,16 @@ verify_component() checks C1-C3 on one lockstep walk of u_lam's
 component.  pw_verify() is pw-verify's whole verdict: it runs
 verify_component() and the slice report and returns one SliceReport
 holding C1-C3 and the slice's counts, whose failed and ok decide the exit
-code.  The checks that walk Weyl orbits (C3, the dual family and
-decompose) read their S-steps from the extremal.WeylTable in scope:
-pw_verify(), verify_component(), pw_report() and decompose() each join
-the table of their caller or open one for the call, so one pw-verify
-command computes each S_i step once, and a check called on its own starts
-cold.  EXTREMAL_LEN bounds the extremality checks of C3, decompose() and
-the slice report, and the report's decompose() searches by DECOMPOSE_DEPTH
-strings.  C1's starts sit within C1_SPAN, and half of word_bound, the
-length of C3's orbit words (pw-verify's --word-bound), bounds their
-extremality.
+code.  C1 and C3 keep the bounded S-walk, the definition the theorem is
+checked against, and read their S-steps from the extremal.WeylTable in
+scope: verify_component() joins the table of its caller or opens one for
+the call, so one pw-verify command computes each S_i step once, and a
+check called on its own starts cold.  The slice report walks no Weyl
+orbit: decompose() and the dual family's check read extremality off the
+walls.  EXTREMAL_LEN bounds C3's extremality checks, and the report's
+decompose() searches by DECOMPOSE_DEPTH strings.  C1's starts sit within
+C1_SPAN, and half of word_bound, the length of C3's orbit words
+(pw-verify's --word-bound), bounds their extremality.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import COLORS, explore, lockstep, plain_moves
-from .extremal import (_TABLE, _shares_table, bminus_star_count, enum_bmax,
+from .extremal import (_shares_table, bminus_star_count, enum_bmax,
                        enum_bminus_star, is_extremal, weyl_orbit)
-from .levelpath import ModElement, _ends, u_lambda
+from .levelpath import ModElement, _ends, is_extremal_by_walls, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
 
@@ -122,7 +124,6 @@ def string_moves(b: ModElement):
         yield ("f", i, phi), (b._power(i, phi, stats) if phi else None)
 
 
-@_shares_table
 def decompose(e: Optional[ModElement], max_depth: int = 8, *,
               e_star: Optional[ModElement] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
@@ -136,13 +137,11 @@ def decompose(e: Optional[ModElement], max_depth: int = 8, *,
     of single steps.  Raises RuntimeError if that word does not replay from
     b to e, checked in star space: W(x) against e* (star_image()).
 
-    Extremality is checked at EXTREMAL_LEN; mixed wall signs rule it out,
-    so those nodes skip the bounded check.  The S_i steps and verdicts sit
-    in the table in scope, shared with the other calls of that scope.
-    e_star is star_mod(e), for callers that hold it; e may then be None,
-    as it is not read.
+    A node is extremal when its walls all carry one sign
+    (is_extremal_by_walls), so the search computes no S_i step.  e_star is
+    star_mod(e), for callers that hold it; e may then be None, as it is not
+    read.
     """
-    verdicts = _TABLE.get().verdicts
     root = star_mod(e) if e_star is None else e_star
     links: dict = {}  # element key -> (parent key, move) in the search tree
     for pkey, move, x, k, new in explore([root], string_moves, max_depth):
@@ -150,11 +149,7 @@ def decompose(e: Optional[ModElement], max_depth: int = 8, *,
             continue
         if pkey is not None:
             links[k] = (pkey, move)
-        extremal = verdicts.get(k)
-        if extremal is None:
-            extremal = verdicts[k] = (x.wall_sign() is not None
-                                      and is_extremal(x, EXTREMAL_LEN))
-        if not extremal:
+        if not is_extremal_by_walls(x):
             continue
         inverse = []
         while k in links:
@@ -232,16 +227,16 @@ class SliceReport:
 
 
 def _dual_family_ok(r: ModElement, lam: Weight) -> bool:
+    """The dual family's characterization: weight lam, extremal (read off
+    the walls), |m| walls and inter-wall gaps of at most 1."""
     if r.wt() != lam:
         return False
-    if r.wall_sign() is None:
+    if not is_extremal_by_walls(r):
         return False
     walls = r.wall_positions()
     if len(walls) != abs(lam.a0):
         return False
-    if any(walls[j + 1] - walls[j] > 1 for j in range(len(walls) - 1)):
-        return False
-    return is_extremal(r, EXTREMAL_LEN)
+    return all(walls[j + 1] - walls[j] <= 1 for j in range(len(walls) - 1))
 
 
 def _star_pairs(lam: Weight, bmax: dict, depth: int):
@@ -249,12 +244,12 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
 
     The dual family is the starred BFS from u_lam, run as the plain BFS from
     u_lam*; for every B^max element b, b* follows its words in lockstep
-    with u_lam*.  Returns (root, dual, pairs, violations): root is u_lam*;
-    dual maps the key of r* to r* for each dual element r; pairs maps the
-    key of e* to (b key, r* key, e*) for each element e = W*(b) whose
-    partner is r = W*(u_lam); violations lists the words whose defined-ness
-    differs between b and u_lam, the words that reach one dual element at
-    two elements, and the elements reached from two different pairs.
+    with u_lam*.  Returns (dual, pairs, violations): dual maps the key of
+    r* to r* for each dual element r; pairs maps the key of e* to (b key,
+    r* key, e*) for each element e = W*(b) whose partner is r = W*(u_lam);
+    violations lists the words whose defined-ness differs between b and
+    u_lam, the words that reach one dual element at two elements, and the
+    elements reached from two different pairs.
     """
     root = star_mod(u_lambda(lam))
     order = sorted(bmax.items())
@@ -269,10 +264,9 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
         for rkey, ykey in keys.items():
             if pairs.setdefault(ykey, (bkey, rkey, elements[ykey]))[0] != bkey:
                 violations.append("pair map collision")
-    return root, dual, pairs, violations
+    return dual, pairs, violations
 
 
-@_shares_table
 def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
               decompose_cap: Optional[int] = None) -> SliceReport:
     """Verify the truncated lam-slice of the decomposition.
@@ -289,15 +283,17 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     element matches its wall characterization; and decompose() recovers a
     factorization replaying to the element, for every enumerated element,
     whose orbit has lam's representative (orbit_canonical, in closed form,
-    so the cost does not grow with lam's delta label).  The dual-family checks and the decompose() calls share
-    the WeylTable in scope, opened for the call when there is none.
+    so the cost does not grow with lam's delta label).  The wall
+    characterization and the decompose() searches read extremality off the
+    walls (is_extremal_by_walls), so the report computes no S_i step and
+    opens no WeylTable.
     """
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
     bmax = enum_bmax(lam, c_bound, depth)
     rep.bmax_size = len(bmax)
 
-    _, dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
+    dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
@@ -308,8 +304,7 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     rep.element_keys = frozenset(elements)
     del bmax, dual, pairs  # the decompose loop reads only elements
 
-    # decompose every enumerated element (optionally capped); the searches
-    # overlap, so they share the table of S-steps
+    # decompose every enumerated element (optionally capped)
     todo = sorted(elements)
     if decompose_cap is not None:
         todo = todo[:decompose_cap]
@@ -327,11 +322,10 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     return rep
 
 
-@_shares_table
 def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
     """pw-verify's checks of lam in one record: C1-C3 on u_lam's component
-    to depth (verify_component, with word_bound) and the slice report at
-    c_bound 1 and depth at most 3 (pw_report), on one WeylTable.  The
+    to depth (verify_component, with word_bound, on one WeylTable) and the
+    slice report at c_bound 1 and depth at most 3 (pw_report).  The
     record fails when any check fails, and is ok when none does and every
     decompose() search succeeded."""
     c1, c2, c3 = verify_component(lam, depth, word_bound)

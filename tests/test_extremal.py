@@ -1,18 +1,19 @@
 import random
 import sys
-from itertools import product
+from functools import cache
+from itertools import accumulate, product
 
 from hypothesis import given, settings, strategies as st
 
-from crystalpaths import (bmax_contains, bmax_seed, enum_bmax,
+from crystalpaths import (bmax_contains, bmax_seed, decompose, enum_bmax,
                           enum_bminus_star, extremal_cert, ground_path,
                           is_extremal, is_extremal_path, lp_join, lp_split,
                           path_from_window, star_mod, u_lambda, weyl_op)
-from crystalpaths.core import explore, plain_moves
+from crystalpaths.core import COLORS, explore, plain_moves
 from crystalpaths.extremal import (_UNSEEN, _locally_extremal, bminus_star_count,
                                    uniform_wall_path)
 from crystalpaths.halfpath import from_word, right_path
-from crystalpaths.levelpath import ModElement
+from crystalpaths.levelpath import ModElement, is_extremal_by_walls
 from crystalpaths.weights import classical
 
 from conftest import (BENCH_LAMBDAS, counted_tables, current_table, same_entries,
@@ -71,11 +72,11 @@ def test_extremal_cert_witness_replays():
 
 
 def test_mixed_walls_rule_extremality_out():
-    # an extremal element's walls all carry one sign, so the bounded check
-    # rejects every mixed-wall element at every word bound and decompose's
-    # wall-sign screen changes no verdict: here, those of the benchmark
-    # weights' components (depth 5) and the star images of their slices
-    # (B^max's included), where decompose starts its searches
+    # the converse of is_extremal_by_walls where it is read: the bounded
+    # check rejects every mixed-wall element at every word bound up to 8,
+    # here those of the benchmark weights' components (depth 5) and the
+    # star images of their slices (B^max's included), where decompose
+    # starts its searches
     from crystalpaths.peterweyl import _star_pairs
     p = path_from_window(0, 0, -2, [1, 1, -1, -1])
     assert p.wall_sign() is None and not is_extremal_path(p)
@@ -83,7 +84,7 @@ def test_mixed_walls_rule_extremality_out():
     for m, l in BENCH_LAMBDAS:
         lam = classical(m, l)
         component = [c for _, _, c, _, new in explore([u_lambda(lam)], plain_moves, 5) if new]
-        _, _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+        _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
         with weyl_scope():
             for e in component + [y for _, _, y in pairs.values()]:
                 if e.wall_sign() is None:
@@ -301,6 +302,98 @@ def test_extremal_cert_matches_the_image_test_on_extremal_elements():
             assert (cert.extremal, cert.witness) == image_cert(moved, 4)
 
 
+# -- extremality read off the walls (levelpath.is_extremal_by_walls) ----------
+
+
+@cache
+def wall_test_elements():
+    """(structured, random): the nodes of u_lam's components to depth 5 for
+    |m| <= 4 and l in {0, 1} with the B^max elements of the benchmark
+    weights and their star images; and seeded random elements, of random
+    letters with |m| <= 6 and of random uniform walls."""
+    structured = {}
+    for m, l in product(range(-4, 5), (0, 1)):
+        for _, _, c, k, new in explore([u_lambda(classical(m, l))], plain_moves, 5):
+            if new:
+                structured.setdefault(k, c)
+    for m, l in BENCH_LAMBDAS:
+        for b in enum_bmax(classical(m, l), 1, 3).values():
+            for e in (b, star_mod(b)):
+                structured.setdefault(e.key(), e)
+    rng = random.Random(1207)
+    rand = []
+    for _ in range(4000):
+        b1 = from_word([rng.randint(-3, 3) for _ in range(rng.randint(0, 6))])
+        b2 = right_path(dict(enumerate(rng.randint(-3, 3) for _ in range(rng.randint(0, 6)))))
+        rand.append(ModElement(b1, classical(rng.randint(-6, 6), rng.randint(-2, 2)), b2))
+    for _ in range(400):
+        walls = [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))]
+        rand.append(lp_split(uniform_wall_path(walls, rng.choice((1, -1)),
+                                               rng.randint(-2, 2))))
+    return list(structured.values()), rand
+
+
+def test_the_signature_is_the_running_wall_sum():
+    # eps_i is the maximum over k of A_k(i) = sgn(i) * R_k, R_k the sum of
+    # the walls at or left of k, from 0 far left to -<h_i, wt> far right
+    structured, rand = wall_test_elements()
+    for x in structured + rand:
+        for i in COLORS:
+            sgn = 1 if i == 1 else -1
+            running = list(accumulate(sgn * s for _, s in x.walls()))
+            assert x.eps(i) == max([0] + running)
+            assert -x.pairing(i) == (running[-1] if running else 0)
+
+
+def test_walls_of_one_sign_make_an_element_locally_extremal():
+    # L1: eps_i = max(0, -<h_i, wt>) for both colors
+    structured, rand = wall_test_elements()
+    single = [x for x in structured + rand if is_extremal_by_walls(x)]
+    for x in single:
+        assert all(x.eps(i) == max(0, -x.pairing(i)) for i in COLORS)
+        assert _locally_extremal(x)
+    assert len(single) > 1500
+
+
+def test_weyl_op_moves_walls_of_one_sign_one_place_and_flips_them():
+    # L2: S_i takes walls of one sign one place right when it raises and
+    # one place left when it lowers, each with the other sign
+    structured, rand = wall_test_elements()
+    moved = 0
+    for x in structured + rand:
+        if not is_extremal_by_walls(x):
+            continue
+        for i in COLORS:
+            shift = 1 if x.pairing(i) < 0 else -1
+            image = weyl_op(x, i)
+            assert image.walls() == [(k + shift, -s) for k, s in x.walls()]
+            assert is_extremal_by_walls(image)
+            moved += bool(x.walls())
+    assert moved > 3000
+
+
+def test_walls_agree_with_the_bounded_walk():
+    # on u_lam's components and the B^max elements the wall predicate is the
+    # walk's verdict at 4 and at 8; on random elements, walls of one sign
+    # pass at 4 and 8, and mixed ones all fail a walk of 64, though a few
+    # pass at 8
+    structured, rand = wall_test_elements()
+    counts = {True: 0, False: 0}
+    long_witness = 0
+    with weyl_scope():
+        for x in structured:
+            single = is_extremal_by_walls(x)
+            assert single == is_extremal(x, 4) == is_extremal(x, 8)
+            counts[single] += 1
+        for x in rand:
+            if is_extremal_by_walls(x):
+                assert is_extremal(x, 4) and is_extremal(x, 8)
+            else:
+                assert not is_extremal(x, 64)
+                long_witness += is_extremal(x, 8)
+    assert counts[True] > 350 and counts[False] > 300 and long_witness > 0
+
+
 # -- the S-step table of one pw-verify command --------------------------------
 
 PW_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
@@ -326,18 +419,29 @@ def walk_cert(e, max_len):
 
 
 def checked_elements(monkeypatch, capsys, m, l):
-    """The elements whose extremality pw-verify --lambda=m,l checks: the
-    arguments of extremal_cert, then the S-images of u_lam that C3 walks."""
-    from crystalpaths import cli, extremal
+    """The elements whose extremality pw-verify --lambda=m,l decides: the
+    arguments of extremal_cert, the nodes of decompose's searches whose
+    walls all carry one sign (their verdict, read off the walls), then the
+    S-images of u_lam that C3 walks."""
+    from crystalpaths import cli, extremal, peterweyl
     original = extremal.extremal_cert
+    search = peterweyl.explore
     seen = {}
 
     def recording(e, *args, **kwargs):
         seen.setdefault(e.key(), e)
         return original(e, *args, **kwargs)
 
+    def searching(*args):
+        for step in search(*args):
+            _, _, x, k, new = step
+            if new and is_extremal_by_walls(x):
+                seen.setdefault(k, x)
+            yield step
+
     with monkeypatch.context() as patch:
         patch.setattr(extremal, "extremal_cert", recording)
+        patch.setattr(peterweyl, "explore", searching)
         assert cli.main(["pw-verify", f"--lambda={m},{l}"]) == 0
     capsys.readouterr()
     for start in (0, 1):
@@ -383,8 +487,10 @@ def test_shared_table_gives_the_cold_certificates(monkeypatch, capsys):
     assert min(witnesses) == 0 and max(witnesses) >= 2 and steps > 1000
 
 
-def test_pw_verify_computes_each_weyl_step_once(monkeypatch, capsys):
-    from crystalpaths import cli, extremal
+def counted_weyl_ops(monkeypatch) -> list:
+    """The (element key, color) of every weyl_op call from then on, counted
+    under every name that binds it in the library."""
+    from crystalpaths import extremal
     original = extremal.weyl_op
     calls = []
 
@@ -395,11 +501,35 @@ def test_pw_verify_computes_each_weyl_step_once(monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "crystalpaths" and getattr(module, "weyl_op", None) is original:
             monkeypatch.setattr(module, "weyl_op", counting)
+    return calls
+
+
+def test_pw_verify_computes_each_weyl_step_once(monkeypatch, capsys):
+    from crystalpaths import cli
+    calls = counted_weyl_ops(monkeypatch)
     assert cli.main(["pw-verify", "--lambda=4,0"]) == 0
     first = len(calls)
-    assert first > 0 and len(set(calls)) == first
+    # the walks of C1's starts and C3 alone: the slice report takes no step
+    assert first == 344 and len(set(calls)) == first
     # nothing outlives the command: the same call does the same work again
     calls.clear()
     assert cli.main(["pw-verify", "--lambda=4,0"]) == 0
     assert len(calls) == first
     capsys.readouterr()
+
+
+def test_decompose_computes_no_weyl_step(monkeypatch):
+    # decompose reads extremality off the walls: outside any scope it opens
+    # no table and computes no S_i step, on every star image the benchmark
+    # weights' slice reports decompose
+    from crystalpaths.peterweyl import DECOMPOSE_DEPTH, _star_pairs
+    pairs = []
+    for m, l in BENCH_LAMBDAS:
+        lam = classical(m, l)
+        pairs += _star_pairs(lam, enum_bmax(lam, 1, 3), 3)[1].values()
+    calls = counted_weyl_ops(monkeypatch)
+    built = counted_tables(monkeypatch)
+    assert current_table() is None
+    found = sum(decompose(None, DECOMPOSE_DEPTH, e_star=y) is not None for _, _, y in pairs)
+    assert found == len(pairs) > 2500
+    assert calls == [] and built == []

@@ -19,7 +19,7 @@ from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
 from crystalpaths.star import star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
-from conftest import BENCH_LAMBDAS, counted_tables, current_table, random_walk
+from conftest import BENCH_LAMBDAS, counted_tables, current_table, random_walk, weyl_scope
 
 
 def test_decompose_of_generator_is_trivial():
@@ -198,11 +198,13 @@ def test_pw_verify_builds_one_table_per_command(monkeypatch, capsys):
     assert len(built) == 2 and current_table() is None
 
 
-def test_slice_invariance_builds_one_table_per_report(monkeypatch):
+def test_slice_invariance_builds_no_table(monkeypatch):
+    # a slice report reads extremality off the walls, so none of the four
+    # opens a table
     built = counted_tables(monkeypatch)
     assert slice_invariant_under_reflection(classical(1, 0), 1,
                                             depth_small=2, depth_big=4)
-    assert len(built) == 4 and current_table() is None
+    assert built == [] and current_table() is None
 
 
 class ReplayFailed(Exception):
@@ -254,13 +256,14 @@ def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
     assert not rep.product_ok and not rep.ok
 
 
-def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
-    # pw_report shares one WeylTable of S-steps and extremality verdicts
-    # across its decompose calls; each must return what a call on its own
-    # returns
+def test_decompose_in_a_table_scope_gives_the_fresh_decomposition(monkeypatch):
+    # decompose reads extremality off the walls: run by a report inside a
+    # WeylTable scope it leaves the table empty, opens none, and returns
+    # what a call on its own returns
     from crystalpaths import peterweyl
     calls = []
     original = peterweyl.decompose
+    built = counted_tables(monkeypatch)
 
     def recording(e, *args, e_star=None, **kwargs):
         table = current_table()
@@ -269,20 +272,22 @@ def test_shared_verdicts_give_the_fresh_decomposition(monkeypatch):
         return result
 
     monkeypatch.setattr(peterweyl, "decompose", recording)
-    for m, l in ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1)):
+    for m, l in BENCH_LAMBDAS:
         calls.clear()
-        rep = pw_report(classical(m, l))
+        with weyl_scope() as scope:
+            rep = pw_report(classical(m, l))
         assert rep.ok and len(calls) == rep.decompose_total == rep.pair_count
-        # one table, current in every call of the report
-        assert calls[0][2] is not None
-        assert all(table is calls[0][2] for _, _, table, _ in calls)
-        # the fresh side runs outside any scope, each call on its own table
+        # the scope's table, current in every call of the report and untouched
+        assert all(table is scope for _, _, table, _ in calls)
+        assert scope._keys == [] and scope._steps == []
+        # the fresh side runs outside any scope
         assert current_table() is None
         for e, args, _, shared in calls:
             fresh = original(e, *args)
             assert fresh is not None and shared is not None
             assert (shared.lam_canonical, shared.bmax_factor.key(), shared.word) == (
                 fresh.lam_canonical, fresh.bmax_factor.key(), fresh.word)
+    assert len(built) == len(BENCH_LAMBDAS)  # the scopes' own tables
 
 
 # -- the starred side run literally: the reference for the star-space route --
@@ -389,7 +394,7 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
         found.clear()
         rep = pw_report(lam)
         fast = list(found)
-        root, dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+        dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
         back = {k: star_mod(r).key() for k, r in dual.items()}
         fast_pairs = {star_mod(y).key(): (bkey, back[rkey])
                       for bkey, rkey, y in pairs.values()}
@@ -403,7 +408,7 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
                           lambda d: star_mod(_reference_replay(d)))
             ref, ref_pairs = _reference_report(lam, recording)
         assert rep == ref
-        assert violations == ref.violations and root == star_mod(u_lambda(lam))
+        assert violations == ref.violations and star_mod(u_lambda(lam)).key() in dual
         assert fast_pairs == ref_pairs
         assert fast == found and len(fast) == rep.pair_count
 
@@ -528,8 +533,8 @@ def test_pair_map_flags_a_dual_node_reached_at_a_second_element(monkeypatch):
     monkeypatch.setattr(peterweyl, "u_lambda", lambda lam: Counts())
     monkeypatch.setattr(peterweyl, "star_mod", lambda e: e)
     b = Word()
-    root, dual, pairs, violations = _star_pairs(classical(1, 0), {b.key(): b}, 2)
-    assert root == Counts() and len(dual) == len(pairs) == 6
+    dual, pairs, violations = _star_pairs(classical(1, 0), {b.key(): b}, 2)
+    assert Counts().key() in dual and len(dual) == len(pairs) == 6
     assert violations == ["pair map not well defined"]
     assert not graphs_isomorphic(bfs_component(Counts(), 2), bfs_component(b, 2))
 
