@@ -205,6 +205,12 @@ def cmd_graph(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    """The bounded S-walk's verdict on the element: true means that no
+    alternating S-word of at most --word-bound letters is a witness, so
+    some elements whose walls have mixed signs and that are not extremal
+    read true at short bounds.  One such element with marker 6(L0 - L1)
+    + delta reads true at the default 6 and false at 7 (witness
+    [0, 1, 0, 1, 0, 1, 0])."""
     elt = _as_mod(_read_element(args))
     cert = extremal_cert(elt, args.word_bound)
     print(json.dumps({

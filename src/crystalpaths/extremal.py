@@ -274,7 +274,12 @@ def bmax_seed(lam: Weight, cvec: tuple[int, ...]) -> LevelPath:
 
 
 def bmax_contains(lam: Weight, e: ModElement, max_len: int = 5) -> bool:
-    """Whether e lies in B^max(lam): marker weight lam and star image extremal."""
+    """Whether e lies in B^max(lam): marker weight lam and star image
+    extremal, by the bounded S-walk (is_extremal).  True means that no
+    alternating S-word of at most max_len letters is a witness against it,
+    so an e whose star image has walls of mixed signs and is not extremal
+    can pass at a short bound: one such e at lam = -16(L0 - L1) - 16 delta
+    is contained at the CLI's default bound 4 and not at 7."""
     return e.lam == lam and is_extremal(star_mod(e), max_len)
 
 

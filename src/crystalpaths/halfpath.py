@@ -296,14 +296,45 @@ def _weight_parts(view: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     return total, d
 
 
+def _wall_sign(entries: tuple[tuple[int, int], ...], sign: int) -> Optional[int]:
+    """The sign of the walls of sorted, zero-free entries, in one pass that
+    stops at the first wall of the other sign: the wall at k is
+    i_{k-1} + i_k, and the one at 0 is skipped (it belongs to neither half).
+    sign is that of the walls seen before (0 for none); the result is +1 or
+    -1 when every wall agrees with it, sign itself when there is no wall,
+    and None at the first wall that does not."""
+    nxt, carry = None, 0  # the position right of the previous entry, and its letter
+    for k, v in entries:
+        if k != nxt:
+            if carry and nxt:  # the wall right of the previous entry: its letter alone
+                if carry * sign < 0:
+                    return None
+                sign = 1 if carry > 0 else -1
+            carry = 0
+        w = carry + v
+        if w and k:
+            if w * sign < 0:
+                return None
+            sign = 1 if w > 0 else -1
+        nxt, carry = k + 1, v
+    if carry and nxt:  # the wall right of the last entry
+        if carry * sign < 0:
+            return None
+        sign = 1 if carry > 0 else -1
+    return sign
+
+
 class WallScan:
     """Walls of a path, shared by half-paths, level paths and three-factor
     elements.
 
     The wall at k sits between letters k-1 and k and carries multiplicity
     |i_{k-1} + i_k|; its sign is the sign of that sum.  Subclasses provide
-    walls(), read off the nonzero entries (a level path's through its
-    three factors).
+    walls(), the listing read off the nonzero entries (a level path's
+    through its three factors), and wall_sign(): +1 / -1 if every wall has
+    that sign, 0 if there is no wall, else None.  wall_sign reads no list:
+    it is one pass of _wall_sign over the same entries, which stops at the
+    first wall of the other sign.
     """
 
     def wall_positions(self) -> list[int]:
@@ -312,15 +343,6 @@ class WallScan:
         for k, s in self.walls():
             out.extend([k] * abs(s))
         return out
-
-    def wall_sign(self) -> Optional[int]:
-        """+1 / -1 if every wall has that sign, 0 if no walls, else None."""
-        signs = {1 if s > 0 else -1 for _, s in self.walls()}
-        if not signs:
-            return 0
-        if len(signs) == 1:
-            return signs.pop()
-        return None
 
 
 @dataclass(frozen=True)
@@ -427,6 +449,9 @@ class HalfPath(WallScan, CrystalElement):
             sums[k + 1] = sums.get(k + 1, 0) + v
         sums.pop(0, None)  # a wall at position 0 belongs to neither half
         return [(k, s) for k, s in sums.items() if s]
+
+    def wall_sign(self) -> Optional[int]:
+        return _wall_sign(self.entries, 0)
 
     def domains(self) -> list[tuple[int, int]]:
         """Finite domains (start, length) between consecutive walls.

@@ -44,7 +44,11 @@ wt(b1) + lam + wt(b2).  ModElement.wt builds that sum as one Weight from
 each factor's sum of entries and delta coefficient, read off its left view
 in one pass (halfpath._weight_parts); a right path's weight is minus its
 view's.  Its walls are b1's, the wall at 0 (b1's letter at -1 plus b2's
-at 0 plus m), then b2's, as g_{k-1} + g_k = 0 right of 0.
+at 0 plus m), then b2's, as g_{k-1} + g_k = 0 right of 0.  walls() lists
+them.  wall_sign() lists nothing: it seeds halfpath's one scan with the
+sign of the wall at 0 and runs it over b1's entries, then b2's, stopping
+at the first wall of the other sign.  A level path reads both through
+lp_split.
 
 The closed forms of uniform-wall paths share one layout, _star_letters:
 with walls W_1 <= ... <= W_n expanded by multiplicity, the letter at q is
@@ -67,7 +71,7 @@ from typing import Optional
 
 from .core import CrystalElement, _string_split
 from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, _built, _mirror, _positions,
-                       _statistics, _weight_parts, u_inf, u_minus_inf)
+                       _statistics, _wall_sign, _weight_parts, u_inf, u_minus_inf)
 from .weights import Weight, classical
 
 
@@ -137,6 +141,9 @@ class LevelPath(WallScan):
 
     def walls(self) -> list[tuple[int, int]]:
         return lp_split(self).walls()
+
+    def wall_sign(self) -> Optional[int]:
+        return lp_split(self).wall_sign()
 
 
 def ground_path(m: int, l: int = 0) -> LevelPath:
@@ -239,12 +246,22 @@ class ModElement(WallScan, CrystalElement):
             return None
         return _built_mod(self.b1.power(i, on_left), self.lam, self.b2.power(i, n - on_left))
 
+    def _zero_wall(self) -> int:
+        """The wall at 0: b1's letter at -1 plus b2's at 0 plus m."""
+        b1, b2 = self.b1.entries, self.b2.entries
+        return ((b1[-1][1] if b1 and b1[-1][0] == -1 else 0)
+                + (b2[0][1] if b2 and b2[0][0] == 0 else 0) + self.lam.a0)
+
     def walls(self) -> list[tuple[int, int]]:
         """The level path's walls (see the module docstring)."""
-        b1, b2 = self.b1.entries, self.b2.entries
-        zero = ((b1[-1][1] if b1 and b1[-1][0] == -1 else 0)
-                + (b2[0][1] if b2 and b2[0][0] == 0 else 0) + self.lam.a0)
+        zero = self._zero_wall()
         return self.b1.walls() + ([(0, zero)] if zero else []) + self.b2.walls()
+
+    def wall_sign(self) -> Optional[int]:
+        """The sign of the wall at 0, then one scan of b1 and one of b2."""
+        zero = self._zero_wall()
+        sign = _wall_sign(self.b1.entries, (zero > 0) - (zero < 0))
+        return None if sign is None else _wall_sign(self.b2.entries, sign)
 
     def key(self):
         return ("mod", self.b1.key(), (self.lam.a0, self.lam.a1, self.lam.d), self.b2.key())

@@ -2,11 +2,13 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from crystalpaths import (HalfPath, Weight, from_word, left_path, level_path, lp_split,
+from crystalpaths import (HalfPath, LevelPath, ModElement, Weight, from_word,
+                          is_extremal_by_walls, left_path, level_path, lp_split,
                           path_to_seq, right_path, seq_to_path, star_binf, star_bminf,
                           string_factorization, u_inf, u_minus_inf)
 from crystalpaths import halfpath
 from crystalpaths.halfpath import apply_word
+from crystalpaths.weights import classical
 
 from conftest import agree_with_oracle, left_signature, random_binf_elements, star_from
 
@@ -267,12 +269,54 @@ def test_level_path_walls_match_the_dense_scan(d, m):
         assert x.wall_sign() == expected_sign(walls)
 
 
+half_entries = st.dictionaries(st.integers(min_value=0, max_value=12),
+                               st.integers(min_value=-3, max_value=3), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_entries, half_entries, st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=-2, max_value=2))
+def test_three_factor_walls_match_the_dense_scan(left, right, m, l):
+    # ModElement built from the half-paths directly: its walls are those of
+    # the joined letters, b1's left of 0 and b2's plus the ground pattern
+    # of m from 0 on
+    b1, b2 = left_path({-k - 1: v for k, v in left.items()}), right_path(right)
+    x = ModElement(b1, classical(m, l), b2)
+    letters1, letters2 = b1.as_dict(), b2.as_dict()
+    letter = lambda k: letters1.get(k, 0) if k < 0 else letters2.get(k, 0) + (-m if k % 2 else m)
+    walls = dense_walls(letter, range(-20, 20))
+    assert x.walls() == walls
+    assert x.wall_sign() == expected_sign(walls)
+
+
 def test_wall_sign_cases():
     assert u_inf().wall_sign() == 0
     assert left_path({-1: 1}).wall_sign() == 1
     assert left_path({-1: -1}).wall_sign() == -1
     assert left_path({-2: 1, -1: 1}).wall_sign() == 1     # stacked walls
     assert left_path({-3: -1, -1: 1}).wall_sign() is None  # mixed
+    # three-factor elements, whose wall at 0 is b1's letter at -1 plus
+    # b2's at 0 plus m
+    assert ModElement(left_path({-1: 1}), classical(-1, 0), u_minus_inf()).wall_sign() == 1  # it cancels
+    assert ModElement(u_inf(), classical(-3, 0), u_minus_inf()).wall_sign() == -1  # it alone decides
+    # b2's trailing wall, at 3, is the first of the other sign
+    assert ModElement(u_inf(), classical(0, 0), right_path({1: 2, 2: -1})).wall_sign() is None
+
+
+def test_wall_sign_reads_no_wall_listing(monkeypatch):
+    # wall_sign is its own pass over the entries, not a reading of walls()
+    elements = [left_path({-3: -1, -1: 1}), right_path({1: 2, 2: -1}),
+                ModElement(left_path({-2: 1}), classical(2, 0), right_path({1: 1})),
+                level_path(-2, 0, {-1: -1, 1: 1})]
+    before = [(x.wall_sign(), is_extremal_by_walls(x)) for x in elements]
+    assert [s for s, _ in before] == [None, None, 1, -1]
+
+    def listing(self):
+        raise AssertionError("walls() listed")
+
+    for cls in (HalfPath, ModElement, LevelPath):
+        monkeypatch.setattr(cls, "walls", listing)
+    assert [(x.wall_sign(), is_extremal_by_walls(x)) for x in elements] == before
 
 
 def test_from_word_matches_left_path():
