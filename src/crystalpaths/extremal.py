@@ -21,17 +21,10 @@ is always defined and eps_i > eps_i(b1); f_i likewise.  With
 n = <h_i, wt> and phi_i = eps_i + n, the element is i-extremal exactly when
 eps_i = max(0, -n).
 
-The walks of many checks cross the same elements, so they read their
-S-steps from a WeylTable: each single step S_i from a locally extremal
-element is computed once, and since S_i reflects the i-string it is an
-involution, so each computed step gives its inverse too.  A table holds
-single steps only, so one serves every word bound.  The table in use sits
-in a context variable: a function that runs several checks
-(verify_component, enum_bminus_star) joins the table already in scope, or
-opens one for its call and drops it when it returns, so each pw-verify
-command starts cold, as a fresh process would.  A check
-called outside any scope makes its own table, which keeps nothing past the
-call.
+Each check walks its S-words afresh (_walk): S_i reflects the i-string, so
+it is an involution, and the alternating images of both phases lie on one
+line through the element; a walk stops at the first image that is
+undefined or not locally extremal, which is where the word's witness ends.
 
 B^max(lam) is the set of elements whose star image is extremal.  It is a
 disjoint union of full plain-operator components, one per tuple
@@ -59,8 +52,6 @@ generator alone at m = 0.
 
 from __future__ import annotations
 
-import functools
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
@@ -91,96 +82,22 @@ def _locally_extremal(e: ModElement) -> bool:
     return all(eps == max(0, eps - phi) for eps, phi in (_ends(e._stats(i)) for i in COLORS))
 
 
-_UNSEEN = -1  # an S-step not computed yet
-
-
-class WeylTable:
-    """The S-steps of the alternating walks, each computed once, for the
-    checks of one scope (_shares_table).  It holds no extremality verdicts:
-    decompose() reads its verdict off the walls and joins no table.
-
-    Numbers the locally extremal elements it meets as nodes.  The step S_i
-    from node n is the node of the image, None where the walks end (S ran
-    out of operator, or the image is not locally extremal), or _UNSEEN.
-    S_i reflects each i-string, so it is an involution: finding
-    S_i(b) = c also gives S_i(c) = b.  A node lets go of its element once
-    both of its steps are known.  Steps are single S_i, so one table
-    serves every word bound, and they refer to nodes by number, so the
-    table holds no reference cycle and is freed as soon as it is dropped.
-    """
-
-    __slots__ = ("_index", "_keys", "_elements", "_steps")
-
-    def __init__(self):
-        self._index: dict = {}  # element key -> node
-        self._keys: list = []  # node -> element key
-        self._elements: list = []  # node -> element, or None
-        self._steps: list = []  # 2 * node + i -> the step S_i from node
-
-    def _node(self, e: ModElement) -> Optional[int]:
-        """The node of e, None when e is not locally extremal."""
-        k = e.key()
-        n = self._index.get(k)
-        if n is None and _locally_extremal(e):
-            n = self._index[k] = len(self._keys)
-            self._keys.append(k)
-            self._elements.append(e)
-            self._steps += (_UNSEEN, _UNSEEN)
-        return n
-
-    def _step(self, n: int, i: int) -> Optional[int]:
-        m = self._steps[2 * n + i]
-        if m == _UNSEEN:
-            try:
-                m = self._node(weyl_op(self._elements[n], i))
-            except RuntimeError:
-                m = None
-            self._settle(n, i, m)
-            if m is not None and self._steps[2 * m + i] == _UNSEEN:
-                self._settle(m, i, n)
-        return m
-
-    def _settle(self, n: int, i: int, m: Optional[int]) -> None:
-        self._steps[2 * n + i] = m
-        if self._steps[2 * n + 1 - i] != _UNSEEN:
-            self._elements[n] = None  # no step from n is left to compute
-
-    def _witness(self, n: int, max_len: int) -> Optional[list[int]]:
-        """The first alternating word, phase 0 then 1, up to max_len letters,
-        whose walk from node n ends; None when no walk ends."""
-        for start in COLORS:
-            cur = n
-            color = start
-            for step in range(max_len):
-                cur = self._step(cur, color)
-                if cur is None:
-                    return [(start + j) % 2 for j in range(step + 1)]
-                color = 1 - color
-        return None
-
-
-_TABLE: ContextVar[Optional[WeylTable]] = ContextVar("weyl_table", default=None)
-
-
-def _shares_table(fn):
-    """fn run on the WeylTable in scope, or on one opened for the call and
-    dropped when it returns or raises."""
-    @functools.wraps(fn)
-    def sharing(*args, **kwargs):
-        if _TABLE.get() is not None:
-            return fn(*args, **kwargs)
-        token = _TABLE.set(WeylTable())
+def _walk(e: ModElement, start: int, length: int) -> list[ModElement]:
+    """The images of e along the alternating S-word of up to length letters
+    that starts with color start, stopping before the first image that is
+    undefined (S ran out of operator) or not locally extremal."""
+    images = []
+    color = start
+    for _ in range(length):
         try:
-            return fn(*args, **kwargs)
-        finally:
-            _TABLE.reset(token)
-    return sharing
-
-
-def _table() -> WeylTable:
-    """The table in scope; outside any scope, a fresh one."""
-    table = _TABLE.get()
-    return WeylTable() if table is None else table
+            e = weyl_op(e, color)
+        except RuntimeError:
+            break
+        if not _locally_extremal(e):
+            break
+        images.append(e)
+        color = 1 - color
+    return images
 
 
 def is_extremal(e: ModElement, max_len: int = 6) -> bool:
@@ -202,34 +119,37 @@ class ExtremalCert:
 
 
 def extremal_cert(e: ModElement, max_len: int = 6) -> ExtremalCert:
-    """The bounded check, its S-steps read from the table in scope; outside
-    any scope it starts cold and keeps nothing."""
-    table = _table()
-    root = table._node(e)
-    witness = [] if root is None else table._witness(root, max_len)
-    return ExtremalCert(e, max_len, witness is None, witness)
+    """The bounded check: the witness is the first alternating word, phase
+    0 then 1, whose walk (_walk) ends within max_len letters."""
+    if not _locally_extremal(e):
+        return ExtremalCert(e, max_len, False, [])
+    for start in COLORS:
+        reached = len(_walk(e, start, max_len))
+        if reached < max_len:
+            return ExtremalCert(e, max_len, False, [(start + j) % 2 for j in range(reached + 1)])
+    return ExtremalCert(e, max_len, True)
 
 
 def weyl_orbit(e: ModElement, length: int, max_len: int = 6) -> Optional[set]:
     """The keys of e and of its images under the alternating S-words of
     both phases up to length letters; None when one of those images fails
-    the bounded check at max_len, or when e is not locally extremal.  Its
-    S-steps are read from the table in scope, as in extremal_cert."""
-    table = _table()
-    root = table._node(e)
-    if root is None:
+    the bounded check at max_len, or when e is not locally extremal.
+
+    S_i is an involution, so the images of both phases lie on one line
+    through e, and the bounded checks of the first length images on either
+    side reach exactly the images within length + max_len of e: each phase
+    is walked once that far.
+    """
+    if not _locally_extremal(e):
         return None
-    nodes = {root}
+    keys = {e.key()}
+    reach = length + max_len if length else 0
     for start in COLORS:
-        n = root
-        color = start
-        for _ in range(length):
-            n = table._step(n, color)
-            if n is None or table._witness(n, max_len) is not None:
-                return None
-            nodes.add(n)
-            color = 1 - color
-    return {table._keys[n] for n in nodes}
+        images = _walk(e, start, reach)
+        if len(images) < reach:
+            return None
+        keys.update(x.key() for x in images[:length])
+    return keys
 
 
 def is_extremal_path(p: LevelPath, max_len: int = 6) -> bool:
@@ -309,7 +229,6 @@ def bminus_star_count(lam: Weight, span: int) -> int:
     return 1 if n == 0 else (2 * span + 1) * 2 ** (n - 1)
 
 
-@_shares_table
 def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5) -> list[ModElement]:
     """Truncated star image of the dual extremal-weight crystal of -lam.
 

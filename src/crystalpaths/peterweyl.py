@@ -45,15 +45,14 @@ component.  pw_verify() is pw-verify's whole verdict: it runs
 verify_component() and the slice report and returns one SliceReport
 holding C1-C3 and the slice's counts, whose failed and ok decide the exit
 code.  C1 and C3 keep the bounded S-walk, the definition the theorem is
-checked against, and read their S-steps from the extremal.WeylTable in
-scope: verify_component() joins the table of its caller or opens one for
-the call, so one pw-verify command computes each S_i step once, and a
-check called on its own starts cold.  The slice report walks no Weyl
-orbit: decompose() and the dual family's check read extremality off the
-walls.  EXTREMAL_LEN bounds C3's extremality checks, and the report's
-decompose() searches by DECOMPOSE_DEPTH strings.  C1's starts sit within
-C1_SPAN, and half of word_bound, the length of C3's orbit words
-(pw-verify's --word-bound), bounds their extremality.
+checked against, and each of their checks walks its S-words afresh; C3
+walks the Weyl orbit of u_lam once and checks only the component's nodes
+outside it.  The slice report walks no Weyl orbit: decompose() and the
+dual family's check read extremality off the walls.  EXTREMAL_LEN bounds
+C3's extremality checks, and the report's decompose() searches by
+DECOMPOSE_DEPTH strings.  C1's starts sit within C1_SPAN, and half of
+word_bound, the length of C3's orbit words (pw-verify's --word-bound),
+bounds their extremality.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import COLORS, explore, lockstep, plain_moves
-from .extremal import (_shares_table, bminus_star_count, enum_bmax,
-                       enum_bminus_star, is_extremal, weyl_orbit)
+from .extremal import (bminus_star_count, enum_bmax, enum_bminus_star, is_extremal,
+                       weyl_orbit)
 from .levelpath import ModElement, _ends, is_extremal_by_walls, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
@@ -165,7 +164,6 @@ def decompose(e: Optional[ModElement], max_depth: int = 8, *,
 # -- component-level checks ---------------------------------------------------
 
 
-@_shares_table
 def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8) -> tuple[bool, bool, bool]:
     """(C1, C2, C3) on the component of u_lam, walked once to depth.
 
@@ -173,8 +171,9 @@ def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8) -> tuple[
     bminus_star_count predicts, and each follows u_lam's words move for
     move (one lockstep).  C2 and C3 read that walk's nodes: u_lam is the
     only one of weight lam, and every extremal one lies in u_lam's Weyl
-    orbit.  word_bound sets the length of the orbit's alternating words
-    and, halved, C1's extremality bound; C3 checks at EXTREMAL_LEN.
+    orbit, so only the nodes outside the orbit are checked.  word_bound
+    sets the length of the orbit's alternating words and, halved, C1's
+    extremality bound; C3 checks at EXTREMAL_LEN.
     """
     root = u_lambda(lam)
     starts = enum_bminus_star(lam, span=C1_SPAN, max_len=word_bound // 2)
@@ -184,7 +183,7 @@ def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8) -> tuple[
     c2 = [b for b in nodes.values() if b.wt() == lam] == [root]
     orbit = weyl_orbit(root, word_bound, EXTREMAL_LEN)
     c3 = orbit is not None and not any(
-        is_extremal(b, EXTREMAL_LEN) and k not in orbit
+        k not in orbit and is_extremal(b, EXTREMAL_LEN)
         for k, b in nodes.items())
     return c1, c2, c3
 
@@ -285,8 +284,7 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     whose orbit has lam's representative (orbit_canonical, in closed form,
     so the cost does not grow with lam's delta label).  The wall
     characterization and the decompose() searches read extremality off the
-    walls (is_extremal_by_walls), so the report computes no S_i step and
-    opens no WeylTable.
+    walls (is_extremal_by_walls), so the report computes no S_i step.
     """
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
@@ -324,10 +322,10 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
 
 def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
     """pw-verify's checks of lam in one record: C1-C3 on u_lam's component
-    to depth (verify_component, with word_bound, on one WeylTable) and the
-    slice report at c_bound 1 and depth at most 3 (pw_report).  The
-    record fails when any check fails, and is ok when none does and every
-    decompose() search succeeded."""
+    to depth (verify_component, with word_bound) and the slice report at
+    c_bound 1 and depth at most 3 (pw_report).  The record fails when any
+    check fails, and is ok when none does and every decompose() search
+    succeeded."""
     c1, c2, c3 = verify_component(lam, depth, word_bound)
     rep = pw_report(lam, 1, min(depth, 3))
     rep.c1, rep.c2, rep.c3 = c1, c2, c3

@@ -12,20 +12,15 @@ its definition: the raw tensor tie-break, dense signatures rescanned at
 every step for half-paths and sequences, and the elementary crystals'
 rules.  single_steps(b, i, n) loops them.  reference_check_axioms is the
 straight-line axiom checker that re-reads every fact at every arrow end.
-
-weyl_scope() runs a block on one WeylTable, as one call of a sharing
-function (extremal._shares_table) does; current_table() is the table in
-scope, None outside any; counted_tables(monkeypatch) lists each table
-built from then on.
+counted_weyl_ops(monkeypatch) records the S_i steps the library takes.
 """
 
 import random
-from contextlib import contextmanager
+import sys
 
 from crystalpaths import HalfPath, LevelPath, SeqElement, left_path, seq_to_path, u_inf
 from crystalpaths.core import COLORS, NEG_INF, peel
 from crystalpaths.elementary import oracle_mismatches, oracle_word
-from crystalpaths.extremal import _TABLE, WeylTable
 from crystalpaths.levelpath import ModElement
 from crystalpaths.weights import simple_root
 
@@ -35,30 +30,21 @@ from crystals import BiElement, DualElement, EndMarker, LimitEntry, TElement, Te
 BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
 
 
-def current_table():
-    return _TABLE.get()
+def counted_weyl_ops(monkeypatch) -> list:
+    """The (element key, color) of every weyl_op call from then on, counted
+    under every name that binds it in the library."""
+    from crystalpaths import extremal
+    original = extremal.weyl_op
+    calls = []
 
+    def counting(e, i):
+        calls.append((e.key(), i))
+        return original(e, i)
 
-@contextmanager
-def weyl_scope():
-    table = WeylTable()
-    token = _TABLE.set(table)
-    try:
-        yield table
-    finally:
-        _TABLE.reset(token)
-
-
-def counted_tables(monkeypatch) -> list:
-    built = []
-    original = WeylTable.__init__
-
-    def counting(self):
-        built.append(None)
-        original(self)
-
-    monkeypatch.setattr(WeylTable, "__init__", counting)
-    return built
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crystalpaths" and getattr(module, "weyl_op", None) is original:
+            monkeypatch.setattr(module, "weyl_op", counting)
+    return calls
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:

@@ -1,5 +1,4 @@
 import random
-import sys
 from functools import cache
 from itertools import accumulate, product
 
@@ -10,14 +9,14 @@ from crystalpaths import (bmax_contains, bmax_seed, decompose, enum_bmax,
                           is_extremal, is_extremal_path, lp_join, lp_split,
                           path_from_window, star_mod, u_lambda, weyl_op)
 from crystalpaths.core import COLORS, explore, plain_moves
-from crystalpaths.extremal import (_UNSEEN, _locally_extremal, bminus_star_count,
-                                   uniform_wall_path)
+from crystalpaths.extremal import (_locally_extremal, bminus_star_count, uniform_wall_path,
+                                   weyl_orbit)
 from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement, is_extremal_by_walls
 from crystalpaths.weights import classical
 
-from conftest import (BENCH_LAMBDAS, counted_tables, current_table, same_entries,
-                      single_step, single_steps, weyl_scope)
+from conftest import (BENCH_LAMBDAS, counted_weyl_ops, same_entries, single_step,
+                      single_steps)
 from crystals import TElement, TensorElement
 
 
@@ -85,11 +84,10 @@ def test_mixed_walls_rule_extremality_out():
         lam = classical(m, l)
         component = [c for _, _, c, _, new in explore([u_lambda(lam)], plain_moves, 5) if new]
         _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
-        with weyl_scope():
-            for e in component + [y for _, _, y in pairs.values()]:
-                if e.wall_sign() is None:
-                    mixed += 1
-                    assert not any(is_extremal(e, n) for n in range(1, 9))
+        for e in component + [y for _, _, y in pairs.values()]:
+            if e.wall_sign() is None:
+                mixed += 1
+                assert not any(is_extremal(e, n) for n in range(1, 9))
     assert mixed > 2000
 
 
@@ -209,18 +207,9 @@ def test_bminus_star_count_matches_the_enumeration():
     for m in range(-6, 7):
         for l in (-2, 0, 1):
             lam = classical(m, l)
-            with weyl_scope():
-                for span, max_len in product((1, 2, 3), (4, 5)):
-                    out = enum_bminus_star(lam, span=span, max_len=max_len)
-                    assert len(out) == bminus_star_count(lam, span), (m, l, span, max_len)
-
-
-def test_standalone_enum_bminus_star_builds_one_table(monkeypatch):
-    # its candidates share the table the call opens, and it is dropped
-    built = counted_tables(monkeypatch)
-    out = enum_bminus_star(classical(3, 0), span=2, max_len=4)
-    assert len(out) == bminus_star_count(classical(3, 0), 2)
-    assert len(built) == 1 and current_table() is None
+            for span, max_len in product((1, 2, 3), (4, 5)):
+                out = enum_bminus_star(lam, span=span, max_len=max_len)
+                assert len(out) == bminus_star_count(lam, span), (m, l, span, max_len)
 
 
 # -- extremality from statistics against the image-based definitions ---------
@@ -380,23 +369,64 @@ def test_walls_agree_with_the_bounded_walk():
     structured, rand = wall_test_elements()
     counts = {True: 0, False: 0}
     long_witness = 0
-    with weyl_scope():
-        for x in structured:
-            single = is_extremal_by_walls(x)
-            assert single == is_extremal(x, 4) == is_extremal(x, 8)
-            counts[single] += 1
-        for x in rand:
-            if is_extremal_by_walls(x):
-                assert is_extremal(x, 4) and is_extremal(x, 8)
-            else:
-                assert not is_extremal(x, 64)
-                long_witness += is_extremal(x, 8)
+    for x in structured:
+        single = is_extremal_by_walls(x)
+        assert single == is_extremal(x, 4) == is_extremal(x, 8)
+        counts[single] += 1
+    for x in rand:
+        if is_extremal_by_walls(x):
+            assert is_extremal(x, 4) and is_extremal(x, 8)
+        else:
+            assert not is_extremal(x, 64)
+            long_witness += is_extremal(x, 8)
     assert counts[True] > 350 and counts[False] > 300 and long_witness > 0
 
 
-# -- the S-step table of one pw-verify command --------------------------------
+def orbit_by_definition(e, length, max_len):
+    """weyl_orbit by its docstring: the keys of e and of its images along
+    both phases up to length letters, each image taken by weyl_op; None
+    when e is not locally extremal or one of those images fails
+    extremal_cert at max_len."""
+    if not extremal_cert(e, 0).extremal:
+        return None
+    keys = {e.key()}
+    for start in COLORS:
+        cur, color = e, start
+        for _ in range(length):
+            try:
+                cur = weyl_op(cur, color)
+            except RuntimeError:
+                return None
+            if not extremal_cert(cur, max_len).extremal:
+                return None
+            keys.add(cur.key())
+            color = 1 - color
+    return keys
 
-PW_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
+
+def test_weyl_orbit_matches_its_definition():
+    # u_lam of the benchmark weights, whose orbits never end, and locally
+    # extremal mixed-wall elements whose orbit line first fails 2 to 14
+    # letters out, up to 2 per distance, so that the bounded checks cut an
+    # orbit inside its length, just past it and not at all
+    _, rand = wall_test_elements()
+    by_reach: dict = {}
+    for x in rand:
+        if x.wall_sign() is None and _locally_extremal(x):
+            reach = next(n for n in range(1, 65) if orbit_by_definition(x, n, 0) is None)
+            if reach >= 2 and len(by_reach.setdefault(reach, [])) < 2:
+                by_reach[reach].append(x)
+    failing = [x for group in by_reach.values() for x in group]
+    cut = {True: 0, False: 0}
+    for e in [u_lambda(classical(m, l)) for m, l in BENCH_LAMBDAS] + failing:
+        for length, max_len in product(range(9), range(7)):
+            expected = orbit_by_definition(e, length, max_len)
+            assert weyl_orbit(e, length, max_len) == expected, (e, length, max_len)
+            cut[expected is None] += 1
+    assert max(by_reach) >= 10 and min(cut.values()) > 500
+
+
+# -- the S-walks of one pw-verify command ------------------------------------
 
 
 def walk_cert(e, max_len):
@@ -453,64 +483,33 @@ def checked_elements(monkeypatch, capsys, m, l):
     return list(seen.values())
 
 
-def test_shared_table_gives_the_cold_certificates(monkeypatch, capsys):
-    # one table across a command's elements and word bounds answers as a
-    # cold check does, on the non-extremal elements as well
+def test_extremal_cert_matches_the_fresh_walk(monkeypatch, capsys):
+    # the certificate of every element a command checks, at two word
+    # bounds, is the one the walk by its definition gives, on the
+    # non-extremal elements as well
     witnesses = []
-    steps = 0
-    for m, l in PW_LAMBDAS:
+    for m, l in BENCH_LAMBDAS:
         elements = checked_elements(monkeypatch, capsys, m, l)
-        with weyl_scope() as table:
-            shared = [extremal_cert(e, bound) for e in elements for bound in (4, 8)]
-        # the cold side runs outside any scope, so it cannot read the table
-        assert current_table() is None
-        cold = [extremal_cert(e, bound) for e in elements for bound in (4, 8)]
+        certs = [extremal_cert(e, bound) for e in elements for bound in (4, 8)]
         walked = [walk_cert(e, bound) for e in elements for bound in (4, 8)]
-        for s, c, w in zip(shared, cold, walked, strict=True):
-            assert (s.extremal, s.witness) == (c.extremal, c.witness) == w
+        for c, w in zip(certs, walked, strict=True):
+            assert (c.extremal, c.witness) == w
             if not c.extremal:
                 witnesses.append(len(c.witness))
-        # every step the table settled from these elements, computed or
-        # filled in as the inverse of another, is the S_i image or a dead end
-        for e in elements:
-            n = table._index.get(e.key())
-            for i in (0, 1) if n is not None else ():
-                step = table._steps[2 * n + i]
-                if step == _UNSEEN:
-                    continue
-                image = weyl_op(e, i)
-                if step is None:
-                    assert not _locally_extremal(image)
-                else:
-                    assert table._keys[step] == image.key()
-                    steps += 1
-    assert min(witnesses) == 0 and max(witnesses) >= 2 and steps > 1000
+    assert min(witnesses) == 0 and max(witnesses) >= 2
 
 
-def counted_weyl_ops(monkeypatch) -> list:
-    """The (element key, color) of every weyl_op call from then on, counted
-    under every name that binds it in the library."""
-    from crystalpaths import extremal
-    original = extremal.weyl_op
-    calls = []
-
-    def counting(e, i):
-        calls.append((e.key(), i))
-        return original(e, i)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "crystalpaths" and getattr(module, "weyl_op", None) is original:
-            monkeypatch.setattr(module, "weyl_op", counting)
-    return calls
-
-
-def test_pw_verify_computes_each_weyl_step_once(monkeypatch, capsys):
+def test_pw_verify_weyl_step_count_is_pinned(monkeypatch, capsys):
     from crystalpaths import cli
     calls = counted_weyl_ops(monkeypatch)
     assert cli.main(["pw-verify", "--lambda=4,0"]) == 0
     first = len(calls)
-    # the walks of C1's starts and C3 alone: the slice report takes no step
-    assert first == 344 and len(set(calls)) == first
+    # the walks of C1 and C3 alone, the slice report takes no step: C1's 40
+    # starts walk 4 letters in each phase (320), C3 walks u_lam's orbit
+    # 8 + 4 letters in each phase (24), and the walks from the 6 locally
+    # extremal nodes off the orbit end within 2 letters (9); the 8 steps of
+    # u_lam's own C1 walk are the only ones taken twice
+    assert first == 353 and len(set(calls)) == first - 8
     # nothing outlives the command: the same call does the same work again
     calls.clear()
     assert cli.main(["pw-verify", "--lambda=4,0"]) == 0
@@ -519,17 +518,14 @@ def test_pw_verify_computes_each_weyl_step_once(monkeypatch, capsys):
 
 
 def test_decompose_computes_no_weyl_step(monkeypatch):
-    # decompose reads extremality off the walls: outside any scope it opens
-    # no table and computes no S_i step, on every star image the benchmark
-    # weights' slice reports decompose
+    # decompose reads extremality off the walls: it computes no S_i step,
+    # on every star image the benchmark weights' slice reports decompose
     from crystalpaths.peterweyl import DECOMPOSE_DEPTH, _star_pairs
     pairs = []
     for m, l in BENCH_LAMBDAS:
         lam = classical(m, l)
         pairs += _star_pairs(lam, enum_bmax(lam, 1, 3), 3)[1].values()
     calls = counted_weyl_ops(monkeypatch)
-    built = counted_tables(monkeypatch)
-    assert current_table() is None
     found = sum(decompose(None, DECOMPOSE_DEPTH, e_star=y) is not None for _, _, y in pairs)
     assert found == len(pairs) > 2500
-    assert calls == [] and built == []
+    assert calls == []

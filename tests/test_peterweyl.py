@@ -19,7 +19,7 @@ from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
 from crystalpaths.star import star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
-from conftest import BENCH_LAMBDAS, counted_tables, current_table, random_walk, weyl_scope
+from conftest import BENCH_LAMBDAS, counted_weyl_ops, random_walk
 
 
 def test_decompose_of_generator_is_trivial():
@@ -103,9 +103,7 @@ def _verify_c3(lam, depth=5, word_bound=8):
 
 def _reference_component_checks(lam, depth=5, word_bound=8):
     """C1, C2 and C3 by three walks of u_lam's component, with the bounds
-    pw-verify gave them: span 2 and extremality at word_bound // 2 for C1.
-    Run outside any scope, each extremality check starts cold."""
-    assert current_table() is None
+    pw-verify gave them: span 2 and extremality at word_bound // 2 for C1."""
     return (_verify_c1(lam, depth, span=2, extremal_len=word_bound // 2),
             _verify_c2(lam, depth),
             _verify_c3(lam, depth, word_bound=word_bound))
@@ -183,28 +181,16 @@ def test_slice_invariance_under_reflection():
                                             depth_small=2, depth_big=4)
 
 
-# -- the WeylTable scope ---------------------------------------------------------
-
-
-def test_pw_verify_builds_one_table_per_command(monkeypatch, capsys):
-    # every check of one command shares its table, and the next command
-    # starts cold on a table of its own
-    from crystalpaths import cli
-    built = counted_tables(monkeypatch)
-    assert cli.main(["pw-verify", "--lambda=2,0"]) == 0
-    assert len(built) == 1
-    assert cli.main(["pw-verify", "--lambda=2,0"]) == 0
-    capsys.readouterr()
-    assert len(built) == 2 and current_table() is None
+# -- where the S-walks run -------------------------------------------------------
 
 
 def test_slice_invariance_builds_no_table(monkeypatch):
     # a slice report reads extremality off the walls, so none of the four
-    # opens a table
-    built = counted_tables(monkeypatch)
+    # takes an S_i step
+    calls = counted_weyl_ops(monkeypatch)
     assert slice_invariant_under_reflection(classical(1, 0), 1,
                                             depth_small=2, depth_big=4)
-    assert built == [] and current_table() is None
+    assert calls == []
 
 
 class ReplayFailed(Exception):
@@ -212,15 +198,14 @@ class ReplayFailed(Exception):
 
 
 def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
-    # each sharing function, on its own; the three that replay a
-    # decomposition raise out of their scope once the replay does
+    # no S-step table is kept in scope, so each function that replays a
+    # decomposition runs on its own; an error other than RuntimeError in
+    # the replay raises out of each of them
     lam = classical(1, 0)
     replaying = [partial(pw_verify, lam, 3, 4), partial(pw_report, lam, 1, 2),
                  partial(decompose, starred_f(u_lambda(lam), 1))]
-    for call in replaying + [partial(verify_component, lam, 3, 4),
-                             partial(enum_bminus_star, lam, 1, 4)]:
+    for call in replaying:
         call()
-        assert current_table() is None
 
     def failing(self):
         raise ReplayFailed
@@ -229,7 +214,6 @@ def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
     for call in replaying:
         with pytest.raises(ReplayFailed):
             call()
-        assert current_table() is None
 
 
 def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
@@ -254,40 +238,6 @@ def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
     assert any("defined-ness differs" in v for v in rep.violations)
     assert "pair map collision" in rep.violations
     assert not rep.product_ok and not rep.ok
-
-
-def test_decompose_in_a_table_scope_gives_the_fresh_decomposition(monkeypatch):
-    # decompose reads extremality off the walls: run by a report inside a
-    # WeylTable scope it leaves the table empty, opens none, and returns
-    # what a call on its own returns
-    from crystalpaths import peterweyl
-    calls = []
-    original = peterweyl.decompose
-    built = counted_tables(monkeypatch)
-
-    def recording(e, *args, e_star=None, **kwargs):
-        table = current_table()
-        result = original(e, *args, e_star=e_star, **kwargs)
-        calls.append((star_mod(e_star) if e is None else e, args, table, result))
-        return result
-
-    monkeypatch.setattr(peterweyl, "decompose", recording)
-    for m, l in BENCH_LAMBDAS:
-        calls.clear()
-        with weyl_scope() as scope:
-            rep = pw_report(classical(m, l))
-        assert rep.ok and len(calls) == rep.decompose_total == rep.pair_count
-        # the scope's table, current in every call of the report and untouched
-        assert all(table is scope for _, _, table, _ in calls)
-        assert scope._keys == [] and scope._steps == []
-        # the fresh side runs outside any scope
-        assert current_table() is None
-        for e, args, _, shared in calls:
-            fresh = original(e, *args)
-            assert fresh is not None and shared is not None
-            assert (shared.lam_canonical, shared.bmax_factor.key(), shared.word) == (
-                fresh.lam_canonical, fresh.bmax_factor.key(), fresh.word)
-    assert len(built) == len(BENCH_LAMBDAS)  # the scopes' own tables
 
 
 # -- the starred side run literally: the reference for the star-space route --
@@ -400,8 +350,6 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
                       for bkey, rkey, y in pairs.values()}
 
         found.clear()
-        # the reference runs outside any scope: each decompose starts cold
-        assert current_table() is None
         with monkeypatch.context() as patch:
             # decompose with its replay check on the literal starred word
             patch.setattr(Decomposition, "star_image",

@@ -39,10 +39,10 @@ def test_library_imports_only_what_it_uses():
     assert unused == []
 
 
-def test_the_weyl_table_is_shared_by_scope_not_passed():
-    # the checks read the table in scope (extremal._shares_table), so no
-    # function takes one, and one module holds the context variable
-    params, holders = [], set()
+def test_no_function_takes_a_table_and_no_module_holds_a_context_variable():
+    # each extremality check walks its S-words afresh: no function takes a
+    # table of steps, and no module imports contextvars to keep one in scope
+    params, holders = [], []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
@@ -51,10 +51,10 @@ def test_the_weyl_table_is_shared_by_scope_not_passed():
                 params += [f"{path.name}:{node.lineno}"
                            for arg in a.posonlyargs + a.args + a.kwonlyargs
                            if arg.arg == "table"]
-            elif isinstance(node, ast.Call) and "ContextVar" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                holders.add(path.name)
-    assert params == [] and holders == {"extremal.py"}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and "contextvars" in (
+                    [getattr(node, "module", None)] + [alias.name for alias in node.names]):
+                holders.append(f"{path.name}:{node.lineno}")
+    assert params == [] and holders == []
 
 
 def test_the_tensor_word_oracle_shares_no_code_with_the_paths():
