@@ -191,6 +191,8 @@ class ModElement(WallScan, CrystalElement):
         if not (isinstance(self.b1, HalfPath) and self.b1.side == LEFT
                 and isinstance(self.b2, HalfPath) and self.b2.side == RIGHT):
             raise ValueError("b1 must be a left and b2 a right half-path")
+        if not isinstance(self.lam, Weight):
+            raise ValueError(f"the marker must be a Weight, got {self.lam!r}")
         if self.lam.level != 0:
             raise ValueError(f"marker weight must have level zero, got {self.lam!r}")
 

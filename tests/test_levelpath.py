@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystalpaths import (LevelPath, ModElement, Weight, ground_path,
                           left_path, level_path, lp_join, lp_split,
-                          path_from_window, right_path, u_lambda)
+                          path_from_window, right_path, u_inf, u_lambda, u_minus_inf)
 from crystalpaths.core import check_axioms
 from crystalpaths.extremal import weyl_op
 from crystalpaths.halfpath import LEFT, RIGHT
@@ -199,6 +199,13 @@ def test_mod_element_rejects_swapped_sides():
     for b1, b2 in ((g.b2, g.b2), (g.b1, g.b1), (g.b2, g.b1)):
         with pytest.raises(ValueError):
             ModElement(b1, g.lam, b2)
+
+
+def test_mod_element_rejects_a_marker_that_is_not_a_weight():
+    g = lp_split(ground_path(1, 0))
+    for marker in (u_inf(), u_minus_inf(), (0, 0, 0), None):
+        with pytest.raises(ValueError, match="must be a Weight"):
+            ModElement(g.b1, marker, g.b2)
 
 
 def test_lp_join_rejects_nonzero_level_marker():

@@ -12,11 +12,11 @@ from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
                                graphs_isomorphic, lockstep, plain_moves)
 from crystalpaths.extremal import (bminus_star_count, enum_bmax, enum_bminus_star,
                                    is_extremal, weyl_orbit)
-from crystalpaths.halfpath import left_path, right_path
+from crystalpaths.halfpath import _memo_scope, left_path, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
                                     _dual_family_ok, _star_pairs)
-from crystalpaths.star import star_mod, starred_e, starred_f
+from crystalpaths.star import star_binf, star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
 from conftest import BENCH_LAMBDAS, counted_weyl_ops, random_walk
@@ -682,3 +682,16 @@ def test_max_depth_counts_strings():
     assert d is not None and d.replay() == e
     assert len(d.word) == 2 and sum(n for _, _, n in d.word) == 3
     assert decompose(e, max_depth=1) is None
+
+
+@pytest.mark.parametrize("m, l", [(4, 0), (-4, 1), (2, 1), (0, 1)])
+def test_pw_verify_in_a_memo_scope_gives_the_same_report(m, l):
+    lam = classical(m, l)
+    star_binf.cache_clear()
+    closed = pw_verify(lam)
+    star_binf.cache_clear()
+    with _memo_scope():
+        opened = pw_verify(lam)
+    assert closed.pair_count > 0
+    for f in fields(SliceReport):
+        assert getattr(opened, f.name) == getattr(closed, f.name), f.name
