@@ -23,10 +23,6 @@ path's m and a marker's L0 coefficient count as entries).  The star and
 the Weyl operators grow with both: star on a path with one entry 100,000
 positions out was still running after two minutes.  oracle-check's random
 paths reach --support positions out, so the same MAX_SPAN bounds it.
-
-Each command runs inside one halfpath._memo_scope: the half-path strings
-it computes are remembered, in a memo of at most 256 entries, until it
-returns or raises; the memo is not kept from one command to the next.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from . import serialize
 from .core import bfs_component
 from .elementary import oracle_mismatches, oracle_word
 from .extremal import bmax_contains, bmax_seeds, enum_bmax, extremal_cert
-from .halfpath import HalfPath, _memo_scope, apply_word, left_path, u_inf
+from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .levelpath import LevelPath, ModElement, lp_join, lp_split
 from .peterweyl import pw_verify
 from .seqreal import SeqElement, image_check, path_to_seq
@@ -367,8 +363,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_glue_lambda(argv))
-        with _memo_scope():
-            return args.func(args)
+        return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -70,16 +70,20 @@ Inside a _memo_scope, power remembers the strings it computes.  The key is
 their strings differ.  The value is the result path, or None where the
 string runs out.  The memo holds at most _MEMO_BOUND = 256 entries and is
 cleared when full, so its memory stays fixed however long the scope runs.
-The CLI opens one scope per command (cli.main), and the library opens none
-itself, so a direct call computes every string.  The memo is one slot per
-process, not per thread; a value depends only on its key, so results stay
-right whichever memo a call reads.  The repeats come from products: every
-element of a Peter-Weyl slice is b1 (x) t_lam (x) b2, a string on it is a
-string on b1 and one on b2 (the tensor rule), and the slice's thousands
-of elements are built from a few hundred factors, so the strings that
-peterweyl's _star_pairs and decompose apply to the elements ask for the
-same factor strings again and again.  At pw-verify --lambda=4,0 the memo
-cuts the strings computed from 7,476 to 2,870.
+peterweyl.pw_verify opens the one scope, around its checks; everything
+else runs with none open and computes every string.  The memo is one slot
+per process, not per thread; a value depends only on its key, so results
+stay right whichever memo a call reads.  The repeats come from products:
+every element of a Peter-Weyl slice is b1 (x) t_lam (x) b2, a string on
+it is a string on b1 and one on b2 (the tensor rule), and the slice's
+thousands of elements are built from a few hundred factors, so the
+strings that peterweyl's _star_pairs and decompose apply to the elements
+ask for the same factor strings again and again.  At pw-verify
+--lambda=4,0 the memo cuts the strings computed from 7,476 to 2,870.
+Elsewhere no scope is open: where strings do not repeat (star peels one
+path, a string per letter) a memo only adds a lookup per string, and in a
+broad component search most repeats fall beyond the bound, where a memo
+open all the time made the slowest calls slower.
 """
 
 from __future__ import annotations
@@ -451,11 +455,11 @@ class HalfPath(WallScan, CrystalElement):
 
     def power(self, i: int, n: int) -> Optional["HalfPath"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0 by the signature rule;
-        None when the string runs out.  Inside a _memo_scope (one per CLI
-        command) the result is looked up by (side, left view, i, n) first
-        and remembered after, in a memo of at most _MEMO_BOUND entries that
-        is cleared when full; with no scope open the string is computed
-        (see the module docstring)."""
+        None when the string runs out.  Inside a _memo_scope (pw_verify's)
+        the result is looked up by (side, left view, i, n) first and
+        remembered after, in a memo of at most _MEMO_BOUND entries that is
+        cleared when full; with no scope open the string is computed (see
+        the module docstring)."""
         if n == 0:
             return self
         memo = _memo

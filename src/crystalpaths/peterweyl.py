@@ -63,6 +63,7 @@ from typing import Optional
 from .core import COLORS, explore, lockstep, plain_moves
 from .extremal import (bminus_star_count, enum_bmax, enum_bminus_star, is_extremal,
                        weyl_orbit)
+from .halfpath import _memo_scope
 from .levelpath import ModElement, _ends, is_extremal_by_walls, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
@@ -325,9 +326,12 @@ def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
     to depth (verify_component, with word_bound) and the slice report at
     c_bound 1 and depth at most 3 (pw_report).  The record fails when any
     check fails, and is ok when none does and every decompose() search
-    succeeded."""
-    c1, c2, c3 = verify_component(lam, depth, word_bound)
-    rep = pw_report(lam, 1, min(depth, 3))
+    succeeded.  Both run in one halfpath._memo_scope: the elements they
+    walk are b1 (x) t_lam (x) b2 on a few hundred factors, so most of their
+    factor strings repeat one computed before."""
+    with _memo_scope():
+        c1, c2, c3 = verify_component(lam, depth, word_bound)
+        rep = pw_report(lam, 1, min(depth, 3))
     rep.c1, rep.c2, rep.c3 = c1, c2, c3
     return rep
 

@@ -12,7 +12,8 @@ its definition: the raw tensor tie-break, dense signatures rescanned at
 every step for half-paths and sequences, and the elementary crystals'
 rules.  single_steps(b, i, n) loops them.  reference_check_axioms is the
 straight-line axiom checker that re-reads every fact at every arrow end.
-counted_weyl_ops(monkeypatch) records the S_i steps the library takes.
+counted_weyl_ops(monkeypatch) records the S_i steps the library takes,
+counted_strings(monkeypatch) the half-path strings it computes.
 """
 
 import random
@@ -45,6 +46,29 @@ def counted_weyl_ops(monkeypatch) -> list:
         if name.split(".")[0] == "crystalpaths" and getattr(module, "weyl_op", None) is original:
             monkeypatch.setattr(module, "weyl_op", counting)
     return calls
+
+
+def counted_strings(monkeypatch) -> list:
+    """For each half-path string computed from then on, how many entries
+    the open string memo holds at that moment (None with no scope open).
+    power computes a string by _step (one step) or _power_view with an int
+    n; top calls _power_view with n = None and is not counted."""
+    from crystalpaths import halfpath
+    held = []
+    step, power_view = halfpath._step, halfpath._power_view
+
+    def counted_step(view, i, up):
+        held.append(None if halfpath._memo is None else len(halfpath._memo))
+        return step(view, i, up)
+
+    def counted_power_view(view, i, n):
+        if n is not None:
+            held.append(None if halfpath._memo is None else len(halfpath._memo))
+        return power_view(view, i, n)
+
+    monkeypatch.setattr(halfpath, "_step", counted_step)
+    monkeypatch.setattr(halfpath, "_power_view", counted_power_view)
+    return held
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:

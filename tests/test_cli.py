@@ -3,12 +3,14 @@ import json
 
 import pytest
 
-from crystalpaths import ground_path, halfpath, left_path, path_from_window, u_lambda
+from crystalpaths import ground_path, left_path, path_from_window, u_lambda
 from crystalpaths.cli import MAX_ENTRY, MAX_SPAN, main
-from crystalpaths.peterweyl import SliceReport, pw_verify
-from crystalpaths.star import star_binf
+from crystalpaths.peterweyl import SliceReport
 from crystalpaths.serialize import dumps, loads
+from crystalpaths.star import star_binf
 from crystalpaths.weights import classical
+
+from conftest import counted_strings
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -370,99 +372,13 @@ def test_elements_at_the_input_limits_are_accepted(element, capsys, monkeypatch)
     assert code == 0 and out
 
 
-def scope_probe(monkeypatch, name, raises=None):
-    """Wrap the command function `name` so that it records whether a
-    string memo is open while it runs, and raises `raises` if given."""
-    from crystalpaths import cli
-    command, seen = getattr(cli, name), []
-
-    def probe(args):
-        seen.append(halfpath._memo)
-        if raises is not None:
-            raise raises
-        return command(args)
-
-    monkeypatch.setattr(cli, name, probe)
-    return seen
-
-
-@pytest.mark.parametrize("argv, stdin, expected", [
-    (["star"], dumps(left_path({-2: 1, -1: -1})), 0),
-    (["star"], "{not json", 64),
-    (["walls", "--bogus"], "", 65),
-])
-def test_each_command_runs_in_a_memo_scope_that_closes_with_it(
-        argv, stdin, expected, capsys, monkeypatch):
-    seen = scope_probe(monkeypatch, "cmd_" + argv[0])
-    assert halfpath._memo is None
-    code, _, _ = run(capsys, monkeypatch, argv, stdin)
-    assert code == expected
-    # a usage error stops before the command and its scope
-    assert [type(m) for m in seen] == ([] if expected == 65 else [dict])
-    assert halfpath._memo is None
-
-
-def test_a_command_that_raises_closes_its_memo_scope(capsys, monkeypatch):
-    seen = scope_probe(monkeypatch, "cmd_pw_verify", raises=RuntimeError("boom"))
-    with pytest.raises(RuntimeError, match="boom"):
-        run(capsys, monkeypatch, ["pw-verify", "--lambda=1,0"])
-    assert [type(m) for m in seen] == [dict]
-    assert halfpath._memo is None
-    # inside an open scope, the command opens a fresh one and the outer
-    # one comes back, also when the command raises
-    with halfpath._memo_scope():
-        outer = halfpath._memo
-        with pytest.raises(RuntimeError):
-            run(capsys, monkeypatch, ["pw-verify", "--lambda=1,0"])
-        assert seen[-1] is not outer and seen[-1] == {}
-        assert halfpath._memo is outer
-    assert halfpath._memo is None
-
-
-def counted_strings(monkeypatch) -> list:
-    """Record, for each string power computes, how many entries the open
-    memo holds at that moment (None with no scope open).  power computes
-    a string by _step (one step) or _power_view with an int n; top calls
-    _power_view with n = None and is not counted."""
-    held = []
-    step, power_view = halfpath._step, halfpath._power_view
-
-    def counted_step(view, i, up):
-        held.append(None if halfpath._memo is None else len(halfpath._memo))
-        return step(view, i, up)
-
-    def counted_power_view(view, i, n):
-        if n is not None:
-            held.append(None if halfpath._memo is None else len(halfpath._memo))
-        return power_view(view, i, n)
-
-    monkeypatch.setattr(halfpath, "_step", counted_step)
-    monkeypatch.setattr(halfpath, "_power_view", counted_power_view)
-    return held
-
-
-def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
+def test_only_pw_verify_computes_strings_with_the_memo_open(capsys, monkeypatch):
+    # star repeats no string, so it runs with no memo; pw-verify's checks
+    # run in pw_verify's scope
     held = counted_strings(monkeypatch)
-    # the library, called with no scope open, computes every string: the
-    # slice's elements b1 (x) t_lam (x) b2 repeat the same few hundred
-    # factor strings
     star_binf.cache_clear()
-    assert pw_verify(classical(4, 0)).ok
-    assert len(held) == 7476 and set(held) == {None}
-    # the command remembers them: this count drifts when the memo's bound,
-    # key or clearing changes, or when the checks call power on other
-    # factors or in another order (the memo clears at its bound, so the
-    # order decides which repeats it still holds)
+    code, _, _ = run(capsys, monkeypatch, ["star"], dumps(left_path({-3: 2, -2: -1, -1: 1})))
+    assert code == 0 and held and set(held) == {None}
     held.clear()
-    star_binf.cache_clear()
-    assert main(["pw-verify", "--lambda=4,0"]) == 0
-    first = len(held)
-    assert first == 2870
-    # the memo fills up, is cleared there, and never holds more
-    assert max(held) == halfpath._MEMO_BOUND
-    # nothing outlives the command: the same call does the same work again
-    held.clear()
-    star_binf.cache_clear()
-    assert main(["pw-verify", "--lambda=4,0"]) == 0
-    assert len(held) == first
-    capsys.readouterr()
+    code, _, _ = run(capsys, monkeypatch, ["pw-verify", "--lambda=2,0"])
+    assert code == 0 and held and None not in held

@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from crystalpaths import (decompose, pw_report, pw_verify,
+from crystalpaths import (decompose, halfpath, pw_report, pw_verify,
                           slice_invariant_under_reflection, slices_disjoint,
                           u_lambda, verify_component)
 from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
@@ -19,7 +19,7 @@ from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
 from crystalpaths.star import star_binf, star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
-from conftest import BENCH_LAMBDAS, counted_weyl_ops, random_walk
+from conftest import BENCH_LAMBDAS, counted_strings, counted_weyl_ops, random_walk
 
 
 def test_decompose_of_generator_is_trivial():
@@ -685,13 +685,74 @@ def test_max_depth_counts_strings():
 
 
 @pytest.mark.parametrize("m, l", [(4, 0), (-4, 1), (2, 1), (0, 1)])
-def test_pw_verify_in_a_memo_scope_gives_the_same_report(m, l):
+def test_pw_verify_in_its_memo_scope_gives_the_report_of_its_checks(m, l):
     lam = classical(m, l)
     star_binf.cache_clear()
-    closed = pw_verify(lam)
+    computed = pw_report(lam, 1, 3)
+    computed.c1, computed.c2, computed.c3 = verify_component(lam, 5, 8)
     star_binf.cache_clear()
-    with _memo_scope():
-        opened = pw_verify(lam)
-    assert closed.pair_count > 0
+    remembered = pw_verify(lam)
+    assert computed.pair_count > 0
     for f in fields(SliceReport):
-        assert getattr(opened, f.name) == getattr(closed, f.name), f.name
+        assert getattr(remembered, f.name) == getattr(computed, f.name), f.name
+
+
+def test_pw_verify_closes_its_memo_scope(monkeypatch):
+    from crystalpaths import peterweyl
+    report, seen = peterweyl.pw_report, []
+
+    def probe(*args):
+        seen.append(halfpath._memo)
+        return report(*args)
+
+    def boom(*args):
+        seen.append(halfpath._memo)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(peterweyl, "pw_report", probe)
+    assert halfpath._memo is None
+    assert pw_verify(classical(1, 0)).ok
+    assert type(seen[-1]) is dict and halfpath._memo is None
+    # a check that raises closes it too; inside an outer scope pw_verify
+    # opens a fresh memo, and the outer one comes back untouched
+    monkeypatch.setattr(peterweyl, "pw_report", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        pw_verify(classical(1, 0))
+    assert type(seen[-1]) is dict and halfpath._memo is None
+    with _memo_scope():
+        outer = halfpath._memo
+        with pytest.raises(RuntimeError, match="boom"):
+            pw_verify(classical(1, 0))
+        assert seen[-1] is not outer and seen[-1]
+        assert halfpath._memo is outer and outer == {}
+    assert halfpath._memo is None
+
+
+def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
+    from crystalpaths.cli import main
+    lam = classical(4, 0)
+    held = counted_strings(monkeypatch)
+    # pw_verify's two checks, run with no scope open, compute every string:
+    # the slice's elements b1 (x) t_lam (x) b2 repeat the same few hundred
+    # factor strings
+    star_binf.cache_clear()
+    verify_component(lam, 5, 8)
+    pw_report(lam, 1, 3)
+    assert len(held) == 7476 and set(held) == {None}
+    # pw_verify remembers them: this count drifts when the memo's bound, key
+    # or clearing changes, or when the checks call power on other factors
+    # or in another order (the memo clears at its bound, so the order
+    # decides which repeats it still holds)
+    held.clear()
+    star_binf.cache_clear()
+    assert pw_verify(lam).ok
+    first = len(held)
+    assert first == 2870
+    # the memo fills up, is cleared there, and never holds more
+    assert max(held) == halfpath._MEMO_BOUND
+    # nothing outlives the call: the same command does the same work again
+    held.clear()
+    star_binf.cache_clear()
+    assert main(["pw-verify", "--lambda=4,0"]) == 0
+    assert len(held) == first
+    capsys.readouterr()
