@@ -17,7 +17,6 @@ from .levelpath import (LevelPath, ModElement, ground_path, is_extremal_by_walls
 from .star import (star_binf, star_bminf, star_extremal_closed,
                    star_half_closed, star_mod, starred_e, starred_f)
 from .extremal import (bmax_contains, bmax_seed, enum_bmax, enum_bminus_star,
-                       extremal_cert, is_extremal, is_extremal_path, weyl_op,
-                       weyl_orbit)
-from .peterweyl import (decompose, pw_report, pw_verify, slices_disjoint,
-                        slice_invariant_under_reflection, verify_component)
+                       extremal_cert, is_extremal, weyl_op, weyl_orbit)
+from .peterweyl import (decompose, pw_report, pw_verify, slice_invariant_under_reflection,
+                        slice_keys, verify_component)

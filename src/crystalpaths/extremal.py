@@ -152,10 +152,6 @@ def weyl_orbit(e: ModElement, length: int, max_len: int = 6) -> Optional[set]:
     return keys
 
 
-def is_extremal_path(p: LevelPath, max_len: int = 6) -> bool:
-    return is_extremal(lp_split(p), max_len)
-
-
 # -- uniform-wall path construction -----------------------------------------
 
 

@@ -79,7 +79,7 @@ it is a string on b1 and one on b2 (the tensor rule), and the slice's
 thousands of elements are built from a few hundred factors, so the
 strings that peterweyl's _star_pairs and decompose apply to the elements
 ask for the same factor strings again and again.  At pw-verify
---lambda=4,0 the memo cuts the strings computed from 7,476 to 2,870.
+--lambda=4,0 the memo cuts the strings computed from 7,476 to 2,761.
 Elsewhere no scope is open: where strings do not repeat (star peels one
 path, a string per letter) a memo only adds a lookup per string, and in a
 broad component search most repeats fall beyond the bound, where a memo
@@ -523,11 +523,6 @@ class HalfPath(WallScan, CrystalElement):
             end = walls[j + 1] if j + 1 < len(walls) else 0
             out.append((w, end - w))
         return out
-
-    def path_length(self) -> int:
-        """Total finite-domain length; the support length when walls exist."""
-        walls = self.wall_positions()
-        return -walls[0] if walls else 0
 
 
 def u_inf() -> HalfPath:

@@ -25,7 +25,11 @@ for move (core.lockstep, which checks C1 too), and the pairs are keyed by
 star images (star is a bijection, so keys collide exactly when the
 elements do).  The report holds only star images: each factor element is
 starred once (a B^max element into star space, a dual element back for its
-wall check), and no element of the slice is starred at all.
+wall check), and no element of the slice is starred at all.  It decomposes
+each element as the lockstep walk yields it, so it holds one B^max
+element's walk at a time and, for the injectivity check, a map from
+element key to B^max key; slice_keys() reads the same walks for their
+keys alone.
 
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears, read off its walls
@@ -208,9 +212,6 @@ class SliceReport:
     decompose_inconclusive: int = 0
     decompose_mismatched: int = 0
     violations: list[str] = field(default_factory=list)
-    # keys of the slice elements' star images: star is a bijection, so two
-    # reports share a key exactly when they share an element
-    element_keys: frozenset = frozenset()
 
     @property
     def failed(self) -> bool:
@@ -240,52 +241,61 @@ def _dual_family_ok(r: ModElement, lam: Weight) -> bool:
 
 
 def _star_pairs(lam: Weight, bmax: dict, depth: int):
-    """The dual family and the pair map of the lam-slice, in star space.
+    """The dual family and the pairs of the lam-slice, in star space.
 
     The dual family is the starred BFS from u_lam, run as the plain BFS from
     u_lam*; for every B^max element b, b* follows its words in lockstep
     with u_lam*.  Returns (dual, pairs, violations): dual maps the key of
-    r* to r* for each dual element r; pairs maps the key of e* to (b key,
-    r* key, e*) for each element e = W*(b) whose partner is r = W*(u_lam);
-    violations lists the words whose defined-ness differs between b and
-    u_lam, the words that reach one dual element at two elements, and the
-    elements reached from two different pairs.
+    r* to r* for each dual element r; pairs lazily yields (e* key, (b key,
+    r* key, e*)) for each element e = W*(b) whose partner is r = W*(u_lam),
+    each element once, one b's walk at a time: b in key order, and r in
+    the dual family's discovery order.  violations fills as pairs is read:
+    the words whose defined-ness differs between b and u_lam, the words
+    that reach one dual element at two elements, and the elements reached
+    from two different b.  Only one walk and the map from element key to b
+    key are held at a time.
     """
     root = star_mod(u_lambda(lam))
     order = sorted(bmax.items())
     dual, walks = lockstep(root, plain_moves, depth,
                            (star_mod(b) for _, b in order))
-    pairs: dict = {}
     violations: list[str] = []
-    for (bkey, _), (keys, elements, problems) in zip(order, walks):
-        for (kind, i), problem in problems:
-            violations.append(f"starred {kind}{i} defined-ness differs at b={bkey[:2]}"
-                              if problem == "defined" else f"pair map {problem}")
-        for rkey, ykey in keys.items():
-            if pairs.setdefault(ykey, (bkey, rkey, elements[ykey]))[0] != bkey:
-                violations.append("pair map collision")
-    return dual, pairs, violations
+
+    def pairs():
+        owner: dict = {}  # e* key -> b key
+        for (bkey, _), (keys, elements, problems) in zip(order, walks):
+            for (kind, i), problem in problems:
+                violations.append(f"starred {kind}{i} defined-ness differs at b={bkey[:2]}"
+                                  if problem == "defined" else f"pair map {problem}")
+            for rkey, ykey in keys.items():
+                if ykey not in owner:
+                    owner[ykey] = bkey
+                    yield ykey, (bkey, rkey, elements[ykey])
+                elif owner[ykey] != bkey:
+                    violations.append("pair map collision")
+
+    return dual, pairs(), violations
 
 
-def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
-              decompose_cap: Optional[int] = None) -> SliceReport:
+def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     """Verify the truncated lam-slice of the decomposition.
 
     Enumerates the B^max truncation by plain BFS from the seeds, and the
     dual family by starred BFS from u_lam, both to depth; every B^max
     element b follows the dual family's words in lockstep, in star space
-    (_star_pairs).  The report holds only the elements' star images, keys
-    element_keys by them and hands them to decompose() as e_star, so no
-    element is starred.  Checks, on the truncation: the starred word is
-    defined on b exactly when it is defined on u_lam; the resulting element
-    depends only on (b, image from u_lam); the pair map is injective, so
-    the slice count is the product of the factor counts; every dual-family
-    element matches its wall characterization; and decompose() recovers a
-    factorization replaying to the element, for every enumerated element,
-    whose orbit has lam's representative (orbit_canonical, in closed form,
-    so the cost does not grow with lam's delta label).  The wall
-    characterization and the decompose() searches read extremality off the
-    walls (is_extremal_by_walls), so the report computes no S_i step.
+    (_star_pairs).  Each element's star image goes to decompose() as
+    e_star as the walk yields it, so no element is starred and only one
+    b's walk is held at a time.  Checks, on the truncation: the starred
+    word is defined on b exactly when it is defined on u_lam; the
+    resulting element depends only on (b, image from u_lam); the pair map
+    is injective, so the slice count is the product of the factor counts;
+    every dual-family element matches its wall characterization; and
+    decompose() recovers a factorization replaying to the element, for
+    every enumerated element, whose orbit has lam's representative
+    (orbit_canonical, in closed form, so the cost does not grow with lam's
+    delta label).  The wall characterization and the decompose() searches
+    read extremality off the walls (is_extremal_by_walls), so the report
+    computes no S_i step.
     """
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
@@ -296,21 +306,10 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
-
-    elements = {ykey: y for ykey, (_, _, y) in pairs.items()}  # star images
-    rep.pair_count = len(pairs)
-    rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
-    rep.element_keys = frozenset(elements)
-    del bmax, dual, pairs  # the decompose loop reads only elements
-
-    # decompose every enumerated element (optionally capped)
-    todo = sorted(elements)
-    if decompose_cap is not None:
-        todo = todo[:decompose_cap]
-    for k in todo:
-        rep.decompose_total += 1
+    for _, (_, _, y) in pairs:
+        rep.pair_count += 1
         try:
-            result = decompose(None, DECOMPOSE_DEPTH, e_star=elements[k])
+            result = decompose(None, DECOMPOSE_DEPTH, e_star=y)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue
@@ -318,6 +317,8 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3,
             rep.decompose_inconclusive += 1
         elif result.lam_canonical != canon:
             rep.decompose_mismatched += 1
+    rep.decompose_total = rep.pair_count
+    rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     return rep
 
 
@@ -336,8 +337,12 @@ def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
     return rep
 
 
-def slices_disjoint(r1: SliceReport, r2: SliceReport) -> bool:
-    return not (r1.element_keys & r2.element_keys)
+def slice_keys(lam: Weight, c_bound: int = 1, depth: int = 3) -> frozenset:
+    """The keys of the truncated lam-slice's star images (_star_pairs, with
+    no decompose() and no dual check).  Star is a bijection, so two slices
+    share a key exactly when they share an element."""
+    _, pairs, _ = _star_pairs(lam, enum_bmax(lam, c_bound, depth), depth)
+    return frozenset(k for k, _ in pairs)
 
 
 def slice_invariant_under_reflection(lam: Weight, i: int, c_bound: int = 1,
@@ -346,9 +351,7 @@ def slice_invariant_under_reflection(lam: Weight, i: int, c_bound: int = 1,
     of s_i(lam), and vice versa: evidence that the slice depends only on the
     Weyl orbit."""
     lam2 = lam.reflect(i)
-    small1 = pw_report(lam, c_bound, depth_small, decompose_cap=0)
-    small2 = pw_report(lam2, c_bound, depth_small, decompose_cap=0)
-    big1 = pw_report(lam, c_bound + 1, depth_big, decompose_cap=0)
-    big2 = pw_report(lam2, c_bound + 1, depth_big, decompose_cap=0)
-    return (small1.element_keys <= big2.element_keys
-            and small2.element_keys <= big1.element_keys)
+    return (slice_keys(lam, c_bound, depth_small)
+            <= slice_keys(lam2, c_bound + 1, depth_big)
+            and slice_keys(lam2, c_bound, depth_small)
+            <= slice_keys(lam, c_bound + 1, depth_big))

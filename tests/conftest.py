@@ -13,22 +13,34 @@ every step for half-paths and sequences, and the elementary crystals'
 rules.  single_steps(b, i, n) loops them.  reference_check_axioms is the
 straight-line axiom checker that re-reads every fact at every arrow end.
 counted_weyl_ops(monkeypatch) records the S_i steps the library takes,
-counted_strings(monkeypatch) the half-path strings it computes.
+counted_strings(monkeypatch) the half-path strings it computes.  Every
+test starts with an empty star cache (cold_star_cache).
 """
 
 import random
 import sys
 
+import pytest
+
 from crystalpaths import HalfPath, LevelPath, SeqElement, left_path, seq_to_path, u_inf
 from crystalpaths.core import COLORS, NEG_INF, peel
 from crystalpaths.elementary import oracle_mismatches, oracle_word
 from crystalpaths.levelpath import ModElement
+from crystalpaths.star import star_binf
 from crystalpaths.weights import simple_root
 
 from crystals import BiElement, DualElement, EndMarker, LimitEntry, TElement, TensorElement
 
 # the weights of the pw_verify benchmark workload, as (m, l)
 BENCH_LAMBDAS = ((1, 0), (2, 0), (3, 0), (4, 0), (-3, 0), (2, 1), (-4, 1))
+
+
+@pytest.fixture(autouse=True)
+def cold_star_cache():
+    """star_binf's cache outlives every command in one process; clearing it
+    before each test keeps a star image computed by one test (a wrong one,
+    under a mutant) out of every later test."""
+    star_binf.cache_clear()
 
 
 def counted_weyl_ops(monkeypatch) -> list:

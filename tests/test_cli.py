@@ -7,7 +7,6 @@ from crystalpaths import ground_path, left_path, path_from_window, u_lambda
 from crystalpaths.cli import MAX_ENTRY, MAX_SPAN, main
 from crystalpaths.peterweyl import SliceReport
 from crystalpaths.serialize import dumps, loads
-from crystalpaths.star import star_binf
 from crystalpaths.weights import classical
 
 from conftest import counted_strings
@@ -376,7 +375,6 @@ def test_only_pw_verify_computes_strings_with_the_memo_open(capsys, monkeypatch)
     # star repeats no string, so it runs with no memo; pw-verify's checks
     # run in pw_verify's scope
     held = counted_strings(monkeypatch)
-    star_binf.cache_clear()
     code, _, _ = run(capsys, monkeypatch, ["star"], dumps(left_path({-3: 2, -2: -1, -1: 1})))
     assert code == 0 and held and set(held) == {None}
     held.clear()

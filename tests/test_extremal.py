@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystalpaths import (bmax_contains, bmax_seed, decompose, enum_bmax,
                           enum_bminus_star, extremal_cert, ground_path,
-                          is_extremal, is_extremal_path, lp_join, lp_split,
+                          is_extremal, lp_join, lp_split,
                           path_from_window, star_mod, u_lambda, weyl_op)
 from crystalpaths.core import COLORS, explore, plain_moves
 from crystalpaths.extremal import (_locally_extremal, bminus_star_count, uniform_wall_path,
@@ -40,7 +40,7 @@ def test_weyl_op_identity_at_zero_pairing():
 def test_ground_paths_are_extremal():
     for m in (-3, -1, 0, 1, 2, 3):
         for l in (0, 2):
-            assert is_extremal_path(ground_path(m, l))
+            assert is_extremal(lp_split(ground_path(m, l)))
 
 
 def test_lowering_off_extremal_position_is_not_extremal():
@@ -78,13 +78,13 @@ def test_mixed_walls_rule_extremality_out():
     # starts its searches
     from crystalpaths.peterweyl import _star_pairs
     p = path_from_window(0, 0, -2, [1, 1, -1, -1])
-    assert p.wall_sign() is None and not is_extremal_path(p)
+    assert p.wall_sign() is None and not is_extremal(lp_split(p))
     mixed = 0
     for m, l in BENCH_LAMBDAS:
         lam = classical(m, l)
         component = [c for _, _, c, _, new in explore([u_lambda(lam)], plain_moves, 5) if new]
         _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
-        for e in component + [y for _, _, y in pairs.values()]:
+        for e in component + [y for _, (_, _, y) in pairs]:
             if e.wall_sign() is None:
                 mixed += 1
                 assert not any(is_extremal(e, n) for n in range(1, 9))
@@ -524,8 +524,8 @@ def test_decompose_computes_no_weyl_step(monkeypatch):
     pairs = []
     for m, l in BENCH_LAMBDAS:
         lam = classical(m, l)
-        pairs += _star_pairs(lam, enum_bmax(lam, 1, 3), 3)[1].values()
+        pairs += _star_pairs(lam, enum_bmax(lam, 1, 3), 3)[1]
     calls = counted_weyl_ops(monkeypatch)
-    found = sum(decompose(None, DECOMPOSE_DEPTH, e_star=y) is not None for _, _, y in pairs)
+    found = sum(decompose(None, DECOMPOSE_DEPTH, e_star=y) is not None for _, (_, _, y) in pairs)
     assert found == len(pairs) > 2500
     assert calls == []

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from crystalpaths import (decompose, halfpath, pw_report, pw_verify,
-                          slice_invariant_under_reflection, slices_disjoint,
+                          slice_invariant_under_reflection, slice_keys,
                           u_lambda, verify_component)
 from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
                                graphs_isomorphic, lockstep, plain_moves)
@@ -161,8 +161,8 @@ def test_slice_report_verdict_counts_c1_to_c3(values, failed, ok):
 
 
 def test_pw_report_product_structure():
-    rep = pw_report(classical(1, 0), c_bound=1, depth=2, decompose_cap=25)
-    assert rep.ok
+    rep = pw_report(classical(1, 0), c_bound=1, depth=2)
+    assert rep.ok and rep.decompose_total == rep.pair_count
     assert rep.pair_count == rep.bmax_size * rep.dual_size
     assert rep.decompose_inconclusive == 0
     assert rep.decompose_mismatched == 0
@@ -170,22 +170,29 @@ def test_pw_report_product_structure():
 
 
 def test_slices_disjoint_across_orbits():
-    r1 = pw_report(classical(1, 0), c_bound=1, depth=2, decompose_cap=0)
-    r2 = pw_report(classical(2, 0), c_bound=1, depth=2, decompose_cap=0)
-    assert slices_disjoint(r1, r2)
-    assert not slices_disjoint(r1, r1)
+    # (1, 0) and (2, 0) lie in different Weyl orbits: their slices share no
+    # element, and a small slice of one is not inside a deeper one of the
+    # other
+    k1 = slice_keys(classical(1, 0), 1, 2)
+    k2 = slice_keys(classical(2, 0), 1, 2)
+    assert k1 and k2 and k1.isdisjoint(k2)
+    assert not k1 <= slice_keys(classical(2, 0), 2, 4)
+    assert len(k1) == pw_report(classical(1, 0), 1, 2).pair_count
 
 
 def test_slice_invariance_under_reflection():
-    assert slice_invariant_under_reflection(classical(1, 0), 1,
-                                            depth_small=2, depth_big=4)
+    lam = classical(1, 0)
+    assert slice_invariant_under_reflection(lam, 1, depth_small=2, depth_big=4)
+    # none of the four key sets it compares is empty
+    for w in (lam, lam.reflect(1)):
+        assert slice_keys(w, 1, 2) and slice_keys(w, 2, 4)
 
 
 # -- where the S-walks run -------------------------------------------------------
 
 
 def test_slice_invariance_builds_no_table(monkeypatch):
-    # a slice report reads extremality off the walls, so none of the four
+    # the slice keys come from lockstep walks alone, so none of the four
     # takes an S_i step
     calls = counted_weyl_ops(monkeypatch)
     assert slice_invariant_under_reflection(classical(1, 0), 1,
@@ -219,10 +226,10 @@ def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
 def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
     monkeypatch.setattr(Decomposition, "star_image",
                         lambda self: u_lambda(classical(5, 0)))
-    rep = pw_report(classical(1, 0), c_bound=1, depth=1, decompose_cap=1)
-    assert rep.decompose_total == 1
-    assert rep.decompose_mismatched == 1
-    assert not rep.ok
+    rep = pw_report(classical(1, 0), c_bound=1, depth=1)
+    assert rep.decompose_total == rep.pair_count > 0
+    assert rep.decompose_mismatched == rep.decompose_total
+    assert rep.failed and not rep.ok
 
 
 def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
@@ -234,7 +241,7 @@ def test_pw_report_flags_starred_words_that_do_not_follow_u_lambda(monkeypatch):
     foreign = starred_f(u, 0)
     monkeypatch.setattr("crystalpaths.peterweyl.enum_bmax",
                         lambda *args: {e.key(): e for e in (u, foreign)})
-    rep = pw_report(lam, c_bound=1, depth=3, decompose_cap=0)
+    rep = pw_report(lam, c_bound=1, depth=3)
     assert any("defined-ness differs" in v for v in rep.violations)
     assert "pair map collision" in rep.violations
     assert not rep.product_ok and not rep.ok
@@ -264,8 +271,9 @@ def _reference_replay(d):
 def _reference_report(lam, decompose_call):
     """pw_report with the starred BFS from u_lam and the starred replay on
     each b; returns the report and its pair map (element key -> (b key,
-    dual key)).  Like pw_report, the report keys its elements by their star
-    images, and decomposes them in the order of those keys."""
+    dual key)).  Like pw_report, it decomposes the elements in the order of
+    its pair map: b in key order, and each b's elements in the order the
+    starred BFS from u_lam first reaches their partners."""
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
     bmax = enum_bmax(lam, 1, 3)
@@ -310,12 +318,10 @@ def _reference_report(lam, decompose_call):
             elements[enew.key()] = enew
     rep.pair_count = len(pair_of)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
-    starred = {star_mod(e).key(): e for e in elements.values()}
-    rep.element_keys = frozenset(starred)
-    for k in sorted(starred):
+    for e in elements.values():
         rep.decompose_total += 1
         try:
-            result = decompose_call(starred[k], 10)
+            result = decompose_call(e, 10)
         except RuntimeError:
             rep.decompose_mismatched += 1
             continue
@@ -347,7 +353,7 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
         dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
         back = {k: star_mod(r).key() for k, r in dual.items()}
         fast_pairs = {star_mod(y).key(): (bkey, back[rkey])
-                      for bkey, rkey, y in pairs.values()}
+                      for _, (bkey, rkey, y) in pairs}
 
         found.clear()
         with monkeypatch.context() as patch:
@@ -372,7 +378,7 @@ def test_pw_report_does_not_grow_with_the_delta_label(monkeypatch):
     far, near = pw_report(classical(3, 20000)), pw_report(classical(3, 2))
     assert far.ok and near.ok
     for f in fields(far):
-        if f.name not in ("lam", "element_keys"):
+        if f.name != "lam":
             assert getattr(far, f.name) == getattr(near, f.name), f.name
 
 
@@ -402,7 +408,7 @@ def test_pw_report_reads_the_statistics_about_twice_per_string(monkeypatch):
     # string, exponents and checks where the call site holds them: at most
     # 2.5 halfpath._statistics scans per string, counted under every name
     # that binds them in the library, with a cold star cache
-    from crystalpaths import halfpath, levelpath, star
+    from crystalpaths import halfpath, levelpath
     calls = {"scans": 0, "strings": 0}
 
     def counted(name, original):
@@ -416,7 +422,6 @@ def test_pw_report_reads_the_statistics_about_twice_per_string(monkeypatch):
         if name.split(".")[0] == "crystalpaths" and getattr(module, "_statistics", None) is scan:
             monkeypatch.setattr(module, "_statistics", counted("scans", scan))
     monkeypatch.setattr(levelpath, "_string_split", counted("strings", levelpath._string_split))
-    star.star_binf.cache_clear()
     assert pw_report(classical(3, 0)).ok
     assert calls["strings"] > 1000
     assert calls["scans"] <= 2.5 * calls["strings"]
@@ -482,7 +487,7 @@ def test_pair_map_flags_a_dual_node_reached_at_a_second_element(monkeypatch):
     monkeypatch.setattr(peterweyl, "star_mod", lambda e: e)
     b = Word()
     dual, pairs, violations = _star_pairs(classical(1, 0), {b.key(): b}, 2)
-    assert Counts().key() in dual and len(dual) == len(pairs) == 6
+    assert Counts().key() in dual and len(dual) == len(dict(pairs)) == 6
     assert violations == ["pair map not well defined"]
     assert not graphs_isomorphic(bfs_component(Counts(), 2), bfs_component(b, 2))
 
@@ -687,7 +692,6 @@ def test_max_depth_counts_strings():
 @pytest.mark.parametrize("m, l", [(4, 0), (-4, 1), (2, 1), (0, 1)])
 def test_pw_verify_in_its_memo_scope_gives_the_report_of_its_checks(m, l):
     lam = classical(m, l)
-    star_binf.cache_clear()
     computed = pw_report(lam, 1, 3)
     computed.c1, computed.c2, computed.c3 = verify_component(lam, 5, 8)
     star_binf.cache_clear()
@@ -735,19 +739,20 @@ def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     # pw_verify's two checks, run with no scope open, compute every string:
     # the slice's elements b1 (x) t_lam (x) b2 repeat the same few hundred
     # factor strings
-    star_binf.cache_clear()
     verify_component(lam, 5, 8)
     pw_report(lam, 1, 3)
     assert len(held) == 7476 and set(held) == {None}
     # pw_verify remembers them: this count drifts when the memo's bound, key
     # or clearing changes, or when the checks call power on other factors
     # or in another order (the memo clears at its bound, so the order
-    # decides which repeats it still holds)
+    # decides which repeats it still holds); the slice report decomposes in
+    # pair-map order, each b's elements in a row, which shares more factor
+    # strings between neighbours than the star images' key order did (2,870)
     held.clear()
     star_binf.cache_clear()
     assert pw_verify(lam).ok
     first = len(held)
-    assert first == 2870
+    assert first == 2761
     # the memo fills up, is cleared there, and never holds more
     assert max(held) == halfpath._MEMO_BOUND
     # nothing outlives the call: the same command does the same work again
