@@ -247,7 +247,7 @@ def cmd_pw_verify(args) -> int:
         "pair_count": rep.pair_count,
         "product_ok": rep.product_ok,
         "dual_characterization_ok": rep.dual_characterization_ok,
-        "decompose_total": rep.decompose_total,
+        "decompose_total": rep.pair_count,  # the report decomposes every pair
         "decompose_inconclusive": rep.decompose_inconclusive,
         "violations": rep.violations,
     }
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_count, default=5,
                    help="BFS depth of C1-C3 (of the slice report, at most 3)")
     p.add_argument("--word-bound", type=_count, default=8,
-                   help="C3's Weyl-orbit word length; halved, C1's extremality bound")
+                   help="C3's Weyl-orbit word length")
     p.set_defaults(func=cmd_pw_verify)
 
     p = sub.add_parser("oracle-check", help="signature rule vs tensor oracle")

@@ -8,9 +8,10 @@ An element is extremal when every image under an alternating S-word is
 i-extremal for both colors: raising must be absent when <h_i, wt> >= 0 and
 lowering absent when <h_i, wt> <= 0.  is_extremal checks this for all
 alternating words up to a cutoff length.  It is the definition that
-levelpath.is_extremal_by_walls, walls of one sign, is tested against: the
-slice report reads extremality off the walls, and C1, C3, extremal_cert,
-weyl_orbit and the CLI keep this walk.
+levelpath.is_extremal_by_walls, walls of one sign, is tested against: by
+its L1 and L2 such walls pass the walk at every length, so the slice report
+and C1's starts (enum_bminus_star) read extremality off the walls, and C3,
+extremal_cert, weyl_orbit and the CLI keep this walk.
 
 The check reads i-extremality off the string statistics instead of building
 e_i and f_i images.  On a ModElement b1 (x) t_lam (x) b2, eps_i >= eps_i(b1)
@@ -53,12 +54,12 @@ generator alone at m = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Optional
 
 from .core import COLORS, explore, plain_moves
-from .levelpath import (LevelPath, ModElement, _alt, _ends, _star_letters, lp_split,
-                        u_lambda)
+from .levelpath import (LevelPath, ModElement, _alt, _ends, _star_letters,
+                        is_extremal_by_walls, lp_split, u_lambda)
 from .star import star_mod
 from .weights import Weight
 
@@ -225,14 +226,17 @@ def bminus_star_count(lam: Weight, span: int) -> int:
     return 1 if n == 0 else (2 * span + 1) * 2 ** (n - 1)
 
 
-def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5) -> list[ModElement]:
+def enum_bminus_star(lam: Weight, span: int = 4) -> list[ModElement]:
     """Truncated star image of the dual extremal-weight crystal of -lam.
 
     Its elements are exactly the extremal vectors of weight lam with |m|
     same-sign walls and inter-wall gaps 0 or 1, across all ambient path
     families; the truncation ranges the base wall position over
     [-span, span] (the generator u_lam appears at base position 0 with all
-    walls stacked).
+    walls stacked).  An element is kept when its walls carry one sign: by
+    L1 and L2 (levelpath.is_extremal_by_walls) it then passes the S-walk
+    at every length.  A wrong uniform_wall_path drops elements, and C1's
+    count against bminus_star_count fails.
     """
     if lam.level != 0:
         raise ValueError("lam must have level zero")
@@ -244,10 +248,7 @@ def enum_bminus_star(lam: Weight, span: int = 4, max_len: int = 5) -> list[ModEl
     out: dict = {}  # element key -> element, in the order found
     for gaps in product((0, 1), repeat=n - 1):
         for t in range(-span, span + 1):
-            walls = [t]
-            for g in gaps:
-                walls.append(walls[-1] + g)
-            e = lp_split(uniform_wall_path(walls, sgn, lam.d))
-            if e.wt() == lam and is_extremal(e, max_len):
+            e = lp_split(uniform_wall_path(accumulate(gaps, initial=t), sgn, lam.d))
+            if e.wt() == lam and is_extremal_by_walls(e):
                 out.setdefault(e.key(), e)
     return list(out.values())

@@ -48,15 +48,14 @@ verify_component() checks C1-C3 on one lockstep walk of u_lam's
 component.  pw_verify() is pw-verify's whole verdict: it runs
 verify_component() and the slice report and returns one SliceReport
 holding C1-C3 and the slice's counts, whose failed and ok decide the exit
-code.  C1 and C3 keep the bounded S-walk, the definition the theorem is
-checked against, and each of their checks walks its S-words afresh; C3
-walks the Weyl orbit of u_lam once and checks only the component's nodes
-outside it.  The slice report walks no Weyl orbit: decompose() and the
-dual family's check read extremality off the walls.  EXTREMAL_LEN bounds
-C3's extremality checks, and the report's decompose() searches by
-DECOMPOSE_DEPTH strings.  C1's starts sit within C1_SPAN, and half of
-word_bound, the length of C3's orbit words (pw-verify's --word-bound),
-bounds their extremality.
+code.  Only C3 keeps the bounded S-walk, the definition the theorem is
+checked against: it walks the Weyl orbit of u_lam once, by words of
+word_bound letters (pw-verify's --word-bound), and checks only the
+component's nodes outside it, at EXTREMAL_LEN.  C1's starts sit within
+C1_SPAN and, like decompose() and the dual family's check, read
+extremality off the walls: walls of one sign pass the S-walk at every
+length (levelpath.is_extremal_by_walls, L1 and L2), so they need no
+bound.  The report's decompose() searches by DECOMPOSE_DEPTH strings.
 """
 
 from __future__ import annotations
@@ -177,11 +176,11 @@ def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8) -> tuple[
     move (one lockstep).  C2 and C3 read that walk's nodes: u_lam is the
     only one of weight lam, and every extremal one lies in u_lam's Weyl
     orbit, so only the nodes outside the orbit are checked.  word_bound
-    sets the length of the orbit's alternating words and, halved, C1's
-    extremality bound; C3 checks at EXTREMAL_LEN.
+    sets the length of the orbit's alternating words alone, and C3 checks
+    at EXTREMAL_LEN; C1's starts are extremal by their walls (L1, L2).
     """
     root = u_lambda(lam)
-    starts = enum_bminus_star(lam, span=C1_SPAN, max_len=word_bound // 2)
+    starts = enum_bminus_star(lam, span=C1_SPAN)
     nodes, walks = lockstep(root, plain_moves, depth, starts)
     c1 = len(starts) == bminus_star_count(lam, C1_SPAN) and all(
         b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
@@ -208,7 +207,6 @@ class SliceReport:
     pair_count: int = 0
     product_ok: bool = False
     dual_characterization_ok: bool = False
-    decompose_total: int = 0
     decompose_inconclusive: int = 0
     decompose_mismatched: int = 0
     violations: list[str] = field(default_factory=list)
@@ -317,7 +315,6 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
             rep.decompose_inconclusive += 1
         elif result.lam_canonical != canon:
             rep.decompose_mismatched += 1
-    rep.decompose_total = rep.pair_count
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     return rep
 

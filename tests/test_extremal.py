@@ -13,6 +13,7 @@ from crystalpaths.extremal import (_locally_extremal, bminus_star_count, uniform
                                    weyl_orbit)
 from crystalpaths.halfpath import from_word, right_path
 from crystalpaths.levelpath import ModElement, is_extremal_by_walls
+from crystalpaths.peterweyl import verify_component
 from crystalpaths.weights import classical
 
 from conftest import (BENCH_LAMBDAS, counted_weyl_ops, same_entries, single_step,
@@ -201,15 +202,22 @@ def test_enum_bminus_star_zero_weight():
     assert len(out) == 1 and out[0] == u_lambda(lam)
 
 
-def test_bminus_star_count_matches_the_enumeration():
-    # one element per gap pattern and base position, whatever the level
-    # and the extremality cutoff
+def test_bminus_star_starts_are_extremal_by_their_walls():
+    # one element per gap pattern and base position, whatever the level;
+    # each has walls of the sign of m (none at m = 0) and passes the
+    # bounded walk far beyond pw-verify's bounds, and C1 reads no word
+    # bound: its verdict is the same at every one
     for m in range(-6, 7):
         for l in (-2, 0, 1):
             lam = classical(m, l)
-            for span, max_len in product((1, 2, 3), (4, 5)):
-                out = enum_bminus_star(lam, span=span, max_len=max_len)
-                assert len(out) == bminus_star_count(lam, span), (m, l, span, max_len)
+            for span in (1, 2, 3):
+                out = enum_bminus_star(lam, span=span)
+                assert len(out) == bminus_star_count(lam, span), (m, l, span)
+                for e in out:
+                    assert e.wall_sign() == (m > 0) - (m < 0), (m, l, span)
+                    assert is_extremal(e, 12), (m, l, span)
+            c1 = {verify_component(lam, 5, word_bound)[0] for word_bound in range(13)}
+            assert c1 == {True}, (m, l)
 
 
 # -- extremality from statistics against the image-based definitions ---------
@@ -504,12 +512,11 @@ def test_pw_verify_weyl_step_count_is_pinned(monkeypatch, capsys):
     calls = counted_weyl_ops(monkeypatch)
     assert cli.main(["pw-verify", "--lambda=4,0"]) == 0
     first = len(calls)
-    # the walks of C1 and C3 alone, the slice report takes no step: C1's 40
-    # starts walk 4 letters in each phase (320), C3 walks u_lam's orbit
-    # 8 + 4 letters in each phase (24), and the walks from the 6 locally
-    # extremal nodes off the orbit end within 2 letters (9); the 8 steps of
-    # u_lam's own C1 walk are the only ones taken twice
-    assert first == 353 and len(set(calls)) == first - 8
+    # C3's walks alone: C1's starts and the slice report read extremality
+    # off the walls and take no step; C3 walks u_lam's orbit 8 + 4 letters
+    # in each phase (24), and the walks from the 6 locally extremal nodes
+    # off the orbit end within 2 letters (9); no step is taken twice
+    assert first == 33 and len(set(calls)) == first
     # nothing outlives the command: the same call does the same work again
     calls.clear()
     assert cli.main(["pw-verify", "--lambda=4,0"]) == 0

@@ -11,7 +11,7 @@ from crystalpaths import (decompose, halfpath, pw_report, pw_verify,
 from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
                                graphs_isomorphic, lockstep, plain_moves)
 from crystalpaths.extremal import (bminus_star_count, enum_bmax, enum_bminus_star,
-                                   is_extremal, weyl_orbit)
+                                   extremal_cert, is_extremal, weyl_orbit)
 from crystalpaths.halfpath import _memo_scope, left_path, right_path
 from crystalpaths.levelpath import ModElement
 from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
@@ -71,12 +71,12 @@ def test_c2_unique_top_weight_vector():
 # -- C1, C2 and C3 as three walks: the reference for verify_component -----------
 
 
-def _verify_c1(lam, depth=5, span=2, extremal_len=4):
+def _verify_c1(lam, depth=5, span=2):
     """Components of extremal weight-lam vectors all match the component of
-    u_lam: there are as many as the wall characterization predicts
-    (bminus_star_count), and each has weight lam and follows u_lam's words
-    move for move."""
-    starts = enum_bminus_star(lam, span=span, max_len=extremal_len)
+    u_lam: as many of the wall characterization's elements as it predicts
+    (bminus_star_count) are extremal by the bounded walk at 12 letters, and
+    each has weight lam and follows u_lam's words move for move."""
+    starts = [e for e in enum_bminus_star(lam, span=span) if extremal_cert(e, 12).extremal]
     if len(starts) != bminus_star_count(lam, span):
         return False
     _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
@@ -103,8 +103,8 @@ def _verify_c3(lam, depth=5, word_bound=8):
 
 def _reference_component_checks(lam, depth=5, word_bound=8):
     """C1, C2 and C3 by three walks of u_lam's component, with the bounds
-    pw-verify gave them: span 2 and extremality at word_bound // 2 for C1."""
-    return (_verify_c1(lam, depth, span=2, extremal_len=word_bound // 2),
+    pw-verify gave them: span 2 for C1, and word_bound for C3's orbit."""
+    return (_verify_c1(lam, depth, span=2),
             _verify_c2(lam, depth),
             _verify_c3(lam, depth, word_bound=word_bound))
 
@@ -162,7 +162,7 @@ def test_slice_report_verdict_counts_c1_to_c3(values, failed, ok):
 
 def test_pw_report_product_structure():
     rep = pw_report(classical(1, 0), c_bound=1, depth=2)
-    assert rep.ok and rep.decompose_total == rep.pair_count
+    assert rep.ok
     assert rep.pair_count == rep.bmax_size * rep.dual_size
     assert rep.decompose_inconclusive == 0
     assert rep.decompose_mismatched == 0
@@ -227,8 +227,7 @@ def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
     monkeypatch.setattr(Decomposition, "star_image",
                         lambda self: u_lambda(classical(5, 0)))
     rep = pw_report(classical(1, 0), c_bound=1, depth=1)
-    assert rep.decompose_total == rep.pair_count > 0
-    assert rep.decompose_mismatched == rep.decompose_total
+    assert rep.decompose_mismatched == rep.pair_count > 0
     assert rep.failed and not rep.ok
 
 
@@ -319,7 +318,6 @@ def _reference_report(lam, decompose_call):
     rep.pair_count = len(pair_of)
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     for e in elements.values():
-        rep.decompose_total += 1
         try:
             result = decompose_call(e, 10)
         except RuntimeError:
@@ -521,15 +519,15 @@ def test_lockstep_reports_each_kind_of_problem():
 # -- C1 by whole component graphs: the reference for lockstep ------------------
 
 
-def _graph_c1(lam, depth=5, span=2, extremal_len=4):
-    """C1 as it was first written: the component graph of each extremal
-    vector of weight lam against u_lam's, by graphs_isomorphic."""
+def _graph_c1(lam, depth=5, span=2):
+    """C1 as it was first written: each start is an extremal vector, by the
+    bounded walk at 12 letters, and its component graph matches u_lam's, by
+    graphs_isomorphic."""
     from crystalpaths import peterweyl
     reference = bfs_component(u_lambda(lam), depth)
-    for b in peterweyl.enum_bminus_star(lam, span=span, max_len=extremal_len):
-        if not graphs_isomorphic(bfs_component(b, depth), reference):
-            return False
-    return True
+    return all(extremal_cert(b, 12).extremal
+               and graphs_isomorphic(bfs_component(b, depth), reference)
+               for b in peterweyl.enum_bminus_star(lam, span=span))
 
 
 def test_lockstep_c1_matches_the_graph_route(monkeypatch):
@@ -538,11 +536,13 @@ def test_lockstep_c1_matches_the_graph_route(monkeypatch):
         assert verify_component(lam)[0] == _graph_c1(lam)
         assert verify_component(lam, depth=3)[0] == _graph_c1(lam, depth=3)
     # an element of weight lam off B(-lam)*, whose component is not u_lam's,
-    # in place of one start, so that the start count still holds
+    # in place of one start, so that the start count still holds; it is
+    # not extremal either, which the graph route checks first
     from crystalpaths import peterweyl
     lam = classical(1, 0)
     foreign = ModElement(left_path({-2: 1}), classical(-1, 1), right_path({}))
-    assert foreign.wt() == lam
+    assert foreign.wt() == lam and not extremal_cert(foreign, 12).extremal
+    assert not graphs_isomorphic(bfs_component(foreign, 5), bfs_component(u_lambda(lam), 5))
     enum = peterweyl.enum_bminus_star
     monkeypatch.setattr("crystalpaths.peterweyl.enum_bminus_star",
                         lambda *args, **kwargs: enum(*args, **kwargs)[:-1] + [foreign])
@@ -669,7 +669,7 @@ def test_replay_is_the_starred_star_image(monkeypatch):
     for m, l in BENCH_LAMBDAS:
         found.clear()
         rep = pw_report(classical(m, l))
-        assert len(found) == rep.decompose_total == rep.pair_count
+        assert len(found) == rep.pair_count
         for y, d in found:
             assert y is not None and d is not None
             assert d.star_image() == y
@@ -738,21 +738,22 @@ def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     held = counted_strings(monkeypatch)
     # pw_verify's two checks, run with no scope open, compute every string:
     # the slice's elements b1 (x) t_lam (x) b2 repeat the same few hundred
-    # factor strings
+    # factor strings; verify_component computes 1,757 of them, none for
+    # C1's starts, which are read off their walls and walk no S-word
     verify_component(lam, 5, 8)
     pw_report(lam, 1, 3)
-    assert len(held) == 7476 and set(held) == {None}
+    assert len(held) == 7097 and set(held) == {None}
     # pw_verify remembers them: this count drifts when the memo's bound, key
     # or clearing changes, or when the checks call power on other factors
     # or in another order (the memo clears at its bound, so the order
     # decides which repeats it still holds); the slice report decomposes in
     # pair-map order, each b's elements in a row, which shares more factor
-    # strings between neighbours than the star images' key order did (2,870)
+    # strings between neighbours than the star images' key order did
     held.clear()
     star_binf.cache_clear()
     assert pw_verify(lam).ok
     first = len(held)
-    assert first == 2761
+    assert first == 2505
     # the memo fills up, is cleared there, and never holds more
     assert max(held) == halfpath._MEMO_BOUND
     # nothing outlives the call: the same command does the same work again
