@@ -1,28 +1,27 @@
 """Abstract crystal machinery shared by every concrete realization.
 
 A crystal element exposes a weight, its pairings <h_i, wt> with the simple
-coroots, string statistics eps(i)/phi(i) valued in the integers extended by
--infinity, and two string operations: power(i, n), the whole string f_i^n
-for n >= 0 and e_i^(-n) for n < 0, None where it is undefined (None models
-the formal zero element of the crystal axioms), and top(i), the pair
-(eps_i(b), e_i^eps_i b) of the top of b's i-string.  ends(i) is the pair
-(eps_i, phi_i), which half-paths, sequences and ModElement read in one
-pass.  top defaults to eps followed by power; half-paths and sequences
-override it with one sweep of their signature that reads eps_i and climbs
-together.  The raising and
-lowering operators e(i)/f(i) are power(i, -1)/power(i, 1), defined once on
-the base class, and arrows(i) is the pair (e(i), f(i)), which ModElement
+coroots, string statistics valued in the integers extended by -infinity, and
+two string operations: power(i, n), the whole string f_i^n for n >= 0 and
+e_i^(-n) for n < 0, None where it is undefined (None models the formal zero
+element of the crystal axioms), and top(i), the pair (eps_i(b), e_i^eps_i b)
+of the top of b's i-string.  ends(i), the pair (eps_i, phi_i), is the one
+statistics method an element type defines; eps(i) and phi(i) are its two
+halves, defined once on the base class.  top defaults to eps followed by
+power; half-paths and sequences override it with one sweep of their
+signature that reads eps_i and climbs together.  The raising and lowering
+operators e(i)/f(i) are power(i, -1)/power(i, 1), also defined once on the
+base class, and arrows(i) is the pair (e(i), f(i)), which ModElement
 computes from one read of its statistics.  On top of that protocol this
 module builds the tensor rule for strings (_string_split, which ModElement
 and the tensor-word oracle in elementary apply), the breadth-first search
 engine explore (the one place a search keys its nodes; it yields each node
-with its key),
-lockstep (do other elements follow one element's words?), the string
-walker peel (which climbs by top), component enumeration, rooted graph
-isomorphism, an axiom checker (check_axioms, which reads each weight,
+with its key), lockstep (do other elements follow one element's words?), the
+string walker peel (which climbs by top), component enumeration, rooted
+graph isomorphism, an axiom checker (check_axioms, which reads each weight,
 (eps_i, phi_i) and image once per call, keyed by key(), so both ends of an
-arrow share them: the statistics through ends(i), and both images of a
-color through one arrows(i)), and graph export.
+arrow share them: the statistics through ends(i), and both images of a color
+through one arrows(i)), and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -57,7 +56,7 @@ COLORS = (0, 1)
 
 
 class CrystalElement:
-    """Protocol base class; concrete elements define wt, eps, phi, power and
+    """Protocol base class; concrete elements define wt, ends, power and
     key, pairing where they read <h_i, wt> without building the weight, and
     top where one pass can read eps_i and climb.  power(i, 0) returns the
     element unchanged."""
@@ -65,16 +64,15 @@ class CrystalElement:
     def wt(self) -> Weight:
         raise NotImplementedError
 
-    def eps(self, i: int):
+    def ends(self, i: int) -> tuple:
+        """(eps_i, phi_i), the string statistics of color i."""
         raise NotImplementedError
+
+    def eps(self, i: int):
+        return self.ends(i)[0]
 
     def phi(self, i: int):
-        raise NotImplementedError
-
-    def ends(self, i: int) -> tuple:
-        """(eps_i, phi_i); element types that read both in one pass
-        override this."""
-        return self.eps(i), self.phi(i)
+        return self.ends(i)[1]
 
     def power(self, i: int, n: int) -> Optional["CrystalElement"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0; None when the string

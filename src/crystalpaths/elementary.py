@@ -63,7 +63,7 @@ def oracle_mismatches(b, word: list[int], i: int) -> int:
     oracle_word: 1 when eps or phi differ (e and f then go unchecked), else
     one for each of e and f whose results differ."""
     eps, phi, up, down = word_operators(word, i)
-    if b.eps(i) != eps or b.phi(i) != phi:
+    if b.ends(i) != (eps, phi):
         return 1
     count = 0
     for bb, ww in ((b.e(i), up), (b.f(i), down)):

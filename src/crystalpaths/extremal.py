@@ -1,8 +1,9 @@
 """Extremal vectors, Weyl orbit operators, and the distinguished families.
 
-S_i applies f_i^n when n = <h_i, wt> >= 0 and e_i^(-n) otherwise; running out
-of operator before the full power is a hard error, since on the elements we
-apply it to the power is guaranteed by the axioms.
+S_i applies f_i^n when n = <h_i, wt> >= 0 and e_i^(-n) otherwise, the one
+string power(i, <h_i, wt>) (weyl_op); running out of operator before the
+full power is a hard error, since on the elements we apply it to the power
+is guaranteed by the axioms.
 
 An element is extremal when every image under an alternating S-word is
 i-extremal for both colors: raising must be absent when <h_i, wt> >= 0 and
@@ -13,14 +14,14 @@ its L1 and L2 such walls pass the walk at every length, so the slice report
 and C1's starts (enum_bminus_star) read extremality off the walls, and C3,
 extremal_cert, weyl_orbit and the CLI keep this walk.
 
-The check reads i-extremality off the string statistics instead of building
-e_i and f_i images.  On a ModElement b1 (x) t_lam (x) b2, eps_i >= eps_i(b1)
->= 0 and phi_i >= phi_i(b2) >= 0, and e_i is undefined exactly when eps_i = 0,
-f_i exactly when phi_i = 0: by the tensor rule e_i acts on b1 (defined iff
-eps_i(b1) > 0, and then eps_i = eps_i(b1)) or on the right path b2, where it
-is always defined and eps_i > eps_i(b1); f_i likewise.  With
-n = <h_i, wt> and phi_i = eps_i + n, the element is i-extremal exactly when
-eps_i = max(0, -n).
+The check reads i-extremality off the string statistics, ends(i), instead of
+building e_i and f_i images.  On a ModElement b1 (x) t_lam (x) b2, eps_i >=
+eps_i(b1) >= 0 and phi_i >= phi_i(b2) >= 0, and e_i is undefined exactly
+when eps_i = 0, f_i exactly when phi_i = 0: by the tensor rule e_i acts on
+b1 (defined iff eps_i(b1) > 0, and then eps_i = eps_i(b1)) or on the right
+path b2, where it is always defined and eps_i > eps_i(b1); f_i likewise.
+With n = <h_i, wt> and phi_i = eps_i + n, the element is i-extremal exactly
+when eps_i = max(0, -n).
 
 Each check walks its S-words afresh (_walk): S_i reflects the i-string, so
 it is an involution, and the alternating images of both phases lie on one
@@ -58,19 +59,16 @@ from itertools import accumulate, product
 from typing import Iterable, Optional
 
 from .core import COLORS, explore, plain_moves
-from .levelpath import (LevelPath, ModElement, _alt, _ends, _star_letters,
-                        is_extremal_by_walls, lp_split, u_lambda)
+from .levelpath import (LevelPath, ModElement, _alt, _star_letters, is_extremal_by_walls,
+                        lp_split, u_lambda)
 from .star import star_mod
 from .weights import Weight
 
 
 def weyl_op(e: ModElement, i: int) -> ModElement:
-    """S_i: the full string of f_i or e_i prescribed by <h_i, wt>, read
-    with the string's statistics in one _stats call."""
-    stats = e._stats(i)
-    eps, phi = _ends(stats)
-    n = phi - eps
-    out = e._power(i, n, stats)
+    """S_i: the full string of f_i or e_i prescribed by <h_i, wt>."""
+    n = e.pairing(i)
+    out = e.power(i, n)
     if out is None:
         raise RuntimeError(f"S_{i} ran out of operator (power {n})")
     return out
@@ -80,7 +78,7 @@ def _locally_extremal(e: ModElement) -> bool:
     """No e_i where <h_i, wt> >= 0 and no f_i where it is <= 0, for both
     colors: eps_i = max(0, -<h_i, wt>), by the statistics alone, with
     <h_i, wt> = phi_i - eps_i."""
-    return all(eps == max(0, eps - phi) for eps, phi in (_ends(e._stats(i)) for i in COLORS))
+    return all(eps == max(0, eps - phi) for eps, phi in map(e.ends, COLORS))
 
 
 def _walk(e: ModElement, start: int, length: int) -> list[ModElement]:
@@ -113,7 +111,6 @@ class ExtremalCert:
     When not extremal, witness is the alternating color word whose S-image
     fails to be i-extremal (empty word: the element itself fails)."""
 
-    element: ModElement
     max_len: int
     extremal: bool
     witness: Optional[list[int]] = None
@@ -123,12 +120,12 @@ def extremal_cert(e: ModElement, max_len: int = 6) -> ExtremalCert:
     """The bounded check: the witness is the first alternating word, phase
     0 then 1, whose walk (_walk) ends within max_len letters."""
     if not _locally_extremal(e):
-        return ExtremalCert(e, max_len, False, [])
+        return ExtremalCert(max_len, False, [])
     for start in COLORS:
         reached = len(_walk(e, start, max_len))
         if reached < max_len:
-            return ExtremalCert(e, max_len, False, [(start + j) % 2 for j in range(reached + 1)])
-    return ExtremalCert(e, max_len, True)
+            return ExtremalCert(max_len, False, [(start + j) % 2 for j in range(reached + 1)])
+    return ExtremalCert(max_len, True)
 
 
 def weyl_orbit(e: ModElement, length: int, max_len: int = 6) -> Optional[set]:

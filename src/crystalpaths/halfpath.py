@@ -48,8 +48,8 @@ positional weights and makes wt(f_i b) = wt(b) - alpha_i exact.  Its term at
 k is nonzero only at an entry or one position right of one, so wt is one
 pass over the nonzero entries.  Since delta pairs to zero, <h_0, wt> =
 -<h_1, wt> = 2*(sum of entries) on either side: pairing(i) reads it off the
-entries, and eps, phi and the pair ends(i) take max_k A_k and that sum
-from one scan of the nonzero entries (A_k is constant across a run of
+entries, and ends(i), the pair (eps_i, phi_i), takes max_k A_k and that
+sum from one scan of the nonzero entries (A_k is constant across a run of
 zeros).
 
 Every half-path stores its left view, built once: the entries themselves
@@ -432,14 +432,6 @@ class HalfPath(WallScan, CrystalElement):
     def pairing(self, i: int) -> int:
         s = 2 * sum(v for _, v in self.entries)
         return s if i == 0 else -s
-
-    def eps(self, i: int):
-        top, pairing = _statistics(self._left, i)
-        return top if self.side == LEFT else top + pairing
-
-    def phi(self, i: int):
-        top, pairing = _statistics(self._left, i)
-        return top + pairing if self.side == LEFT else top
 
     def ends(self, i: int) -> tuple[int, int]:
         top, pairing = _statistics(self._left, i)

@@ -29,13 +29,14 @@ eps_i(b2), by core's rule for strings (_string_split).  So four numbers of
 color i decide everything: eps_i(b1), phi_i(b1) + p(lam), eps_i(b2) and
 phi_i(b2).  ModElement._stats(i) reads them from one scan of each factor's
 left view, and _ends gives eps_i and phi_i from them (phi_i - eps_i is
-p(wt)).  eps, phi, ends (the pair) and power each read them once.  A
-call site that needs more than one of these for a color reads them once
-and passes them to _power: arrows (both plain arrows), peterweyl.string_moves (both string
-ends) and extremal.weyl_op and _locally_extremal.  Nothing is cached.  The
-results of _power and lp_split are built without the constructor's checks
-(_built_mod, and halfpath._built for the factors): b1 stays a left and b2 a
-right path and lam keeps its level, by construction.
+p(wt)).  ends (the pair) and power each read them once; arrows (both plain
+arrows) and string_moves (both string ends of each color, the moves of
+peterweyl.decompose's search) read them once and pass them to _power for
+two results.  The four numbers never leave this module: other modules read
+ends and power alone.  Nothing is cached.  The results of _power and
+lp_split are built without the constructor's checks (_built_mod, and
+halfpath._built for the factors): b1 stays a left and b2 a right path and
+lam keeps its level, by construction.
 
 Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
                + delta * ( l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)) )
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
-from .core import CrystalElement, _string_split
+from .core import COLORS, CrystalElement, _string_split
 from .halfpath import (LEFT, RIGHT, HalfPath, WallScan, _built, _mirror, _positions,
                        _statistics, _wall_sign, _weight_parts, u_inf, u_minus_inf)
 from .weights import Weight, classical
@@ -215,12 +216,6 @@ class ModElement(WallScan, CrystalElement):
         top2, p2 = _statistics(self.b2._left, i)  # the view's eps and phi are b2's phi and eps
         return top1, top1 + p1 + self.lam.pairing(i), top2 + p2, top2
 
-    def eps(self, i: int):
-        return _ends(self._stats(i))[0]
-
-    def phi(self, i: int):
-        return _ends(self._stats(i))[1]
-
     def ends(self, i: int) -> tuple[int, int]:
         return _ends(self._stats(i))
 
@@ -270,6 +265,18 @@ class ModElement(WallScan, CrystalElement):
 
     def __repr__(self) -> str:
         return f"ModElement({self.b1!r}, {self.lam!r}, {self.b2!r})"
+
+
+def string_moves(b: ModElement):
+    """The string-end moves at b as ((kind, color, n), image) pairs, in the
+    order E_0, F_0, E_1, F_1: E_i = e_i^eps_i and F_i = f_i^phi_i, the image
+    None where the exponent is 0.  Both exponents and both strings of a
+    color come from one read of b's statistics."""
+    for i in COLORS:
+        stats = b._stats(i)
+        eps, phi = _ends(stats)
+        yield ("e", i, eps), (b._power(i, -eps, stats) if eps else None)
+        yield ("f", i, phi), (b._power(i, phi, stats) if phi else None)
 
 
 def is_extremal_by_walls(x: WallScan) -> bool:

@@ -37,12 +37,14 @@ image until an extremal vector x appears, read off its walls
 the bounded S-walk's verdict at every length); the B^max factor is x*,
 and the inverted search word is the starred word from x* back to the
 element -- replayed as plain moves on x, which gives the element's star
-image, and checked against the star image it searched from.  An extremal vector sits at
-an end of every i-string, and so does every element of its Weyl orbit, so
-the search moves by whole strings: E_i = e_i^eps_i to the top of the
-i-string and F_i = f_i^phi_i to its bottom, each one power() call and
-undefined when its exponent is 0.  The word is a list of (kind, i, n)
-strings, kind^n of color i, and the search depth counts strings.
+image, and checked to equal the star image it searched from.  An extremal
+vector sits at an end of every i-string, and so does every element of its
+Weyl orbit, so the search moves by whole strings: E_i = e_i^eps_i to the
+top of the i-string and F_i = f_i^phi_i to its bottom, undefined when its
+exponent is 0 (levelpath.string_moves, which reads both exponents and
+both strings of a color from one read of the element's statistics).  The
+word is a list of (kind, i, n) strings, kind^n of color i, and the search
+depth counts strings.
 
 verify_component() checks C1-C3 on one lockstep walk of u_lam's
 component.  pw_verify() is pw-verify's whole verdict: it runs
@@ -63,11 +65,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import COLORS, explore, lockstep, plain_moves
+from .core import explore, lockstep, plain_moves
 from .extremal import (bminus_star_count, enum_bmax, enum_bminus_star, is_extremal,
                        weyl_orbit)
 from .halfpath import _memo_scope
-from .levelpath import ModElement, _ends, is_extremal_by_walls, u_lambda
+from .levelpath import ModElement, is_extremal_by_walls, string_moves, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
 
@@ -115,18 +117,6 @@ class Decomposition:
         return star_mod(self.star_image())
 
 
-def string_moves(b: ModElement):
-    """The string-end moves at b as ((kind, color, n), image) pairs, in the
-    order E_0, F_0, E_1, F_1: E_i = e_i^eps_i and F_i = f_i^phi_i, the image
-    None where the exponent is 0.  Both exponents and both strings of a
-    color come from one read of b's statistics."""
-    for i in COLORS:
-        stats = b._stats(i)
-        eps, phi = _ends(stats)
-        yield ("e", i, eps), (b._power(i, -eps, stats) if eps else None)
-        yield ("f", i, phi), (b._power(i, phi, stats) if phi else None)
-
-
 def decompose(e: Optional[ModElement], max_depth: int = 8, *,
               e_star: Optional[ModElement] = None) -> Optional[Decomposition]:
     """Factor e through the decomposition; None if the bounded search fails.
@@ -159,7 +149,7 @@ def decompose(e: Optional[ModElement], max_depth: int = 8, *,
             k, (kind, i, n) = links[k]
             inverse.append(("f" if kind == "e" else "e", i, n))
         result = Decomposition(inverse, x)
-        if result.star_image().key() != root.key():
+        if result.star_image() != root:
             raise RuntimeError("decomposition word does not replay to the element")
         return result
     return None

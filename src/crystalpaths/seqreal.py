@@ -36,7 +36,8 @@ first color is copied from a validated element and the sweep has already
 rejected a negative entry, so only the trailing zeros need trimming.  With
 s_c the sum of a_p over the positions of color c, wt = -s_0 * alpha_0 -
 s_1 * alpha_1 and pairing(i) = -2 * (s_i - s_(1-i)) need no per-position
-weight, and eps is the maximum of one scan.
+weight, and ends(i) reads eps_i as the maximum of one scan and phi_i as
+eps_i + pairing(i).
 
 The realization embeds the limit crystal; the image is cut out by
 (n-1)*a_{n+1} <= n*a_n for n >= 2.  Monotone sequences (a_{p+1} <= a_p)
@@ -101,12 +102,6 @@ class SeqElement(CrystalElement):
         # -2 * (s_i - s_(1-i))
         odd, even = sum(self.a[0::2]), sum(self.a[1::2])
         return 2 * (even - odd) if i == self.first_color else 2 * (odd - even)
-
-    def eps(self, i: int):
-        return max(_ahat(self, i))
-
-    def phi(self, i: int):
-        return self.eps(i) + self.pairing(i)
 
     def ends(self, i: int) -> tuple[int, int]:
         eps = max(_ahat(self, i))

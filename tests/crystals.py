@@ -35,25 +35,25 @@ class TensorElement(CrystalElement):
     """Tensor product of two crystal elements.
 
     The string statistics are one value per instance, built on first use:
-    (pairing, eps, phi) for each color by the formulas of the core module
+    (pairing, (eps, phi)) for each color by the formulas of the core module
     docstring, from the factors' statistics.  Deep tensor words read the
     statistics of every prefix, so without it the recursion is quadratic in
-    the word length; pairing is the sum of the factors' pairings, so
-    eps/phi never build a prefix weight.  power is the tensor rule for
-    strings, through core._string_split."""
+    the word length; pairing is the sum of the factors' pairings, so ends
+    never builds a prefix weight.  power is the tensor rule for strings,
+    through core._string_split."""
 
     left: CrystalElement
     right: CrystalElement
 
     @cached_property
     def _stats(self) -> tuple[tuple, ...]:
-        """(pairing, eps, phi) of each color."""
+        """(pairing, (eps, phi)) of each color."""
         b1, b2 = self.left, self.right
         out = []
         for i in COLORS:
             p1, p2 = b1.pairing(i), b2.pairing(i)
-            out.append((p1 + p2, max(b1.eps(i), b2.eps(i) - p1),
-                        max(b2.phi(i), b1.phi(i) + p2)))
+            (eps1, phi1), (eps2, phi2) = b1.ends(i), b2.ends(i)
+            out.append((p1 + p2, (max(eps1, eps2 - p1), max(phi2, phi1 + p2))))
         return tuple(out)
 
     def wt(self) -> Weight:
@@ -62,11 +62,8 @@ class TensorElement(CrystalElement):
     def pairing(self, i: int) -> int:
         return self._stats[i][0]
 
-    def eps(self, i: int):
+    def ends(self, i: int):
         return self._stats[i][1]
-
-    def phi(self, i: int):
-        return self._stats[i][2]
 
     def power(self, i: int, n: int):
         if n == 0:
@@ -89,11 +86,9 @@ class DualElement(CrystalElement):
     def wt(self) -> Weight:
         return -self.inner.wt()
 
-    def eps(self, i: int):
-        return self.inner.phi(i)
-
-    def phi(self, i: int):
-        return self.inner.eps(i)
+    def ends(self, i: int):
+        eps, phi = self.inner.ends(i)
+        return phi, eps
 
     def power(self, i: int, n: int):
         c = self.inner.power(i, -n)
@@ -110,11 +105,8 @@ class TElement(CrystalElement):
     def wt(self) -> Weight:
         return self.lam
 
-    def eps(self, i: int):
-        return NEG_INF
-
-    def phi(self, i: int):
-        return NEG_INF
+    def ends(self, i: int):
+        return NEG_INF, NEG_INF
 
     def power(self, i: int, n: int):
         return self if n == 0 else None
@@ -131,11 +123,8 @@ class BiElement(CrystalElement):
     def wt(self) -> Weight:
         return self.n * simple_root(self.color)
 
-    def eps(self, i: int):
-        return -self.n if i == self.color else NEG_INF
-
-    def phi(self, i: int):
-        return self.n if i == self.color else NEG_INF
+    def ends(self, i: int):
+        return (-self.n, self.n) if i == self.color else (NEG_INF, NEG_INF)
 
     def power(self, i: int, n: int):
         if n == 0:
@@ -156,11 +145,8 @@ class LimitEntry(CrystalElement):
     def pairing(self, i: int) -> int:
         return 2 * self.n if i == 0 else -2 * self.n
 
-    def eps(self, i: int):
-        return -self.n if i == 0 else self.n
-
-    def phi(self, i: int):
-        return self.n if i == 0 else -self.n
+    def ends(self, i: int):
+        return (-self.n, self.n) if i == 0 else (self.n, -self.n)
 
     def power(self, i: int, n: int):
         if n == 0:
@@ -188,11 +174,8 @@ class EndMarker(CrystalElement):
     def pairing(self, i: int) -> int:
         return 0
 
-    def eps(self, i: int):
-        return 0
-
-    def phi(self, i: int):
-        return 0
+    def ends(self, i: int):
+        return 0, 0
 
     def power(self, i: int, n: int):
         return self if n == 0 else None

@@ -148,8 +148,9 @@ def test_check_axioms_on_tensor_sample():
 class Broken(LimitEntry):
     """phi off by one."""
 
-    def phi(self, i):
-        return super().phi(i) + 1
+    def ends(self, i):
+        eps, phi = super().ends(i)
+        return eps, phi + 1
 
     def power(self, i, n):
         return Broken(super().power(i, n).n)

@@ -10,7 +10,7 @@ from crystalpaths import (LevelPath, ModElement, Weight, ground_path,
 from crystalpaths.core import check_axioms
 from crystalpaths.extremal import weyl_op
 from crystalpaths.halfpath import LEFT, RIGHT
-from crystalpaths.peterweyl import string_moves
+from crystalpaths.levelpath import string_moves
 from crystalpaths.weights import classical
 
 from conftest import random_walk

@@ -17,8 +17,7 @@ from crystalpaths import (LevelPath, SeqElement, from_word, left_path, lp_split,
                           right_path, u_inf)
 from crystalpaths.extremal import _locally_extremal, weyl_op
 from crystalpaths.halfpath import HalfPath, _memo_scope
-from crystalpaths.levelpath import ModElement
-from crystalpaths.peterweyl import string_moves
+from crystalpaths.levelpath import ModElement, string_moves
 from crystalpaths.weights import Weight, classical
 
 from conftest import left_signature, single_step, single_steps, stepwise_power

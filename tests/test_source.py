@@ -88,15 +88,33 @@ def test_the_library_defines_only_the_engine_element_types():
     assert elements - {"CrystalElement"} == {"HalfPath", "SeqElement", "ModElement"}
 
 
-def test_every_class_with_eps_or_phi_defines_ends():
-    # check_axioms reads (eps_i, phi_i) through ends: a class that defines
-    # eps or phi defines ends too, so no type inherits an ends that reads
-    # its statistics another way than its own eps and phi
-    missing = []
+def test_ends_is_the_one_statistics_method():
+    # eps and phi are the two halves of ends, defined once on
+    # CrystalElement, and every element type with a power defines its own
+    # ends: no type reads its statistics twice or another way than ends
+    eps_phi, missing = [], []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ClassDef):
                 methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-                if methods & {"eps", "phi"} and "ends" not in methods:
+                if methods & {"eps", "phi"} and node.name != "CrystalElement":
+                    eps_phi.append(f"{path.name}:{node.name}")
+                if "power" in methods and "ends" not in methods:
                     missing.append(f"{path.name}:{node.name}")
-    assert missing == []
+    assert eps_phi == [] and missing == []
+
+
+def test_the_tensor_rule_numbers_stay_in_levelpath():
+    # ModElement's four numbers (_stats), the string on them (_power) and
+    # the statistics read off them (_ends) are named in levelpath alone;
+    # every other module reads ends and power
+    named = []
+    private = {"_stats", "_power", "_ends"}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "levelpath.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a use, an attribute, a definition or an imported name
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            named += [f"{path.name}:{node.lineno} {name}" for name in names & private]
+    assert named == []

@@ -229,11 +229,8 @@ class Starred(CrystalElement):
     def wt(self):
         return star_mod(self.inner).wt()
 
-    def eps(self, i):
-        return star_mod(self.inner).eps(i)
-
-    def phi(self, i):
-        return star_mod(self.inner).phi(i)
+    def ends(self, i):
+        return star_mod(self.inner).ends(i)
 
     def power(self, i, n):
         c = star_mod(self.inner).power(i, n)
