@@ -64,31 +64,10 @@ only at positions from one left of the support to -1 of the view, merging
 them in position order and dropping the ones that reach zero, and the
 mirror of a sorted, zero-free tuple on one side of 0 is sorted, zero-free
 and on the other side.
-
-Inside a _memo_scope, power remembers the strings it computes.  The key is
-(side, left view, i, n) for n != 0: a path and its flip share a view, and
-their strings differ.  The value is the result path, or None where the
-string runs out.  The memo holds at most _MEMO_BOUND = 256 entries and is
-cleared when full, so its memory stays fixed however long the scope runs.
-peterweyl.pw_verify opens the one scope, around its checks; everything
-else runs with none open and computes every string.  The memo is one slot
-per process, not per thread; a value depends only on its key, so results
-stay right whichever memo a call reads.  The repeats come from products:
-every element of a Peter-Weyl slice is b1 (x) t_lam (x) b2, a string on
-it is a string on b1 and one on b2 (the tensor rule), and the slice's
-thousands of elements are built from a few hundred factors, so the
-strings that peterweyl's _star_pairs and decompose apply to the elements
-ask for the same factor strings again and again.  At pw-verify
---lambda=4,0 the memo cuts the strings computed from 7,476 to 2,761.
-Elsewhere no scope is open: where strings do not repeat (star peels one
-path, a string per letter) a memo only adds a lookup per string, and in a
-broad component search most repeats fall beyond the bound, where a memo
-open all the time made the slowest calls slower.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Optional
@@ -98,26 +77,6 @@ from .weights import Weight, classical
 
 LEFT = "left"
 RIGHT = "right"
-
-# The strings of the open _memo_scope: (side, left view, i, n) -> the result
-# of power(i, n), None where the string runs out; None when no scope is open.
-_memo: Optional[dict] = None
-_MEMO_BOUND = 256  # entries; the memo is cleared when it holds this many
-_MISS = object()
-
-
-@contextmanager
-def _memo_scope():
-    """Remember the strings power computes until the block exits, in a
-    fresh memo; the previous one (None outside any scope) comes back on
-    exit, an exception included."""
-    global _memo
-    outer, _memo = _memo, {}
-    try:
-        yield
-    finally:
-        _memo = outer
-
 
 def _positions(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> Mapping[int, int]:
     """The entries given to a public constructor, as a mapping from position
@@ -447,33 +406,17 @@ class HalfPath(WallScan, CrystalElement):
 
     def power(self, i: int, n: int) -> Optional["HalfPath"]:
         """f_i^n for n >= 0 and e_i^(-n) for n < 0 by the signature rule;
-        None when the string runs out.  Inside a _memo_scope (pw_verify's)
-        the result is looked up by (side, left view, i, n) first and
-        remembered after, in a memo of at most _MEMO_BOUND entries that is
-        cleared when full; with no scope open the string is computed (see
-        the module docstring)."""
+        None when the string runs out."""
         if n == 0:
             return self
-        memo = _memo
-        if memo is not None:
-            key = (self.side, self._left, i, n)
-            out = memo.get(key, _MISS)
-            if out is not _MISS:
-                return out
         m = n if self.side == LEFT else -n  # the view's e and f are exchanged
         if m == 1 or m == -1:
             view = _step(self._left, i, m < 0)
         else:
             _, view = _power_view(self._left, i, m)
         if view is None:
-            out = None
-        else:
-            out = _built(LEFT, view, view) if self.side == LEFT else _built(RIGHT, _mirror(view), view)
-        if memo is not None:
-            if len(memo) >= _MEMO_BOUND:
-                memo.clear()
-            memo[key] = out
-        return out
+            return None
+        return _built(LEFT, view, view) if self.side == LEFT else _built(RIGHT, _mirror(view), view)
 
     def top(self, i: int) -> tuple[int, "HalfPath"]:
         """(eps_i, e_i^eps_i b); on a left path from one pass that reads

@@ -31,6 +31,15 @@ element's walk at a time and, for the injectivity check, a map from
 element key to B^max key; slice_keys() reads the same walks for their
 keys alone.
 
+The elements W*(b) sharing a dual partner r = W*(u_lam) are reached by
+one word W, so the report searches once per dual element and replays the
+word on the partner's other elements: its strings, inverted and in
+reverse order, take the star image y to an end x (_replay).  That
+certifies the element as a search would when x is extremal by its walls,
+the word takes x back to y, and the factor's orbit is lam's; an element
+whose replay fails a check is searched, so every failed or inconclusive
+decomposition comes from a search.
+
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears, read off its walls
 (levelpath.is_extremal_by_walls: they all carry one sign, which implies
@@ -68,7 +77,6 @@ from typing import Optional
 from .core import explore, lockstep, plain_moves
 from .extremal import (bminus_star_count, enum_bmax, enum_bminus_star, is_extremal,
                        weyl_orbit)
-from .halfpath import _memo_scope
 from .levelpath import ModElement, is_extremal_by_walls, string_moves, u_lambda
 from .star import star_mod
 from .weights import Weight, orbit_canonical
@@ -215,6 +223,22 @@ class SliceReport:
         return not self.failed and self.decompose_inconclusive == 0
 
 
+def _replay(word: list[tuple[str, int, int]], y: ModElement) -> Optional[Decomposition]:
+    """The decomposition of y by another element's word, or None: the
+    strings, inverted and reversed, take y to x, which must be extremal by
+    its walls and give y back (decompose()'s check); the caller checks the
+    orbit."""
+    x = y
+    for kind, i, n in reversed(word):
+        x = x.power(i, -n if kind == "f" else n)
+        if x is None:
+            return None
+    if not is_extremal_by_walls(x):
+        return None
+    result = Decomposition(word, x)
+    return result if result.star_image() == y else None
+
+
 def _dual_family_ok(r: ModElement, lam: Weight) -> bool:
     """The dual family's characterization: weight lam, extremal (read off
     the walls), |m| walls and inter-wall gaps of at most 1."""
@@ -271,19 +295,21 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     Enumerates the B^max truncation by plain BFS from the seeds, and the
     dual family by starred BFS from u_lam, both to depth; every B^max
     element b follows the dual family's words in lockstep, in star space
-    (_star_pairs).  Each element's star image goes to decompose() as
-    e_star as the walk yields it, so no element is starred and only one
-    b's walk is held at a time.  Checks, on the truncation: the starred
-    word is defined on b exactly when it is defined on u_lam; the
-    resulting element depends only on (b, image from u_lam); the pair map
-    is injective, so the slice count is the product of the factor counts;
+    (_star_pairs).  Each element's star image is decomposed as the walk
+    yields it, so no element is starred and only one b's walk is held at a
+    time: the last search's word for its dual partner is replayed on it
+    (_replay), and decompose() searches when there is none or the replay
+    fails a check.  Checks, on the truncation: the starred word is defined
+    on b exactly when it is defined on u_lam; the resulting element
+    depends only on (b, image from u_lam); the pair map is injective, so
+    the slice count is the product of the factor counts;
     every dual-family element matches its wall characterization; and
     decompose() recovers a factorization replaying to the element, for
     every enumerated element, whose orbit has lam's representative
     (orbit_canonical, in closed form, so the cost does not grow with lam's
-    delta label).  The wall characterization and the decompose() searches
-    read extremality off the walls (is_extremal_by_walls), so the report
-    computes no S_i step.
+    delta label).  The wall characterization, the decompose() searches and
+    the replays read extremality off the walls (is_extremal_by_walls), so
+    the report computes no S_i step.
     """
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
@@ -294,8 +320,12 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
-    for _, (_, _, y) in pairs:
+    words: dict = {}  # dual key -> the word of the last search among its elements
+    for _, (_, rkey, y) in pairs:
         rep.pair_count += 1
+        result = _replay(words[rkey], y) if rkey in words else None
+        if result is not None and result.lam_canonical == canon:
+            continue
         try:
             result = decompose(None, DECOMPOSE_DEPTH, e_star=y)
         except RuntimeError:
@@ -303,7 +333,9 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
             continue
         if result is None:
             rep.decompose_inconclusive += 1
-        elif result.lam_canonical != canon:
+            continue
+        words[rkey] = result.word
+        if result.lam_canonical != canon:
             rep.decompose_mismatched += 1
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
     return rep
@@ -313,13 +345,11 @@ def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
     """pw-verify's checks of lam in one record: C1-C3 on u_lam's component
     to depth (verify_component, with word_bound) and the slice report at
     c_bound 1 and depth at most 3 (pw_report).  The record fails when any
-    check fails, and is ok when none does and every decompose() search
-    succeeded.  Both run in one halfpath._memo_scope: the elements they
-    walk are b1 (x) t_lam (x) b2 on a few hundred factors, so most of their
-    factor strings repeat one computed before."""
-    with _memo_scope():
-        c1, c2, c3 = verify_component(lam, depth, word_bound)
-        rep = pw_report(lam, 1, min(depth, 3))
+    check fails, and is ok when none does and every element decomposed,
+    by a replayed word or, once per dual element at least, by a
+    decompose() search."""
+    c1, c2, c3 = verify_component(lam, depth, word_bound)
+    rep = pw_report(lam, 1, min(depth, 3))
     rep.c1, rep.c2, rep.c3 = c1, c2, c3
     return rep
 

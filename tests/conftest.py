@@ -61,26 +61,25 @@ def counted_weyl_ops(monkeypatch) -> list:
 
 
 def counted_strings(monkeypatch) -> list:
-    """For each half-path string computed from then on, how many entries
-    the open string memo holds at that moment (None with no scope open).
-    power computes a string by _step (one step) or _power_view with an int
-    n; top calls _power_view with n = None and is not counted."""
+    """The color of each half-path string computed from then on.  power
+    computes a string by _step (one step) or _power_view with an int n;
+    top calls _power_view with n = None and is not counted."""
     from crystalpaths import halfpath
-    held = []
+    calls = []
     step, power_view = halfpath._step, halfpath._power_view
 
     def counted_step(view, i, up):
-        held.append(None if halfpath._memo is None else len(halfpath._memo))
+        calls.append(i)
         return step(view, i, up)
 
     def counted_power_view(view, i, n):
         if n is not None:
-            held.append(None if halfpath._memo is None else len(halfpath._memo))
+            calls.append(i)
         return power_view(view, i, n)
 
     monkeypatch.setattr(halfpath, "_step", counted_step)
     monkeypatch.setattr(halfpath, "_power_view", counted_power_view)
-    return held
+    return calls
 
 
 def agree_with_oracle(b: HalfPath, width: int = 10) -> bool:

@@ -9,8 +9,6 @@ from crystalpaths.peterweyl import SliceReport
 from crystalpaths.serialize import dumps, loads
 from crystalpaths.weights import classical
 
-from conftest import counted_strings
-
 
 def run(capsys, monkeypatch, argv, stdin=""):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -369,14 +367,3 @@ def test_elements_over_the_input_limits_are_precondition_errors(argv, element, c
 def test_elements_at_the_input_limits_are_accepted(element, capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["star"], json.dumps(element))
     assert code == 0 and out
-
-
-def test_only_pw_verify_computes_strings_with_the_memo_open(capsys, monkeypatch):
-    # star repeats no string, so it runs with no memo; pw-verify's checks
-    # run in pw_verify's scope
-    held = counted_strings(monkeypatch)
-    code, _, _ = run(capsys, monkeypatch, ["star"], dumps(left_path({-3: 2, -2: -1, -1: 1})))
-    assert code == 0 and held and set(held) == {None}
-    held.clear()
-    code, _, _ = run(capsys, monkeypatch, ["pw-verify", "--lambda=2,0"])
-    assert code == 0 and held and None not in held

@@ -5,17 +5,17 @@ from functools import partial
 
 import pytest
 
-from crystalpaths import (decompose, halfpath, pw_report, pw_verify,
+from crystalpaths import (decompose, pw_report, pw_verify,
                           slice_invariant_under_reflection, slice_keys,
                           u_lambda, verify_component)
 from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
                                graphs_isomorphic, lockstep, plain_moves)
 from crystalpaths.extremal import (bminus_star_count, enum_bmax, enum_bminus_star,
                                    extremal_cert, is_extremal, weyl_orbit)
-from crystalpaths.halfpath import _memo_scope, left_path, right_path
-from crystalpaths.levelpath import ModElement
-from crystalpaths.peterweyl import (EXTREMAL_LEN, Decomposition, SliceReport,
-                                    _dual_family_ok, _star_pairs)
+from crystalpaths.halfpath import left_path, right_path
+from crystalpaths.levelpath import ModElement, is_extremal_by_walls
+from crystalpaths.peterweyl import (DECOMPOSE_DEPTH, EXTREMAL_LEN, Decomposition, SliceReport,
+                                    _dual_family_ok, _replay, _star_pairs)
 from crystalpaths.star import star_binf, star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
@@ -330,32 +330,43 @@ def _reference_report(lam, decompose_call):
     return rep, pair_of
 
 
+def _searched(lam):
+    """(dual key, y, decompose() of y*) for every element of pw_report's
+    slice, in its pair-map order: a search on each element, where
+    pw_report searches once per dual element and replays the word on the
+    others."""
+    _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+    return [(rkey, y, decompose(None, DECOMPOSE_DEPTH, e_star=y))
+            for _, (_, rkey, y) in pairs]
+
+
+def _found(e, result):
+    return e.key(), None if result is None else (
+        result.lam_canonical, result.bmax_factor.key(), result.word)
+
+
 def test_star_space_report_matches_the_starred_reference(monkeypatch):
-    from crystalpaths import peterweyl
-    original = peterweyl.decompose
+    # the report against the literal starred route, and decompose() on
+    # every element of the star-space pair map against decompose() with
+    # its replay check on the literal starred word
     found = []
 
-    def recording(e, *args, e_star=None, **kwargs):
-        result = original(e, *args, e_star=e_star, **kwargs)
-        e = star_mod(e_star) if e is None else e
-        found.append((e.key(), None if result is None else (
-            result.lam_canonical, result.bmax_factor.key(), result.word)))
+    def recording(e, max_depth):
+        result = decompose(e, max_depth)
+        found.append(_found(e, result))
         return result
 
-    monkeypatch.setattr(peterweyl, "decompose", recording)
     for m, l in BENCH_LAMBDAS + ((5, 0),):
         lam = classical(m, l)
-        found.clear()
         rep = pw_report(lam)
-        fast = list(found)
         dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
         back = {k: star_mod(r).key() for k, r in dual.items()}
         fast_pairs = {star_mod(y).key(): (bkey, back[rkey])
                       for _, (bkey, rkey, y) in pairs}
+        fast = [_found(star_mod(y), d) for _, y, d in _searched(lam)]
 
         found.clear()
         with monkeypatch.context() as patch:
-            # decompose with its replay check on the literal starred word
             patch.setattr(Decomposition, "star_image",
                           lambda d: star_mod(_reference_replay(d)))
             ref, ref_pairs = _reference_report(lam, recording)
@@ -620,25 +631,15 @@ def _step_decompose(e, max_depth=10, extremal_len=4, verdicts=None):
     return None
 
 
-def test_string_search_matches_the_step_search(monkeypatch):
+def test_string_search_matches_the_step_search():
     # every element pw_report decomposes: both searches find a factor, in
     # the same slice, with B^max markers in one Weyl orbit, replaying to it
-    from crystalpaths import peterweyl
-    original = peterweyl.decompose
-    found = []
-
-    def recording(e, *args, e_star=None, **kwargs):
-        result = original(e, *args, e_star=e_star, **kwargs)
-        found.append((star_mod(e_star) if e is None else e, result))
-        return result
-
-    monkeypatch.setattr(peterweyl, "decompose", recording)
     longest = {}
     for m, l in BENCH_LAMBDAS + ((5, 0),):
-        found.clear()
         assert pw_report(classical(m, l)).ok
         verdicts = {}
-        for e, strings in found:
+        for _, y, strings in _searched(classical(m, l)):
+            e = star_mod(y)
             steps = _step_decompose(e, verdicts=verdicts)
             assert strings is not None and steps is not None
             assert strings.lam_canonical == steps.lam_canonical
@@ -651,30 +652,26 @@ def test_string_search_matches_the_step_search(monkeypatch):
     assert max(longest) == 2 and sum(longest.values()) > 4000
 
 
-def test_replay_is_the_starred_star_image(monkeypatch):
-    # for every star image y that pw_report decomposes, the word's plain
-    # strings on the extremal vector give y, and replay(), the plain-space
-    # check, gives the element y*
-    from crystalpaths import peterweyl
-    original = peterweyl.decompose
-    found = []
-
-    def recording(e, *args, e_star=None, **kwargs):
-        result = original(e, *args, e_star=e_star, **kwargs)
-        found.append((e_star, result))
-        return result
-
-    monkeypatch.setattr(peterweyl, "decompose", recording)
+def test_replay_is_the_starred_star_image():
+    # for every star image y in pw_report's slice, the searched word's
+    # plain strings on the extremal vector give y, and replay(), the
+    # plain-space check, gives the element y*; the word searched for the
+    # first element of y's dual partner, replayed on y (_replay), gives y
+    # from a factor in the same orbit
     words = 0
     for m, l in BENCH_LAMBDAS:
-        found.clear()
+        first = {}
         rep = pw_report(classical(m, l))
+        found = _searched(classical(m, l))
         assert len(found) == rep.pair_count
-        for y, d in found:
+        for rkey, y, d in found:
             assert y is not None and d is not None
             assert d.star_image() == y
             assert d.replay() == star_mod(y)
             words += bool(d.word)
+            reused = _replay(first.setdefault(rkey, d.word), y)
+            assert reused is not None and reused.star_image() == y
+            assert reused.lam_canonical == d.lam_canonical
     assert words > 1000
 
 
@@ -689,76 +686,125 @@ def test_max_depth_counts_strings():
     assert decompose(e, max_depth=1) is None
 
 
+def _searched_report(lam, depth=3):
+    """pw_report with a decompose() search on every element: the reference
+    for its word reuse."""
+    rep = SliceReport(lam=lam)
+    canon = orbit_canonical(lam)
+    bmax = enum_bmax(lam, 1, depth)
+    rep.bmax_size = len(bmax)
+    dual, pairs, rep.violations = _star_pairs(lam, bmax, depth)
+    rep.dual_size = len(dual)
+    rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
+                                       for r in dual.values())
+    for _, (_, _, y) in pairs:
+        rep.pair_count += 1
+        try:
+            result = decompose(None, DECOMPOSE_DEPTH, e_star=y)
+        except RuntimeError:
+            rep.decompose_mismatched += 1
+            continue
+        if result is None:
+            rep.decompose_inconclusive += 1
+        elif result.lam_canonical != canon:
+            rep.decompose_mismatched += 1
+    rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
+    return rep
+
+
+def _counted_searches(monkeypatch, corrupt=None) -> list:
+    """The decompose() calls pw_report makes from then on; corrupt, when
+    given, rewrites the word of the first search that finds a nonempty
+    one, which pw_report then keeps for that dual element."""
+    from crystalpaths import peterweyl
+    original = peterweyl.decompose
+    calls, corrupted = [], []
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
+        if corrupt is not None and not corrupted and result is not None and result.word:
+            corrupted.append(result)
+            result = Decomposition(corrupt(result.word), result.extremal)
+        return result
+
+    monkeypatch.setattr(peterweyl, "decompose", counting)
+    return calls
+
+
 @pytest.mark.parametrize("m, l", [(4, 0), (-4, 1), (2, 1), (0, 1)])
 def test_pw_verify_in_its_memo_scope_gives_the_report_of_its_checks(m, l):
+    # pw_verify, which searches once per dual element and replays that
+    # word on the partner's other elements, gives the report of its checks
+    # with a decompose() search on every element, field by field
     lam = classical(m, l)
-    computed = pw_report(lam, 1, 3)
-    computed.c1, computed.c2, computed.c3 = verify_component(lam, 5, 8)
+    searched = _searched_report(lam)
+    searched.c1, searched.c2, searched.c3 = verify_component(lam, 5, 8)
     star_binf.cache_clear()
-    remembered = pw_verify(lam)
-    assert computed.pair_count > 0
+    reused = pw_verify(lam)
+    assert searched.pair_count > 0
     for f in fields(SliceReport):
-        assert getattr(remembered, f.name) == getattr(computed, f.name), f.name
+        assert getattr(reused, f.name) == getattr(searched, f.name), f.name
 
 
-def test_pw_verify_closes_its_memo_scope(monkeypatch):
-    from crystalpaths import peterweyl
-    report, seen = peterweyl.pw_report, []
+def test_a_corrupted_word_falls_back_to_the_search(monkeypatch):
+    # a word whose last string runs out on every element: the partner's
+    # next element is searched, the search's word replaces it, and the
+    # report does not change
+    lam = classical(4, 0)
+    clean = pw_report(lam)
+    star_binf.cache_clear()
+    calls = _counted_searches(monkeypatch, lambda word: word + [("f", 0, 10**6)])
+    rep = pw_report(lam)
+    assert rep == clean and rep.ok
+    assert len(calls) == rep.dual_size + 1
 
-    def probe(*args):
-        seen.append(halfpath._memo)
-        return report(*args)
 
-    def boom(*args):
-        seen.append(halfpath._memo)
-        raise RuntimeError("boom")
+def test_a_replay_certifies_an_extremal_end_that_gives_the_element_back(monkeypatch):
+    # the word of an element with a nonempty word: on the element itself it
+    # gives back the search's decomposition; with no strings the replay ends
+    # at y, which is not extremal (the search would have stopped there), and
+    # a string that runs out ends it; a word that does not come back to y
+    # certifies nothing
+    y, d = next((y, d) for _, y, d in _searched(classical(4, 0)) if d.word)
+    assert _replay(d.word, y) == d
+    assert not is_extremal_by_walls(y) and _replay([], y) is None
+    assert _replay(d.word + [("f", 0, 10**6)], y) is None
+    monkeypatch.setattr(Decomposition, "star_image", lambda self: u_lambda(classical(4, 0)))
+    assert _replay(d.word, y) is None
 
-    monkeypatch.setattr(peterweyl, "pw_report", probe)
-    assert halfpath._memo is None
-    assert pw_verify(classical(1, 0)).ok
-    assert type(seen[-1]) is dict and halfpath._memo is None
-    # a check that raises closes it too; inside an outer scope pw_verify
-    # opens a fresh memo, and the outer one comes back untouched
-    monkeypatch.setattr(peterweyl, "pw_report", boom)
-    with pytest.raises(RuntimeError, match="boom"):
-        pw_verify(classical(1, 0))
-    assert type(seen[-1]) is dict and halfpath._memo is None
-    with _memo_scope():
-        outer = halfpath._memo
-        with pytest.raises(RuntimeError, match="boom"):
-            pw_verify(classical(1, 0))
-        assert seen[-1] is not outer and seen[-1]
-        assert halfpath._memo is outer and outer == {}
-    assert halfpath._memo is None
+
+def test_a_factor_outside_the_orbit_is_searched_on_every_element(monkeypatch):
+    # every factor reads another orbit's representative: each replay fails
+    # the orbit check, so every element is searched and mismatched
+    calls = _counted_searches(monkeypatch)
+    monkeypatch.setattr(Decomposition, "lam_canonical", property(lambda d: classical(5, 0)))
+    rep = pw_report(classical(2, 0))
+    assert rep.decompose_mismatched == rep.pair_count == len(calls) > rep.dual_size
+    assert rep.failed
 
 
 def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
+    # pw_verify computes every string it asks for: 1,757 in
+    # verify_component (none for C1's starts, which are read off their
+    # walls and walk no S-word) and the rest in the slice report, which
+    # searches once per dual element and replays that word on the other
+    # 790 elements; the count drifts when either check calls power on
+    # other factors, and nothing outlives the call, so the same command
+    # does the same work again
     from crystalpaths.cli import main
     lam = classical(4, 0)
     held = counted_strings(monkeypatch)
-    # pw_verify's two checks, run with no scope open, compute every string:
-    # the slice's elements b1 (x) t_lam (x) b2 repeat the same few hundred
-    # factor strings; verify_component computes 1,757 of them, none for
-    # C1's starts, which are read off their walls and walk no S-word
     verify_component(lam, 5, 8)
-    pw_report(lam, 1, 3)
-    assert len(held) == 7097 and set(held) == {None}
-    # pw_verify remembers them: this count drifts when the memo's bound, key
-    # or clearing changes, or when the checks call power on other factors
-    # or in another order (the memo clears at its bound, so the order
-    # decides which repeats it still holds); the slice report decomposes in
-    # pair-map order, each b's elements in a row, which shares more factor
-    # strings between neighbours than the star images' key order did
+    assert len(held) == 1757
     held.clear()
     star_binf.cache_clear()
+    searches = _counted_searches(monkeypatch)
     assert pw_verify(lam).ok
-    first = len(held)
-    assert first == 2505
-    # the memo fills up, is cleared there, and never holds more
-    assert max(held) == halfpath._MEMO_BOUND
-    # nothing outlives the call: the same command does the same work again
+    assert len(held) == 5602 and len(searches) == 10
     held.clear()
+    searches.clear()
     star_binf.cache_clear()
     assert main(["pw-verify", "--lambda=4,0"]) == 0
-    assert len(held) == first
+    assert len(held) == 5602 and len(searches) == 10
     capsys.readouterr()

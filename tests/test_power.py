@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from crystalpaths import (LevelPath, SeqElement, from_word, left_path, lp_split, path_to_seq,
                           right_path, u_inf)
 from crystalpaths.extremal import _locally_extremal, weyl_op
-from crystalpaths.halfpath import HalfPath, _memo_scope
+from crystalpaths.halfpath import HalfPath
 from crystalpaths.levelpath import ModElement, string_moves
 from crystalpaths.weights import Weight, classical
 
@@ -78,21 +78,6 @@ def test_single_steps_match_the_single_step_definition(b, i, n):
     # a string of one step takes a kernel of its own (halfpath._step)
     assert key_of(b.power(i, n)) == key_of(single_step(b, i, n < 0))
     assert key_of((b.e if n < 0 else b.f)(i)) == key_of(single_step(b, i, n < 0))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(left_paths, right_paths, sparse_paths), colors)
-def test_strings_in_a_memo_scope_match_the_strings_outside(b, i):
-    # a path and its flip share a left view, and every n of one path shares
-    # the rest of the key, so a key without the side or without n mixes
-    # them up; 2 x 60 strings stay below the memo's bound
-    calls = [(c, n) for c in (b, b.flip()) for n in range(-30, 31)]
-    outside = [key_of(c.power(i, n)) for c, n in calls]
-    with _memo_scope():
-        first = [c.power(i, n) for c, n in calls]
-        again = [c.power(i, n) for c, n in calls]
-    assert [key_of(x) for x in first] == outside
-    assert all(x is y for x, y in zip(first, again))
 
 
 def test_strings_at_the_ends_of_zero_runs():
@@ -347,16 +332,9 @@ def dense_statistics(b, i):
 @given(st.one_of(left_paths, right_paths), colors)
 def test_one_pass_statistics_match_the_dense_scan(b, i):
     assert (b.eps(i), b.phi(i)) == dense_statistics(b, i)
-    assert b.ends(i) == (b.eps(i), b.phi(i))
     assert b.pairing(i) == b.wt().pairing(i)
     if b.side == "left":
         assert b.eps(i) == max(left_signature(b, i).values())
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(mods, raw_sequences, image_sequences), colors)
-def test_ends_are_eps_and_phi(b, i):
-    assert b.ends(i) == (b.eps(i), b.phi(i))
 
 
 split_paths = st.builds(LevelPath, st.integers(min_value=-4, max_value=4),

@@ -41,7 +41,9 @@ def test_library_imports_only_what_it_uses():
 
 def test_no_function_takes_a_table_and_no_module_holds_a_context_variable():
     # each extremality check walks its S-words afresh: no function takes a
-    # table of steps, and no module imports contextvars to keep one in scope
+    # table of steps, no module imports contextvars to keep one in scope,
+    # and no function rebinds a module's name (a global statement), so no
+    # state is switched on for a while and off again
     params, holders = [], []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -54,6 +56,8 @@ def test_no_function_takes_a_table_and_no_module_holds_a_context_variable():
             elif isinstance(node, (ast.Import, ast.ImportFrom)) and "contextvars" in (
                     [getattr(node, "module", None)] + [alias.name for alias in node.names]):
                 holders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Global):
+                holders.append(f"{path.name}:{node.lineno} global")
     assert params == [] and holders == []
 
 
