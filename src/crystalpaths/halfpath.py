@@ -18,29 +18,31 @@ leftmost position attaining M; f_i always lowers the letter at the rightmost
 position attaining M.  These are exactly the tensor-product rules applied to
 the path read as an infinite word of letters, with position index increasing
 to the left.  power(i, n) applies the whole string f_i^n (e_i^(-n) for
-n < 0) in one pass, and e_i, f_i are power(i, -1), power(i, 1).  On a left
-path top(i) is the same pass with the string length read off it: eps_i is
-max A, found among the candidate sites the pass lists anyway, and e_i^eps_i
-climbs to the top of the string.  A step
-at k changes A_k by +-1 and every A right of k by +-2, so f_i raises the
-maximum by one and the rightmost argmax can only move right, while e_i
-lowers it by one and the leftmost argmax can only move left.  Step t + 1
-then acts at the outermost position beyond step t whose original A is
-M - t, or at the same position again.  A is constant across a run of
-zeros and stays so while the run lies ahead of the sites (a step shifts
-every A beyond its site alike), so the outermost maximum never falls
-inside a run but at its outer end: its right end for f, its left end for
-e.  The candidate sites are
-therefore one left of the support (A = 0), the entries and one end of
-each zero run, listed with their A in one pass over the nonzero entries.
-A single step (_step, which power(i, +-1) calls) is one scan for the
-outermost maximum over those sites and one splice of the letter there,
-with no candidate list and no table.  A longer string, and top, becomes
-(site, count) runs read off one table from value to outermost candidate
-(_runs), and the runs, monotone in position, are merged into the sorted
-entries in one pass.  The cost per string is O(entries + distinct values
-of A), with no dense signature over the span, no per-step loop and no
-sort.
+n < 0) in one pass, and e_i, f_i are power(i, -1), power(i, 1); on a left
+path top(i) is the same pass with the string length, eps_i = max A, read
+off it.
+
+A step at k changes A_k by +-1 and every A right of k by +-2, so f_i raises
+the maximum by one and its site can only move right, while e_i lowers it by
+one and its site can only move left: step t + 1 acts at the outermost
+position beyond step t whose original A is M - t, or at the same position
+again.  A is constant across a run of zeros while the run lies ahead of the
+sites, so the outermost maximum falls at a run's outer end (right for f,
+left for e), and the sites are one left of the support (A = 0), the entries
+and one end of each zero run.
+
+The record rule.  Read the sites left to right for e and right to left for
+f; a site is a record when its A is strictly higher than at every site read
+before it.  The outermost site of level M - t lies beyond the sites of every
+higher level exactly when it is a record, so a string acts only at records:
+from the last record (the outermost maximum) it takes A_j - A_(j-1) steps at
+record j, and f_i^n puts the steps left over on the first record, the
+rightmost site.  A site tied with the record before it would take no step,
+so strictness only keeps the records few.  _power_view keeps them in the
+pass that computes A (from the right for f, with A less a constant) and
+merges the steps into the sorted entries: O(entries) time and O(records)
+memory, with no per-step loop.  _step, a single step, is one scan for the
+outermost maximum and one splice.
 
 The weight of a left path is the classical 2*(sum of entries)*(L0 - L1) plus
 delta * sum_{k<=-1} k * max(i_{k-1}, -i_k); the delta term counts walls with
@@ -140,8 +142,8 @@ def _step(view: tuple[tuple[int, int], ...], i: int,
           up: bool) -> Optional[tuple[tuple[int, int], ...]]:
     """The sorted, zero-free entries of a left path after e_i (up) or f_i,
     None where e_i is undefined: one scan for the outermost maximum of A
-    over the same candidate sites as _power_view, the letter there changed
-    in one splice.  Scanning in increasing position, f_i takes a later site
+    over the sites of the module docstring, the letter there changed in one
+    splice.  Scanning in increasing position, f_i takes a later site
     on a tie (the rightmost maximum), e_i only a strictly higher one (the
     leftmost)."""
     sgn = 1 if i == 1 else -1
@@ -174,103 +176,85 @@ def _step(view: tuple[tuple[int, int], ...], i: int,
     return view[:slot] + (((pos, v),) if v else ()) + view[slot + 1:]
 
 
-def _runs(vals: list[int], top: int, steps: int, rightward: bool) -> list[tuple[int, int]]:
-    """The (index, count) runs of a string of `steps` steps over candidate
-    sites whose signature values are vals (in increasing position), when
-    each step acts at the outermost maximum in one direction (toward the
-    higher indices when rightward) and its site then attains the new
-    maximum, so that later sites lie at or beyond it; top is max(vals).
-
-    A step of f raises the maximum by one and every value beyond its site
-    by two; a step of e lowers the maximum by one and leaves the values
-    beyond its site alone.  Either way, after t steps a value beyond the
-    last site equals the maximum exactly when its original value is
-    top - t: step t + 1 acts at the outermost such index, or again at the
-    last site if there is none.  A single step is one argmax; a longer
-    string reads one table from t to the outermost index of value top - t,
-    over at most min(steps, top - min(vals) + 1) values."""
-    if steps == 1:
-        return [(len(vals) - 1 - vals[::-1].index(top) if rightward else vals.index(top), 1)]
-    size = min(steps, top - min(vals) + 1)
-    table = [-1] * size
-    for j in range(len(vals)) if rightward else range(len(vals) - 1, -1, -1):
-        t = top - vals[j]
-        if t < size:  # later writes lie further out
-            table[t] = j
-    runs = []
-    j, start = table[0], 0
-    for t in range(1, size):
-        k = table[t]
-        if k >= 0 and (k > j if rightward else k < j):
-            runs.append((j, t - start))
-            j, start = k, t
-    runs.append((j, steps - start))
-    return runs
-
-
 def _power_view(view: tuple[tuple[int, int], ...], i: int,
                 n: Optional[int]) -> tuple[int, Optional[tuple[tuple[int, int], ...]]]:
     """(max A, entries): eps_i of the left path and the sorted, zero-free
     entries after f_i^n (n >= 0) or e_i^(-n) (n < 0), None when e_i runs
     out; n = None climbs to the top of the string, e_i^(max A), and gives
-    the view itself when max A = 0.  f_i acts at the rightmost
-    maximum of the signature and raises every A to its right by 2, so its
-    sites move right; e_i acts at the leftmost maximum and leaves A left of
-    it alone, so its sites move left.  One pass over the entries lists the
-    candidate sites: one left of the support (A = 0), every entry, and the
-    outer end of every zero run (A is constant across it, so only its right
-    end can be the rightmost maximum and its left end the leftmost).  The
-    string comes from _runs as (site, count) runs, monotone in position,
-    merged into the view in one pass."""
+    the view itself when max A = 0, by the record rule of the module
+    docstring."""
     sgn = 1 if i == 1 else -1
-    rightward = n is not None and n > 0
-    lo = (view[0][0] if view else 0) - 1
-    # candidate sites in increasing position: A there, the position, and
-    # the index in view of the entry there, or ~index of the next entry
-    vals, pos, slot = [0], [lo], [~0]
-    running = 0  # sum of entries at positions < k
-    nxt = lo + 1  # the position right of the previous entry
-    idx = 0
-    for k, v in view:
-        if k != nxt:  # the zeros nxt..k-1
-            vals.append(2 * sgn * running)
-            pos.append(k - 1 if rightward else nxt)
-            slot.append(~idx)
-        vals.append(sgn * (v + 2 * running))
-        pos.append(k)
-        slot.append(idx)
-        running += v
-        nxt = k + 1
-        idx += 1
-    if nxt < 0:  # the zeros nxt..-1
-        vals.append(2 * sgn * running)
-        pos.append(-1 if rightward else nxt)
-        slot.append(~idx)
-    top = max(vals)
-    if n is None:
-        n = -top
-        if not n:
-            return 0, view
-    elif -n > top:
-        return top, None
-    letter = sgn if rightward else -sgn
-    runs = _runs(vals, top, abs(n), rightward)
-    if not rightward:
-        runs.reverse()
+    # the records in reading order: A, the A of the record before, the position
+    # and the index in view of the entry there, or ~index of the next entry
+    records: list[tuple[int, int, int, int]] = []
+    if n is not None and n > 0:  # right to left, A less 2 * sgn * (sum of entries)
+        best = float("-inf")
+        running = 0  # minus the sum of entries at positions >= k
+        prev = 0  # the position of the entry read before
+        for idx in range(len(view) - 1, -1, -1):
+            k, v = view[idx]
+            if k + 1 != prev:  # the zeros k+1..prev-1, at their right end
+                a = 2 * sgn * running
+                if a > best:
+                    records.append((a, best, prev - 1, ~idx - 1))
+                    best = a
+            running -= v
+            a = sgn * (v + 2 * running)
+            if a > best:
+                records.append((a, best, k, idx))
+                best = a
+            prev = k
+        a = 2 * sgn * running  # one left of the support, where A = 0
+        if a > best:
+            records.append((a, best, prev - 1, ~0))
+            best = a
+        top, floor, letter = best - a, best - n, sgn
+        records.reverse()
+    else:  # left to right
+        lo = (view[0][0] if view else 0) - 1
+        records.append((0, 0, lo, ~0))  # one left of the support
+        top = 0
+        running = 0  # sum of entries at positions < k
+        nxt = lo + 1  # the position right of the previous entry
+        for idx, (k, v) in enumerate(view):
+            if k != nxt:  # the zeros nxt..k-1, at their left end
+                a = 2 * sgn * running
+                if a > top:
+                    records.append((a, top, nxt, ~idx))
+                    top = a
+            a = sgn * (v + 2 * running)
+            if a > top:
+                records.append((a, top, k, idx))
+                top = a
+            running += v
+            nxt = k + 1
+        if nxt < 0:  # the zeros nxt..-1
+            a = 2 * sgn * running
+            if a > top:
+                records.append((a, top, nxt, ~len(view)))
+                top = a
+        steps = top if n is None else -n
+        if steps > top:
+            return top, None
+        if not steps:
+            return top, view
+        floor, letter = top - steps, -sgn
+    # in increasing position, each record takes the steps from its A down to
+    # the A of the record read before it, or to floor
     out: list[tuple[int, int]] = []
     done = 0  # entries of view already passed
-    for j, count in runs:
-        idx = slot[j]
-        v = letter * count
-        if idx < 0:
-            out += view[done:~idx]
-            done = ~idx
-        else:
-            out += view[done:idx]
-            v += view[idx][1]
-            done = idx + 1
-        if v:
-            out.append((pos[j], v))
+    for a, below, k, idx in records:
+        if a > floor:
+            v = letter * (a - (below if below > floor else floor))
+            if idx < 0:
+                out += view[done:~idx]
+                done = ~idx
+            else:
+                out += view[done:idx]
+                v += view[idx][1]
+                done = idx + 1
+            if v:
+                out.append((k, v))
     out += view[done:]
     return top, tuple(out)
 

@@ -305,17 +305,17 @@ def is_extremal_by_walls(x: WallScan) -> bool:
     L2: S_i (extremal.weyl_op) keeps the walls of one sign.  Take them
     positive (negative walls are the same with the colors exchanged) with
     W > 0 (W = 0 leaves no wall, and S_i is the identity).  S_1 = e_1^W
-    raises the whole 1-string.  By the string rule (halfpath._runs) its
-    step t + 1 acts at the leftmost k whose A_k(1) = R_k was W - t, or at
-    step t's site again if no R_k was; R being monotone, that is the
-    position of the (W - t)-th wall counted with multiplicity.  So the
-    letter at each wall position k drops by w_k, and the wall at k becomes
+    raises the whole 1-string.  By the record rule (halfpath's module
+    docstring) it acts at the records of A(1) = R read left to right; R
+    being monotone, they are the wall positions, and the record at k takes
+    R_k less the record before it, w_k steps.  So the letter at each wall
+    position k drops by w_k, and the wall at k becomes
     w_k - w_k - w_{k-1} = -w_{k-1}.  S_0 = f_0^W lowers the whole 0-string;
-    its step t + 1 acts at the rightmost k whose A_k(0) = -R_k was -t, one
-    left of the (t + 1)-th wall, so the letter at k drops by w_{k+1} and
-    the wall at k becomes -w_{k+1}.  Either way every wall moves one place
-    (right on a raise, left on a lowering) and changes sign: the image has
-    walls of one sign.
+    it acts at the records of A(0) = -R read right to left, the positions
+    one left of a wall, taking w_{k+1} steps at k (none are left over), so
+    the letter at k drops by w_{k+1} and the wall at k becomes -w_{k+1}.
+    Either way every wall moves one place (right on a raise, left on a
+    lowering) and changes sign: the image has walls of one sign.
 
     By induction on the word, each S_i along an alternating word takes the
     whole string L1 gives it, so it is defined, and its image has walls of

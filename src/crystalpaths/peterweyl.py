@@ -227,7 +227,10 @@ def _replay(word: list[tuple[str, int, int]], y: ModElement) -> Optional[Decompo
     """The decomposition of y by another element's word, or None: the
     strings, inverted and reversed, take y to x, which must be extremal by
     its walls and give y back (decompose()'s check); the caller checks the
-    orbit."""
+    orbit.  By the crystal axiom e_i b = b' iff f_i b' = b, each string
+    undoes its inverse wherever that is defined, so the word run from x
+    gives y back unless a string kernel breaks the axiom on the slice; the
+    check stays as the guard against such a kernel."""
     x = y
     for kind, i, n in reversed(word):
         x = x.power(i, -n if kind == "f" else n)

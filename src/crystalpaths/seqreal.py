@@ -10,34 +10,29 @@ Operators use the signature values, for a position p of color i,
 
     Ahat_p = a_p + 2 * ( sum_{q>p, color q = i} a_q - sum_{q>p, color q != i} a_q ).
 
-Position index increases toward the "deep" end of the word, so with
-M = max Ahat over positions of color i (padded by zero positions past the
-support, where Ahat = 0): e_i is undefined iff M = 0 and otherwise
-decrements a_p at the largest attaining position; f_i increments a_p at the
-smallest attaining position.  Both change Ahat_p by +-1 and every Ahat of
-color i at an earlier position by +-2, so f_i raises M by one and its
-smallest argmax can only move to earlier positions, while e_i lowers M by
-one and its largest argmax can only move to later ones: the half-path rule
-mirrored.  power(i, n) applies a whole string in one pass: step t + 1 acts
-at the outermost position beyond step t whose original Ahat is M - t, or
-at the same position again, so the string is a list of (position, count)
-runs read off one table from value to outermost position
-(halfpath._runs), in O(L + distinct values of Ahat) rather than O(L + n).
-A position occurs in one run only, so e_i's string raises ValueError
-(an entry would go negative) exactly when one of its single steps would.
-top(i) is the same pass with the string length read off it: eps_i is
-max Ahat, and e_i^eps_i climbs to the top of the string.  e_i and f_i are
-power(i, -1) and power(i, 1); the single steps on the full signature, the
-reference for power, live in the tests.  The constructor raises ValueError
-when first_color or an entry is not an int (a bool is not one), when
-first_color is not 0 or 1, or when an entry is negative.  Results of power
-and top come from _built, which skips the validating constructor: their
-first color is copied from a validated element and the sweep has already
-rejected a negative entry, so only the trailing zeros need trimming.  With
-s_c the sum of a_p over the positions of color c, wt = -s_0 * alpha_0 -
-s_1 * alpha_1 and pairing(i) = -2 * (s_i - s_(1-i)) need no per-position
-weight, and ends(i) reads eps_i as the maximum of one scan and phi_i as
-eps_i + pairing(i).
+Position index increases toward the "deep" end of the word, so with M = max
+Ahat over positions of color i (padded by zero positions past the support,
+where Ahat = 0): e_i is undefined iff M = 0 and otherwise decrements a_p at
+the largest attaining position; f_i increments a_p at the smallest
+attaining position.  Both change Ahat_p by +-1 and every Ahat of color i at
+an earlier position by +-2: the half-path rule mirrored.  So power(i, n)
+applies a whole string by halfpath's record rule in one pass, with e's
+records read from the deep end and f's from position 1, in O(L) time and
+O(records) memory.  A position takes steps at one record only, so e_i's
+string raises ValueError (an entry would go negative) exactly when one of
+its single steps would.  top(i) is the same pass with the string length
+read off it: eps_i is max Ahat, and e_i^eps_i climbs to the top of the
+string.  e_i and f_i are power(i, -1) and power(i, 1); the single steps on
+the full signature, the reference for power, live in the tests.  The
+constructor raises ValueError when first_color or an entry is not an int (a
+bool is not one), when first_color is not 0 or 1, or when an entry is
+negative.  Results of power and top come from _built, which skips the
+validating constructor: their first color is copied from a validated
+element and the sweep has already rejected a negative entry, so only the
+trailing zeros need trimming.  With s_c the sum of a_p over the positions
+of color c, wt = -s_0 * alpha_0 - s_1 * alpha_1 and
+pairing(i) = -2 * (s_i - s_(1-i)) need no per-position weight, and ends(i)
+reads eps_i as the maximum of one scan and phi_i as eps_i + pairing(i).
 
 The realization embeds the limit crystal; the image is cut out by
 (n-1)*a_{n+1} <= n*a_n for n >= 2.  Monotone sequences (a_{p+1} <= a_p)
@@ -51,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import CrystalElement, peel
-from .halfpath import HalfPath, _runs, apply_word, left_path, u_inf
+from .halfpath import HalfPath, apply_word, left_path, u_inf
 from .weights import Weight
 
 
@@ -104,7 +99,16 @@ class SeqElement(CrystalElement):
         return 2 * (even - odd) if i == self.first_color else 2 * (odd - even)
 
     def ends(self, i: int) -> tuple[int, int]:
-        eps = max(_ahat(self, i))
+        eps = running = 0  # Ahat = 0 past the support; running as in _string
+        mine = 0 if self.first_color == i else 1  # the parity of p - 1 on color i
+        for q in range(len(self.a) - 1, -1, -1):  # q = p - 1, from the deep end
+            v = self.a[q]
+            if q % 2 == mine:
+                if v + 2 * running > eps:
+                    eps = v + 2 * running
+                running += v
+            else:
+                running -= v
         return eps, eps + self.pairing(i)
 
     def power(self, i: int, n: int) -> Optional["SeqElement"]:
@@ -131,48 +135,57 @@ def _built(first_color: int, a: Iterable[int]) -> SeqElement:
 
 
 def _string(s: SeqElement, i: int, n: Optional[int]) -> tuple[int, Optional[SeqElement]]:
-    """(eps_i, s after f_i^n (n > 0) or e_i^(-n) (n < 0)) from one _ahat,
-    None when e_i runs out; n = None climbs to the top of the string,
-    e_i^eps_i, and gives s itself when eps_i = 0.  Raises ValueError when
-    e_i would make an entry negative (outside the image)."""
-    vals = _ahat(s, i)
-    top = max(vals)
-    if n is None:
-        n = -top
-        if not n:
-            return 0, s
-    elif n < 0 and top == 0:
-        return 0, None
-    mine = 0 if s.color(1) == i else 1  # index of the first position of color i
-    a = list(s.a) + [0, 0]
-    # e_i's sites move to higher positions, f_i's to lower ones
-    for j, count in _runs(vals, top, n if n > 0 else min(-n, top), n < 0):
-        p = mine + 2 * j
-        if n < 0 and a[p] < count:
-            raise ValueError("sequence entries must be nonnegative")
-        a[p] += count if n > 0 else -count
-    if -n > top:
-        return top, None
-    return top, _built(s.first_color, a)
-
-
-def _ahat(s: SeqElement, i: int) -> list[int]:
-    """Ahat_p(i) for the positions p of color i from the first one to the
-    first one past the support, in increasing p: one pass from the deep
-    end, running being the sum over q > p of a_q, counted +1 on color i and
-    -1 on the other color."""
-    vals = []
-    running = 0
-    mine = 0 if s.color(1) == i else 1  # the parity of p - 1 on color i
-    for q in range(len(s.a) + 1, -1, -1):  # q = p - 1
-        v = s.a[q] if q < len(s.a) else 0
+    """(eps_i, s after f_i^n (n > 0) or e_i^(-n) (n < 0)) from one pass
+    that keeps the records of Ahat, None when e_i runs out; n = None climbs
+    to the top of the string, e_i^eps_i, and gives s itself when eps_i = 0.
+    Raises ValueError when e_i would make an entry negative (outside the
+    image), before it reports that the string runs out."""
+    a = s.a
+    mine = 0 if s.first_color == i else 1  # the parity of q = p - 1 on color i
+    past = len(a) + (len(a) % 2 != mine)  # the first q of color i past the support
+    up = n is None or n < 0
+    # (Ahat, the Ahat of the record read before, q) in reading order: for e
+    # from the deep end, for f from position 1 with Ahat less a constant
+    records = [(0, 0, past)] if up else []
+    best = 0 if up else float("-inf")
+    running = 0  # the sum of the entries read, +1 on color i and -1 off it
+    for q in range(len(a) - 1, -1, -1) if up else range(len(a)):
+        v = a[q]
         if q % 2 == mine:
-            vals.append(v + 2 * running)
+            h = v + 2 * running if up else -v - 2 * running
+            if h > best:
+                records.append((h, best, q))
+                best = h
             running += v
         else:
             running -= v
-    vals.reverse()
-    return vals
+    if up:
+        steps = -best if n is None else n
+        if not steps:
+            return 0, s
+        if best == 0:
+            return 0, None
+        top, floor = best, max(best + steps, 0)
+    else:
+        h = -2 * running  # Ahat = 0 past the support
+        if h > best:
+            records.append((h, best, past))
+            best = h
+        top, floor, steps = best - h, best - n, n
+    # each record takes the steps from its Ahat down to the Ahat of the
+    # record read before it, or to floor
+    out = list(a) + [0, 0]
+    for h, below, q in records:
+        if h > floor:
+            count = h - (below if below > floor else floor)
+            if up:
+                if out[q] < count:
+                    raise ValueError("sequence entries must be nonnegative")
+                count = -count
+            out[q] += count
+    if top + steps < 0:
+        return top, None
+    return top, _built(s.first_color, out)
 
 
 def seq_generator(first_color: int = 0) -> SeqElement:

@@ -8,7 +8,7 @@ import pytest
 from crystalpaths import (decompose, pw_report, pw_verify,
                           slice_invariant_under_reflection, slice_keys,
                           u_lambda, verify_component)
-from crystalpaths.core import (COLORS, CrystalElement, bfs_component, explore,
+from crystalpaths.core import (COLORS, CrystalElement, bfs_component, check_axioms, explore,
                                graphs_isomorphic, lockstep, plain_moves)
 from crystalpaths.extremal import (bminus_star_count, enum_bmax, enum_bminus_star,
                                    extremal_cert, is_extremal, weyl_orbit)
@@ -772,6 +772,26 @@ def test_a_replay_certifies_an_extremal_end_that_gives_the_element_back(monkeypa
     assert _replay(d.word + [("f", 0, 10**6)], y) is None
     monkeypatch.setattr(Decomposition, "star_image", lambda self: u_lambda(classical(4, 0)))
     assert _replay(d.word, y) is None
+
+
+def test_the_slice_and_its_replay_ends_satisfy_the_crystal_axioms():
+    # _replay's star_image() == y check holds wherever the axiom
+    # e_i b = b' iff f_i b' = b does: check_axioms finds no violation on
+    # the slice elements, read as pw_report reads them, or on the ends
+    # their replays (or, once per dual element, their searches) reach
+    lam = classical(4, 0)
+    _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+    words, elements, ends = {}, [], []
+    for _, (_, rkey, y) in pairs:
+        d = _replay(words[rkey], y) if rkey in words else None
+        if d is None:
+            d = decompose(None, DECOMPOSE_DEPTH, e_star=y)
+            words[rkey] = d.word
+        elements.append(y)
+        ends.append(d.extremal)
+    assert len(elements) == 800 and len(words) == 10
+    assert check_axioms(elements) == []
+    assert check_axioms(ends) == []
 
 
 def test_a_factor_outside_the_orbit_is_searched_on_every_element(monkeypatch):

@@ -10,6 +10,8 @@ must return the same element, by key, and None exactly where the
 reference does.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,8 @@ from crystalpaths.halfpath import HalfPath
 from crystalpaths.levelpath import ModElement, string_moves
 from crystalpaths.weights import Weight, classical
 
-from conftest import left_signature, single_step, single_steps, stepwise_power
+from conftest import (left_signature, nested_sum_signature, single_step, single_steps,
+                      stepwise_power)
 from crystals import DualElement, TElement, TensorElement, oracle_letters, tensor_oracle
 
 colors = st.sampled_from([0, 1])
@@ -95,6 +98,48 @@ def test_strings_at_the_ends_of_zero_runs():
     assert b.e(1) == left_path({-6: 1, -5: -1, -2: -1})
     for n in (2, 3, -2, -3):
         assert b.power(1, n) == stepwise_power(b, 1, n)
+
+
+def long_random_paths(count: int, seed: int):
+    """count left paths of 24 to 40 letters drawn like the star_long
+    benchmark's: a nonzero first letter, then letters in -3..3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        word = [rng.choice((-3, -2, -1, 1, 2, 3))]
+        word += [rng.randint(-3, 3) for _ in range(rng.randint(23, 39))]
+        out.append(from_word(word))
+    return out
+
+
+def signature_levels(b, i) -> int:
+    """The number of values of the signature from its minimum to its
+    maximum, on a right path that of its left view: an f string on the
+    left view or the sequence longer than that puts steps left over on
+    its first record."""
+    if isinstance(b, SeqElement):
+        sig = nested_sum_signature(b, i)
+    else:
+        sig = left_signature(b if b.side == "left" else b.flip(), i)
+    return max(sig.values()) - min(sig.values()) + 1
+
+
+def test_strings_of_long_paths_and_their_sequences_match_single_steps():
+    # the Hypothesis strategies stop at 24 letters and 12 entries; here the
+    # paths are as long as the star_long benchmark's, with their flips and
+    # their sequences, and the strings run past every signature level
+    for b in long_random_paths(30, 35_0601):
+        for x in (b, b.flip(), path_to_seq(b, 0), path_to_seq(b, 1)):
+            for i in (0, 1):
+                longest = max(12, signature_levels(x, i) + 2)
+                for step in (1, -1):
+                    cur = x
+                    for n in range(step, step * (longest + 1), step):
+                        if cur is not None:
+                            cur = single_step(cur, i, step < 0)
+                        assert key_of(x.power(i, n)) == key_of(cur)
+                k = x.eps(i)
+                assert top_outcome(lambda: x.top(i)) == ("element", k, key_of(x.power(i, -k)))
 
 
 def outcome(run):
