@@ -50,7 +50,7 @@ MAX_SPAN, MAX_ENTRY = 256, 64
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
-        super().__init__(message)
+        Exception.__init__(self, message)
         self.code = code
 
 

@@ -37,6 +37,8 @@ b = clamp(eps_i(b2) - phi_i(b1), 0, n) times on b2 and then n - b times on
 b1.  _string_split is the one place this rule is written; with |n| = 1 it is
 the single-step rule above.  The generic tensor product and dual elements
 built from these formulas are test references (tests/crystals.py).
+CrystalElement, like halfpath's WallScan, declares __slots__ = (), so the
+element types, slotted frozen dataclasses, carry no instance dict.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class CrystalElement:
     key, pairing where they read <h_i, wt> without building the weight, and
     top where one pass can read eps_i and climb.  power(i, 0) returns the
     element unchanged."""
+
+    __slots__ = ()
 
     def wt(self) -> Weight:
         raise NotImplementedError
@@ -120,7 +124,7 @@ class _Memo(dict):
     """A dict that fills a missing entry with read(key) on first lookup."""
 
     def __init__(self, read):
-        super().__init__()
+        dict.__init__(self)
         self.read = read
 
     def __missing__(self, key):

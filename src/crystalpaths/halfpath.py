@@ -65,12 +65,14 @@ is safe because they are canonical by construction: power changes letters
 only at positions from one left of the support to -1 of the view, merging
 them in position order and dropping the ones that reach zero, and the
 mirror of a sorted, zero-free tuple on one side of 0 is sorted, zero-free
-and on the other side.
+and on the other side.  _built fills HalfPath's slots through their
+descriptors, with no __setattr__ call; the view _left is a field with no
+init, repr or compare, so it is not part of the path's value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
@@ -112,9 +114,9 @@ def _built(side: str, entries: tuple[tuple[int, int], ...],
     """The half-path with canonical entries and their left view, with no
     sort, zero filter or position check (see the module docstring)."""
     b = object.__new__(HalfPath)
-    object.__setattr__(b, "side", side)
-    object.__setattr__(b, "entries", entries)
-    object.__setattr__(b, "_left", view)
+    _set_side(b, side)
+    _set_entries(b, entries)
+    _set_left(b, view)
     return b
 
 
@@ -320,6 +322,8 @@ class WallScan:
     first wall of the other sign.
     """
 
+    __slots__ = ()
+
     def wall_positions(self) -> list[int]:
         """Wall positions repeated with multiplicity, in increasing order."""
         out: list[int] = []
@@ -328,10 +332,11 @@ class WallScan:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfPath(WallScan, CrystalElement):
     side: str
     entries: tuple[tuple[int, int], ...]
+    _left: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT):
@@ -408,7 +413,7 @@ class HalfPath(WallScan, CrystalElement):
         view, a string whose length that pass does not read first, so it
         takes eps and power."""
         if self.side != LEFT:
-            return super().top(i)
+            return CrystalElement.top(self, i)
         k, view = _power_view(self._left, i, None)
         return k, (_built(LEFT, view, view) if k else self)
 
@@ -442,6 +447,10 @@ class HalfPath(WallScan, CrystalElement):
             end = walls[j + 1] if j + 1 < len(walls) else 0
             out.append((w, end - w))
         return out
+
+
+_set_side, _set_entries, _set_left = (vars(HalfPath)[name].__set__
+                                      for name in ("side", "entries", "_left"))
 
 
 def u_inf() -> HalfPath:

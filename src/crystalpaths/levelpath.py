@@ -36,7 +36,8 @@ two results.  The four numbers never leave this module: other modules read
 ends and power alone.  Nothing is cached.  The results of _power and
 lp_split are built without the constructor's checks (_built_mod, and
 halfpath._built for the factors): b1 stays a left and b2 a right path and
-lam keeps its level, by construction.
+lam keeps its level, by construction; _built_mod fills ModElement's
+slots through their descriptors, with no __setattr__ call.
 
 Weights: wt(p) = (sum_k (i_{k-1} + i_k)) * (L0 - L1)
                + delta * ( l + sum_k k * (max(i_{k-1}, -i_k) - max(g_{k-1}, -g_k)) )
@@ -89,7 +90,7 @@ def _star_letters(walls: list[int], sign: int, lo: int, hi: int) -> list[tuple[i
     return [(q, sign * _alt(q) * bisect_right(walls, q)) for q in range(lo, hi)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelPath(WallScan):
     """A path in P_{m,l}, stored sparsely as differences from the defaults
     (0 to the left of position 0, the ground pattern from position 0 on).
@@ -174,13 +175,13 @@ def _built_mod(b1: HalfPath, lam: Weight, b2: HalfPath) -> "ModElement":
     for b1 a left and b2 a right half-path and lam of level zero by
     construction."""
     e = object.__new__(ModElement)
-    object.__setattr__(e, "b1", b1)
-    object.__setattr__(e, "lam", lam)
-    object.__setattr__(e, "b2", b2)
+    _set_b1(e, b1)
+    _set_lam(e, lam)
+    _set_b2(e, b2)
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModElement(WallScan, CrystalElement):
     """b1 (x) t_lam (x) b2 with b1 a left and b2 a right half-path."""
 
@@ -265,6 +266,9 @@ class ModElement(WallScan, CrystalElement):
 
     def __repr__(self) -> str:
         return f"ModElement({self.b1!r}, {self.lam!r}, {self.b2!r})"
+
+
+_set_b1, _set_lam, _set_b2 = (vars(ModElement)[name].__set__ for name in ("b1", "lam", "b2"))
 
 
 def string_moves(b: ModElement):

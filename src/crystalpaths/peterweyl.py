@@ -32,13 +32,17 @@ element key to B^max key; slice_keys() reads the same walks for their
 keys alone.
 
 The elements W*(b) sharing a dual partner r = W*(u_lam) are reached by
-one word W, so the report searches once per dual element and replays the
-word on the partner's other elements: its strings, inverted and in
-reverse order, take the star image y to an end x (_replay).  That
-certifies the element as a search would when x is extremal by its walls,
-the word takes x back to y, and the factor's orbit is lam's; an element
-whose replay fails a check is searched, so every failed or inconclusive
-decomposition comes from a search.
+one word W, so the report searches once per dual element and reuses its
+word V on the partner's other elements.  Starred operators act on the
+right factor of b (x) r alone: if the search from b0's element ended at
+b0* itself, V*(b0) = W*(b0) gives V*(u_lam) = r, so V run from any b*
+gives b's element, and the report proposes the end x = b*, the start of
+b's walk.  Otherwise, or if that fails, V's strings, inverted and in
+reverse order, take the star image y to x (_replay).  Either x certifies
+the element as a search would (_certify) when it is extremal by its
+walls, the word run from it gives y, and the factor's orbit is lam's; an
+element with no certified proposal is searched, so every failed or
+inconclusive decomposition comes from a search.
 
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears, read off its walls
@@ -223,11 +227,27 @@ class SliceReport:
         return not self.failed and self.decompose_inconclusive == 0
 
 
+def _certify(word: list[tuple[str, int, int]], x: ModElement,
+             y: ModElement) -> Optional[Decomposition]:
+    """The decomposition of y as the word run from x, or None: x must be
+    extremal by its walls and the word's plain strings must take it to y
+    (decompose()'s check); a string that runs out from x fails the check
+    and raises nothing.  Both of pw_report's proposals end here; the
+    caller checks the orbit."""
+    if not is_extremal_by_walls(x):
+        return None
+    result = Decomposition(word, x)
+    try:
+        return result if result.star_image() == y else None
+    except RuntimeError:  # a string runs out from x
+        return None
+
+
 def _replay(word: list[tuple[str, int, int]], y: ModElement) -> Optional[Decomposition]:
     """The decomposition of y by another element's word, or None: the
-    strings, inverted and reversed, take y to x, which must be extremal by
-    its walls and give y back (decompose()'s check); the caller checks the
-    orbit.  By the crystal axiom e_i b = b' iff f_i b' = b, each string
+    strings, inverted and reversed, take y to x, certified as the word run
+    from x (_certify); pw_report's proposal when the walk's start is none
+    or fails.  By the crystal axiom e_i b = b' iff f_i b' = b, each string
     undoes its inverse wherever that is defined, so the word run from x
     gives y back unless a string kernel breaks the axiom on the slice; the
     check stays as the guard against such a kernel."""
@@ -236,10 +256,7 @@ def _replay(word: list[tuple[str, int, int]], y: ModElement) -> Optional[Decompo
         x = x.power(i, -n if kind == "f" else n)
         if x is None:
             return None
-    if not is_extremal_by_walls(x):
-        return None
-    result = Decomposition(word, x)
-    return result if result.star_image() == y else None
+    return _certify(word, x, y)
 
 
 def _dual_family_ok(r: ModElement, lam: Weight) -> bool:
@@ -262,15 +279,17 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
     u_lam*; for every B^max element b, b* follows its words in lockstep
     with u_lam*.  Returns (dual, pairs, violations): dual maps the key of
     r* to r* for each dual element r; pairs lazily yields (e* key, (b key,
-    r* key, e*)) for each element e = W*(b) whose partner is r = W*(u_lam),
-    each element once, one b's walk at a time: b in key order, and r in
-    the dual family's discovery order.  violations fills as pairs is read:
-    the words whose defined-ness differs between b and u_lam, the words
-    that reach one dual element at two elements, and the elements reached
-    from two different b.  Only one walk and the map from element key to b
-    key are held at a time.
+    r* key, e*, b*)) for each element e = W*(b) whose partner is r =
+    W*(u_lam), each element once, one b's walk at a time: b in key order,
+    and r in the dual family's discovery order; b*, the walk's start, is
+    pw_report's first proposal.  violations fills as pairs is read: the
+    words whose defined-ness differs between b and u_lam, the words that
+    reach one dual element at two elements, and the elements reached from
+    two different b.  Only one walk and the map from element key to b key
+    are held at a time.
     """
     root = star_mod(u_lambda(lam))
+    root_key = root.key()
     order = sorted(bmax.items())
     dual, walks = lockstep(root, plain_moves, depth,
                            (star_mod(b) for _, b in order))
@@ -279,13 +298,14 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
     def pairs():
         owner: dict = {}  # e* key -> b key
         for (bkey, _), (keys, elements, problems) in zip(order, walks):
+            start = elements[keys[root_key]]
             for (kind, i), problem in problems:
                 violations.append(f"starred {kind}{i} defined-ness differs at b={bkey[:2]}"
                                   if problem == "defined" else f"pair map {problem}")
             for rkey, ykey in keys.items():
                 if ykey not in owner:
                     owner[ykey] = bkey
-                    yield ykey, (bkey, rkey, elements[ykey])
+                    yield ykey, (bkey, rkey, elements[ykey], start)
                 elif owner[ykey] != bkey:
                     violations.append("pair map collision")
 
@@ -300,18 +320,20 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     element b follows the dual family's words in lockstep, in star space
     (_star_pairs).  Each element's star image is decomposed as the walk
     yields it, so no element is starred and only one b's walk is held at a
-    time: the last search's word for its dual partner is replayed on it
-    (_replay), and decompose() searches when there is none or the replay
-    fails a check.  Checks, on the truncation: the starred word is defined
-    on b exactly when it is defined on u_lam; the resulting element
+    time.  The last search's word for its dual partner is run from the
+    walk's start b* if that search ended at its own walk's start (the
+    module docstring gives why), else or on a failed check replayed
+    inversely (_replay); decompose() searches when no proposal is
+    certified (_certify).  Checks, on the truncation: the starred word is
+    defined on b exactly when it is defined on u_lam; the resulting element
     depends only on (b, image from u_lam); the pair map is injective, so
-    the slice count is the product of the factor counts;
-    every dual-family element matches its wall characterization; and
+    the slice count is the product of the factor counts; every
+    dual-family element matches its wall characterization; and
     decompose() recovers a factorization replaying to the element, for
     every enumerated element, whose orbit has lam's representative
     (orbit_canonical, in closed form, so the cost does not grow with lam's
     delta label).  The wall characterization, the decompose() searches and
-    the replays read extremality off the walls (is_extremal_by_walls), so
+    the certificates read extremality off the walls (is_extremal_by_walls), so
     the report computes no S_i step.
     """
     rep = SliceReport(lam=lam)
@@ -323,12 +345,17 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
-    words: dict = {}  # dual key -> the word of the last search among its elements
-    for _, (_, rkey, y) in pairs:
+    words: dict = {}  # dual key -> (last search's word, did it end at its walk's start)
+
+    def certified(d: Optional[Decomposition]) -> bool:
+        return d is not None and d.lam_canonical == canon
+
+    for _, (_, rkey, y, start) in pairs:
         rep.pair_count += 1
-        result = _replay(words[rkey], y) if rkey in words else None
-        if result is not None and result.lam_canonical == canon:
-            continue
+        if rkey in words:
+            word, own = words[rkey]
+            if (own and certified(_certify(word, start, y))) or certified(_replay(word, y)):
+                continue
         try:
             result = decompose(None, DECOMPOSE_DEPTH, e_star=y)
         except RuntimeError:
@@ -337,7 +364,7 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
         if result is None:
             rep.decompose_inconclusive += 1
             continue
-        words[rkey] = result.word
+        words[rkey] = result.word, result.extremal == start
         if result.lam_canonical != canon:
             rep.decompose_mismatched += 1
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size

@@ -29,7 +29,8 @@ bool is not one), when first_color is not 0 or 1, or when an entry is
 negative.  Results of power and top come from _built, which skips the
 validating constructor: their first color is copied from a validated
 element and the sweep has already rejected a negative entry, so only the
-trailing zeros need trimming.  With s_c the sum of a_p over the positions
+trailing zeros need trimming, and it fills SeqElement's slots through
+their descriptors.  With s_c the sum of a_p over the positions
 of color c, wt = -s_0 * alpha_0 - s_1 * alpha_1 and
 pairing(i) = -2 * (s_i - s_(1-i)) need no per-position weight, and ends(i)
 reads eps_i as the maximum of one scan and phi_i as eps_i + pairing(i).
@@ -57,7 +58,7 @@ def _trim(a: Iterable[int]) -> tuple[int, ...]:
     return tuple(vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqElement(CrystalElement):
     first_color: int
     a: tuple[int, ...]
@@ -125,12 +126,15 @@ class SeqElement(CrystalElement):
         return _string(self, i, None)
 
 
+_set_first_color, _set_a = (vars(SeqElement)[name].__set__ for name in ("first_color", "a"))
+
+
 def _built(first_color: int, a: Iterable[int]) -> SeqElement:
     """The sequence element with a validated first color and nonnegative
     entries, trimmed but not checked again (see the module docstring)."""
     s = object.__new__(SeqElement)
-    object.__setattr__(s, "first_color", first_color)
-    object.__setattr__(s, "a", _trim(a))
+    _set_first_color(s, first_color)
+    _set_a(s, _trim(a))
     return s
 
 

@@ -8,7 +8,9 @@ ignores the delta coordinate.  The simple roots are
     alpha_1 = -2*L0 + 2*L1,    alpha_0 = 2*L0 - 2*L1 + delta,
 
 and delta = alpha_0 + alpha_1.  The level of a weight is a0 + a1; level-zero
-weights form the sublattice Z*(L0 - L1) + Z*delta.
+weights form the sublattice Z*(L0 - L1) + Z*delta.  Weight is a slotted
+frozen dataclass whose __init__ fills the slots through their descriptors,
+with no __setattr__ call.
 """
 
 from __future__ import annotations
@@ -16,13 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """An affine sl2 weight a0*L0 + a1*L1 + d*delta."""
 
     a0: int
     a1: int
     d: int = 0
+
+    def __init__(self, a0: int, a1: int, d: int = 0):
+        _set_a0(self, a0)
+        _set_a1(self, a1)
+        _set_d(self, d)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a0 + other.a0, self.a1 + other.a1, self.d + other.d)
@@ -53,6 +60,8 @@ class Weight:
     def __repr__(self) -> str:
         return f"Weight({self.a0}, {self.a1}, {self.d})"
 
+
+_set_a0, _set_a1, _set_d = (vars(Weight)[name].__set__ for name in ("a0", "a1", "d"))
 
 DELTA = Weight(0, 0, 1)
 L0 = Weight(1, 0, 0)

@@ -13,9 +13,9 @@ from crystalpaths.core import (COLORS, CrystalElement, bfs_component, check_axio
 from crystalpaths.extremal import (bminus_star_count, enum_bmax, enum_bminus_star,
                                    extremal_cert, is_extremal, weyl_orbit)
 from crystalpaths.halfpath import left_path, right_path
-from crystalpaths.levelpath import ModElement, is_extremal_by_walls
+from crystalpaths.levelpath import ModElement, is_extremal_by_walls, lp_split, path_from_window
 from crystalpaths.peterweyl import (DECOMPOSE_DEPTH, EXTREMAL_LEN, Decomposition, SliceReport,
-                                    _dual_family_ok, _replay, _star_pairs)
+                                    _certify, _dual_family_ok, _replay, _star_pairs)
 from crystalpaths.star import star_binf, star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
@@ -337,7 +337,7 @@ def _searched(lam):
     others."""
     _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
     return [(rkey, y, decompose(None, DECOMPOSE_DEPTH, e_star=y))
-            for _, (_, rkey, y) in pairs]
+            for _, (_, rkey, y, _) in pairs]
 
 
 def _found(e, result):
@@ -362,7 +362,7 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
         dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
         back = {k: star_mod(r).key() for k, r in dual.items()}
         fast_pairs = {star_mod(y).key(): (bkey, back[rkey])
-                      for _, (bkey, rkey, y) in pairs}
+                      for _, (bkey, rkey, y, _) in pairs}
         fast = [_found(star_mod(y), d) for _, y, d in _searched(lam)]
 
         found.clear()
@@ -697,7 +697,7 @@ def _searched_report(lam, depth=3):
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
-    for _, (_, _, y) in pairs:
+    for _, (_, _, y, _) in pairs:
         rep.pair_count += 1
         try:
             result = decompose(None, DECOMPOSE_DEPTH, e_star=y)
@@ -730,6 +730,68 @@ def _counted_searches(monkeypatch, corrupt=None) -> list:
 
     monkeypatch.setattr(peterweyl, "decompose", counting)
     return calls
+
+
+def _counted_certificates(monkeypatch) -> dict:
+    """The certificates pw_report's proposals give from then on, by path:
+    "inverse" counts _replay's and "start" the rest of _certify's, as each
+    certificate _replay gives comes from one _certify call; "checked"
+    counts the _certify calls, failed ones included."""
+    from crystalpaths import peterweyl
+    certify, replay = peterweyl._certify, peterweyl._replay
+    counts = {"start": 0, "inverse": 0, "checked": 0}
+
+    def counting_certify(word, x, y):
+        result = certify(word, x, y)
+        counts["checked"] += 1
+        counts["start"] += result is not None
+        return result
+
+    def counting_replay(word, y):
+        result = replay(word, y)
+        if result is not None:
+            counts["start"] -= 1
+            counts["inverse"] += 1
+        return result
+
+    monkeypatch.setattr(peterweyl, "_certify", counting_certify)
+    monkeypatch.setattr(peterweyl, "_replay", counting_replay)
+    return counts
+
+
+# a three-factor element whose walls have mixed signs: not extremal by its walls
+MIXED = lp_split(path_from_window(0, 0, -2, [1, 1, -1, -1]))
+
+
+def _bottom(x):
+    """The bottom of x's 1-string, f_1^phi_1 x: no f_1 step is defined there."""
+    return x.power(1, x.ends(1)[1])
+
+
+def _starts_replaced(monkeypatch, replace):
+    """pw_report's pair records with the start b* of every walk but the
+    first replaced by replace(start, first start): the first walk holds
+    the element each dual partner's search runs on, so the searches and
+    their words do not change."""
+    from crystalpaths import peterweyl
+    star_pairs = peterweyl._star_pairs
+
+    def replaced(lam, bmax, depth):
+        dual, pairs, violations = star_pairs(lam, bmax, depth)
+        first = min(bmax)
+
+        def records():
+            firsts = []
+            for k, (bkey, rkey, y, start) in pairs:
+                if bkey == first:
+                    firsts[:] = [start]
+                else:
+                    start = replace(start, firsts[0])
+                yield k, (bkey, rkey, y, start)
+
+        return dual, records(), violations
+
+    monkeypatch.setattr(peterweyl, "_star_pairs", replaced)
 
 
 @pytest.mark.parametrize("m, l", [(4, 0), (-4, 1), (2, 1), (0, 1)])
@@ -778,20 +840,99 @@ def test_the_slice_and_its_replay_ends_satisfy_the_crystal_axioms():
     # _replay's star_image() == y check holds wherever the axiom
     # e_i b = b' iff f_i b' = b does: check_axioms finds no violation on
     # the slice elements, read as pw_report reads them, or on the ends
-    # their replays (or, once per dual element, their searches) reach
+    # their certificates reach: the walks' starts (B^max star images)
+    # where the partner's search ended at its own start, the inverse
+    # replays' ends, and, once per dual element, the searches' ends
     lam = classical(4, 0)
     _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
-    words, elements, ends = {}, [], []
-    for _, (_, rkey, y) in pairs:
-        d = _replay(words[rkey], y) if rkey in words else None
+    words, elements, ends, starts = {}, [], [], []
+    for _, (_, rkey, y, start) in pairs:
+        word, own = words.get(rkey, (None, False))
+        d = _certify(word, start, y) if own else None
+        if d is not None:
+            starts.append(d.extremal)
+        elif word is not None:
+            d = _replay(word, y)
         if d is None:
             d = decompose(None, DECOMPOSE_DEPTH, e_star=y)
-            words[rkey] = d.word
+            words[rkey] = d.word, d.extremal == start
         elements.append(y)
         ends.append(d.extremal)
-    assert len(elements) == 800 and len(words) == 10
+    assert len(elements) == 800 and len(words) == 10 and len(starts) == 474
     assert check_axioms(elements) == []
     assert check_axioms(ends) == []
+
+
+def test_pw_report_certifies_from_the_walks_start_where_the_search_ended_at_its_own(monkeypatch):
+    # at (4,0) 6 of the 10 searches end at the first walk's start: the 79
+    # other elements of each of those partners are certified from their
+    # own walk's start, and the other 4 partners' by inverse replay, with
+    # no start proposed for them and no certificate checked twice
+    searches = _counted_searches(monkeypatch)
+    counts = _counted_certificates(monkeypatch)
+    rep = pw_report(classical(4, 0))
+    assert rep.ok and rep.pair_count == 800
+    assert (len(searches), counts["start"], counts["inverse"]) == (10, 474, 316)
+    assert counts["checked"] == 790
+
+
+def _own_start_cases(lam):
+    """(word, start, first start, y) for every element of lam's slice whose
+    dual partner's search ended at its own walk's start with a nonempty
+    word, outside that first walk: the start path's cases."""
+    _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+    words, cases = {}, []
+    for _, (_, rkey, y, start) in pairs:
+        if rkey not in words:
+            d = decompose(None, DECOMPOSE_DEPTH, e_star=y)
+            words[rkey] = d.word, d.extremal == start, start
+        elif words[rkey][1] and words[rkey][0]:
+            word, _, first = words[rkey]
+            cases.append((word, start, first, y))
+    return cases
+
+
+def test_a_start_certificate_checks_walls_forward_run_and_running_out():
+    # _certify, which both proposals call, certifies a walk's start and
+    # rejects, with None and no error: a start not extremal by its walls,
+    # also where the word from it gives the element it is asked about; a
+    # start from which the word gives another element; and a start from
+    # which a string of the word runs out
+    cases = _own_start_cases(classical(4, 0))
+    assert len(cases) == 5 * 79
+    for word, start, first, y in cases:
+        assert _certify(word, start, y) == Decomposition(word, start)
+        assert _certify(word, MIXED, y) is None
+        assert Decomposition(word, first).star_image() != y
+        assert _certify(word, first, y) is None
+        with pytest.raises(RuntimeError):
+            Decomposition(word, _bottom(start)).star_image()
+        assert _certify(word, _bottom(start), y) is None
+    word, start, _, _ = cases[0]
+    x = next(x for x in (start.f(0), start.e(0), start.f(1), start.e(1))
+             if x is not None and not is_extremal_by_walls(x))
+    z = Decomposition(word, x).star_image()
+    assert _certify(word, x, z) is None and _certify([], x, x) is None
+
+
+@pytest.mark.parametrize("replace", [lambda start, first: MIXED,
+                                     lambda start, first: first,
+                                     lambda start, first: _bottom(start)],
+                         ids=["not-extremal", "other-element", "runs-out"])
+def test_a_failed_start_falls_back_to_the_inverse_replay(monkeypatch, replace):
+    # every start outside the first walk replaced by one that fails a check
+    # of _certify: each element certified from its start at (4,0) is
+    # certified by inverse replay instead, nothing raises, no search is
+    # added and the report does not change
+    lam = classical(4, 0)
+    clean = pw_report(lam)
+    star_binf.cache_clear()
+    _starts_replaced(monkeypatch, replace)
+    searches = _counted_searches(monkeypatch)
+    counts = _counted_certificates(monkeypatch)
+    assert pw_report(lam) == clean and clean.ok
+    assert (len(searches), counts["start"], counts["inverse"]) == (10, 0, 790)
+    assert counts["checked"] == 474 + 790
 
 
 def test_a_factor_outside_the_orbit_is_searched_on_every_element(monkeypatch):
@@ -808,10 +949,12 @@ def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     # pw_verify computes every string it asks for: 1,757 in
     # verify_component (none for C1's starts, which are read off their
     # walls and walk no S-word) and the rest in the slice report, which
-    # searches once per dual element and replays that word on the other
-    # 790 elements; the count drifts when either check calls power on
-    # other factors, and nothing outlives the call, so the same command
-    # does the same work again
+    # searches once per dual element (39 strings) and certifies the other
+    # 790 elements by one forward run of the word each (1,126 strings),
+    # from the walk's start for 474 of them and from the end of an inverse
+    # replay (503 strings) for 316; the count drifts when either check
+    # calls power on other factors, and nothing outlives the call, so the
+    # same command does the same work again
     from crystalpaths.cli import main
     lam = classical(4, 0)
     held = counted_strings(monkeypatch)
@@ -821,10 +964,10 @@ def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     star_binf.cache_clear()
     searches = _counted_searches(monkeypatch)
     assert pw_verify(lam).ok
-    assert len(held) == 5602 and len(searches) == 10
+    assert len(held) == 4979 and len(searches) == 10
     held.clear()
     searches.clear()
     star_binf.cache_clear()
     assert main(["pw-verify", "--lambda=4,0"]) == 0
-    assert len(held) == 5602 and len(searches) == 10
+    assert len(held) == 4979 and len(searches) == 10
     capsys.readouterr()

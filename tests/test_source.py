@@ -122,3 +122,45 @@ def test_the_tensor_rule_numbers_stay_in_levelpath():
             names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
             named += [f"{path.name}:{node.lineno} {name}" for name in names & private]
     assert named == []
+
+
+def _dataclass_keywords(node: ast.ClassDef) -> list[dict]:
+    """The keyword arguments of each dataclass(...) decorator of a class."""
+    return [{k.arg: getattr(k.value, "value", None) for k in d.keywords}
+            for d in node.decorator_list
+            if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"]
+
+
+def test_frozen_dataclasses_are_slotted_and_their_mixins_add_no_dict():
+    # an element is built in one step, by the slot descriptors: every
+    # frozen dataclass is slots=True, and the mixins the element types
+    # inherit declare no instance dict of their own
+    frozen, unslotted, mixins = [], [], {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for keywords in _dataclass_keywords(node):
+                if keywords.get("frozen") is True:
+                    frozen.append(node.name)
+                    if keywords.get("slots") is not True:
+                        unslotted.append(f"{path.name}:{node.name}")
+            if node.name in ("CrystalElement", "WallScan"):
+                mixins[node.name] = [ast.unparse(s) for s in node.body
+                                     if isinstance(s, ast.Assign)
+                                     and ast.unparse(s.targets[0]) == "__slots__"]
+    assert {"HalfPath", "LevelPath", "ModElement", "SeqElement", "Weight"} <= set(frozen)
+    assert unslotted == []
+    assert mixins == {"CrystalElement": ["__slots__ = ()"], "WallScan": ["__slots__ = ()"]}
+
+
+def test_the_library_calls_no_zero_argument_super():
+    # a slotted dataclass is a new class, so on Python 3.10 and 3.11 the
+    # __class__ cell of a zero-argument super() in its methods names the
+    # class it replaced, and the call raises TypeError
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "super"
+             and not node.args]
+    assert found == []
