@@ -56,13 +56,17 @@ class CliError(Exception):
 
 def _read_element(args):
     try:
-        text = open(args.file).read() if args.file else sys.stdin.read()
+        if args.file:
+            with open(args.file, encoding="utf-8") as f:
+                text = f.read()
+        else:
+            text = sys.stdin.read()
+        elt = serialize.loads(text)
     except OSError as exc:
         raise CliError(EXIT_PRECONDITION, f"cannot read input: {exc}")
-    try:
-        elt = serialize.loads(text)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError, AttributeError,
             RecursionError) as exc:
+        # ValueError covers a UnicodeDecodeError from either source
         raise CliError(EXIT_BADJSON, f"malformed element JSON: {exc}")
     if isinstance(elt, Weight):
         raise CliError(EXIT_PRECONDITION, "a weight is not a crystal element")
@@ -262,7 +266,8 @@ def cmd_oracle_check(args) -> int:
     seed = args.seed
     if args.seed_file:
         try:
-            seed = int(open(args.seed_file).read().strip())
+            with open(args.seed_file, encoding="utf-8") as f:
+                seed = int(f.read().strip())
         except (OSError, ValueError) as exc:
             raise CliError(EXIT_PRECONDITION, f"bad seed file: {exc}")
     rng = random.Random(seed)

@@ -18,10 +18,11 @@ and the tensor-word oracle in elementary apply), the breadth-first search
 engine explore (the one place a search keys its nodes; it yields each node
 with its key), lockstep (do other elements follow one element's words?), the
 string walker peel (which climbs by top), component enumeration, rooted
-graph isomorphism, an axiom checker (check_axioms, which reads each weight,
-(eps_i, phi_i) and image once per call, keyed by key(), so both ends of an
-arrow share them: the statistics through ends(i), and both images of a color
-through one arrows(i)), and graph export.
+graph isomorphism (one numbered form per graph, from a traversal that shares
+no code with explore or lockstep), an axiom checker (check_axioms, which
+reads each weight, (eps_i, phi_i) and image once per call, keyed by key(),
+so both ends of an arrow share them: the statistics through ends(i), and
+both images of a color through one arrows(i)), and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -404,47 +405,31 @@ def bfs_component(root: CrystalElement, max_depth: int) -> ComponentGraph:
     return graph
 
 
-def graphs_isomorphic(g1: ComponentGraph, g2: ComponentGraph) -> bool:
-    """Rooted colored-graph isomorphism preserving weights is decidable by
-    parallel traversal: each node has at most one in/out arrow per color."""
-
-    def arrows(g: ComponentGraph):
-        out: dict[tuple[str, int], str] = {}
-        inc: dict[tuple[str, int], str] = {}
-        for s, d, i in g.edges:
-            if (s, i) in out and out[(s, i)] != d:
-                return None  # corrupted: duplicate arrow
-            if (d, i) in inc and inc[(d, i)] != s:
-                return None
-            out[(s, i)] = d
-            inc[(d, i)] = s
-        return out, inc
-
-    a1, a2 = arrows(g1), arrows(g2)
-    if a1 is None or a2 is None:
-        return False
-    out1, in1 = a1
-    out2, in2 = a2
-    pair = {g1.root: g2.root}
-    back = {g2.root: g1.root}
-    queue = [(g1.root, g2.root)]
-    while queue:
-        n1, n2 = queue.pop()
-        if g1.nodes[n1].wt() != g2.nodes[n2].wt():
-            return False
-        for table1, table2 in ((out1, out2), (in1, in2)):
+def _numbered_form(g: ComponentGraph):
+    """The node weights in the order one traversal from the root reaches
+    them (out- before in-arrows, color 0 first) and the arrows so numbered;
+    None on two arrows of one color and direction at a node or a missed node."""
+    edges = set(g.edges)
+    out, inc = {}, {}
+    for s, d, i in edges:
+        if out.setdefault((s, i), d) != d or inc.setdefault((d, i), s) != s:
+            return None
+    order, number = [g.root], {g.root: 0}
+    for n in order:
+        for table in (out, inc):
             for i in COLORS:
-                c1 = table1.get((n1, i))
-                c2 = table2.get((n2, i))
-                if (c1 is None) != (c2 is None):
-                    return False
-                if c1 is None:
-                    continue
-                if c1 in pair or c2 in back:
-                    if pair.get(c1) != c2 or back.get(c2) != c1:
-                        return False
-                    continue
-                pair[c1] = c2
-                back[c2] = c1
-                queue.append((c1, c2))
-    return len(pair) == len(g1.nodes) == len(g2.nodes)
+                c = table.get((n, i))
+                if c is not None and c not in number:
+                    number[c] = len(order)
+                    order.append(c)
+    if len(order) != len(g.nodes):
+        return None
+    return ([g.nodes[n].wt() for n in order],
+            sorted((number[s], number[d], i) for s, d, i in edges))
+
+
+def graphs_isomorphic(g1: ComponentGraph, g2: ComponentGraph) -> bool:
+    """Rooted colored-graph isomorphism preserving weights: a node has at
+    most one in/out arrow per color, so one traversal fixes the map."""
+    form = _numbered_form(g1)
+    return form is not None and form == _numbered_form(g2)

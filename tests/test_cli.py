@@ -221,6 +221,14 @@ def test_file_input(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["count"] == 1
 
 
+def test_non_utf8_file_is_malformed(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "elt.json"
+    f.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, monkeypatch, ["walls", "--file", str(f)])
+    assert code == 64
+    assert "malformed element JSON" in err
+
+
 def test_graph_text_format(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch,
                        ["graph", "--depth", "1", "--format", "text"],

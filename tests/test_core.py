@@ -408,6 +408,34 @@ def test_graph_isomorphism_positive_and_negative():
     g4 = bfs_component(LimitEntry(0), 3)
     assert not graphs_isomorphic(g1, g4)
 
+    def graph(edges, **levels):
+        # a hand-built graph rooted at "a"; node x holds LimitEntry(levels[x])
+        return ComponentGraph(root="a", nodes={x: LimitEntry(n) for x, n in levels.items()},
+                              edges=edges)
+
+    chain = [("a", "b", 0), ("b", "c", 1)]
+    path = graph(chain, a=0, b=1, c=2)
+    assert graphs_isomorphic(path, graph(chain, a=0, b=1, c=2))
+    # two f_0 arrows out of one node, and two into one node
+    assert not graphs_isomorphic(path, graph(chain + [("a", "c", 0)], a=0, b=1, c=2))
+    assert not graphs_isomorphic(graph([("a", "c", 0), ("b", "c", 0)], a=0, b=1, c=2),
+                                 graph([("a", "c", 0), ("b", "c", 0)], a=0, b=1, c=2))
+    # an exact repeated edge is the same arrow
+    assert graphs_isomorphic(path, graph(chain + [("a", "b", 0)], a=0, b=1, c=2))
+    # a node no arrow reaches
+    assert not graphs_isomorphic(path, graph(chain, a=0, b=1, c=2, d=3))
+    assert not graphs_isomorphic(graph(chain, a=0, b=1, c=2, d=3),
+                                 graph(chain, a=0, b=1, c=2, d=3))
+    # a weight mismatch two steps from the root
+    assert not graphs_isomorphic(path, graph(chain, a=0, b=1, c=3))
+    # node ids permuted
+    assert graphs_isomorphic(path, graph([("c", "b", 1), ("a", "c", 0)], a=0, b=2, c=1))
+    assert graphs_isomorphic(graph([("a", "x", 0), ("x", "y", 1)], a=0, x=1, y=2), path)
+    # a root-only graph
+    root = graph([], a=0)
+    assert graphs_isomorphic(root, graph([], a=0))
+    assert not graphs_isomorphic(root, path) and not graphs_isomorphic(path, root)
+
 
 def test_graph_exports():
     g = bfs_component(LimitEntry(0), 2)

@@ -164,3 +164,17 @@ def test_the_library_calls_no_zero_argument_super():
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "super"
              and not node.args]
     assert found == []
+
+
+def test_every_open_call_is_a_with_item():
+    # a file opened outside a with statement stays open until the garbage
+    # collector finds it, and python -X dev warns of it
+    loose = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        managed = {id(item.context_expr) for node in ast.walk(tree)
+                   if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+        loose += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in managed
+                  and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert loose == []
