@@ -16,13 +16,14 @@ computes from one read of its statistics.  On top of that protocol this
 module builds the tensor rule for strings (_string_split, which ModElement
 and the tensor-word oracle in elementary apply), the breadth-first search
 engine explore (the one place a search keys its nodes; it yields each node
-with its key), lockstep (do other elements follow one element's words?), the
-string walker peel (which climbs by top), component enumeration, rooted
-graph isomorphism (one numbered form per graph, from a traversal that shares
-no code with explore or lockstep), an axiom checker (check_axioms, which
-reads each weight, (eps_i, phi_i) and image once per call, keyed by key(),
-so both ends of an arrow share them: the statistics through ends(i), and
-both images of a color through one arrows(i)), and graph export.
+with its key), lockstep (do other elements follow one element's words? it
+returns those words too, as strings), the string walker peel (which climbs
+by top), component enumeration, rooted graph isomorphism (one numbered form
+per graph, from a traversal that shares no code with explore or lockstep),
+an axiom checker (check_axioms, which reads each weight, (eps_i, phi_i) and
+image once per call, keyed by key(), so both ends of an arrow share them:
+the statistics through ends(i), and both images of a color through one
+arrows(i)), and graph export.
 
 Tensor conventions (b1 tensor b2):
     <h_i, wt> = <h_i, wt b1> + <h_i, wt b2>
@@ -261,20 +262,27 @@ def lockstep(root: CrystalElement, moves, depth: int, starts: Iterable[CrystalEl
     Explores root once along moves to the given depth, keeping the node
     keys explore yields, then replays each expanded node's moves on its
     image, pairing the results by position.
-    Returns (nodes, walks): nodes maps each key found from root to its node;
-    walks lazily yields, per start, (keys, elements, problems): node key ->
-    key of the element the same word reaches, that key -> the element, and
-    (move, problem) records, the problem "defined" (on one side only),
-    "not well defined" (a mapped node reached at a second element) or
-    "collision" (two nodes reach one element).
+    Returns (nodes, words, walks): nodes maps each key found from root to
+    its node; words maps it to the word by which explore first reached it,
+    read off the same links, as strings (kind, i, n) of the moves (kind, i)
+    with equal adjacent moves merged; walks lazily yields, per start,
+    (keys, elements, problems): node key -> key of the element the same
+    word reaches, that key -> the element, and (move, problem) records, the
+    problem "defined" (on one side only), "not well defined" (a mapped node
+    reached at a second element) or "collision" (two nodes reach one
+    element).
     """
     search = explore([root], moves, depth)
     _, _, _, root_key, _ = next(search)
     nodes = {root_key: root}
+    words = {root_key: []}
     steps: dict = {}  # expanded node key -> [(move, child key or None), ...]
     for pkey, move, c, ckey, new in search:
         if new:
             nodes[ckey] = c
+            word = words[pkey]
+            words[ckey] = (word[:-1] + [(*move, word[-1][2] + 1)]
+                           if word and word[-1][:2] == move else word + [(*move, 1)])
         steps.setdefault(pkey, []).append((move, ckey))
 
     def walk(start):
@@ -300,7 +308,7 @@ def lockstep(root: CrystalElement, moves, depth: int, starts: Iterable[CrystalEl
                 elements[ykey] = y
         return keys, elements, problems
 
-    return nodes, map(walk, starts)
+    return nodes, words, map(walk, starts)
 
 
 def peel(b: CrystalElement, first_color: int) -> list[tuple[int, int]]:

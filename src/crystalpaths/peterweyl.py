@@ -31,18 +31,18 @@ element's walk at a time and, for the injectivity check, a map from
 element key to B^max key; slice_keys() reads the same walks for their
 keys alone.
 
-The elements W*(b) sharing a dual partner r = W*(u_lam) are reached by
-one word W, so the report searches once per dual element and reuses its
-word V on the partner's other elements.  Starred operators act on the
-right factor of b (x) r alone: if the search from b0's element ended at
-b0* itself, V*(b0) = W*(b0) gives V*(u_lam) = r, so V run from any b*
-gives b's element, and the report proposes the end x = b*, the start of
-b's walk.  Otherwise, or if that fails, V's strings, inverted and in
-reverse order, take the star image y to x (_replay).  Either x certifies
-the element as a search would (_certify) when it is extremal by its
-walls, the word run from it gives y, and the factor's orbit is lam's; an
-element with no certified proposal is searched, so every failed or
-inconclusive decomposition comes from a search.
+The elements sharing a dual partner r are reached by one word W: the
+word by which the dual family's BFS first reached r* (core.lockstep keeps
+it, as strings), so r = W*(u_lam), and b's walk reaches the star image
+y = W(b*) of b's element W*(b) by the same moves.  The report therefore
+searches once per dual element, on its first element, and certifies each
+later one as a search would, by W run from b*, the start of b's walk:
+b* is extremal by its walls and its factor's orbit is lam's (both read
+once per walk), and W's strings run from b* give y (the forward check,
+which compares the string kernel with the walk's single steps; a string
+that runs out fails it).  A failed check, or a walk whose start fails,
+falls back to the search, so every failed or inconclusive decomposition
+comes from a search.
 
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears, read off its walls
@@ -183,7 +183,7 @@ def verify_component(lam: Weight, depth: int = 5, word_bound: int = 8) -> tuple[
     """
     root = u_lambda(lam)
     starts = enum_bminus_star(lam, span=C1_SPAN)
-    nodes, walks = lockstep(root, plain_moves, depth, starts)
+    nodes, _, walks = lockstep(root, plain_moves, depth, starts)
     c1 = len(starts) == bminus_star_count(lam, C1_SPAN) and all(
         b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
     c2 = [b for b in nodes.values() if b.wt() == lam] == [root]
@@ -227,38 +227,6 @@ class SliceReport:
         return not self.failed and self.decompose_inconclusive == 0
 
 
-def _certify(word: list[tuple[str, int, int]], x: ModElement,
-             y: ModElement) -> Optional[Decomposition]:
-    """The decomposition of y as the word run from x, or None: x must be
-    extremal by its walls and the word's plain strings must take it to y
-    (decompose()'s check); a string that runs out from x fails the check
-    and raises nothing.  Both of pw_report's proposals end here; the
-    caller checks the orbit."""
-    if not is_extremal_by_walls(x):
-        return None
-    result = Decomposition(word, x)
-    try:
-        return result if result.star_image() == y else None
-    except RuntimeError:  # a string runs out from x
-        return None
-
-
-def _replay(word: list[tuple[str, int, int]], y: ModElement) -> Optional[Decomposition]:
-    """The decomposition of y by another element's word, or None: the
-    strings, inverted and reversed, take y to x, certified as the word run
-    from x (_certify); pw_report's proposal when the walk's start is none
-    or fails.  By the crystal axiom e_i b = b' iff f_i b' = b, each string
-    undoes its inverse wherever that is defined, so the word run from x
-    gives y back unless a string kernel breaks the axiom on the slice; the
-    check stays as the guard against such a kernel."""
-    x = y
-    for kind, i, n in reversed(word):
-        x = x.power(i, -n if kind == "f" else n)
-        if x is None:
-            return None
-    return _certify(word, x, y)
-
-
 def _dual_family_ok(r: ModElement, lam: Weight) -> bool:
     """The dual family's characterization: weight lam, extremal (read off
     the walls), |m| walls and inter-wall gaps of at most 1."""
@@ -279,20 +247,21 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
     u_lam*; for every B^max element b, b* follows its words in lockstep
     with u_lam*.  Returns (dual, pairs, violations): dual maps the key of
     r* to r* for each dual element r; pairs lazily yields (e* key, (b key,
-    r* key, e*, b*)) for each element e = W*(b) whose partner is r =
+    r* key, e*, b*, W)) for each element e = W*(b) whose partner is r =
     W*(u_lam), each element once, one b's walk at a time: b in key order,
-    and r in the dual family's discovery order; b*, the walk's start, is
-    pw_report's first proposal.  violations fills as pairs is read: the
-    words whose defined-ness differs between b and u_lam, the words that
-    reach one dual element at two elements, and the elements reached from
-    two different b.  Only one walk and the map from element key to b key
+    and r in the dual family's discovery order; b* is the walk's start,
+    and W, as strings, the word by which the BFS first reached r*, which
+    pw_report's certificate runs from b*.  violations fills as pairs is
+    read: the words whose defined-ness differs between b and u_lam, the
+    words that reach one dual element at two elements, and the elements
+    reached from two different b.  Only one walk and the map from element key to b key
     are held at a time.
     """
     root = star_mod(u_lambda(lam))
     root_key = root.key()
     order = sorted(bmax.items())
-    dual, walks = lockstep(root, plain_moves, depth,
-                           (star_mod(b) for _, b in order))
+    dual, words, walks = lockstep(root, plain_moves, depth,
+                                  (star_mod(b) for _, b in order))
     violations: list[str] = []
 
     def pairs():
@@ -305,7 +274,7 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
             for rkey, ykey in keys.items():
                 if ykey not in owner:
                     owner[ykey] = bkey
-                    yield ykey, (bkey, rkey, elements[ykey], start)
+                    yield ykey, (bkey, rkey, elements[ykey], start, words[rkey])
                 elif owner[ykey] != bkey:
                     violations.append("pair map collision")
 
@@ -320,21 +289,20 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     element b follows the dual family's words in lockstep, in star space
     (_star_pairs).  Each element's star image is decomposed as the walk
     yields it, so no element is starred and only one b's walk is held at a
-    time.  The last search's word for its dual partner is run from the
-    walk's start b* if that search ended at its own walk's start (the
-    module docstring gives why), else or on a failed check replayed
-    inversely (_replay); decompose() searches when no proposal is
-    certified (_certify).  Checks, on the truncation: the starred word is
-    defined on b exactly when it is defined on u_lam; the resulting element
-    depends only on (b, image from u_lam); the pair map is injective, so
-    the slice count is the product of the factor counts; every
-    dual-family element matches its wall characterization; and
-    decompose() recovers a factorization replaying to the element, for
-    every enumerated element, whose orbit has lam's representative
-    (orbit_canonical, in closed form, so the cost does not grow with lam's
-    delta label).  The wall characterization, the decompose() searches and
-    the certificates read extremality off the walls (is_extremal_by_walls), so
-    the report computes no S_i step.
+    time.  decompose() searches the first element of each dual partner and
+    every element whose certificate fails; each later element is certified
+    by its partner's word run from the walk's start b*, whose walls and
+    orbit are read once per walk (the module docstring gives why).  Checks,
+    on the truncation: the starred word is defined on b exactly when it is
+    defined on u_lam; the resulting element depends only on (b, image from
+    u_lam); the pair map is injective, so the slice count is the product
+    of the factor counts; every dual-family element matches its wall
+    characterization; and decompose() recovers a factorization replaying
+    to the element, for every enumerated element, whose orbit has lam's
+    representative (orbit_canonical, in closed form, so the cost does not
+    grow with lam's delta label).  The wall characterization, the decompose() searches and
+    the certificates read extremality off the walls (is_extremal_by_walls),
+    so the report computes no S_i step.
     """
     rep = SliceReport(lam=lam)
     canon = orbit_canonical(lam)
@@ -345,17 +313,20 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
-    words: dict = {}  # dual key -> (last search's word, did it end at its walk's start)
-
-    def certified(d: Optional[Decomposition]) -> bool:
-        return d is not None and d.lam_canonical == canon
-
-    for _, (_, rkey, y, start) in pairs:
+    searched: set = set()  # dual keys whose first element was searched
+    walk = start_ok = None
+    for _, (bkey, rkey, y, start, word) in pairs:
         rep.pair_count += 1
-        if rkey in words:
-            word, own = words[rkey]
-            if (own and certified(_certify(word, start, y))) or certified(_replay(word, y)):
-                continue
+        if rkey in searched:
+            if bkey != walk:
+                walk, start_ok = bkey, (is_extremal_by_walls(start) and
+                                        Decomposition([], start).lam_canonical == canon)
+            try:
+                if start_ok and Decomposition(word, start).star_image() == y:
+                    continue
+            except RuntimeError:  # a string of the word runs out from b*
+                pass
+        searched.add(rkey)
         try:
             result = decompose(None, DECOMPOSE_DEPTH, e_star=y)
         except RuntimeError:
@@ -364,7 +335,6 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
         if result is None:
             rep.decompose_inconclusive += 1
             continue
-        words[rkey] = result.word, result.extremal == start
         if result.lam_canonical != canon:
             rep.decompose_mismatched += 1
     rep.product_ok = not rep.violations and rep.pair_count == rep.bmax_size * rep.dual_size
@@ -376,8 +346,8 @@ def pw_verify(lam: Weight, depth: int = 5, word_bound: int = 8) -> SliceReport:
     to depth (verify_component, with word_bound) and the slice report at
     c_bound 1 and depth at most 3 (pw_report).  The record fails when any
     check fails, and is ok when none does and every element decomposed,
-    by a replayed word or, once per dual element at least, by a
-    decompose() search."""
+    by its partner's word run from its walk's start or, once per dual
+    element at least, by a decompose() search."""
     c1, c2, c3 = verify_component(lam, depth, word_bound)
     rep = pw_report(lam, 1, min(depth, 3))
     rep.c1, rep.c2, rep.c3 = c1, c2, c3

@@ -85,7 +85,7 @@ def test_mixed_walls_rule_extremality_out():
         lam = classical(m, l)
         component = [c for _, _, c, _, new in explore([u_lambda(lam)], plain_moves, 5) if new]
         _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
-        for e in component + [y for _, (_, _, y, _) in pairs]:
+        for e in component + [y for _, (_, _, y, _, _) in pairs]:
             if e.wall_sign() is None:
                 mixed += 1
                 assert not any(is_extremal(e, n) for n in range(1, 9))
@@ -533,6 +533,6 @@ def test_decompose_computes_no_weyl_step(monkeypatch):
         lam = classical(m, l)
         pairs += _star_pairs(lam, enum_bmax(lam, 1, 3), 3)[1]
     calls = counted_weyl_ops(monkeypatch)
-    found = sum(decompose(None, DECOMPOSE_DEPTH, e_star=y) is not None for _, (_, _, y, _) in pairs)
+    found = sum(decompose(None, DECOMPOSE_DEPTH, e_star=y) is not None for _, (_, _, y, _, _) in pairs)
     assert found == len(pairs) > 2500
     assert calls == []

@@ -15,7 +15,7 @@ from crystalpaths.extremal import (bminus_star_count, enum_bmax, enum_bminus_sta
 from crystalpaths.halfpath import left_path, right_path
 from crystalpaths.levelpath import ModElement, is_extremal_by_walls, lp_split, path_from_window
 from crystalpaths.peterweyl import (DECOMPOSE_DEPTH, EXTREMAL_LEN, Decomposition, SliceReport,
-                                    _certify, _dual_family_ok, _replay, _star_pairs)
+                                    _dual_family_ok, _star_pairs)
 from crystalpaths.star import star_binf, star_mod, starred_e, starred_f
 from crystalpaths.weights import Weight, classical, orbit_canonical, simple_root
 
@@ -79,7 +79,7 @@ def _verify_c1(lam, depth=5, span=2):
     starts = [e for e in enum_bminus_star(lam, span=span) if extremal_cert(e, 12).extremal]
     if len(starts) != bminus_star_count(lam, span):
         return False
-    _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
+    _, _, walks = lockstep(u_lambda(lam), plain_moves, depth, starts)
     return all(b.wt() == lam and not problems for b, (_, _, problems) in zip(starts, walks))
 
 
@@ -333,11 +333,11 @@ def _reference_report(lam, decompose_call):
 def _searched(lam):
     """(dual key, y, decompose() of y*) for every element of pw_report's
     slice, in its pair-map order: a search on each element, where
-    pw_report searches once per dual element and replays the word on the
-    others."""
+    pw_report searches once per dual element and certifies the others by
+    the partner's word run from their walk's start."""
     _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
     return [(rkey, y, decompose(None, DECOMPOSE_DEPTH, e_star=y))
-            for _, (_, rkey, y, _) in pairs]
+            for _, (_, rkey, y, _, _) in pairs]
 
 
 def _found(e, result):
@@ -362,7 +362,7 @@ def test_star_space_report_matches_the_starred_reference(monkeypatch):
         dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
         back = {k: star_mod(r).key() for k, r in dual.items()}
         fast_pairs = {star_mod(y).key(): (bkey, back[rkey])
-                      for _, (bkey, rkey, y, _) in pairs}
+                      for _, (bkey, rkey, y, _, _) in pairs}
         fast = [_found(star_mod(y), d) for _, y, d in _searched(lam)]
 
         found.clear()
@@ -509,8 +509,13 @@ def test_lockstep_reports_each_kind_of_problem():
             started.append(start)
             yield start
 
-    nodes, walks = lockstep(Counts(), plain_moves, 2, starts())
+    nodes, words, walks = lockstep(Counts(), plain_moves, 2, starts())
     assert len(nodes) == 6 and started == []  # starts are walked when asked
+    # the first word to each node, equal adjacent moves merged into one string
+    assert words == {("counts", (0, 0)): [], ("counts", (1, 0)): [("f", 0, 1)],
+                     ("counts", (0, 1)): [("f", 1, 1)], ("counts", (2, 0)): [("f", 0, 2)],
+                     ("counts", (1, 1)): [("f", 0, 1), ("f", 1, 1)],
+                     ("counts", (0, 2)): [("f", 1, 2)]}
     keys, elements, problems = next(walks)
     assert started == [Word()] and problems == [(("f", 0), "not well defined")]
     assert elements[keys[("counts", (1, 1))]] == Word((0, 1)) and len(elements) == 6
@@ -520,7 +525,7 @@ def test_lockstep_reports_each_kind_of_problem():
     assert next(walks)[2] == [(("e", 1), "defined")] * 2
     assert next(walks, None) is None
     # the other way round, the words f_0 f_1 and f_1 f_0 meet
-    nodes, walks = lockstep(Word(), plain_moves, 2, [Counts()])
+    nodes, _, walks = lockstep(Word(), plain_moves, 2, [Counts()])
     keys, elements, problems = next(walks)
     assert len(nodes) == len(keys) == 7 and len(elements) == 6
     assert keys[("word", (0, 1))] == keys[("word", (1, 0))] == ("counts", (1, 1))
@@ -597,7 +602,7 @@ def test_lockstep_agrees_with_graph_isomorphism():
     for _ in range(300):
         a, b = rng.sample(rng.choice(buckets), 2)
         depth = rng.randint(1, 4)
-        _, walks = lockstep(a, plain_moves, depth, [b])
+        _, _, walks = lockstep(a, plain_moves, depth, [b])
         _, _, problems = next(walks)
         verdicts.append(not problems)
         assert verdicts[-1] == graphs_isomorphic(bfs_component(a, depth),
@@ -655,22 +660,23 @@ def test_string_search_matches_the_step_search():
 def test_replay_is_the_starred_star_image():
     # for every star image y in pw_report's slice, the searched word's
     # plain strings on the extremal vector give y, and replay(), the
-    # plain-space check, gives the element y*; the word searched for the
-    # first element of y's dual partner, replayed on y (_replay), gives y
-    # from a factor in the same orbit
+    # plain-space check, gives the element y*; y's dual partner's word,
+    # run from the start b* of y's walk, gives y from a factor in the same
+    # orbit
     words = 0
     for m, l in BENCH_LAMBDAS:
-        first = {}
-        rep = pw_report(classical(m, l))
-        found = _searched(classical(m, l))
+        lam = classical(m, l)
+        rep = pw_report(lam)
+        _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+        found = _searched(lam)
         assert len(found) == rep.pair_count
-        for rkey, y, d in found:
+        for (_, (_, _, y, start, word)), (_, _, d) in zip(pairs, found):
             assert y is not None and d is not None
             assert d.star_image() == y
             assert d.replay() == star_mod(y)
             words += bool(d.word)
-            reused = _replay(first.setdefault(rkey, d.word), y)
-            assert reused is not None and reused.star_image() == y
+            reused = Decomposition(word, start)
+            assert reused.star_image() == y
             assert reused.lam_canonical == d.lam_canonical
     assert words > 1000
 
@@ -697,7 +703,7 @@ def _searched_report(lam, depth=3):
     rep.dual_size = len(dual)
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
-    for _, (_, _, y, _) in pairs:
+    for _, (_, _, y, _, _) in pairs:
         rep.pair_count += 1
         try:
             result = decompose(None, DECOMPOSE_DEPTH, e_star=y)
@@ -712,20 +718,15 @@ def _searched_report(lam, depth=3):
     return rep
 
 
-def _counted_searches(monkeypatch, corrupt=None) -> list:
-    """The decompose() calls pw_report makes from then on; corrupt, when
-    given, rewrites the word of the first search that finds a nonempty
-    one, which pw_report then keeps for that dual element."""
+def _counted_searches(monkeypatch) -> list:
+    """The decompose() calls pw_report makes from then on."""
     from crystalpaths import peterweyl
     original = peterweyl.decompose
-    calls, corrupted = [], []
+    calls = []
 
     def counting(*args, **kwargs):
         result = original(*args, **kwargs)
         calls.append(result)
-        if corrupt is not None and not corrupted and result is not None and result.word:
-            corrupted.append(result)
-            result = Decomposition(corrupt(result.word), result.extremal)
         return result
 
     monkeypatch.setattr(peterweyl, "decompose", counting)
@@ -733,34 +734,33 @@ def _counted_searches(monkeypatch, corrupt=None) -> list:
 
 
 def _counted_certificates(monkeypatch) -> dict:
-    """The certificates pw_report's proposals give from then on, by path:
-    "inverse" counts _replay's and "start" the rest of _certify's, as each
-    certificate _replay gives comes from one _certify call; "checked"
-    counts the _certify calls, failed ones included."""
-    from crystalpaths import peterweyl
-    certify, replay = peterweyl._certify, peterweyl._replay
-    counts = {"start": 0, "inverse": 0, "checked": 0}
+    """The certificate work from then on: "runs" counts the words run
+    forward (star_image(), each search's own check among them), "out" the
+    runs where a string runs out, and "orbits" the orbit reads
+    (lam_canonical, each search's verdict among them)."""
+    counts = {"runs": 0, "out": 0, "orbits": 0}
+    star_image, lam_canonical = Decomposition.star_image, Decomposition.lam_canonical
 
-    def counting_certify(word, x, y):
-        result = certify(word, x, y)
-        counts["checked"] += 1
-        counts["start"] += result is not None
-        return result
+    def counting_star_image(d):
+        counts["runs"] += 1
+        try:
+            return star_image(d)
+        except RuntimeError:
+            counts["out"] += 1
+            raise
 
-    def counting_replay(word, y):
-        result = replay(word, y)
-        if result is not None:
-            counts["start"] -= 1
-            counts["inverse"] += 1
-        return result
+    def counting_lam_canonical(d):
+        counts["orbits"] += 1
+        return lam_canonical.fget(d)
 
-    monkeypatch.setattr(peterweyl, "_certify", counting_certify)
-    monkeypatch.setattr(peterweyl, "_replay", counting_replay)
+    monkeypatch.setattr(Decomposition, "star_image", counting_star_image)
+    monkeypatch.setattr(Decomposition, "lam_canonical", property(counting_lam_canonical))
     return counts
 
 
-# a three-factor element whose walls have mixed signs: not extremal by its walls
-MIXED = lp_split(path_from_window(0, 0, -2, [1, 1, -1, -1]))
+# a three-factor element in (4,0)'s orbit whose walls have mixed signs: not
+# extremal by its walls
+MIXED = lp_split(path_from_window(4, 0, -1, [1, -1]))
 
 
 def _bottom(x):
@@ -772,7 +772,7 @@ def _starts_replaced(monkeypatch, replace):
     """pw_report's pair records with the start b* of every walk but the
     first replaced by replace(start, first start): the first walk holds
     the element each dual partner's search runs on, so the searches and
-    their words do not change."""
+    their verdicts do not change."""
     from crystalpaths import peterweyl
     star_pairs = peterweyl._star_pairs
 
@@ -782,22 +782,37 @@ def _starts_replaced(monkeypatch, replace):
 
         def records():
             firsts = []
-            for k, (bkey, rkey, y, start) in pairs:
+            for k, (bkey, rkey, y, start, word) in pairs:
                 if bkey == first:
                     firsts[:] = [start]
                 else:
                     start = replace(start, firsts[0])
-                yield k, (bkey, rkey, y, start)
+                yield k, (bkey, rkey, y, start, word)
 
         return dual, records(), violations
 
     monkeypatch.setattr(peterweyl, "_star_pairs", replaced)
 
 
-@pytest.mark.parametrize("m, l", [(4, 0), (-4, 1), (2, 1), (0, 1)])
-def test_pw_verify_in_its_memo_scope_gives_the_report_of_its_checks(m, l):
-    # pw_verify, which searches once per dual element and replays that
-    # word on the partner's other elements, gives the report of its checks
+def _later_elements(lam):
+    """(word, start, first start, y) for every element of lam's slice after
+    its dual partner's first one, the elements pw_report certifies: the
+    partner's word, the start b* of the element's walk, and the start of
+    the walk that met the partner first."""
+    _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+    firsts, cases = {}, []
+    for _, (_, rkey, y, start, word) in pairs:
+        if rkey in firsts:
+            cases.append((word, start, firsts[rkey], y))
+        else:
+            firsts[rkey] = start
+    return cases
+
+
+@pytest.mark.parametrize("m, l", BENCH_LAMBDAS + ((0, 1),))
+def test_pw_verify_matches_a_search_on_every_element(m, l):
+    # pw_verify, which searches once per dual element and certifies the
+    # partner's other elements by its word, gives the report of its checks
     # with a decompose() search on every element, field by field
     lam = classical(m, l)
     searched = _searched_report(lam)
@@ -809,121 +824,122 @@ def test_pw_verify_in_its_memo_scope_gives_the_report_of_its_checks(m, l):
         assert getattr(reused, f.name) == getattr(searched, f.name), f.name
 
 
+@pytest.mark.parametrize("m, l", [(4, 0), (-4, 1), (2, 1)])
+def test_each_dual_word_runs_from_every_walks_start_to_its_pair(m, l):
+    # what the certificate rests on: the word by which the dual family's
+    # BFS first reached r*, as strings, gives r* from u_lam* and, from
+    # every walk's start b*, the element that walk pairs with r; some
+    # strings are two steps long, so the string kernel is compared with
+    # the walks' single steps
+    lam = classical(m, l)
+    root = star_mod(u_lambda(lam))
+    dual, pairs, violations = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+    words = {}
+    for _, (_, rkey, y, start, word) in pairs:
+        assert words.setdefault(rkey, word) == word
+        assert Decomposition(word, start).star_image() == y
+    assert violations == [] and words.keys() == dual.keys()
+    assert all(Decomposition(words[k], root).star_image() == r for k, r in dual.items())
+    assert max(n for word in words.values() for _, _, n in word) >= 2
+
+
 def test_a_corrupted_word_falls_back_to_the_search(monkeypatch):
-    # a word whose last string runs out on every element: the partner's
-    # next element is searched, the search's word replaces it, and the
-    # report does not change
+    # a dual word whose last string runs out from every start: each later
+    # element of that partner is searched, and the report does not change
+    from crystalpaths import peterweyl
     lam = classical(4, 0)
     clean = pw_report(lam)
     star_binf.cache_clear()
-    calls = _counted_searches(monkeypatch, lambda word: word + [("f", 0, 10**6)])
+    lockstep = peterweyl.lockstep
+
+    def corrupting(*args):
+        nodes, words, walks = lockstep(*args)
+        k = next(k for k, word in words.items() if word)
+        return nodes, {**words, k: words[k] + [("f", 0, 10**6)]}, walks
+
+    monkeypatch.setattr(peterweyl, "lockstep", corrupting)
+    calls = _counted_searches(monkeypatch)
     rep = pw_report(lam)
     assert rep == clean and rep.ok
-    assert len(calls) == rep.dual_size + 1
-
-
-def test_a_replay_certifies_an_extremal_end_that_gives_the_element_back(monkeypatch):
-    # the word of an element with a nonempty word: on the element itself it
-    # gives back the search's decomposition; with no strings the replay ends
-    # at y, which is not extremal (the search would have stopped there), and
-    # a string that runs out ends it; a word that does not come back to y
-    # certifies nothing
-    y, d = next((y, d) for _, y, d in _searched(classical(4, 0)) if d.word)
-    assert _replay(d.word, y) == d
-    assert not is_extremal_by_walls(y) and _replay([], y) is None
-    assert _replay(d.word + [("f", 0, 10**6)], y) is None
-    monkeypatch.setattr(Decomposition, "star_image", lambda self: u_lambda(classical(4, 0)))
-    assert _replay(d.word, y) is None
+    assert len(calls) == rep.dual_size + rep.bmax_size - 1
 
 
 def test_the_slice_and_its_replay_ends_satisfy_the_crystal_axioms():
-    # _replay's star_image() == y check holds wherever the axiom
-    # e_i b = b' iff f_i b' = b does: check_axioms finds no violation on
-    # the slice elements, read as pw_report reads them, or on the ends
-    # their certificates reach: the walks' starts (B^max star images)
-    # where the partner's search ended at its own start, the inverse
-    # replays' ends, and, once per dual element, the searches' ends
+    # check_axioms finds no violation on the slice elements, read as
+    # pw_report reads them, or on the ends the words are replayed from:
+    # the walks' starts (B^max star images), from which the certificates
+    # run their partner's word, and, once per dual element, the searches'
+    # ends
     lam = classical(4, 0)
     _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
-    words, elements, ends, starts = {}, [], [], []
-    for _, (_, rkey, y, start) in pairs:
-        word, own = words.get(rkey, (None, False))
-        d = _certify(word, start, y) if own else None
-        if d is not None:
-            starts.append(d.extremal)
-        elif word is not None:
-            d = _replay(word, y)
-        if d is None:
-            d = decompose(None, DECOMPOSE_DEPTH, e_star=y)
-            words[rkey] = d.word, d.extremal == start
+    elements, starts, ends = [], {}, {}
+    for _, (bkey, rkey, y, start, _) in pairs:
         elements.append(y)
-        ends.append(d.extremal)
-    assert len(elements) == 800 and len(words) == 10 and len(starts) == 474
+        starts[bkey] = start
+        if rkey not in ends:
+            ends[rkey] = decompose(None, DECOMPOSE_DEPTH, e_star=y).extremal
+    assert (len(elements), len(starts), len(ends)) == (800, 80, 10)
     assert check_axioms(elements) == []
-    assert check_axioms(ends) == []
+    assert check_axioms(list(starts.values()) + list(ends.values())) == []
 
 
 def test_pw_report_certifies_from_the_walks_start_where_the_search_ended_at_its_own(monkeypatch):
-    # at (4,0) 6 of the 10 searches end at the first walk's start: the 79
-    # other elements of each of those partners are certified from their
-    # own walk's start, and the other 4 partners' by inverse replay, with
-    # no start proposed for them and no certificate checked twice
+    # at (4,0) 6 of the 10 searches end at the first walk's start and 4 at
+    # another extremal vector; either way the 79 later elements of each
+    # partner are certified from their own walk's start by one forward run
+    # of the partner's word, and each of the 79 later walks reads its
+    # start's orbit once
+    lam = classical(4, 0)
+    _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
+    own = {}
+    for _, (_, rkey, y, start, _) in pairs:
+        if rkey not in own:
+            own[rkey] = decompose(None, DECOMPOSE_DEPTH, e_star=y).extremal == start
+    assert sorted(own.values()) == [False] * 4 + [True] * 6
+    star_binf.cache_clear()
     searches = _counted_searches(monkeypatch)
     counts = _counted_certificates(monkeypatch)
-    rep = pw_report(classical(4, 0))
-    assert rep.ok and rep.pair_count == 800
-    assert (len(searches), counts["start"], counts["inverse"]) == (10, 474, 316)
-    assert counts["checked"] == 790
-
-
-def _own_start_cases(lam):
-    """(word, start, first start, y) for every element of lam's slice whose
-    dual partner's search ended at its own walk's start with a nonempty
-    word, outside that first walk: the start path's cases."""
-    _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
-    words, cases = {}, []
-    for _, (_, rkey, y, start) in pairs:
-        if rkey not in words:
-            d = decompose(None, DECOMPOSE_DEPTH, e_star=y)
-            words[rkey] = d.word, d.extremal == start, start
-        elif words[rkey][1] and words[rkey][0]:
-            word, _, first = words[rkey]
-            cases.append((word, start, first, y))
-    return cases
+    rep = pw_report(lam)
+    assert rep.ok and rep.pair_count == 800 and rep.bmax_size == 80
+    assert len(searches) == 10
+    assert counts == {"runs": 10 + 790, "out": 0, "orbits": 10 + 79}
 
 
 def test_a_start_certificate_checks_walls_forward_run_and_running_out():
-    # _certify, which both proposals call, certifies a walk's start and
-    # rejects, with None and no error: a start not extremal by its walls,
-    # also where the word from it gives the element it is asked about; a
-    # start from which the word gives another element; and a start from
-    # which a string of the word runs out
-    cases = _own_start_cases(classical(4, 0))
-    assert len(cases) == 5 * 79
+    # the certificate of each later element at (4,0): its walk's start b*
+    # is extremal by its walls, in lam's orbit, and the partner's word run
+    # from it gives the element; a start not extremal by its walls fails,
+    # the word run from another start gives another element, and from the
+    # bottom of b*'s 1-string it runs out or gives another element
+    lam = classical(4, 0)
+    cases = _later_elements(lam)
+    assert len(cases) == 790
+    out = 0
+    assert not is_extremal_by_walls(MIXED)
+    assert Decomposition([], MIXED).lam_canonical == orbit_canonical(lam)
     for word, start, first, y in cases:
-        assert _certify(word, start, y) == Decomposition(word, start)
-        assert _certify(word, MIXED, y) is None
+        d = Decomposition(word, start)
+        assert is_extremal_by_walls(start) and d.lam_canonical == orbit_canonical(lam)
+        assert d.star_image() == y
         assert Decomposition(word, first).star_image() != y
-        assert _certify(word, first, y) is None
-        with pytest.raises(RuntimeError):
-            Decomposition(word, _bottom(start)).star_image()
-        assert _certify(word, _bottom(start), y) is None
-    word, start, _, _ = cases[0]
-    x = next(x for x in (start.f(0), start.e(0), start.f(1), start.e(1))
-             if x is not None and not is_extremal_by_walls(x))
-    z = Decomposition(word, x).star_image()
-    assert _certify(word, x, z) is None and _certify([], x, x) is None
+        try:
+            assert Decomposition(word, _bottom(start)).star_image() != y
+        except RuntimeError:
+            out += 1
+    assert out > 0
 
 
-@pytest.mark.parametrize("replace", [lambda start, first: MIXED,
-                                     lambda start, first: first,
-                                     lambda start, first: _bottom(start)],
-                         ids=["not-extremal", "other-element", "runs-out"])
-def test_a_failed_start_falls_back_to_the_inverse_replay(monkeypatch, replace):
-    # every start outside the first walk replaced by one that fails a check
-    # of _certify: each element certified from its start at (4,0) is
-    # certified by inverse replay instead, nothing raises, no search is
-    # added and the report does not change
+@pytest.mark.parametrize("replace, runs, out", [
+    (lambda start, first: MIXED, 0, False),
+    (lambda start, first: first, 790, False),
+    (lambda start, first: _bottom(start), 790, True)],
+    ids=["not-extremal", "other-element", "runs-out"])
+def test_a_failed_start_falls_back_to_the_search(monkeypatch, replace, runs, out):
+    # every start outside the first walk replaced by one whose certificate
+    # fails: not extremal by its walls (no word is run from it), a start
+    # from which each word gives another element, or one from which some
+    # words run out; every element of a replaced walk is searched instead,
+    # nothing raises and the report does not change
     lam = classical(4, 0)
     clean = pw_report(lam)
     star_binf.cache_clear()
@@ -931,8 +947,8 @@ def test_a_failed_start_falls_back_to_the_inverse_replay(monkeypatch, replace):
     searches = _counted_searches(monkeypatch)
     counts = _counted_certificates(monkeypatch)
     assert pw_report(lam) == clean and clean.ok
-    assert (len(searches), counts["start"], counts["inverse"]) == (10, 0, 790)
-    assert counts["checked"] == 474 + 790
+    assert len(searches) == clean.pair_count == 800
+    assert counts["runs"] - len(searches) == runs and (counts["out"] > 0) == out
 
 
 def test_a_factor_outside_the_orbit_is_searched_on_every_element(monkeypatch):
@@ -948,13 +964,12 @@ def test_a_factor_outside_the_orbit_is_searched_on_every_element(monkeypatch):
 def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     # pw_verify computes every string it asks for: 1,757 in
     # verify_component (none for C1's starts, which are read off their
-    # walls and walk no S-word) and the rest in the slice report, which
-    # searches once per dual element (39 strings) and certifies the other
-    # 790 elements by one forward run of the word each (1,126 strings),
-    # from the walk's start for 474 of them and from the end of an inverse
-    # replay (503 strings) for 316; the count drifts when either check
-    # calls power on other factors, and nothing outlives the call, so the
-    # same command does the same work again
+    # walls and walk no S-word) and 2,756 in the slice report: 1,554 in
+    # the lockstep walks, 39 in the searches, one per dual element, and
+    # 1,163 in the certificates of the other 790 elements, one forward run
+    # of the partner's word from the walk's start each; the count drifts
+    # when a check calls power on other factors, and nothing outlives the
+    # call, so the same command does the same work again
     from crystalpaths.cli import main
     lam = classical(4, 0)
     held = counted_strings(monkeypatch)
@@ -964,10 +979,10 @@ def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     star_binf.cache_clear()
     searches = _counted_searches(monkeypatch)
     assert pw_verify(lam).ok
-    assert len(held) == 4979 and len(searches) == 10
+    assert len(held) == 4513 and len(searches) == 10
     held.clear()
     searches.clear()
     star_binf.cache_clear()
     assert main(["pw-verify", "--lambda=4,0"]) == 0
-    assert len(held) == 4979 and len(searches) == 10
+    assert len(held) == 4513 and len(searches) == 10
     capsys.readouterr()
