@@ -905,6 +905,25 @@ def test_pw_report_certifies_from_the_walks_start_where_the_search_ended_at_its_
     assert counts == {"runs": 10 + 790, "out": 0, "orbits": 10 + 79}
 
 
+def test_a_replay_certifies_an_extremal_end_that_gives_the_element_back(monkeypatch):
+    # the certificate pw_report gives a later element, on an element with a
+    # nonempty search word: run forward from the search's extremal end, the
+    # word gives the element back; with no strings the run ends at y, which
+    # is not extremal (the search would have stopped there), a string that
+    # runs out ends it, and a word that does not come back to y certifies
+    # nothing
+    lam = classical(4, 0)
+    y, d = next((y, d) for _, y, d in _searched(lam) if d.word)
+    assert is_extremal_by_walls(d.extremal)
+    assert d.lam_canonical == orbit_canonical(lam)
+    assert Decomposition(d.word, d.extremal).star_image() == y
+    assert not is_extremal_by_walls(y) and Decomposition([], y).star_image() == y
+    with pytest.raises(RuntimeError):
+        Decomposition(d.word + [("f", 0, 10**6)], d.extremal).star_image()
+    monkeypatch.setattr(Decomposition, "star_image", lambda self: u_lambda(lam))
+    assert Decomposition(d.word, d.extremal).star_image() != y
+
+
 def test_a_start_certificate_checks_walls_forward_run_and_running_out():
     # the certificate of each later element at (4,0): its walk's start b*
     # is extremal by its walls, in lam's orbit, and the partner's word run
