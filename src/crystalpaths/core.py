@@ -17,7 +17,9 @@ module builds the tensor rule for strings (_string_split, which ModElement
 and the tensor-word oracle in elementary apply), the breadth-first search
 engine explore (the one place a search keys its nodes; it yields each node
 with its key), lockstep (do other elements follow one element's words? it
-returns those words too, as strings), the string walker peel (which climbs
+numbers the element's nodes as explore finds them, so its walks hash no
+node key per move, and returns those words too, as strings), the string
+walker peel (which climbs
 by top), component enumeration, rooted graph isomorphism (one numbered form
 per graph, from a traversal that shares no code with explore or lockstep),
 an axiom checker (check_axioms, which reads each weight, (eps_i, phi_i) and
@@ -259,54 +261,63 @@ def explore(roots: Iterable[CrystalElement], moves, depth: int):
 def lockstep(root: CrystalElement, moves, depth: int, starts: Iterable[CrystalElement]):
     """Follow root's words from each start, move for move.
 
-    Explores root once along moves to the given depth, keeping the node
-    keys explore yields, then replays each expanded node's moves on its
-    image, pairing the results by position.
+    Explores root once along moves to the given depth, numbering root's
+    nodes in the order explore finds them, then replays each expanded
+    node's moves on its image, pairing the results by position.  A walk
+    holds its images in lists indexed by node number, so it hashes or
+    compares no node key of root's per move; each walk's keys dict is
+    built once, when the walk ends.
     Returns (nodes, words, walks): nodes maps each key found from root to
     its node; words maps it to the word by which explore first reached it,
     read off the same links, as strings (kind, i, n) of the moves (kind, i)
     with equal adjacent moves merged; walks lazily yields, per start,
     (keys, elements, problems): node key -> key of the element the same
-    word reaches, that key -> the element, and (move, problem) records, the
-    problem "defined" (on one side only), "not well defined" (a mapped node
-    reached at a second element) or "collision" (two nodes reach one
-    element).
+    word reaches, in the nodes' discovery order, that key -> the element,
+    and (move, problem) records, the problem "defined" (on one side only),
+    "not well defined" (a mapped node reached at a second element) or
+    "collision" (two nodes reach one element).
     """
     search = explore([root], moves, depth)
     _, _, _, root_key, _ = next(search)
     nodes = {root_key: root}
     words = {root_key: []}
-    steps: dict = {}  # expanded node key -> [(move, child key or None), ...]
+    number = {root_key: 0}  # node key -> its number, in discovery order
+    steps: dict = {}  # expanded node number -> [(move, child number or -1), ...]
     for pkey, move, c, ckey, new in search:
         if new:
+            number[ckey] = len(nodes)
             nodes[ckey] = c
             word = words[pkey]
             words[ckey] = (word[:-1] + [(*move, word[-1][2] + 1)]
                            if word and word[-1][:2] == move else word + [(*move, 1)])
-        steps.setdefault(pkey, []).append((move, ckey))
+        steps.setdefault(number[pkey], []).append((move, -1 if ckey is None else number[ckey]))
 
     def walk(start):
-        keys = {root_key: start.key()}
-        elements = {keys[root_key]: start}
+        found = [None] * len(nodes)  # node number -> the element its word reaches
+        found_keys = found[:]  # node number -> that element's key
+        found[0], found_keys[0] = start, start.key()
+        elements = {found_keys[0]: start}
         problems = []
-        for nkey, out in steps.items():
-            if nkey not in keys:
+        for j, out in steps.items():
+            x = found[j]
+            if x is None:
                 continue
-            for (move, ckey), (_, y) in zip(out, moves(elements[keys[nkey]])):
-                if (y is None) != (ckey is None):
+            for (move, c), (_, y) in zip(out, moves(x)):
+                if (y is None) != (c < 0):
                     problems.append((move, "defined"))
-                if y is None or ckey is None:
+                if y is None or c < 0:
                     continue
                 ykey = y.key()
-                if ckey in keys:
-                    if keys[ckey] != ykey:
+                if found[c] is not None:
+                    if found_keys[c] != ykey:
                         problems.append((move, "not well defined"))
                     continue
                 if ykey in elements:
                     problems.append((move, "collision"))
-                keys[ckey] = ykey
+                found[c], found_keys[c] = y, ykey
                 elements[ykey] = y
-        return keys, elements, problems
+        return ({k: ykey for k, ykey in zip(nodes, found_keys) if ykey is not None},
+                elements, problems)
 
     return nodes, words, map(walk, starts)
 

@@ -32,17 +32,27 @@ element key to B^max key; slice_keys() reads the same walks for their
 keys alone.
 
 The elements sharing a dual partner r are reached by one word W: the
-word by which the dual family's BFS first reached r* (core.lockstep keeps
-it, as strings), so r = W*(u_lam), and b's walk reaches the star image
-y = W(b*) of b's element W*(b) by the same moves.  The report therefore
-searches once per dual element, on its first element, and certifies each
-later one as a search would, by W run from b*, the start of b's walk:
-b* is extremal by its walls and its factor's orbit is lam's (both read
-once per walk), and W's strings run from b* give y (the forward check,
-which compares the string kernel with the walk's single steps; a string
-that runs out fails it).  A failed check, or a walk whose start fails,
-falls back to the search, so every failed or inconclusive decomposition
-comes from a search.
+word by which the dual family's BFS first reached r* (core.lockstep
+keeps it, as strings), so r = W*(u_lam), and b's walk reaches the star
+image y = W(b*) of b's element W*(b) by the same moves.  The report
+therefore searches once per dual element, on its first element, and
+certifies each later one as a search would, by W run from b*, the start
+of b's walk: b* is extremal by its walls and its factor's orbit is lam's
+(both read once per walk), and W's strings run from b* give y (the
+forward check, which compares the string kernel with the walk's single
+steps; a string that runs out fails it).  Each walk runs every W by one
+string: it keeps the element it certified for each word, b* for the
+empty one, and checks the element of W = W' s against the string s run
+from the element of W', its string parent.  The BFS reached r* through
+the node of W' (any string-prefix of a BFS word is the BFS word of an
+earlier node), and a walk yields its elements in the order the BFS found
+their nodes, so that element came first.  By induction on the number of
+strings, an element certified so equals W(b*): the one of W' equals
+W'(b*), and s run from it gives W(b*).  So one string is the same
+forward check as the whole word run from b*.  A failed check, a string
+parent that was not certified, or a walk whose start fails, falls back
+to the search, so every failed or inconclusive decomposition comes from
+a search, and so does every element whose word extends a failed one.
 
 decompose() inverts the pairing on a single element: raise/lower the star
 image until an extremal vector x appears, read off its walls
@@ -251,11 +261,11 @@ def _star_pairs(lam: Weight, bmax: dict, depth: int):
     W*(u_lam), each element once, one b's walk at a time: b in key order,
     and r in the dual family's discovery order; b* is the walk's start,
     and W, as strings, the word by which the BFS first reached r*, which
-    pw_report's certificate runs from b*.  violations fills as pairs is
-    read: the words whose defined-ness differs between b and u_lam, the
-    words that reach one dual element at two elements, and the elements
-    reached from two different b.  Only one walk and the map from element key to b key
-    are held at a time.
+    pw_report's certificate runs from b*, one string at a time.
+    violations fills as pairs is read: the words whose defined-ness
+    differs between b and u_lam, the words that reach one dual element at
+    two elements, and the elements reached from two different b.  Only
+    one walk and the map from element key to b key are held at a time.
     """
     root = star_mod(u_lambda(lam))
     root_key = root.key()
@@ -291,8 +301,12 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     yields it, so no element is starred and only one b's walk is held at a
     time.  decompose() searches the first element of each dual partner and
     every element whose certificate fails; each later element is certified
-    by its partner's word run from the walk's start b*, whose walls and
-    orbit are read once per walk (the module docstring gives why).  Checks,
+    by its partner's word W run from the walk's start b*, whose walls and
+    orbit are read once per walk: by one string, the last of W, run from
+    the element this walk certified for W's prefix (b* itself for the
+    empty word), which by induction is the same check (the module
+    docstring gives why).  An element whose string parent was not
+    certified is searched.  Checks,
     on the truncation: the starred word is defined on b exactly when it is
     defined on u_lam; the resulting element depends only on (b, image from
     u_lam); the pair map is injective, so the slice count is the product
@@ -314,17 +328,22 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
     rep.dual_characterization_ok = all(_dual_family_ok(star_mod(r), lam)
                                        for r in dual.values())
     searched: set = set()  # dual keys whose first element was searched
-    walk = start_ok = None
+    walk = None
+    reached: dict = {}  # word tuple -> the element certified for it in this walk
     for _, (bkey, rkey, y, start, word) in pairs:
         rep.pair_count += 1
         if rkey in searched:
             if bkey != walk:
-                walk, start_ok = bkey, (is_extremal_by_walls(start) and
-                                        Decomposition([], start).lam_canonical == canon)
+                walk = bkey
+                reached = ({(): start} if is_extremal_by_walls(start) and
+                           Decomposition([], start).lam_canonical == canon else {})
+            w = tuple(word)
+            x = reached.get(w[:-1])  # the string parent; b* itself for w = ()
             try:
-                if start_ok and Decomposition(word, start).star_image() == y:
+                if x is not None and Decomposition(word[-1:], x).star_image() == y:
+                    reached[w] = y
                     continue
-            except RuntimeError:  # a string of the word runs out from b*
+            except RuntimeError:  # the last string runs out from the parent
                 pass
         searched.add(rkey)
         try:

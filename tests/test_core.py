@@ -397,6 +397,43 @@ def test_each_node_is_keyed_once():
         assert len(keyed) == once
 
 
+def test_a_lockstep_walk_hashes_each_root_key_at_most_once():
+    # lockstep numbers root's nodes while it explores them, so a walk
+    # follows node numbers: it hashes each root key once, when it builds
+    # its keys dict, and compares none; on the line of LimitEntry every
+    # node is reached by several words, so each walk meets nodes it has
+    # already mapped
+    hashed = Counter()
+
+    @dataclass(frozen=True)
+    class Key:
+        """A key that counts the calls of its __hash__."""
+
+        value: tuple
+
+        def __hash__(self):
+            hashed[self.value] += 1
+            return hash(self.value)
+
+    class Keyed(LimitEntry):
+        """A letter whose key counts its hashing."""
+
+        def power(self, i, n):
+            return Keyed(super().power(i, n).n)
+
+        def key(self):
+            return Key(super().key())
+
+    nodes, _, walks = lockstep(Keyed(0), plain_moves, 3, [LimitEntry(0), LimitEntry(5)])
+    assert len(nodes) == 7
+    for shift in (0, 5):
+        hashed.clear()
+        keys, elements, problems = next(walks)
+        assert max(hashed.values()) == 1 and len(hashed) == len(nodes)
+        assert problems == [] and len(elements) == len(nodes)
+        assert keys == {k: ("z", k.value[1] + shift) for k in nodes}
+
+
 def test_graph_isomorphism_positive_and_negative():
     g1 = bfs_component(LimitEntry(0), 2)
     g2 = bfs_component(LimitEntry(0), 2)

@@ -844,24 +844,33 @@ def test_each_dual_word_runs_from_every_walks_start_to_its_pair(m, l):
 
 
 def test_a_corrupted_word_falls_back_to_the_search(monkeypatch):
-    # a dual word whose last string runs out from every start: each later
-    # element of that partner is searched, and the report does not change
+    # one dual word, [e_0], given a string more: no element of a walk holds
+    # that word's prefix [e_0] any more, so the corrupted element has no
+    # certified string parent, and neither has any element whose word
+    # extends [e_0] (4 of the 10 words at (4,0), the corrupted one among
+    # them); those are searched in each of the 79 later walks, and the
+    # report does not change
     from crystalpaths import peterweyl
     lam = classical(4, 0)
     clean = pw_report(lam)
     star_binf.cache_clear()
     lockstep = peterweyl.lockstep
+    corrupted = []
 
     def corrupting(*args):
         nodes, words, walks = lockstep(*args)
         k = next(k for k, word in words.items() if word)
+        corrupted[:] = [words[k], list(words.values())]
         return nodes, {**words, k: words[k] + [("f", 0, 10**6)]}, walks
 
     monkeypatch.setattr(peterweyl, "lockstep", corrupting)
     calls = _counted_searches(monkeypatch)
     rep = pw_report(lam)
     assert rep == clean and rep.ok
-    assert len(calls) == rep.dual_size + rep.bmax_size - 1
+    prefix, words = corrupted
+    extending = sum(word[:len(prefix)] == prefix for word in words)
+    assert prefix == [("e", 0, 1)] and extending == 4
+    assert len(calls) == rep.dual_size + (rep.bmax_size - 1) * extending == 326
 
 
 def test_the_slice_and_its_replay_ends_satisfy_the_crystal_axioms():
@@ -950,15 +959,18 @@ def test_a_start_certificate_checks_walls_forward_run_and_running_out():
 
 @pytest.mark.parametrize("replace, runs, out", [
     (lambda start, first: MIXED, 0, False),
-    (lambda start, first: first, 790, False),
-    (lambda start, first: _bottom(start), 790, True)],
+    (lambda start, first: first, 79 * 7, False),
+    (lambda start, first: _bottom(start), 79 * 7, True)],
     ids=["not-extremal", "other-element", "runs-out"])
 def test_a_failed_start_falls_back_to_the_search(monkeypatch, replace, runs, out):
     # every start outside the first walk replaced by one whose certificate
-    # fails: not extremal by its walls (no word is run from it), a start
-    # from which each word gives another element, or one from which some
-    # words run out; every element of a replaced walk is searched instead,
-    # nothing raises and the report does not change
+    # fails: not extremal by its walls (no string is run from it), or
+    # extremal in lam's orbit but not the walk's root element, so the root
+    # check (its empty word) fails, and so do the checks of the 6 elements
+    # whose word is one string, run from the replaced start: each gives
+    # another element, or, from the bottom of b*'s 1-string, some run out;
+    # every deeper element has no certified string parent, so the whole
+    # walk is searched, nothing raises and the report does not change
     lam = classical(4, 0)
     clean = pw_report(lam)
     star_binf.cache_clear()
@@ -983,10 +995,13 @@ def test_a_factor_outside_the_orbit_is_searched_on_every_element(monkeypatch):
 def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     # pw_verify computes every string it asks for: 1,757 in
     # verify_component (none for C1's starts, which are read off their
-    # walls and walk no S-word) and 2,756 in the slice report: 1,554 in
+    # walls and walk no S-word) and 2,440 in the slice report: 1,554 in
     # the lockstep walks, 39 in the searches, one per dual element, and
-    # 1,163 in the certificates of the other 790 elements, one forward run
-    # of the partner's word from the walk's start each; the count drifts
+    # 847 in the certificates of the other 790 elements, each the last
+    # string of the partner's word run from the element its prefix names,
+    # certified just before in the same walk (the 79 empty words run no
+    # string, and 136 of the other 711 split between both factors of the
+    # three-factor element, one half-path string each); the count drifts
     # when a check calls power on other factors, and nothing outlives the
     # call, so the same command does the same work again
     from crystalpaths.cli import main
@@ -998,10 +1013,27 @@ def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     star_binf.cache_clear()
     searches = _counted_searches(monkeypatch)
     assert pw_verify(lam).ok
-    assert len(held) == 4513 and len(searches) == 10
+    assert len(held) == 4197 and len(searches) == 10
     held.clear()
     searches.clear()
     star_binf.cache_clear()
     assert main(["pw-verify", "--lambda=4,0"]) == 0
-    assert len(held) == 4513 and len(searches) == 10
+    assert len(held) == 4197 and len(searches) == 10
     capsys.readouterr()
+
+
+def test_pw_report_makes_no_empty_half_path_string(monkeypatch):
+    # a move of a three-factor element passes the factor it does not move
+    # through as it is, and apply_word (the star's rebuild of a path from
+    # its string) skips peel's leading empty string: the slice report asks
+    # no half-path for power(i, 0)
+    from crystalpaths.halfpath import HalfPath
+    power, calls = HalfPath.power, []
+
+    def counting(b, i, n):
+        calls.append(n)
+        return power(b, i, n)
+
+    monkeypatch.setattr(HalfPath, "power", counting)
+    assert pw_report(classical(4, 0)).ok
+    assert calls and 0 not in calls
