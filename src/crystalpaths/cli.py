@@ -3,10 +3,7 @@
 Subcommands: apply, star, walls, graph, extremal, bmax, pw-verify,
 oracle-check.  Elements are read as JSON from --file or stdin.  Operator
 words are whitespace-separated tokens e0, e1, f0, f1 (plain) and E0, E1,
-F0, F1 (starred), applied left to right.  The parser is built once, at
-import, as the module constant _PARSER: main parses every call's
-arguments with it into a fresh Namespace and leaves it as it was, and
-each cmd_* function looks up its library calls when it runs.
+F0, F1 (starred), applied left to right.
 
 Exit codes: 0 all checks pass / result produced; 1 a check failed; 2 a
 bounded search was inconclusive and no check failed.  pw-verify takes its
@@ -367,13 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = build_parser()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(_glue_lambda(argv))
+        args = build_parser().parse_args(_glue_lambda(argv))
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

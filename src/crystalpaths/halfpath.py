@@ -106,7 +106,7 @@ def _canon(entries: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tupl
 
 def _mirror(entries: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """j_k = -i_{-k-1}: a left path's entries to its flip's and back."""
-    return tuple([(-k - 1, -v) for k, v in reversed(entries)])
+    return tuple((-k - 1, -v) for k, v in reversed(entries))
 
 
 def _built(side: str, entries: tuple[tuple[int, int], ...],
@@ -500,12 +500,9 @@ def string_factorization(b: HalfPath) -> list[tuple[int, int]]:
 
 
 def apply_word(b: CrystalElement, word: Iterable[tuple[int, int]]) -> Optional[CrystalElement]:
-    """Apply f_color^n (e_color^-n when n < 0) pair by pair; None if a step is
-    undefined.  A pair with n = 0 (peel's leading empty string) is skipped:
-    power(color, 0) would return b unchanged."""
+    """Apply f_color^n (e_color^-n when n < 0) pair by pair; None if a step is undefined."""
     for color, n in word:
-        if n:
-            b = b.power(color, n)
-            if b is None:
-                return None
+        b = b.power(color, n)
+        if b is None:
+            return None
     return b

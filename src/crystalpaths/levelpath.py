@@ -235,16 +235,14 @@ class ModElement(WallScan, CrystalElement):
         runs out exactly where it would take e_i past eps(b1) on b1 or f_i
         past phi(b2) on b2, as every other string on a half-path is
         defined; so both factor strings are defined, keep their sides, and
-        the result is built without the constructor's checks.  A factor
-        the string does not move is passed through as it is."""
+        the result is built without the constructor's checks."""
         if n == 0:
             return self
         eps1, ph1, eps2, phi2 = stats
         on_left = _string_split(ph1, eps2, n)
         if -on_left > eps1 or n - on_left > phi2:
             return None
-        return _built_mod(self.b1.power(i, on_left) if on_left else self.b1, self.lam,
-                          self.b2.power(i, n - on_left) if n != on_left else self.b2)
+        return _built_mod(self.b1.power(i, on_left), self.lam, self.b2.power(i, n - on_left))
 
     def _zero_wall(self) -> int:
         """The wall at 0: b1's letter at -1 plus b2's at 0 plus m."""

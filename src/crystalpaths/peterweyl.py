@@ -339,12 +339,12 @@ def pw_report(lam: Weight, c_bound: int = 1, depth: int = 3) -> SliceReport:
                            Decomposition([], start).lam_canonical == canon else {})
             w = tuple(word)
             x = reached.get(w[:-1])  # the string parent; b* itself for w = ()
-            try:
-                if x is not None and Decomposition(word[-1:], x).star_image() == y:
-                    reached[w] = y
-                    continue
-            except RuntimeError:  # the last string runs out from the parent
-                pass
+            if x is not None and w:
+                kind, i, n = w[-1]
+                x = x.power(i, n if kind == "f" else -n)  # None: the string runs out
+            if x is not None and x == y:
+                reached[w] = y
+                continue
         searched.add(rkey)
         try:
             result = decompose(None, DECOMPOSE_DEPTH, e_star=y)

@@ -1,6 +1,5 @@
 import io
 import json
-from pathlib import Path
 
 import pytest
 
@@ -9,8 +8,6 @@ from crystalpaths.cli import MAX_ENTRY, MAX_SPAN, main
 from crystalpaths.peterweyl import SliceReport
 from crystalpaths.serialize import dumps, loads
 from crystalpaths.weights import classical
-
-CASES = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -275,29 +272,6 @@ def test_usage_errors_are_precondition_errors(argv, capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, argv)
     assert code == 65
     assert out == "" and "usage:" in err
-
-
-def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
-    # main parses with the parser the module built at import and builds
-    # none per call; parse_args gives each call a fresh Namespace, so
-    # commands, options given before and usage errors in between leave it
-    # as it was: every call prints what a fresh parser gives, and the
-    # golden cases print their recorded exit code and stdout
-    from crystalpaths import cli
-    golden = {c["name"]: c for c in CASES}
-    build, built = cli.build_parser, []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    argvs = [["bmax"], ["pw-verify", "--lambda=2,0"], ["pw-verify", "--lambda", "-3,0"],
-             ["no-such-command"], ["pw-verify", "--lambda=1,0", "--depth", "3"],
-             golden["pw-verify-1"]["argv"], ["bmax"], golden["pw-verify-2-1"]["argv"]]
-    shared = [run(capsys, monkeypatch, argv) for argv in argvs]
-    assert built == [] and cli._PARSER is not None
-    for argv, got in zip(argvs, shared):
-        monkeypatch.setattr(cli, "_PARSER", build())
-        assert got == run(capsys, monkeypatch, argv)
-    assert [code for code, _, _ in shared] == [65, 0, 0, 65, 0, 0, 65, 0]
-    for name, (code, out, _) in (("pw-verify-1", shared[5]), ("pw-verify-2-1", shared[7])):
-        assert (code, out) == (golden[name]["exit"], golden[name]["stdout"])
 
 
 def test_help_exits_zero(capsys):

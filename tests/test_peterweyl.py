@@ -224,10 +224,14 @@ def test_no_table_is_current_after_a_call_returns_or_raises(monkeypatch):
 
 
 def test_pw_report_counts_a_decomposition_that_does_not_replay(monkeypatch):
+    # each search's replay gives another element, so every search, one per
+    # dual element, is counted as mismatched; the certificates run their
+    # strings on the elements themselves, not through star_image, so every
+    # later element is still certified
     monkeypatch.setattr(Decomposition, "star_image",
                         lambda self: u_lambda(classical(5, 0)))
     rep = pw_report(classical(1, 0), c_bound=1, depth=1)
-    assert rep.decompose_mismatched == rep.pair_count > 0
+    assert rep.decompose_mismatched == rep.dual_size == 3 < rep.pair_count
     assert rep.failed and not rep.ok
 
 
@@ -734,26 +738,25 @@ def _counted_searches(monkeypatch) -> list:
 
 
 def _counted_certificates(monkeypatch) -> dict:
-    """The certificate work from then on: "runs" counts the words run
-    forward (star_image(), each search's own check among them), "out" the
-    runs where a string runs out, and "orbits" the orbit reads
+    """The certificate work from then on: "strings" counts the strings
+    pw_report runs itself, one per certificate of an element whose word is
+    not empty, "out" those that run out, and "orbits" the orbit reads
     (lam_canonical, each search's verdict among them)."""
-    counts = {"runs": 0, "out": 0, "orbits": 0}
-    star_image, lam_canonical = Decomposition.star_image, Decomposition.lam_canonical
+    counts = {"strings": 0, "out": 0, "orbits": 0}
+    power, lam_canonical = ModElement.power, Decomposition.lam_canonical
 
-    def counting_star_image(d):
-        counts["runs"] += 1
-        try:
-            return star_image(d)
-        except RuntimeError:
-            counts["out"] += 1
-            raise
+    def counting_power(e, i, n):
+        result = power(e, i, n)
+        if sys._getframe(1).f_code is pw_report.__code__:
+            counts["strings"] += 1
+            counts["out"] += result is None
+        return result
 
     def counting_lam_canonical(d):
         counts["orbits"] += 1
         return lam_canonical.fget(d)
 
-    monkeypatch.setattr(Decomposition, "star_image", counting_star_image)
+    monkeypatch.setattr(ModElement, "power", counting_power)
     monkeypatch.setattr(Decomposition, "lam_canonical", property(counting_lam_canonical))
     return counts
 
@@ -873,6 +876,42 @@ def test_a_corrupted_word_falls_back_to_the_search(monkeypatch):
     assert len(calls) == rep.dual_size + (rep.bmax_size - 1) * extending == 326
 
 
+def test_a_corrupted_last_string_falls_back_to_the_search(monkeypatch):
+    # the last string of a leaf word (no other word extends it) replaced by
+    # one that runs out: its prefix is still another element's word, so
+    # each later walk runs the corrupted string from that certified parent,
+    # it runs out, and only that partner's element is searched; the report
+    # does not change
+    from crystalpaths import peterweyl
+    lam = classical(4, 0)
+    clean = pw_report(lam)
+    star_binf.cache_clear()
+    lockstep = peterweyl.lockstep
+    runs_out = ("f", 0, 10**6)
+
+    def corrupting(*args):
+        nodes, words, walks = lockstep(*args)
+        k = next(k for k, word in words.items() if word and
+                 not any(w != word and w[:len(word)] == word for w in words.values()))
+        assert words[k][:-1] in words.values()
+        return nodes, {**words, k: words[k][:-1] + [runs_out]}, walks
+
+    power, ran = ModElement.power, []
+
+    def counting(e, i, n):
+        if n == runs_out[2]:
+            ran.append(e)
+        return power(e, i, n)
+
+    monkeypatch.setattr(peterweyl, "lockstep", corrupting)
+    monkeypatch.setattr(ModElement, "power", counting)
+    calls = _counted_searches(monkeypatch)
+    rep = pw_report(lam)
+    assert rep == clean and rep.ok
+    assert len(ran) == rep.bmax_size - 1
+    assert len(calls) == rep.dual_size + rep.bmax_size - 1 == 89
+
+
 def test_the_slice_and_its_replay_ends_satisfy_the_crystal_axioms():
     # check_axioms finds no violation on the slice elements, read as
     # pw_report reads them, or on the ends the words are replayed from:
@@ -895,9 +934,9 @@ def test_the_slice_and_its_replay_ends_satisfy_the_crystal_axioms():
 def test_pw_report_certifies_from_the_walks_start_where_the_search_ended_at_its_own(monkeypatch):
     # at (4,0) 6 of the 10 searches end at the first walk's start and 4 at
     # another extremal vector; either way the 79 later elements of each
-    # partner are certified from their own walk's start by one forward run
-    # of the partner's word, and each of the 79 later walks reads its
-    # start's orbit once
+    # partner are certified from their own walk's start, 9 of them (the
+    # non-empty words) by one string each, and each of the 79 later walks
+    # reads its start's orbit once
     lam = classical(4, 0)
     _, pairs, _ = _star_pairs(lam, enum_bmax(lam, 1, 3), 3)
     own = {}
@@ -911,7 +950,7 @@ def test_pw_report_certifies_from_the_walks_start_where_the_search_ended_at_its_
     rep = pw_report(lam)
     assert rep.ok and rep.pair_count == 800 and rep.bmax_size == 80
     assert len(searches) == 10
-    assert counts == {"runs": 10 + 790, "out": 0, "orbits": 10 + 79}
+    assert counts == {"strings": 79 * 9, "out": 0, "orbits": 10 + 79}
 
 
 def test_a_replay_certifies_an_extremal_end_that_gives_the_element_back(monkeypatch):
@@ -959,8 +998,8 @@ def test_a_start_certificate_checks_walls_forward_run_and_running_out():
 
 @pytest.mark.parametrize("replace, runs, out", [
     (lambda start, first: MIXED, 0, False),
-    (lambda start, first: first, 79 * 7, False),
-    (lambda start, first: _bottom(start), 79 * 7, True)],
+    (lambda start, first: first, 79 * 6, False),
+    (lambda start, first: _bottom(start), 79 * 6, True)],
     ids=["not-extremal", "other-element", "runs-out"])
 def test_a_failed_start_falls_back_to_the_search(monkeypatch, replace, runs, out):
     # every start outside the first walk replaced by one whose certificate
@@ -979,7 +1018,7 @@ def test_a_failed_start_falls_back_to_the_search(monkeypatch, replace, runs, out
     counts = _counted_certificates(monkeypatch)
     assert pw_report(lam) == clean and clean.ok
     assert len(searches) == clean.pair_count == 800
-    assert counts["runs"] - len(searches) == runs and (counts["out"] > 0) == out
+    assert counts["strings"] == runs and (counts["out"] > 0) == out
 
 
 def test_a_factor_outside_the_orbit_is_searched_on_every_element(monkeypatch):
@@ -1021,19 +1060,3 @@ def test_pw_verify_string_count_is_pinned(monkeypatch, capsys):
     assert len(held) == 4197 and len(searches) == 10
     capsys.readouterr()
 
-
-def test_pw_report_makes_no_empty_half_path_string(monkeypatch):
-    # a move of a three-factor element passes the factor it does not move
-    # through as it is, and apply_word (the star's rebuild of a path from
-    # its string) skips peel's leading empty string: the slice report asks
-    # no half-path for power(i, 0)
-    from crystalpaths.halfpath import HalfPath
-    power, calls = HalfPath.power, []
-
-    def counting(b, i, n):
-        calls.append(n)
-        return power(b, i, n)
-
-    monkeypatch.setattr(HalfPath, "power", counting)
-    assert pw_report(classical(4, 0)).ok
-    assert calls and 0 not in calls
